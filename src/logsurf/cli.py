@@ -7,7 +7,8 @@ formatting; the timestamp is the only line that varies between
 identical runs) and one csv file per table.  The process exits 0
 exactly when every check of every scenario passed, 1 when a check
 failed, and 2 on schema or scenario errors, which are reported with
-their json location.
+their json location.  Every failure of a runner, including numbers out
+of range, is such an error: it never escapes as a traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -48,11 +50,14 @@ from .reflect import (
     conjugate_corner,
     conjugate_evaluator,
     envelope,
+    envelope_level,
     extend_eval,
+    lower_bound,
     membership,
     tower,
+    upper_bound,
 )
-from .series import PuiseuxSeries, evaluate as series_evaluate, puiseux
+from .series import PuiseuxSeries, evaluate as series_evaluate, puiseux_from_terms
 from .surface import LPoint
 
 from . import __version__
@@ -61,6 +66,20 @@ from . import __version__
 # ----------------------------------------------------------------------
 # schema helpers
 # ----------------------------------------------------------------------
+
+@contextmanager
+def _at(loc: str, error=ScenarioError):
+    """Report a library or arithmetic failure in the block as `error` at loc.
+
+    Schema and scenario errors raised inside keep their own location.
+    """
+    try:
+        yield
+    except (SchemaError, ScenarioError):
+        raise
+    except (ValueError, ArithmeticError, LogSurfError) as exc:
+        raise error(str(exc), loc) from exc
+
 
 def _need(obj, key: str, loc: str):
     if not isinstance(obj, dict):
@@ -95,16 +114,12 @@ def _parse_theta(obj, loc: str):
     if kind == "rational_pi":
         p = _as_int(_need(obj, "p", loc), f"{loc}.p", 1)
         q = _as_int(_need(obj, "q", loc), f"{loc}.q", 1)
-        try:
+        with _at(loc, SchemaError):
             return RationalPi(p, q)
-        except ValueError as exc:
-            raise SchemaError(str(exc), loc) from exc
     if kind == "irrational":
         value = _as_real(_need(obj, "value", loc), f"{loc}.value")
-        try:
+        with _at(loc, SchemaError):
             return IrrationalAngle(value)
-        except ValueError as exc:
-            raise SchemaError(str(exc), loc) from exc
     raise SchemaError(f"unknown angle kind {kind!r}", f"{loc}.kind")
 
 
@@ -113,7 +128,7 @@ def _parse_series(obj, loc: str) -> PuiseuxSeries:
     radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius")
     if radius <= 0:
         raise SchemaError("radius must be positive", f"{loc}.radius")
-    coeffs = [0j]
+    terms = []
     for i, term in enumerate(_as_list(_need(obj, "terms", loc), f"{loc}.terms")):
         tloc = f"{loc}.terms[{i}]"
         num = _as_int(_need(term, "num", tloc), f"{tloc}.num", 0)
@@ -124,11 +139,9 @@ def _parse_series(obj, loc: str) -> PuiseuxSeries:
             raise SchemaError(
                 f"exponent {num}/{den} does not live on the 1/{d} lattice", tloc
             )
-        idx = num * d // den
-        if idx >= len(coeffs):
-            coeffs.extend([0j] * (idx + 1 - len(coeffs)))
-        coeffs[idx] += complex(re, im)
-    return puiseux(coeffs, radius, d)
+        terms.append((num * d // den, complex(re, im)))
+    with _at(loc, SchemaError):
+        return puiseux_from_terms(terms, radius, d)
 
 
 def _parse_germ(obj, loc: str) -> Germ:
@@ -146,10 +159,8 @@ def _parse_germ(obj, loc: str) -> Germ:
         if deg >= len(coeffs):
             coeffs.extend([0j] * (deg + 1 - len(coeffs)))
         coeffs[deg] += complex(re, im)
-    try:
+    with _at(loc, SchemaError):
         return make_germ(LPoint(a_r, a_phi), k, tuple(coeffs), radius)
-    except ValueError as exc:
-        raise SchemaError(str(exc), loc) from exc
 
 
 def _parse_corner(obj, loc: str) -> CornerSpec:
@@ -159,10 +170,8 @@ def _parse_corner(obj, loc: str) -> CornerSpec:
     g0 = _parse_series(_need(obj, "g0", loc), f"{loc}.g0")
     g1 = _parse_series(_need(obj, "g1", loc), f"{loc}.g1")
     eps = _as_real(_need(obj, "eps", loc), f"{loc}.eps")
-    try:
+    with _at(loc, SchemaError):
         return CornerSpec(psi, chi, theta, g0, g1, eps)
-    except (ValueError, LogSurfError) as exc:
-        raise SchemaError(str(exc), loc) from exc
 
 
 def _parse_edge(arr, loc: str) -> list:
@@ -180,6 +189,14 @@ def _parse_edge(arr, loc: str) -> list:
             den = _as_int(_need(term, "beta_den", tloc), f"{tloc}.beta_den", 1)
             out.append((Fraction(num, den), coeff))
     return out
+
+
+def _parse_disc_point(obj, loc: str, what: str = "evaluation points") -> complex:
+    xi = complex(_as_real(_need(obj, "re", loc), f"{loc}.re"),
+                 _as_real(_need(obj, "im", loc), f"{loc}.im"))
+    if abs(xi) >= 1.0:
+        raise SchemaError(f"{what} must lie in the open unit disc", loc)
+    return xi
 
 
 def _parse_grid(obj, loc: str, defaults: dict) -> dict:
@@ -266,19 +283,20 @@ def _run_wedge(obj, rng):
     theta = _parse_theta(_need(obj, "theta", "$.theta"), "$.theta")
     edge0 = _parse_edge(_need(obj, "edge0", "$.edge0"), "$.edge0")
     edge1 = _parse_edge(_need(obj, "edge1", "$.edge1"), "$.edge1")
-    try:
+    with _at("$", SchemaError):
         problem = WedgeProblem(theta, tuple(edge0), tuple(edge1))
-    except ValueError as exc:
-        raise SchemaError(str(exc), "$") from exc
-    try:
+    with _at("$.theta"):
         evaluator, expansion = wedge_solve(problem)
-    except LogSurfError as exc:
-        raise ScenarioError(str(exc), "$.theta") from exc
     tv = angle_value(theta)
     grid = _parse_grid(obj.get("grid"), "$.grid",
                        {"r_min": 0.05, "r_max": 1.0, "r_n": 8, "phi_n": 7})
+    if not grid["r_min"] > 0:
+        raise SchemaError("r_min must be positive", "$.grid.r_min")
+    if not grid["r_max"] > grid["r_min"]:
+        raise SchemaError("r_max must exceed r_min", "$.grid.r_max")
 
     ts = np.linspace(grid["r_min"], grid["r_max"], grid["r_n"])
+    phis = np.linspace(0.0, tv, grid["phi_n"])
     b0 = max(abs(evaluator.u(LPoint(t, 0.0)) - _data_eval(problem.edge0, t)) for t in ts)
     b1 = max(abs(evaluator.u(LPoint(t, tv)) - _data_eval(problem.edge1, t)) for t in ts)
 
@@ -291,7 +309,7 @@ def _run_wedge(obj, rng):
 
     worst_re = 0.0
     for r in ts:
-        for phi in np.linspace(0.0, tv, grid["phi_n"]):
+        for phi in phis:
             z = LPoint(float(r), float(phi))
             fv = evaluator.f(z)
             worst_re = max(worst_re, abs(evaluator.u(z) - fv.real) / (1.0 + abs(fv)))
@@ -311,11 +329,7 @@ def _run_wedge(obj, rng):
         _check_flag("log_dichotomy", dichotomy),
     ]
 
-    grid_rows = emit_grid(
-        lambda z: (evaluator.u(z), evaluator.f(z)),
-        np.linspace(grid["r_min"], grid["r_max"], grid["r_n"]),
-        np.linspace(0.0, tv, grid["phi_n"]),
-    )
+    grid_rows = emit_grid(lambda z: (evaluator.u(z), evaluator.f(z)), ts, phis)
     exp_rows = []
     for alpha, poly in expansion.terms:
         for m, c in enumerate(poly):
@@ -339,20 +353,14 @@ def _straight_wedge_base(corner: CornerSpec, loc: str):
         for n, c in enumerate(g.base.coeffs):
             if c != 0:
                 edge[side].append((Fraction(n, g.d), c.real))
-    try:
+    with _at(loc):
         problem = WedgeProblem(corner.theta, tuple(edge[0]), tuple(edge[1]))
         evaluator, expansion = wedge_solve(problem)
-    except (ValueError, LogSurfError) as exc:
-        raise ScenarioError(str(exc), loc) from exc
     alpha = corner.psi.a.phi
     if alpha == 0.0:
         return evaluator, expansion
     rot = lambda z: LPoint(z.r, z.phi - alpha)
-    base = HarmonicEvaluator(
-        lambda z: evaluator.u(rot(z)),
-        lambda z: evaluator.f(rot(z)),
-        dict(evaluator.meta),
-    )
+    base = HarmonicEvaluator(lambda z: evaluator.u(rot(z)), lambda z: evaluator.f(rot(z)))
     return base, expansion
 
 
@@ -381,8 +389,8 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
             hv = series_evaluate(st.h, z)
             boundary_err = max(boundary_err, abs(fv.real - hv.real))
 
-    upper = states[-1].phi.a.phi - (0.0 if is_ray(states[-1].phi) else math.pi / 2)
-    lower = alpha + (0.0 if is_ray(states[0].psi) else math.pi / 2)
+    upper = upper_bound(states[-1])
+    lower = lower_bound(states)
     pad = (upper - lower) * 1e-3
     oracle_err = 0.0
     for _ in range(n_oracle):
@@ -413,18 +421,14 @@ def _run_reflect(obj, rng):
     steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 2)
     n_oracle = _as_int(obj.get("oracle_points", 100), "$.oracle_points", 1)
     base, _ = _straight_wedge_base(corner, "$.corner")
-    try:
+    with _at("$.corner"):
         states, checks = _reflect_checks(corner, base, steps, rng, n_oracle)
-    except LogSurfError as exc:
-        raise ScenarioError(str(exc), "$.corner") from exc
 
     if obj.get("negative", False):
         mirror = conjugate_corner(corner)
         mbase = conjugate_evaluator(base)
-        try:
+        with _at("$.negative"):
             _, mchecks = _reflect_checks(mirror, mbase, steps, rng, n_oracle, "_mirror")
-        except LogSurfError as exc:
-            raise ScenarioError(str(exc), "$.negative") from exc
         checks.extend(mchecks)
 
     state_rows = [
@@ -432,8 +436,8 @@ def _run_reflect(obj, rng):
         for st in states
     ]
     grid = _parse_grid(obj.get("grid"), "$.grid", {"r_n": 6, "phi_n": 7})
-    lower = states[0].alpha
-    upper = states[-1].phi.a.phi
+    lower = lower_bound(states)
+    upper = upper_bound(states[-1])
     span = upper - lower
 
     def eval_point(z: LPoint):
@@ -457,6 +461,8 @@ def _run_expansion_compare(obj, rng):
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
     steps = _as_int(obj.get("steps", 5), "$.steps", 3)
     R = _as_real(_need(obj, "R", "$.R"), "$.R")
+    if not R >= 0:
+        raise SchemaError("R must be nonnegative", "$.R")
     strip_logs = bool(obj.get("strip_logs", False))
     expect_ok = bool(obj.get("expect_windows_ok", not strip_logs))
     if corner.psi.a.phi != 0.0 or not is_ray(corner.psi):
@@ -470,11 +476,9 @@ def _run_expansion_compare(obj, rng):
         gamma = log_power_series(
             [(alpha, poly[:1]) for alpha, poly in gamma.terms]
         )
-    try:
+    with _at("$"):
         states = tower(corner, steps)
         cert = certify_expansion(states, base, gamma, R)
-    except LogSurfError as exc:
-        raise ScenarioError(str(exc), "$") from exc
 
     cascade = max(
         (ck / ak for _, ck, ak, _ in cert.step_bounds if ak > 0), default=0.0
@@ -550,14 +554,9 @@ def _run_poisson(obj, rng):
     worst = 0.0
     for i, p in enumerate(points):
         ploc = f"$.points[{i}]"
-        xi = complex(_as_real(_need(p, "re", ploc), f"{ploc}.re"),
-                     _as_real(_need(p, "im", ploc), f"{ploc}.im"))
-        if abs(xi) >= 1.0:
-            raise SchemaError("evaluation points must lie in the open unit disc", ploc)
-        try:
+        xi = _parse_disc_point(p, ploc)
+        with _at(ploc):
             got = poisson_disk(h, xi, nodes)
-        except LogSurfError as exc:
-            raise ScenarioError(str(exc), ploc) from exc
         want = ref(xi)
         err = abs(got - want)
         worst = max(worst, err)
@@ -568,12 +567,7 @@ def _run_poisson(obj, rng):
 
 
 def _run_green(obj, rng):
-    yloc = "$.y"
-    yobj = _need(obj, "y", yloc)
-    y = complex(_as_real(_need(yobj, "re", yloc), f"{yloc}.re"),
-                _as_real(_need(yobj, "im", yloc), f"{yloc}.im"))
-    if abs(y) >= 1.0:
-        raise SchemaError("the pole must lie in the open unit disc", yloc)
+    y = _parse_disc_point(_need(obj, "y", "$.y"), "$.y", "the pole")
     nodes = _as_int(obj.get("nodes", 1024), "$.nodes", 16)
     solve = unit_disk_solver(nodes)
     rows = []
@@ -581,16 +575,11 @@ def _run_green(obj, rng):
     worst_sym = 0.0
     for i, p in enumerate(_as_list(_need(obj, "x_list", "$.x_list"), "$.x_list")):
         ploc = f"$.x_list[{i}]"
-        x = complex(_as_real(_need(p, "re", ploc), f"{ploc}.re"),
-                    _as_real(_need(p, "im", ploc), f"{ploc}.im"))
-        if abs(x) >= 1.0:
-            raise SchemaError("evaluation points must lie in the open unit disc", ploc)
-        try:
+        x = _parse_disc_point(p, ploc)
+        with _at(ploc):
             got = green_function(solve, y, x)
             swapped = green_function(solve, x, y)
             want = disk_green_reference(y, x)
-        except LogSurfError as exc:
-            raise ScenarioError(str(exc), ploc) from exc
         worst_ref = max(worst_ref, abs(got - want))
         worst_sym = max(worst_sym, abs(got - swapped))
         rows.append([x.real, x.imag, got, want, swapped, abs(got - want)])
@@ -608,21 +597,18 @@ def _run_envelope(obj, rng):
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
     steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3)
     phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max")
+    if not phi_max >= 1.0:
+        raise SchemaError("phi_max must be at least 1", "$.phi_max")
     samples = _as_int(obj.get("samples", 64), "$.samples", 2)
-    try:
+    with _at("$"):
         states = tower(corner, steps)
         env = envelope(states, phi_max)
-    except LogSurfError as exc:
-        raise ScenarioError(str(exc), "$") from exc
 
     theta = states[0].theta
     s1 = states[0].s
     violations = 0
     for x in np.geomspace(1.0, phi_max, samples):
-        k = 1
-        while 2.0 ** (k - 1) * theta - math.pi / 2 <= x:
-            k += 1
-        window_radius = s1 / 100.0 ** (k - 1)
+        window_radius = s1 / 100.0 ** (envelope_level(theta, x) - 1)
         envelope_radius = env.domain.c * math.exp(-env.domain.C * math.sqrt(x))
         if envelope_radius > window_radius:
             violations += 1
@@ -679,14 +665,13 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
         )
     eff_seed = seed if seed is not None else _as_int(obj.get("seed", 0), "$.seed", 0)
     eff_order = trunc_order if trunc_order is not None else obj.get("trunc_order")
-    if eff_order is not None:
+    if eff_order is None:
+        eff_order = config.get_trunc_order()
+    else:
         eff_order = _as_int(eff_order, "$.trunc_order", 1)
     rng = np.random.default_rng(eff_seed)
 
-    if eff_order is not None:
-        with config.trunc_order(eff_order):
-            checks, constants, tables = _RUNNERS[kind](obj, rng)
-    else:
+    with config.trunc_order(eff_order), _at("$"):
         checks, constants, tables = _RUNNERS[kind](obj, rng)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -714,7 +699,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
         "provenance": {
             "version": __version__,
             "seed": eff_seed,
-            "trunc_order": eff_order if eff_order is not None else config.get_trunc_order(),
+            "trunc_order": eff_order,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     }

@@ -18,7 +18,7 @@ series in the curve parameter.  This module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -168,12 +168,12 @@ class HarmonicEvaluator:
     """A harmonic function u on a sector and its holomorphic completion f.
 
     u maps surface points to reals; f, when present, maps surface points
-    to complex values with Re f = u.
+    to complex values with Re f = u.  The pair is all an evaluator
+    carries: the sector and the data it solves live with the caller.
     """
 
     u: Callable[[LPoint], float]
     f: Callable[[LPoint], complex] | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSeries]:
@@ -246,8 +246,7 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
     def f_of(z: LPoint) -> complex:
         return lp_evaluate(expansion, z)
 
-    evaluator = HarmonicEvaluator(u_of, f_of, {"theta": problem.theta})
-    return evaluator, expansion
+    return HarmonicEvaluator(u_of, f_of), expansion
 
 
 # ----------------------------------------------------------------------

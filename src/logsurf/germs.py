@@ -61,7 +61,7 @@ def _one_plus(h_coeffs: tuple) -> tuple:
 
 
 def sampled_h_sup(h_coeffs: tuple, radius: float) -> float:
-    """Max of |h| sampled on the circles radius * {1, 1/2, 1/4} x 64 angles."""
+    """Max of |h| sampled on the circles radius * {1, 1/2, 1/4} x 64 angles; h is any series."""
     coeffs = np.asarray(h_coeffs, dtype=complex)
     worst = 0.0
     angles = np.exp(2j * np.pi * np.arange(_SAMPLE_ANGLES) / _SAMPLE_ANGLES)
@@ -203,7 +203,7 @@ def invert(phi: Germ) -> Germ:
 
 def tau_conj(phi: Germ) -> Germ:
     """Conjugation by tau: a -> tau(a), h coefficients conjugated, radius kept."""
-    h = PowerSeries(tuple(c.conjugate() for c in phi.h.coeffs), phi.h.radius, phi.h.boundM)
+    h = PowerSeries(tuple(c.conjugate() for c in phi.h.coeffs), phi.h.radius)
     return Germ(tau(phi.a), phi.k, h, phi.radius)
 
 

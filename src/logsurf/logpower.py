@@ -22,6 +22,7 @@ import numpy as np
 
 from . import config
 from .errors import InvalidGerm, NoSupport, OutOfRadius
+from .germs import sampled_h_sup
 from .series import PowerSeries, binom_pow, log1p_series, ps_add, ps_eval
 from .surface import LPoint, cpow, logmap
 
@@ -208,20 +209,6 @@ class BoundCertificate:
     ok: bool
 
 
-_CERT_FRACTIONS = (1.0, 0.5, 0.25)
-_CERT_ANGLES = 64
-
-
-def _sampled_sup(coeffs: Sequence[complex], radius: float) -> float:
-    arr = np.asarray(coeffs, dtype=complex)
-    angles = np.exp(2j * np.pi * np.arange(_CERT_ANGLES) / _CERT_ANGLES)
-    worst = 0.0
-    for frac in _CERT_FRACTIONS:
-        vals = np.polyval(arr[::-1], radius * frac * angles)
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
-
-
 def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGermImage, BoundCertificate]:
     """Substitute a germ: each z**a (log z)**m becomes z**(k a) * sum g_l(z) (log z)**l.
 
@@ -263,7 +250,7 @@ def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGe
                     * math.comb(m, ell)
                     * np.convolve(base, log_powers[m - ell])[: order + 1]
                 )
-                observed = _sampled_sup(canonical, phi.radius)
+                observed = sampled_h_sup(canonical, phi.radius)
                 bound = 2.0 ** (m + alpha_f) * (arg_a + 3.0) ** m
                 rows.append(BoundRow(alpha_f, m, ell, observed, bound, observed <= bound))
                 contrib = c_m * canonical

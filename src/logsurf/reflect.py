@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,12 +39,12 @@ from .logpower import LogPowerSeries
 from .logpower import evaluate as lp_evaluate
 from .logpower import support
 from .series import (
-    PowerSeries,
     PuiseuxSeries,
     add,
     compose_germ,
     conj_tau,
     evaluate,
+    puiseux,
     scale,
     sub,
 )
@@ -73,11 +73,6 @@ class ReflectionState:
     h0: PuiseuxSeries
     alpha: float
     theta: float
-
-
-def _with_radius(g: PuiseuxSeries, radius: float) -> PuiseuxSeries:
-    base_radius = radius ** (1.0 / g.d) if radius < 1e100 else 1e300
-    return PuiseuxSeries(g.d, PowerSeries(g.base.coeffs, base_radius), radius)
 
 
 def init_state(corner: CornerSpec) -> ReflectionState:
@@ -121,7 +116,8 @@ def step(state: ReflectionState) -> ReflectionState:
     phi_next = compose(state.phi, tau_conj(inner))
     diff = sub(state.h0, state.h)
     reflected = conj_tau(compose_germ(diff, state.omega))
-    h_next = _with_radius(add(scale(-1.0, reflected), state.h), state.s / 4.0)
+    h_sum = add(scale(-1.0, reflected), state.h)
+    h_next = puiseux(h_sum.base.coeffs, state.s / 4.0, h_sum.d)
     phi_next_inv = invert(phi_next)
     omega_next = compose(phi_next, tau_conj(phi_next_inv))
     return ReflectionState(
@@ -149,12 +145,14 @@ def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
     return states
 
 
-def _lower_bound(states: Sequence[ReflectionState]) -> float:
+def lower_bound(states: Sequence[ReflectionState]) -> float:
+    """The lower argument edge shared by all windows: alpha, plus pi/2 when psi is curved."""
     lead = states[0]
     return lead.alpha + (0.0 if is_ray(lead.psi) else math.pi / 2)
 
 
-def _upper_bound(st: ReflectionState) -> float:
+def upper_bound(st: ReflectionState) -> float:
+    """The upper argument edge of a level's window: arg a(phi), minus pi/2 when phi is curved."""
     return st.phi.a.phi - (0.0 if is_ray(st.phi) else math.pi / 2)
 
 
@@ -165,11 +163,11 @@ def membership(states: Sequence[ReflectionState], z: LPoint) -> int | None:
     and arg a(phi_k), shrunk by pi/2 on each curved side, within radius
     s_k.  Boundaries are excluded.
     """
-    lo = _lower_bound(states)
+    lo = lower_bound(states)
     if not z.phi > lo:
         return None
     for st in states:
-        if z.phi < _upper_bound(st) and z.r < st.s:
+        if z.phi < upper_bound(st) and z.r < st.s:
             return st.k
     return None
 
@@ -222,12 +220,28 @@ def conjugate_evaluator(base: HarmonicEvaluator) -> HarmonicEvaluator:
     f = None
     if base.f is not None:
         f = lambda z: complex(base.f(tau(z))).conjugate()
-    return HarmonicEvaluator(u, f, dict(base.meta))
+    return HarmonicEvaluator(u, f)
 
 
 # ----------------------------------------------------------------------
 # covering envelope
 # ----------------------------------------------------------------------
+
+def _reach(theta: float, k: int) -> float:
+    return 2.0 ** (k - 1) * theta - math.pi / 2
+
+
+def envelope_level(theta: float, x: float) -> int:
+    """The least level whose window covers the shifted argument x = arg z - alpha.
+
+    The level-k window covers x < 2**(k-1) * theta - pi/2, the printed
+    reach that holds for curved corners as well as straight ones.
+    """
+    k = 1
+    while _reach(theta, k) <= x:
+        k += 1
+    return k
+
 
 @dataclass(frozen=True)
 class EnvelopeResult:
@@ -260,28 +274,19 @@ def envelope(states: Sequence[ReflectionState], phi_max: float = 1e4) -> Envelop
     s1 = states[0].s
     theta = states[0].theta
 
-    def reach(k: int) -> float:
-        return 2.0 ** (k - 1) * theta - math.pi / 2
-
-    def level_of(x: float) -> int:
-        k = 1
-        while reach(k) <= x:
-            k += 1
-        return k
-
     def log_plus(x: float) -> float:
         return max(1.0, math.log(x))
 
     xs = [1.0]
-    k = level_of(1.0)
-    while reach(k) < phi_max:
-        if reach(k) >= 1.0:
-            xs.append(reach(k))
+    k = envelope_level(theta, 1.0)
+    while _reach(theta, k) < phi_max:
+        if _reach(theta, k) >= 1.0:
+            xs.append(_reach(theta, k))
         k += 1
     K = 1.0 + 1e-6
     rows = []
     for x in xs:
-        lev = level_of(x)
+        lev = envelope_level(theta, x)
         window_radius = s1 / 100.0 ** (lev - 1)
         needed = (1.0 / window_radius) ** (1.0 / log_plus(x))
         rows.append((x, lev, window_radius, needed))
@@ -335,13 +340,27 @@ def _next_exponent_bound(gamma: LogPowerSeries, R: float) -> float:
     return best
 
 
-def _cert_angles(states: Sequence[ReflectionState], idx: int, count: int) -> np.ndarray:
-    lo = _lower_bound(states)
-    hi = _upper_bound(states[idx])
+def _cert_samples(
+    states: Sequence[ReflectionState],
+    base: HarmonicEvaluator,
+    gamma: LogPowerSeries,
+    idx: int,
+    count: int,
+    radii: np.ndarray,
+) -> Iterator[tuple[float, float, float]]:
+    """Yield (|z|, |f - gamma|, |gamma|) at count angles across window idx
+    times the given radii, angle-major; nothing when the window is empty."""
+    lo = lower_bound(states)
+    hi = upper_bound(states[idx])
     if not hi > lo:
-        return np.empty(0)
+        return
     pad = (hi - lo) * 1e-3 + 1e-9
-    return np.linspace(lo + pad, hi - pad, count)
+    for ang in np.linspace(lo + pad, hi - pad, count):
+        for rr in radii:
+            z = LPoint(float(rr), float(ang))
+            g = lp_evaluate(gamma, z)
+            f = extend_eval(states, base, z)
+            yield z.r, abs(f - g), abs(g)
 
 
 def certify_expansion(
@@ -370,18 +389,12 @@ def certify_expansion(
 
     c_values = []
     for idx, st in enumerate(states):
-        angles = _cert_angles(states, idx, angle_samples)
+        radii = np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples)
         worst = 0.0
-        if len(angles):
-            radii = np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples)
-            for ang in angles:
-                for rr in radii:
-                    z = LPoint(float(rr), float(ang))
-                    g = lp_evaluate(gamma, z)
-                    f = extend_eval(states, base, z)
-                    resid = abs(f - g) - _NOISE_FLOOR * abs(g)
-                    if resid > 0:
-                        worst = max(worst, resid / float(rr) ** R_prime)
+        for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii):
+            resid = err - _NOISE_FLOOR * size
+            if resid > 0:
+                worst = max(worst, resid / r ** R_prime)
         c_values.append(worst)
 
     denom = R_prime - S
@@ -410,16 +423,10 @@ def certify_expansion(
             raise WindowEmpty(
                 f"certificate scales underflow at level {k}: t = {t_hi}"
             )
-        angles = _cert_angles(states, idx, angle_samples)
         worst_ratio = 0.0
-        sample_radii = np.geomspace(lo_r, t_hi, 6)
-        for ang in angles:
-            for rr in sample_radii:
-                z = LPoint(float(rr), float(ang))
-                g = lp_evaluate(gamma, z)
-                f = extend_eval(states, base, z)
-                allowed = float(rr) ** S + _NOISE_FLOOR * abs(g)
-                worst_ratio = max(worst_ratio, abs(f - g) / allowed)
+        radii = np.geomspace(lo_r, t_hi, 6)
+        for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii):
+            worst_ratio = max(worst_ratio, err / (r ** S + _NOISE_FLOOR * size))
         ok = worst_ratio <= 1.0
         window_rows.append((k, t_hi, t_lo, worst_ratio, ok))
         all_ok = all_ok and ok

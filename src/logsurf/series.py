@@ -1,10 +1,9 @@
 """Truncated power series and Puiseux series with radius bookkeeping.
 
 A PowerSeries is a plain truncated Taylor series a_0 + a_1 w + ... + a_N w**N
-together with an asserted radius of validity and, optionally, an asserted
-sup bound on that disc.  A PuiseuxSeries wraps a PowerSeries in the
-variable w = z**(1/d) and evaluates on the logarithmic surface, where
-fractional powers are single valued.
+together with an asserted radius of validity.  A PuiseuxSeries wraps a
+PowerSeries in the variable w = z**(1/d) and evaluates on the logarithmic
+surface, where fractional powers are single valued.
 
 All radius claims propagate by fixed printed formulas, never by numeric
 estimation; every evaluation outside an asserted radius raises OutOfRadius.
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import config
 from .errors import InvalidGerm, OutOfRadius
-from .surface import LPoint, cpow, project
+from .surface import LPoint, cpow
 
 if TYPE_CHECKING:
     from .germs import Germ
@@ -35,15 +34,12 @@ class PowerSeries:
 
     coeffs: tuple
     radius: float
-    boundM: float | None = None
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("a power series needs at least the constant coefficient")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be a finite positive real, got {self.radius!r}")
-        if self.boundM is not None and not self.boundM > 0:
-            raise ValueError(f"boundM must be positive when present, got {self.boundM!r}")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @property
@@ -51,12 +47,13 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
 
-def power_series(coeffs: Iterable[complex], radius: float, boundM: float | None = None) -> PowerSeries:
-    return PowerSeries(tuple(complex(c) for c in coeffs), float(radius), boundM)
+def power_series(coeffs: Iterable[complex], radius: float) -> PowerSeries:
+    return PowerSeries(tuple(complex(c) for c in coeffs), float(radius))
 
 
-ZERO_PS = PowerSeries((0.0,), 1e300)
-ONE_PS = PowerSeries((1.0,), 1e300)
+def _radius_pow(radius: float, p: float) -> float:
+    """radius**p, except that an effectively infinite radius stays at 1e300."""
+    return radius ** p if radius < 1e100 else 1e300
 
 
 def ps_eval(f: PowerSeries | Sequence[complex], w: complex) -> complex:
@@ -200,15 +197,14 @@ class PuiseuxSeries:
             raise ValueError(f"denominator must be a positive integer, got {self.d!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be a finite positive real, got {self.radius!r}")
-        cap = self.base.radius ** self.d if self.base.radius < 1e100 else 1e300
+        cap = _radius_pow(self.base.radius, self.d)
         if self.radius > cap * (1 + 1e-12):
             raise ValueError("radius in z may not exceed base.radius**d")
 
 
 def puiseux(coeffs: Iterable[complex], radius: float, d: int = 1) -> PuiseuxSeries:
     """Build a Puiseux series from base coefficients (index n means z**(n/d))."""
-    base_radius = radius ** (1.0 / d) if radius < 1e100 else 1e300
-    base = PowerSeries(tuple(complex(c) for c in coeffs), base_radius)
+    base = PowerSeries(tuple(complex(c) for c in coeffs), _radius_pow(radius, 1.0 / d))
     return PuiseuxSeries(d, base, float(radius))
 
 
@@ -222,9 +218,6 @@ def puiseux_from_terms(terms: Iterable[tuple[int, complex]], radius: float, d: i
             raise ValueError("exponents must be nonnegative")
         coeffs[n] += complex(c)
     return puiseux(coeffs, radius, d)
-
-
-ZERO_PUISEUX = puiseux((0.0,), 1e300)
 
 
 def evaluate(g: PuiseuxSeries, z: LPoint) -> complex:
@@ -252,30 +245,32 @@ def tail_bound(c: float, d: int, radius: float, N: int, z: LPoint) -> float:
 
 def conj_tau(g: PuiseuxSeries) -> PuiseuxSeries:
     """The series with conjugated coefficients; equals conj(g(tau(z))) pointwise."""
-    base = PowerSeries(tuple(c.conjugate() for c in g.base.coeffs), g.base.radius, g.base.boundM)
+    base = PowerSeries(tuple(c.conjugate() for c in g.base.coeffs), g.base.radius)
     return PuiseuxSeries(g.d, base, g.radius)
+
+
+def _spread(coeffs: Sequence[complex], stride: int, order: int) -> np.ndarray:
+    """Place coeffs[n] at index n * stride of a length order + 1 array, truncating."""
+    arr = np.zeros(order + 1, dtype=complex)
+    for n, c in enumerate(coeffs):
+        if n * stride > order:
+            break
+        arr[n * stride] = c
+    return arr
 
 
 def _common_base(g1: PuiseuxSeries, g2: PuiseuxSeries) -> tuple[int, np.ndarray, np.ndarray]:
     L = lcm(g1.d, g2.d)
     order = config.get_trunc_order()
-    out = []
-    for g in (g1, g2):
-        stride = L // g.d
-        arr = np.zeros(order + 1, dtype=complex)
-        for n, c in enumerate(g.base.coeffs):
-            if n * stride > order:
-                break
-            arr[n * stride] = c
-        out.append(arr)
-    return L, out[0], out[1]
+    a1, a2 = (_spread(g.base.coeffs, L // g.d, order) for g in (g1, g2))
+    return L, a1, a2
 
 
 def add(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
     """Sum after rescaling to the common denominator lcm(d1, d2)."""
     L, a1, a2 = _common_base(g1, g2)
     radius = min(g1.radius, g2.radius)
-    base = PowerSeries(tuple((a1 + a2).tolist()), radius ** (1.0 / L) if radius < 1e100 else 1e300)
+    base = PowerSeries(tuple((a1 + a2).tolist()), _radius_pow(radius, 1.0 / L))
     return PuiseuxSeries(L, base, radius)
 
 
@@ -292,7 +287,7 @@ def mul_series(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
     """Product after rescaling to the common denominator lcm(d1, d2)."""
     L, a1, a2 = _common_base(g1, g2)
     radius = min(g1.radius, g2.radius)
-    base = PowerSeries(ps_mul(a1, a2), radius ** (1.0 / L) if radius < 1e100 else 1e300)
+    base = PowerSeries(ps_mul(a1, a2), _radius_pow(radius, 1.0 / L))
     return PuiseuxSeries(L, base, radius)
 
 
@@ -307,15 +302,8 @@ def param_power(g: PuiseuxSeries, m: int) -> PuiseuxSeries:
         raise ValueError(f"parameter power must be a positive integer, got {m!r}")
     if m == 1:
         return g
-    order = config.get_trunc_order()
-    arr = np.zeros(order + 1, dtype=complex)
-    for n, c in enumerate(g.base.coeffs):
-        if n * m > order:
-            break
-        arr[n * m] = c
-    radius = g.radius ** (1.0 / m) if g.radius < 1e100 else 1e300
-    base = PowerSeries(tuple(arr.tolist()), radius ** (1.0 / g.d) if radius < 1e100 else 1e300)
-    return PuiseuxSeries(g.d, base, radius)
+    arr = _spread(g.base.coeffs, m, config.get_trunc_order())
+    return puiseux(arr.tolist(), _radius_pow(g.radius, 1.0 / m), g.d)
 
 
 def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
@@ -345,9 +333,7 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
             if idx > order:
                 break
             out[idx] += lead * b
-    base_radius = s ** (1.0 / d) if s < 1e100 else 1e300
-    base = PowerSeries(tuple(out.tolist()), base_radius)
-    return PuiseuxSeries(d, base, s)
+    return puiseux(out.tolist(), s, d)
 
 
 def coefficients_close(g1: PuiseuxSeries, g2: PuiseuxSeries, tol: float) -> bool:

@@ -121,6 +121,30 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
     assert "$.corner.psi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, path, value, loc",
+    [
+        ("wedge_right_angle", ("grid", "r_min"), 0, "$.grid.r_min"),
+        ("wedge_right_angle", ("grid", "r_max"), 1e308, "$"),
+        ("reflect_wedge", ("steps",), 200, "$.corner"),
+        ("envelope_wedge", ("phi_max",), -5, "$.phi_max"),
+        ("expansion_sanity", ("R",), -1, "$.R"),
+    ],
+)
+def test_out_of_range_numbers_exit_two(tmp_path, capsys, name, path, value, loc):
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    mutated = _write(tmp_path, "mutated.json", obj)
+    rc = main(["run", str(mutated), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error (mutated.json): {loc}: " in err
+    assert "Traceback" not in err
+
+
 def test_failed_check_exit_one(tmp_path, capsys):
     obj = json.loads((SCENARIOS / "expansion_negative.json").read_text())
     obj["expect_windows_ok"] = True

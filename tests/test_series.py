@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from logsurf import LPoint, OutOfRadius, config, power, rotation_germ, tau
+from logsurf import LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
 from logsurf.series import (
     PowerSeries,
     add,
@@ -146,29 +148,68 @@ def test_conj_tau_matches_pointwise(rng):
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-15)
 
 
-def test_mixed_denominator_arithmetic(rng):
-    g1 = puiseux((0.0, 1.0), 0.9, 2)  # z**(1/2)
-    g2 = puiseux((0.0, 0.0, 0.0, 2.0), 0.9, 3)  # 2 z
-    s = add(g1, g2)
-    p = mul_series(g1, g2)
-    assert s.d == 6
-    for _ in range(20):
-        z = LPoint(0.8 * rng.random() + 1e-9, rng.uniform(-5.0, 5.0))
-        v1, v2 = evaluate(g1, z), evaluate(g2, z)
-        assert evaluate(s, z) == pytest.approx(v1 + v2, rel=1e-12, abs=1e-15)
-        assert evaluate(p, z) == pytest.approx(v1 * v2, rel=1e-12, abs=1e-15)
-        assert evaluate(sub(g1, g1), z) == 0.0
-        assert evaluate(scale(3.0, g1), z) == pytest.approx(3.0 * v1, rel=1e-13)
+_props = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+_coeffs = st.lists(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=20,
+)
 
 
-def test_param_power_substitutes_the_parameter(rng):
-    g = puiseux((0.0, 1.0, 0.5), 0.9, 2)
-    g3 = param_power(g, 3)
-    for _ in range(20):
-        z = LPoint(0.5 * rng.random() + 1e-9, rng.uniform(-4.0, 4.0))
-        assert evaluate(g3, z) == pytest.approx(
-            evaluate(g, power(3.0, z)), rel=1e-12, abs=1e-15
-        )
+def _lattice_value(terms, L: int, z: LPoint) -> tuple[complex, float]:
+    """Sum of c * z**(i/L) over (i, c) monomial by monomial, and the sum of moduli."""
+    vals = [c * cpow(i / L, z) for i, c in terms]
+    return sum(vals, 0j), sum(abs(v) for v in vals)
+
+
+@_props
+@example(d1=2, d2=3, c1=[0.0, 1.0], c2=[0.0, 0.0, 0.0, 2.0], order=32, z=LPoint(0.5, 3.0))
+@given(
+    d1=st.integers(1, 4),
+    d2=st.integers(1, 4),
+    c1=_coeffs,
+    c2=_coeffs,
+    order=st.sampled_from([8, 16]),
+    z=st.builds(LPoint, st.floats(1e-9, 0.8), st.floats(-5.0, 5.0)),
+)
+def test_mixed_denominator_arithmetic(d1, d2, c1, c2, order, z):
+    g1, g2 = puiseux(c1, 0.9, d1), puiseux(c2, 0.9, d2)
+    with config.trunc_order(order):
+        s = add(g1, g2)
+        p = mul_series(g1, g2)
+    L = math.lcm(d1, d2)
+    assert s.d == p.d == L
+    # Operands keep the terms with exponent <= order / L, the product too.
+    t1 = [(n * (L // d1), c) for n, c in enumerate(c1) if n * (L // d1) <= order]
+    t2 = [(n * (L // d2), c) for n, c in enumerate(c2) if n * (L // d2) <= order]
+    want_s, mass_s = _lattice_value(t1 + t2, L, z)
+    want_p, mass_p = _lattice_value(
+        [(i + j, a * b) for i, a in t1 for j, b in t2 if i + j <= order], L, z
+    )
+    assert abs(evaluate(s, z) - want_s) <= 1e-12 * mass_s + 1e-15
+    assert abs(evaluate(p, z) - want_p) <= 1e-12 * mass_p + 1e-15
+    v1 = evaluate(g1, z)
+    assert evaluate(sub(g1, g1), z) == 0.0
+    assert evaluate(scale(3.0, g1), z) == pytest.approx(3.0 * v1, rel=1e-13)
+
+
+@_props
+@example(d=2, m=3, coeffs=[0.0, 1.0, 0.5], order=32, z=LPoint(0.3, 2.0))
+@given(
+    d=st.integers(1, 4),
+    m=st.integers(1, 4),
+    coeffs=_coeffs,
+    order=st.sampled_from([8, 16]),
+    z=st.builds(LPoint, st.floats(1e-9, 0.5), st.floats(-4.0, 4.0)),
+)
+def test_param_power_substitutes_the_parameter(d, m, coeffs, order, z):
+    g = puiseux(coeffs, 0.9, d)
+    with config.trunc_order(order):
+        gm = param_power(g, m)
+    # m = 1 returns g itself; otherwise terms past z**(order/d) are dropped.
+    kept = coeffs if m == 1 else coeffs[: order // m + 1]
+    want, mass = _lattice_value(list(enumerate(kept)), d, power(float(m), z))
+    assert abs(evaluate(gm, z) - want) <= 1e-12 * mass + 1e-15
 
 
 def test_compose_germ_matches_pointwise(rng):
