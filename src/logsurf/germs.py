@@ -184,9 +184,10 @@ def compose(phi: Germ, psi: Germ) -> Germ:
 
 
 def invert(phi: Germ) -> Germ:
-    """Group inverse for k = 1 germs, via series reversion of the shadow.
+    """Group inverse for k = 1 germs, by Lagrange inversion of the shadow.
 
-    The inverse shadow is f'(0)**-1 * w * (1 + h~(w)); its leading factor
+    series.reversion inverts the plane shadow f = s_series(phi).  The
+    inverse shadow is f'(0)**-1 * w * (1 + h~(w)); its leading factor
     is the surface point b with a * b = (1, 0).  The radius starts at
     r(phi) and halves until the sampled bound on h~ holds, so germs with
     h = 0 keep their radius exactly.

@@ -1,14 +1,15 @@
 """Truncated power series and Puiseux series with radius bookkeeping.
 
-A PowerSeries is a plain truncated Taylor series a_0 + a_1 w + ... + a_N w**N
-together with an asserted radius of validity.  A PuiseuxSeries wraps a
-PowerSeries in the variable w = z**(1/d) and evaluates on the logarithmic
-surface, where fractional powers are single valued.
+A PowerSeries is a truncated Taylor series a_0 + a_1 w + ... + a_N w**N
+with an asserted radius of validity.  A PuiseuxSeries wraps one in the
+variable w = z**(1/d) and evaluates on the logarithmic surface, where
+fractional powers are single valued.
 
 All radius claims propagate by fixed printed formulas, never by numeric
 estimation; every evaluation outside an asserted radius raises OutOfRadius.
-Coefficients are complex floats.  Results of arithmetic are truncated at
-the global order from logsurf.config.
+Coefficients are complex floats, truncated at the global order N from
+logsurf.config.  binom_pow, reversion (by Lagrange inversion) and
+compose_germ each make O(N) numpy calls.
 """
 
 from __future__ import annotations
@@ -101,10 +102,8 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     acc = np.zeros(1, dtype=complex)
     for c in reversed(np.asarray(f, dtype=complex)):
         acc = np.convolve(acc, g_arr)[: order + 1]
-        if len(acc) == 0:
-            acc = np.zeros(1, dtype=complex)
         acc[0] += c
-    return tuple(acc[: order + 1].tolist())
+    return tuple(acc.tolist())
 
 
 def binom_coefficients(alpha: float, count: int) -> np.ndarray:
@@ -122,7 +121,7 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
 
     Converges wherever |h| <= 1/2, the standing smallness bound; at the
     truncated level the expansion is exact polynomial algebra because
-    h**j has valuation >= j.
+    h**j has valuation >= j.  It is finite for a nonnegative integer alpha.
     """
     if order is None:
         order = config.get_trunc_order()
@@ -135,7 +134,7 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     pw = np.ones(1, dtype=complex)
     for j in range(1, order + 1):
         pw = np.convolve(pw, h_arr)[: order + 1]
-        if not pw.any():
+        if coeffs[j] == 0 or not pw.any():
             break
         acc[: len(pw)] += coeffs[j] * pw
     return tuple(acc.tolist())
@@ -161,7 +160,8 @@ def log1p_series(h: Sequence[complex], order: int | None = None) -> tuple:
 def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     """Compositional inverse of f = f_1 w + f_2 w**2 + ... with f_1 != 0.
 
-    Returns g with f(g(w)) = w up to the truncation order.
+    Returns g with f(g(w)) = w up to the truncation order, by Lagrange
+    inversion: g_n = [w**(n-1)] v**n / n with v = w / f(w).
     """
     if order is None:
         order = config.get_trunc_order()
@@ -170,13 +170,15 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
         raise ValueError("reversion needs zero constant term")
     if f_arr[1] == 0:
         raise ValueError("reversion needs a nonzero linear coefficient")
+    v = np.zeros(order, dtype=complex)
+    v[0] = 1 / f_arr[1]
+    for m in range(1, order):
+        v[m] = -np.dot(f_arr[2 : m + 2], v[m - 1 :: -1]) / f_arr[1]
     g = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        g[1] = 1 / f_arr[1]
-    for n in range(2, order + 1):
-        comp = np.asarray(ps_compose(f_arr, g[: n], order=n), dtype=complex)
-        residual = comp[n] if len(comp) > n else 0.0
-        g[n] = -residual / f_arr[1]
+    vn = np.ones(1, dtype=complex)
+    for n in range(1, order + 1):
+        vn = np.convolve(vn, v)[:order]
+        g[n] = vn[n - 1] / n
     return tuple(g.tolist())
 
 
@@ -309,7 +311,9 @@ def param_power(g: PuiseuxSeries, m: int) -> PuiseuxSeries:
 def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
     """Compose a Puiseux series with a germ: z -> g(phi(z)).
 
-    The denominator d is preserved.  The radius is the printed value
+    Term n becomes c_n a**(n/d) z**(nk/d) u**n with u = (1 + h)**(1/d);
+    each u**n is one truncated product of the previous one.  The
+    denominator d is preserved.  The radius is the printed value
     s = min(r(phi), (g.radius / (2|a(phi)|)) ** (1/k(phi))).  Requires
     k(phi) >= 1.
     """
@@ -319,20 +323,16 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
     d = g.d
     s = min(phi.radius, (g.radius / (2.0 * phi.a.r)) ** (1.0 / phi.k))
     out = np.zeros(order + 1, dtype=complex)
-    h = phi.h.coeffs
+    unit = np.asarray(binom_pow(phi.h.coeffs, 1.0 / d, order=order // d), dtype=complex)
+    block = np.ones(1, dtype=complex)
     for n, c in enumerate(g.base.coeffs):
-        if c == 0:
-            continue
-        shift = n * phi.k
-        if shift > order:
+        size = (order - n * phi.k) // d + 1
+        if size <= 0:
             break
-        lead = c * cpow(n / d, phi.a)
-        block = np.asarray(binom_pow(h, n / d, order=order), dtype=complex)
-        for j, b in enumerate(block):
-            idx = shift + d * j
-            if idx > order:
-                break
-            out[idx] += lead * b
+        if n > 0:
+            block = np.convolve(block[:size], unit[:size])[:size]
+        if c != 0:
+            out[n * phi.k :: d][: len(block)] += c * cpow(n / d, phi.a) * block
     return puiseux(out.tolist(), s, d)
 
 

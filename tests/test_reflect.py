@@ -28,14 +28,17 @@ from logsurf import (
     log_power_series,
     make_germ,
     membership,
+    project,
     puiseux,
     puiseux_from_terms,
     rotation_germ,
     tau,
     tower,
+    trunc_order,
     truncate,
     wedge_solve,
 )
+from logsurf.reflect import lower_bound, upper_bound
 
 from conftest import surface_dist
 
@@ -204,6 +207,43 @@ def test_extension_matches_entire_oracle(rng):
         want = coeff * rr * complex(math.cos(ang), math.sin(ang))
         worst = max(worst, abs(got - want) / abs(want))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_curved_extension_matches_entire_oracle(rng, order):
+    # manufactured solution: the extension of Re F from a curved corner is
+    # the entire F itself, in every window of the tower
+    theta = 1.0
+    F = np.polynomial.Polynomial([0.0, 1.0, 0.5j, 0.3])
+    h = (0.0, 0.1, 0.05j)
+    # the curve chi(t) = exp(i theta) t (1 + h(t)) as a polynomial in t
+    curve = np.polynomial.Polynomial([0.0, 1.0, *h[1:]]) * complex(math.cos(theta), math.sin(theta))
+    with trunc_order(order):
+        chi = make_germ(LPoint(1.0, theta), 1, h, 1.0)
+        corner = CornerSpec(
+            identity_germ(),
+            chi,
+            IrrationalAngle(theta),
+            puiseux(F.coef.real, 10.0),
+            puiseux(F(curve).coef.real, 10.0),
+            1.0,
+        )
+        states = tower(corner, 6)
+    f = lambda z: complex(F(project(z)))
+    base = HarmonicEvaluator(lambda z: f(z).real, f)
+    lo, windows = lower_bound(states), 0
+    for st in states:
+        hi = upper_bound(st)
+        if hi <= lo:
+            continue
+        windows += 1
+        for _ in range(20):
+            r = st.s * 10.0 ** rng.uniform(-3.0, -1e-3)
+            z = LPoint(r, lo + (hi - lo) * rng.uniform(1e-3, 1.0 - 1e-3))
+            assert membership(states, z) == st.k
+            assert abs(extend_eval(states, base, z) - f(z)) <= 1e-10 * abs(f(z))
+        lo = hi
+    assert windows == 5
 
 
 def test_extension_boundary_data(rng):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -70,6 +71,21 @@ def test_binomial_series_against_known_rows():
     assert max(abs(c) for c in back[2:16]) < 1e-14
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_binom_pow_integer_exponent_is_the_finite_product(rng, alpha):
+    for _ in range(5):
+        h = (0j,) + tuple(complex(*rng.normal(size=2)) / j for j in range(1, 8))
+        unit = (1.0,) + h[1:]
+        want = (1.0,)
+        for _ in range(alpha):
+            want = ps_mul(want, unit)
+        got = binom_pow(h, float(alpha))
+        assert np.allclose(got[: len(want)], want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
+        assert not any(got[len(want) :])
+        if alpha == 1:
+            assert got[: len(unit)] == unit
+
+
 def test_log1p_series_coefficients():
     out = log1p_series((0.0, 1.0))
     for n in range(1, 8):
@@ -85,6 +101,40 @@ def test_reversion_catalan_pattern():
     back = ps_compose(g, (0.0, 1.0, 1.0))
     assert back[1] == pytest.approx(1.0, abs=1e-12)
     assert max(abs(c) for c in back[2:16]) < 1e-10
+
+
+def _reversion_by_solving(f, order):
+    """Reference solver: g_n is chosen to cancel [w**n] f(g_{<n}), one n at a time."""
+    f_arr = np.zeros(order + 1, dtype=complex)
+    f_arr[: min(len(f), order + 1)] = f[: order + 1]
+    g = np.zeros(order + 1, dtype=complex)
+    g[1] = 1 / f_arr[1]
+    for n in range(2, order + 1):
+        g[n] = -ps_compose(f_arr, g[:n], order=n)[n] / f_arr[1]
+    return g
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    f1_mod=st.floats(0.5, 2.0),
+    f1_arg=st.floats(-math.pi, math.pi),
+    rest=st.lists(
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        max_size=11,
+    ),
+    order=st.sampled_from([8, 16, 32, 64]),
+)
+def test_reversion_inverts_and_matches_the_solver(f1_mod, f1_arg, rest, order):
+    f = [0j, cmath.rect(f1_mod, f1_arg), *rest]
+    g = np.array(reversion(f, order=order))
+    # Scale of each coefficient of f(g): the same composition of the moduli,
+    # which bounds the terms that cancel there, above the underflow range.
+    mass = np.abs(ps_compose(np.abs(f), np.abs(g), order=order)) + 1e-290
+    comp = np.array(ps_compose(f, g, order=order))
+    comp[1] -= 1.0
+    assert np.all(np.abs(comp) <= 1e-12 * mass)
+    # g_n solves f_1 g_n = -(terms of that same composition), hence mass / |f_1|.
+    assert np.all(np.abs(g - _reversion_by_solving(f, order)) <= 1e-12 * mass / f1_mod)
 
 
 def test_reversion_requires_a_unit_linear_term():
@@ -224,6 +274,25 @@ def test_compose_germ_matches_pointwise(rng):
             z = LPoint(comp.radius * 0.8 * rng.random() + 1e-12, rng.uniform(-3.0, 3.0))
             want = evaluate(g, apply_germ(phi, z))
             assert evaluate(comp, z) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+def test_compose_germ_fractional_and_power_germs(rng, d, k):
+    from conftest import make_star_germ
+    from logsurf import apply_germ
+
+    g = puiseux((0.0, 1.0, -0.3, 0.1j, 0.05), 0.8, d)
+    for _ in range(5):
+        phi = make_star_germ(rng, radius=0.9, k=k)
+        comp = compose_germ(g, phi)
+        for _ in range(10):
+            z = LPoint(comp.radius * 0.5 * rng.random() + 1e-12, rng.uniform(-3.0, 3.0))
+            want = evaluate(g, apply_germ(phi, z))
+            assert evaluate(comp, z) == pytest.approx(want, rel=1e-9, abs=1e-12)
+        # every kept coefficient, the top ones included, is independent of the order
+        with config.trunc_order(2 * comp.base.order):
+            longer = compose_germ(g, phi).base.coeffs
+        np.testing.assert_allclose(comp.base.coeffs, longer[: len(comp.base.coeffs)], rtol=1e-13)
 
 
 def test_coefficients_close():
