@@ -8,7 +8,8 @@ identical runs) and one csv file per table.  The process exits 0
 exactly when every check of every scenario passed, 1 when a check
 failed, and 2 on schema or scenario errors, which are reported with
 their json location.  Every failure of a runner, including numbers out
-of range, is such an error: it never escapes as a traceback.
+of range, is such an error: it never escapes as a traceback.  Counts
+and coefficient indices are bounded, so no file asks for unbounded work.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .surface import LPoint
 
 from . import __version__
 
+MAX_COUNT = 100_000  # the most nodes, samples, oracle points or grid points
 
 # ----------------------------------------------------------------------
 # schema helpers
@@ -89,11 +91,13 @@ def _need(obj, key: str, loc: str):
     return obj[key]
 
 
-def _as_int(v, loc: str, minimum: int | None = None) -> int:
+def _as_int(v, loc: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"expected an integer, got {v!r}", loc)
     if minimum is not None and v < minimum:
         raise SchemaError(f"expected an integer >= {minimum}, got {v}", loc)
+    if maximum is not None and v > maximum:
+        raise SchemaError(f"expected an integer <= {maximum}, got {v}", loc)
     return v
 
 
@@ -135,11 +139,12 @@ def _parse_series(obj, loc: str) -> PuiseuxSeries:
         den = _as_int(_need(term, "den", tloc), f"{tloc}.den", 1)
         re = _as_real(_need(term, "re", tloc), f"{tloc}.re")
         im = _as_real(term.get("im", 0.0), f"{tloc}.im")
-        if (num * d) % den != 0:
+        n, off_lattice = divmod(num * d, den)
+        if off_lattice or n > config.get_trunc_order():
             raise SchemaError(
-                f"exponent {num}/{den} does not live on the 1/{d} lattice", tloc
+                f"exponent {num}/{den} is not on the 1/{d} lattice up to the truncation order", tloc
             )
-        terms.append((num * d // den, complex(re, im)))
+        terms.append((n, complex(re, im)))
     with _at(loc, SchemaError):
         return puiseux_from_terms(terms, radius, d)
 
@@ -153,7 +158,7 @@ def _parse_germ(obj, loc: str) -> Germ:
     coeffs = [0j]
     for i, term in enumerate(h_terms):
         tloc = f"{loc}.h_terms[{i}]"
-        deg = _as_int(_need(term, "deg", tloc), f"{tloc}.deg", 1)
+        deg = _as_int(_need(term, "deg", tloc), f"{tloc}.deg", 1, config.get_trunc_order())
         re = _as_real(_need(term, "re", tloc), f"{tloc}.re")
         im = _as_real(term.get("im", 0.0), f"{tloc}.im")
         if deg >= len(coeffs):
@@ -209,7 +214,7 @@ def _parse_grid(obj, loc: str, defaults: dict) -> dict:
         if key not in defaults:
             raise SchemaError(f"unknown grid key '{key}'", loc)
         if key.endswith("_n"):
-            grid[key] = _as_int(obj[key], f"{loc}.{key}", 2)
+            grid[key] = _as_int(obj[key], f"{loc}.{key}", 2, math.isqrt(MAX_COUNT))
         else:
             grid[key] = _as_real(obj[key], f"{loc}.{key}")
     return grid
@@ -419,7 +424,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
 def _run_reflect(obj, rng):
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
     steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 2)
-    n_oracle = _as_int(obj.get("oracle_points", 100), "$.oracle_points", 1)
+    n_oracle = _as_int(obj.get("oracle_points", 100), "$.oracle_points", 1, MAX_COUNT)
     base, _ = _straight_wedge_base(corner, "$.corner")
     with _at("$.corner"):
         states, checks = _reflect_checks(corner, base, steps, rng, n_oracle)
@@ -513,7 +518,7 @@ def _run_expansion_compare(obj, rng):
 def _run_poisson(obj, rng):
     data = _need(obj, "data", "$.data")
     kind = _need(data, "kind", "$.data")
-    nodes = _as_int(obj.get("nodes", 512), "$.nodes", 16)
+    nodes = _as_int(obj.get("nodes", 512), "$.nodes", 16, MAX_COUNT)
     points = _as_list(_need(obj, "points", "$.points"), "$.points")
     if kind == "constant":
         value = _as_real(_need(data, "value", "$.data"), "$.data.value")
@@ -568,7 +573,7 @@ def _run_poisson(obj, rng):
 
 def _run_green(obj, rng):
     y = _parse_disc_point(_need(obj, "y", "$.y"), "$.y", "the pole")
-    nodes = _as_int(obj.get("nodes", 1024), "$.nodes", 16)
+    nodes = _as_int(obj.get("nodes", 1024), "$.nodes", 16, MAX_COUNT)
     solve = unit_disk_solver(nodes)
     rows = []
     worst_ref = 0.0
@@ -599,7 +604,7 @@ def _run_envelope(obj, rng):
     phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max")
     if not phi_max >= 1.0:
         raise SchemaError("phi_max must be at least 1", "$.phi_max")
-    samples = _as_int(obj.get("samples", 64), "$.samples", 2)
+    samples = _as_int(obj.get("samples", 64), "$.samples", 2, MAX_COUNT)
     with _at("$"):
         states = tower(corner, steps)
         env = envelope(states, phi_max)

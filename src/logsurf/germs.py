@@ -107,17 +107,12 @@ def power_germ(m: int, radius: float = IDENTITY_RADIUS) -> Germ:
 
 
 def is_identity(phi: Germ) -> bool:
-    return (
-        phi.k == 1
-        and phi.a.r == 1.0
-        and phi.a.phi == 0.0
-        and all(c == 0 for c in phi.h.coeffs)
-    )
+    return phi.k == 1 and phi.a.r == 1.0 and phi.a.phi == 0.0 and not phi.h.trimmed
 
 
 def is_ray(phi: Germ) -> bool:
     """True when the germ maps rays near 0 to exact rays: h vanishes identically."""
-    return all(c == 0 for c in phi.h.coeffs)
+    return not phi.h.trimmed
 
 
 def root_pullback(phi: Germ, m: int) -> Germ:
@@ -152,14 +147,16 @@ def apply_germ(phi: Germ, z: LPoint) -> LPoint:
     """Apply the germ to a surface point inside its radius.
 
     The unit factor 1 + h(z) is lifted with its principal argument,
-    which lies in (-pi/2, pi/2) because |h| <= 1/2.
+    which lies in (-pi/2, pi/2) because |h| <= 1/2.  One LPoint is built,
+    in the operation order of mul(a, mul(power(k, z), lifted unit)), so
+    an inf, 0 or nan on the way still fails its check.  k = 0 needs no
+    case: 0 * z.phi = -0.0 would only matter if phase(1 + h) were -0.0.
     """
     if z.r >= phi.radius:
         raise OutOfRadius(f"|z| = {z.r} is not below the germ radius {phi.radius}")
-    hv = ps_eval(phi.h, project(z))
-    unit = 1.0 + hv
-    lifted = LPoint(abs(unit), cmath.phase(unit))
-    return mul(phi.a, mul(power(phi.k, z), lifted))
+    unit = 1.0 + ps_eval(phi.h, project(z))
+    r = phi.a.r * (z.r ** phi.k * abs(unit))
+    return LPoint(r, phi.a.phi + (phi.k * z.phi + cmath.phase(unit)))
 
 
 def compose(phi: Germ, psi: Germ) -> Germ:

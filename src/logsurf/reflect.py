@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -59,7 +60,8 @@ class ReflectionState:
     written as a function of z, and r, s the printed domain radii.  The
     germ radii of phi and its cached inverse may be smaller than r for
     curved corners; they gate evaluation, while r and s drive the
-    covering windows.
+    covering windows.  The window edges `lower` (lower_bound, the same at
+    every level) and `upper` (upper_bound) are computed once.
     """
 
     k: int
@@ -73,6 +75,8 @@ class ReflectionState:
     h0: PuiseuxSeries
     alpha: float
     theta: float
+    lower = cached_property(lambda self: lower_bound((self,)))
+    upper = cached_property(lambda self: upper_bound(self))
 
 
 def init_state(corner: CornerSpec) -> ReflectionState:
@@ -163,11 +167,10 @@ def membership(states: Sequence[ReflectionState], z: LPoint) -> int | None:
     and arg a(phi_k), shrunk by pi/2 on each curved side, within radius
     s_k.  Boundaries are excluded.
     """
-    lo = lower_bound(states)
-    if not z.phi > lo:
+    if not z.phi > states[0].lower:
         return None
     for st in states:
-        if z.phi < upper_bound(st) and z.r < st.s:
+        if z.phi < st.upper and z.r < st.s:
             return st.k
     return None
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -47,6 +48,14 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def trimmed(self) -> tuple:
+        """coeffs up to the last nonzero one; empty when the series is zero."""
+        n = len(self.coeffs)
+        while n and self.coeffs[n - 1] == 0:
+            n -= 1
+        return self.coeffs[:n]
+
 
 def power_series(coeffs: Iterable[complex], radius: float) -> PowerSeries:
     return PowerSeries(tuple(complex(c) for c in coeffs), float(radius))
@@ -57,15 +66,16 @@ def _radius_pow(radius: float, p: float) -> float:
     return radius ** p if radius < 1e100 else 1e300
 
 
-def ps_eval(f: PowerSeries | Sequence[complex], w: complex) -> complex:
-    """Evaluate at a complex point, summing in ascending degree order."""
-    coeffs = f.coeffs if isinstance(f, PowerSeries) else f
+def ps_eval(f: PowerSeries, w: complex) -> complex:
+    """Evaluate at a complex point, summing in ascending degree order up to
+    the last nonzero coefficient.  Trailing zeros cannot change a finite
+    sum (it starts at +0, so it is never -0), and skipping them keeps w**n
+    from overflowing to inf, where 0 * inf would be nan."""
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
-    for n, c in enumerate(coeffs):
-        if n > 0:
-            term *= w
+    for c in f.trimmed:
         total += c * term
+        term *= w
     return total
 
 

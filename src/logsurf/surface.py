@@ -28,9 +28,9 @@ class LPoint:
     phi: float
 
     def __post_init__(self):
-        if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r > 0):
+        if not (isinstance(self.r, (int, float)) and 0 < self.r < math.inf):
             raise ValueError(f"modulus must be a finite positive real, got {self.r!r}")
-        if not (isinstance(self.phi, (int, float)) and math.isfinite(self.phi)):
+        if not (isinstance(self.phi, (int, float)) and -math.inf < self.phi < math.inf):
             raise ValueError(f"argument must be a finite real, got {self.phi!r}")
 
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsurf import SchemaError, get_trunc_order
 from logsurf.cli import main, run
@@ -129,6 +135,13 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         ("reflect_wedge", ("steps",), 200, "$.corner"),
         ("envelope_wedge", ("phi_max",), -5, "$.phi_max"),
         ("expansion_sanity", ("R",), -1, "$.R"),
+        ("wedge_irrational", ("grid", "phi_n"), 10**6, "$.grid.phi_n"),
+        ("reflect_wedge", ("oracle_points",), 10**6, "$.oracle_points"),
+        ("poisson_disk", ("nodes",), 10**6, "$.nodes"),
+        ("envelope_wedge", ("samples",), 10**6, "$.samples"),
+        ("reflect_wedge", ("corner", "g0", "terms", 0, "num"), 10**6, "$.corner.g0.terms[0]"),
+        ("reflect_wedge", ("corner", "chi", "h_terms"), [{"deg": 33, "re": 0.1}],
+         "$.corner.chi.h_terms[0].deg"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, name, path, value, loc):
@@ -143,6 +156,49 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, name, path, value, loc)
     err = capsys.readouterr().err
     assert f"error (mutated.json): {loc}: " in err
     assert "Traceback" not in err
+
+
+def _number_paths(obj, path=()):
+    """Key paths to every number in a scenario object, booleans excluded."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            yield path
+        return
+    for key, value in items:
+        yield from _number_paths(value, path + (key,))
+
+
+_NUMBER_FIELDS = [
+    (src.name, path)
+    for src in sorted(SCENARIOS.glob("*.json"))
+    for path in _number_paths(json.loads(src.read_text()))
+]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    field=st.sampled_from(_NUMBER_FIELDS),
+    value=st.sampled_from([0, -1, math.nan, math.inf, 1e308, 1e-308, 10**6]),
+)
+def test_any_number_in_any_field_exits_zero_one_or_two(field, value):
+    name, path = field
+    obj = json.loads((SCENARIOS / name).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / name
+        src.write_text(json.dumps(obj))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["run", str(src), "--out", str(Path(tmp) / "o")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_failed_check_exit_one(tmp_path, capsys):

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_star_germ, surface_dist
+from conftest import apply_germ_composed, bits, make_star_germ, ps_eval_loop, surface_dist
 from logsurf import (
     InvalidGerm,
     LPoint,
     NotInvertible,
     ONE,
+    Germ,
     OutOfRadius,
     apply_germ,
     arg_shift_bound,
@@ -24,10 +28,12 @@ from logsurf import (
     mul,
     power,
     power_germ,
+    project,
     root_pullback,
     rotation_germ,
     tau_conj,
 )
+from logsurf.series import PowerSeries
 
 
 def _h_max(phi, upto=None):
@@ -193,3 +199,44 @@ def test_apply_lifts_the_unit_factor_principally(rng):
     w = apply_germ(g, z)
     hv = 0.4 * cpow(1.0, z)
     assert abs(w.phi - z.phi - math.atan2(hv.imag, 1.0 + hv.real)) < 1e-12
+
+
+def test_apply_germ_inside_the_radius_of_a_composed_ray():
+    # compose keeps 33 zero h coefficients; summing them all overflowed
+    # w**n at |z| = 1e10 and gave 0 * inf = nan
+    phi = compose(identity_germ(), identity_germ())
+    assert 1e10 < phi.radius
+    assert apply_germ(phi, LPoint(1e10, 0.3)) == LPoint(1e10, 0.3)
+
+
+def _outcome(fn, phi, z):
+    try:
+        w = fn(phi, z)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return bits(w.r, w.phi)
+
+
+# moderate values, where rounding depends on the operation order, or extreme ones
+_MODULI = st.floats(0.1, 10.0) | st.floats(1e-300, 1e300)
+_ARGS = st.floats(-50.0, 50.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    a_r=_MODULI,
+    a_phi=_ARGS,
+    k=st.sampled_from([0, 1, 2]),
+    h=st.lists(
+        st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+        max_size=12,
+    ),
+    z_r=_MODULI,
+    z_phi=_ARGS,
+)
+def test_apply_germ_is_the_composed_form_bit_for_bit(a_r, a_phi, k, h, z_r, z_phi):
+    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((0j, *h), 1e308), 1e308)
+    z = LPoint(z_r, z_phi)
+    # where the full loop overflows on trailing zeros, apply_germ differs on purpose
+    if cmath.isfinite(ps_eval_loop(phi.h.coeffs, project(z))):
+        assert _outcome(apply_germ, phi, z) == _outcome(apply_germ_composed, phi, z)

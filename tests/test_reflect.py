@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from logsurf import (
     CornerSpec,
@@ -20,6 +23,7 @@ from logsurf import (
     certify_expansion,
     conjugate_corner,
     conjugate_evaluator,
+    cpow,
     envelope,
     evaluate,
     extend_eval,
@@ -40,7 +44,7 @@ from logsurf import (
 )
 from logsurf.reflect import lower_bound, upper_bound
 
-from conftest import surface_dist
+from conftest import apply_germ_composed, bits, ps_eval_loop, surface_dist
 
 
 def _data_t(radius: float = 2.0):
@@ -177,7 +181,8 @@ def test_membership_windows():
     # radius gates each level separately
     assert membership(states, LPoint(0.5, 1.5)) is None
     assert membership(states, LPoint(2.0, 0.5)) is None
-    # at or below the lower edge
+    # on an upper edge, or at or below the lower edge
+    assert membership(states, LPoint(0.5, 1.0)) is None
     assert membership(states, LPoint(0.5, 0.0)) is None
     assert membership(states, LPoint(0.5, -0.1)) is None
 
@@ -209,10 +214,12 @@ def test_extension_matches_entire_oracle(rng):
     assert worst < 1e-8
 
 
-@pytest.mark.parametrize("order", [16, 32])
-def test_curved_extension_matches_entire_oracle(rng, order):
-    # manufactured solution: the extension of Re F from a curved corner is
-    # the entire F itself, in every window of the tower
+@functools.lru_cache(maxsize=None)
+def curved_oracle_tower(order: int):
+    """A 6-level tower over a curved corner whose extension is the entire F.
+
+    Returns the states, the base evaluator and F on surface points.
+    """
     theta = 1.0
     F = np.polynomial.Polynomial([0.0, 1.0, 0.5j, 0.3])
     h = (0.0, 0.1, 0.05j)
@@ -230,20 +237,64 @@ def test_curved_extension_matches_entire_oracle(rng, order):
         )
         states = tower(corner, 6)
     f = lambda z: complex(F(project(z)))
-    base = HarmonicEvaluator(lambda z: f(z).real, f)
-    lo, windows = lower_bound(states), 0
+    return states, HarmonicEvaluator(lambda z: f(z).real, f), f
+
+
+def _windows(states):
+    """The non-empty windows of a tower as (lowest arg, highest arg, level state)."""
+    out, lo = [], lower_bound(states)
     for st in states:
         hi = upper_bound(st)
-        if hi <= lo:
-            continue
-        windows += 1
+        if hi > lo:
+            out.append((lo, hi, st))
+            lo = hi
+    return out
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_curved_extension_matches_entire_oracle(rng, order):
+    # manufactured solution: the extension of Re F from a curved corner is
+    # the entire F itself, in every window of the tower
+    states, base, f = curved_oracle_tower(order)
+    wins = _windows(states)
+    assert len(wins) == 5
+    for lo, hi, st in wins:
         for _ in range(20):
             r = st.s * 10.0 ** rng.uniform(-3.0, -1e-3)
             z = LPoint(r, lo + (hi - lo) * rng.uniform(1e-3, 1.0 - 1e-3))
             assert membership(states, z) == st.k
             assert abs(extend_eval(states, base, z) - f(z)) <= 1e-10 * abs(f(z))
-        lo = hi
-    assert windows == 5
+
+
+def _extend_eval_reference(states, base, z):
+    """extend_eval with the window edges recomputed per call, the full
+    ps_eval loop and apply_germ as products of surface points."""
+    lo = lower_bound(states)
+    level = next((st.k for st in states if lo < z.phi < upper_bound(st) and z.r < st.s), None)
+    ev = lambda g, x: ps_eval_loop(g.base.coeffs, cpow(1.0 / g.d, x))
+    stack, current = [], z
+    while level > 1:
+        st = states[level - 2]
+        w = apply_germ_composed(st.phi, tau(apply_germ_composed(st.phi_inv, current)))
+        stack.append((st.h, w, current))
+        current, level = w, level - 1
+    value = complex(base.f(current))
+    for h, w, znext in reversed(stack):
+        value = -(value - ev(h, w)).conjugate() + ev(h, znext)
+    return value
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    window=strategies.integers(0, 4),
+    t_arg=strategies.floats(1e-3, 1.0 - 1e-3),
+    t_r=strategies.floats(-3.0, -1e-3),
+)
+def test_curved_extend_eval_is_the_reference_descent_bit_for_bit(window, t_arg, t_r):
+    states, base, _ = curved_oracle_tower(32)
+    lo, hi, st = _windows(states)[window]
+    z = LPoint(st.s * 10.0**t_r, lo + (hi - lo) * t_arg)
+    assert bits(extend_eval(states, base, z)) == bits(_extend_eval_reference(states, base, z))
 
 
 def test_extension_boundary_data(rng):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bits, ps_eval_loop
 from logsurf import LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
 from logsurf.series import (
     PowerSeries,
@@ -24,6 +25,7 @@ from logsurf.series import (
     power_series,
     ps_add,
     ps_compose,
+    ps_eval,
     ps_mul,
     ps_scale,
     puiseux,
@@ -140,6 +142,28 @@ def test_reversion_inverts_and_matches_the_solver(f1_mod, f1_arg, rest, order):
 def test_reversion_requires_a_unit_linear_term():
     with pytest.raises(ValueError):
         reversion((0.0, 0.0, 1.0))
+
+
+_ZEROS = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    head=st.lists(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+        | _ZEROS,
+        max_size=24,
+    ),
+    tail=st.lists(_ZEROS, max_size=24),
+    w=st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+)
+def test_ps_eval_is_the_full_loop_bit_for_bit(head, tail, w):
+    coeffs = head + tail or [0j]
+    f = PowerSeries(tuple(coeffs), 1.0)
+    assert len(f.trimmed) == max((n + 1 for n, c in enumerate(coeffs) if c != 0), default=0)
+    ref = ps_eval_loop(f.coeffs, w)
+    if cmath.isfinite(ref):
+        assert bits(ps_eval(f, w)) == bits(ref)
 
 
 def test_puiseux_radius_is_capped_by_the_base():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from logsurf import (
@@ -30,6 +31,29 @@ def test_point_validation():
         LPoint(math.inf, 0.0)
     with pytest.raises(ValueError):
         LPoint(1.0, math.nan)
+
+
+_NOT_FINITE_REAL = ["1", None, 1j, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("r", [0, -0.0, -1, *_NOT_FINITE_REAL])
+def test_point_rejects_moduli(r):
+    with pytest.raises(ValueError, match="modulus"):
+        LPoint(r, 0.0)
+
+
+@pytest.mark.parametrize("phi", _NOT_FINITE_REAL)
+def test_point_rejects_arguments(phi):
+    with pytest.raises(ValueError, match="argument"):
+        LPoint(1.0, phi)
+
+
+@pytest.mark.parametrize("x", [5e-324, 3, np.float64(0.5)])
+def test_point_accepts_positive_reals(x):
+    z = LPoint(x, x)
+    assert (z.r, z.phi) == (x, x)
+    for phi in (0, -0.0, -1):
+        assert LPoint(x, phi).phi == phi
 
 
 def test_project_and_from_complex_round_trip():
