@@ -3,8 +3,13 @@
 Each scenario in ``<root>/scenarios/*.json`` runs through ``logsurf.cli.run``
 at seed {file, 1, 7} x trunc_order {file, 16, 48}.  A digest covers
 ``summary.json`` without its provenance timestamp, plus every csv the run
-wrote.  The logsurf package is imported from ``<root>/src``, so two trees
-can be compared with one copy of this script:
+wrote.  Each ``curved_tower seed=s order=N`` key, for s in {0, 1, 2} and
+N in {16, 32, 64}, digests the exact floats of an 8-level tower over a
+seeded manufactured curved corner: every germ's coefficients, arguments
+and radii, every level's data series and radii, and 64 ``extend_eval``
+values dealt over its windows.  That tower is built from public
+constructors only.  The logsurf package is imported from ``<root>/src``,
+so two trees can be compared with one copy of this script:
 
     python scripts/scenario_digests.py --root base > base.json
     python scripts/scenario_digests.py > head.json
@@ -14,14 +19,23 @@ can be compared with one copy of this script:
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
+import math
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
+
+import numpy as np
 
 SEEDS = (None, 1, 7)
 ORDERS = (None, 16, 48)
+CURVED_SEEDS = (0, 1, 2)
+CURVED_ORDERS = (16, 32, 64)
+CURVED_LEVELS = 8
+CURVED_POINTS = 64
 
 
 def digest_outputs(out: Path) -> str:
@@ -51,6 +65,85 @@ def scenario_digests(root: Path) -> dict:
     return digests
 
 
+def _poly_mul(p: list, q: list) -> list:
+    out = [0j] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_eval(coeffs, w: complex) -> complex:
+    total = 0j
+    for c in reversed(coeffs):
+        total = total * w + c
+    return total
+
+
+def curved_tower_digest(seed: int, order: int) -> str:
+    """sha256 over the float hex of a manufactured curved tower and its extension.
+
+    F is a random cubic and chi(t) = e**(i theta) t (1 + h(t)) a curved
+    boundary germ; the data are Re F on the real ray and Re F(chi(t)) on
+    chi, so the extension is F itself.
+    """
+    import logsurf as ls
+
+    rng = np.random.default_rng([seed, 5])
+    theta = float(rng.uniform(0.7, 1.4))
+    F = [0j] + [complex(rng.normal(), rng.normal()) / n for n in (1, 2, 3)]
+    h = [0j] + [amp * cmath.exp(2j * math.pi * rng.random()) for amp in (0.1, 0.05)]
+    a = cmath.exp(1j * theta)
+    shadow = [0j, a] + [a * c for c in h[1:]]
+    on_chi, power = [], [1 + 0j]
+    for c in F:
+        on_chi = [x + c * y for x, y in zip_longest(on_chi, power, fillvalue=0j)]
+        power = _poly_mul(power, shadow)
+
+    def f(z):
+        return _poly_eval(F, cmath.rect(z.r, z.phi))
+
+    digest = hashlib.sha256()
+
+    def put(*values):
+        for v in values:
+            for x in (v.real, v.imag) if isinstance(v, complex) else (v,):
+                digest.update(float(x).hex().encode() + b" ")
+
+    with ls.trunc_order(order):
+        chi = ls.make_germ(ls.LPoint(1.0, theta), 1, tuple(h), 1.0)
+        g0 = ls.puiseux([c.real for c in F], 10.0)
+        g1 = ls.puiseux([c.real for c in on_chi], 10.0)
+        corner = ls.CornerSpec(ls.identity_germ(), chi, ls.IrrationalAngle(theta), g0, g1, 1.0)
+        base = ls.HarmonicEvaluator(lambda z: f(z).real, f)
+        states = ls.tower(corner, CURVED_LEVELS)
+        for st in states:
+            put(st.r, st.s, st.h.radius, st.h.base.radius, *st.h.base.coeffs)
+            for germ in (st.phi, st.phi_inv, st.omega):
+                put(germ.a.r, germ.a.phi, germ.radius, *germ.h.coeffs)
+        lo = states[0].alpha + (0.0 if ls.is_ray(states[0].psi) else math.pi / 2)
+        windows = []
+        for st in states:
+            hi = st.phi.a.phi - (0.0 if ls.is_ray(st.phi) else math.pi / 2)
+            if hi > lo:
+                windows.append((lo, hi, st.s))
+                lo = hi
+        for j in range(CURVED_POINTS):
+            lo, hi, s = windows[j % len(windows)]
+            r = s * 10.0 ** rng.uniform(-3.0, -1e-3)
+            z = ls.LPoint(r, lo + (hi - lo) * rng.uniform(1e-3, 1.0 - 1e-3))
+            put(z.r, z.phi, complex(ls.extend_eval(states, base, z)))
+    return digest.hexdigest()
+
+
+def curved_digests() -> dict:
+    return {
+        f"curved_tower seed={seed} order={order}": curved_tower_digest(seed, order)
+        for seed in CURVED_SEEDS
+        for order in CURVED_ORDERS
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -65,7 +158,7 @@ def main(argv=None) -> int:
 
     if not Path(logsurf.__file__).resolve().is_relative_to(root / "src"):
         raise SystemExit(f"imported logsurf from {logsurf.__file__}, not from {root / 'src'}")
-    json.dump(scenario_digests(root), sys.stdout, indent=1, sort_keys=True)
+    json.dump(scenario_digests(root) | curved_digests(), sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 

@@ -8,8 +8,11 @@ identical runs) and one csv file per table.  The process exits 0
 exactly when every check of every scenario passed, 1 when a check
 failed, and 2 on schema or scenario errors, which are reported with
 their json location.  Every failure of a runner, including numbers out
-of range, is such an error: it never escapes as a traceback.  Counts
-and coefficient indices are bounded, so no file asks for unbounded work.
+of range, is such an error: it never escapes as a traceback.  Every
+number must be finite.  Counts, coefficient indices and the truncation
+order (at most MAX_TRUNC_ORDER = 1024, from the file or --trunc-order)
+are bounded, so no file asks for unbounded work.  A check whose error
+is nan fails.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .surface import LPoint
 from . import __version__
 
 MAX_COUNT = 100_000  # the most nodes, samples, oracle points or grid points
+MAX_TRUNC_ORDER = 1024  # the highest series truncation order
 
 # ----------------------------------------------------------------------
 # schema helpers
@@ -104,7 +108,13 @@ def _as_int(v, loc: str, minimum: int | None = None, maximum: int | None = None)
 def _as_real(v, loc: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"expected a number, got {v!r}", loc)
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(f"expected a finite number, got {v!r}", loc)
+    return x
 
 
 def _as_list(v, loc: str) -> list:
@@ -232,6 +242,11 @@ class Check:
     tolerance: float
 
 
+def _worst(*errors: float) -> float:
+    """The largest error, or nan when any error is nan: max() would drop it."""
+    return math.nan if any(math.isnan(e) for e in errors) else max(errors)
+
+
 def _check_max(name: str, observed: float, tolerance: float) -> Check:
     return Check(name, bool(observed <= tolerance), float(observed), float(tolerance))
 
@@ -302,22 +317,22 @@ def _run_wedge(obj, rng):
 
     ts = np.linspace(grid["r_min"], grid["r_max"], grid["r_n"])
     phis = np.linspace(0.0, tv, grid["phi_n"])
-    b0 = max(abs(evaluator.u(LPoint(t, 0.0)) - _data_eval(problem.edge0, t)) for t in ts)
-    b1 = max(abs(evaluator.u(LPoint(t, tv)) - _data_eval(problem.edge1, t)) for t in ts)
+    b0 = _worst(*(abs(evaluator.u(LPoint(t, 0.0)) - _data_eval(problem.edge0, t)) for t in ts))
+    b1 = _worst(*(abs(evaluator.u(LPoint(t, tv)) - _data_eval(problem.edge1, t)) for t in ts))
 
     worst_lap = 0.0
     for r in np.geomspace(0.5, 1.0, 6):
         for phi in np.linspace(tv * 0.1, tv * 0.9, 6):
             z = LPoint(float(r), float(phi))
             lap = fd_laplacian(evaluator.u, z, 1e-3)
-            worst_lap = max(worst_lap, abs(lap) / (1.0 + abs(evaluator.u(z))))
+            worst_lap = _worst(worst_lap, abs(lap) / (1.0 + abs(evaluator.u(z))))
 
     worst_re = 0.0
     for r in ts:
         for phi in phis:
             z = LPoint(float(r), float(phi))
             fv = evaluator.f(z)
-            worst_re = max(worst_re, abs(evaluator.u(z) - fv.real) / (1.0 + abs(fv)))
+            worst_re = _worst(worst_re, abs(evaluator.u(z) - fv.real) / (1.0 + abs(fv)))
 
     has_resonance = any(
         beta > 0 and c != 0 and is_resonant(theta, beta)
@@ -380,9 +395,9 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     d_stable = True
     for st in states:
         scale = 100.0 ** (st.k - 1)
-        drift = max(drift, abs(st.s * scale / s1 - 1.0), abs(st.r * scale / r1 - 1.0))
-        angle_err = max(angle_err, abs((st.phi.a.phi - alpha) - 2.0 ** (st.k - 1) * theta))
-        mod_err = max(mod_err, abs(st.phi.a.r - 1.0))
+        drift = _worst(drift, abs(st.s * scale / s1 - 1.0), abs(st.r * scale / r1 - 1.0))
+        angle_err = _worst(angle_err, abs((st.phi.a.phi - alpha) - 2.0 ** (st.k - 1) * theta))
+        mod_err = _worst(mod_err, abs(st.phi.a.r - 1.0))
         d_stable = d_stable and st.h.d == states[0].h.d
 
     boundary_err = 0.0
@@ -392,7 +407,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
             z = apply_germ(st.phi, LPoint(float(t), 0.0))
             fv = extend_eval(states, base, z)
             hv = series_evaluate(st.h, z)
-            boundary_err = max(boundary_err, abs(fv.real - hv.real))
+            boundary_err = _worst(boundary_err, abs(fv.real - hv.real))
 
     upper = upper_bound(states[-1])
     lower = lower_bound(states)
@@ -408,7 +423,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
         z = LPoint(rr, ang)
         fv = extend_eval(states, base, z)
         ref = base.f(z)
-        oracle_err = max(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
+        oracle_err = _worst(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
 
     checks = [
         _check_max(f"radius_recursion{suffix}", drift, 1e-12),
@@ -485,10 +500,9 @@ def _run_expansion_compare(obj, rng):
         states = tower(corner, steps)
         cert = certify_expansion(states, base, gamma, R)
 
-    cascade = max(
-        (ck / ak for _, ck, ak, _ in cert.step_bounds if ak > 0), default=0.0
-    )
-    worst_window = max((row[3] for row in cert.window_rows), default=0.0)
+    # C_k and the window ratios are nonnegative, so a leading 0.0 is max()'s default.
+    cascade = _worst(0.0, *(ck / ak for _, ck, ak, _ in cert.step_bounds if ak > 0))
+    worst_window = _worst(0.0, *(row[3] for row in cert.window_rows))
     checks = [
         _check_flag("exponent_window", cert.R < cert.S < cert.R_prime),
         _check_max("cascade_bound", cascade, 1.0),
@@ -534,9 +548,9 @@ def _run_poisson(obj, rng):
         for i, t in enumerate(_as_list(_need(data, "terms", "$.data"), "$.data.terms")):
             tloc = f"$.data.terms[{i}]"
             n = _as_int(_need(t, "n", tloc), f"{tloc}.n", 0)
-            terms.append(
-                (n, _as_real(t.get("cos", 0.0), tloc), _as_real(t.get("sin", 0.0), tloc))
-            )
+            a = _as_real(t.get("cos", 0.0), f"{tloc}.cos")
+            b = _as_real(t.get("sin", 0.0), f"{tloc}.sin")
+            terms.append((n, a, b))
         h = lambda eta: sum(
             a * math.cos(n * math.atan2(eta.imag, eta.real))
             + b * math.sin(n * math.atan2(eta.imag, eta.real))
@@ -564,7 +578,7 @@ def _run_poisson(obj, rng):
             got = poisson_disk(h, xi, nodes)
         want = ref(xi)
         err = abs(got - want)
-        worst = max(worst, err)
+        worst = _worst(worst, err)
         rows.append([xi.real, xi.imag, got, want, err])
     checks = [_check_max(f"poisson_{kind}", worst, tol)]
     tables = {"values": (["re_xi", "im_xi", "computed", "reference", "abs_err"], rows)}
@@ -585,8 +599,8 @@ def _run_green(obj, rng):
             got = green_function(solve, y, x)
             swapped = green_function(solve, x, y)
             want = disk_green_reference(y, x)
-        worst_ref = max(worst_ref, abs(got - want))
-        worst_sym = max(worst_sym, abs(got - swapped))
+        worst_ref = _worst(worst_ref, abs(got - want))
+        worst_sym = _worst(worst_sym, abs(got - swapped))
         rows.append([x.real, x.imag, got, want, swapped, abs(got - want)])
     checks = [
         _check_max("green_closed_form", worst_ref, 1e-5),
@@ -673,7 +687,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
     if eff_order is None:
         eff_order = config.get_trunc_order()
     else:
-        eff_order = _as_int(eff_order, "$.trunc_order", 1)
+        eff_order = _as_int(eff_order, "$.trunc_order", 1, MAX_TRUNC_ORDER)
     rng = np.random.default_rng(eff_seed)
 
     with config.trunc_order(eff_order), _at("$"):
@@ -725,7 +739,7 @@ def main(argv=None) -> int:
     runp.add_argument("--batch", metavar="DIR", help="run every *.json file under DIR")
     runp.add_argument("--out", default="out", help="output directory (default: out)")
     runp.add_argument("--trunc-order", type=int, default=None,
-                      help="global series truncation order")
+                      help=f"global series truncation order (at most {MAX_TRUNC_ORDER})")
     runp.add_argument("--seed", type=int, default=None,
                       help="override the scenario sampling seed")
     args = parser.parse_args(argv)

@@ -61,7 +61,13 @@ def _one_plus(h_coeffs: tuple) -> tuple:
 
 
 def sampled_h_sup(h_coeffs: tuple, radius: float) -> float:
-    """Max of |h| sampled on the circles radius * {1, 1/2, 1/4} x 64 angles; h is any series."""
+    """Max of |h| sampled on the circles radius * {1, 1/2, 1/4} x 64 angles; h is any series.
+
+    Each circle costs one polyval over every coefficient; h = 0 is 0.0
+    without sampling.
+    """
+    if not any(h_coeffs):
+        return 0.0
     coeffs = np.asarray(h_coeffs, dtype=complex)
     worst = 0.0
     angles = np.exp(2j * np.pi * np.arange(_SAMPLE_ANGLES) / _SAMPLE_ANGLES)

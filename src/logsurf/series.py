@@ -9,7 +9,14 @@ All radius claims propagate by fixed printed formulas, never by numeric
 estimation; every evaluation outside an asserted radius raises OutOfRadius.
 Coefficients are complex floats, truncated at the global order N from
 logsurf.config.  binom_pow, reversion (by Lagrange inversion) and
-compose_germ each make O(N) numpy calls.
+compose_germ each make O(N) numpy calls at most.  The work scales with
+the nonzero length of the inputs: ps_compose and compose_germ stop at
+the last nonzero coefficient of the outer series, binom_pow returns 1
+at once for h = 0, reversion inverts a linear series with one product,
+and compose_germ composes with a ray (h = 0) through copies.  So rays
+and short series cost a few calls at any N.  Outputs keep their
+lengths, and every np.convolve still made keeps its operand lengths,
+so the floats are those of the full loops.
 """
 
 from __future__ import annotations
@@ -51,10 +58,15 @@ class PowerSeries:
     @cached_property
     def trimmed(self) -> tuple:
         """coeffs up to the last nonzero one; empty when the series is zero."""
-        n = len(self.coeffs)
-        while n and self.coeffs[n - 1] == 0:
-            n -= 1
-        return self.coeffs[:n]
+        return self.coeffs[: _nonzero_len(self.coeffs)]
+
+
+def _nonzero_len(coeffs: Sequence[complex]) -> int:
+    """Length up to the last nonzero coefficient, scanning only the trailing zeros."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return n
 
 
 def power_series(coeffs: Iterable[complex], radius: float) -> PowerSeries:
@@ -103,14 +115,21 @@ def ps_mul(f: Sequence[complex], g: Sequence[complex], order: int | None = None)
 
 
 def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> tuple:
-    """Coefficients of f(g(w)) truncated; requires g(0) = 0."""
+    """Coefficients of f(g(w)) truncated; requires g(0) = 0.
+
+    Horner's scheme runs over f up to its last nonzero coefficient.  The
+    trailing zeros of f would only grow a zero accumulator, so it starts
+    at the length they would have given it: every product sees the
+    operands, and sums in the order, of the scheme over all of f.
+    """
     if order is None:
         order = config.get_trunc_order()
     g_arr = np.asarray(g, dtype=complex)
     if len(g_arr) and g_arr[0] != 0:
         raise ValueError("inner series must have zero constant term")
-    acc = np.zeros(1, dtype=complex)
-    for c in reversed(np.asarray(f, dtype=complex)):
+    top = _nonzero_len(f)
+    acc = np.zeros(min(1 + (len(f) - top) * (len(g_arr) - 1), order + 1), dtype=complex)
+    for c in reversed(np.asarray(f[:top], dtype=complex)):
         acc = np.convolve(acc, g_arr)[: order + 1]
         acc[0] += c
     return tuple(acc.tolist())
@@ -132,15 +151,20 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     Converges wherever |h| <= 1/2, the standing smallness bound; at the
     truncated level the expansion is exact polynomial algebra because
     h**j has valuation >= j.  It is finite for a nonnegative integer alpha.
+    h = 0 returns 1 at once.  Otherwise each power of h is one product
+    with the whole of h as given: cutting its trailing zeros here would
+    change the rounding of those products.
     """
     if order is None:
         order = config.get_trunc_order()
     h_arr = np.asarray(h, dtype=complex)
     if len(h_arr) and h_arr[0] != 0:
         raise ValueError("binomial base must be 1 + (series without constant term)")
-    coeffs = binom_coefficients(alpha, order + 1)
     acc = np.zeros(order + 1, dtype=complex)
-    acc[0] = coeffs[0]
+    acc[0] = 1.0
+    if not any(h):
+        return tuple(acc.tolist())
+    coeffs = binom_coefficients(alpha, order + 1)
     pw = np.ones(1, dtype=complex)
     for j in range(1, order + 1):
         pw = np.convolve(pw, h_arr)[: order + 1]
@@ -171,7 +195,9 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     """Compositional inverse of f = f_1 w + f_2 w**2 + ... with f_1 != 0.
 
     Returns g with f(g(w)) = w up to the truncation order, by Lagrange
-    inversion: g_n = [w**(n-1)] v**n / n with v = w / f(w).
+    inversion: g_n = [w**(n-1)] v**n / n with v = w / f(w).  A linear f
+    has the constant v = 1 / f_1, whose powers never reach w**(n-1) past
+    n = 1, so only g_1 is computed; otherwise the work is O(N) products.
     """
     if order is None:
         order = config.get_trunc_order()
@@ -180,13 +206,14 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
         raise ValueError("reversion needs zero constant term")
     if f_arr[1] == 0:
         raise ValueError("reversion needs a nonzero linear coefficient")
+    top = order + 1 if any(f[2 : order + 1]) else 2
     v = np.zeros(order, dtype=complex)
     v[0] = 1 / f_arr[1]
-    for m in range(1, order):
+    for m in range(1, top - 1):
         v[m] = -np.dot(f_arr[2 : m + 2], v[m - 1 :: -1]) / f_arr[1]
     g = np.zeros(order + 1, dtype=complex)
     vn = np.ones(1, dtype=complex)
-    for n in range(1, order + 1):
+    for n in range(1, top):
         vn = np.convolve(vn, v)[:order]
         g[n] = vn[n - 1] / n
     return tuple(g.tolist())
@@ -325,7 +352,8 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
     each u**n is one truncated product of the previous one.  The
     denominator d is preserved.  The radius is the printed value
     s = min(r(phi), (g.radius / (2|a(phi)|)) ** (1/k(phi))).  Requires
-    k(phi) >= 1.
+    k(phi) >= 1.  The loop stops at the last nonzero coefficient of g, and
+    a ray (h = 0) has u = 1, so its blocks are copies.
     """
     if phi.k == 0:
         raise InvalidGerm("composition needs a germ with k >= 1")
@@ -334,8 +362,13 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
     s = min(phi.radius, (g.radius / (2.0 * phi.a.r)) ** (1.0 / phi.k))
     out = np.zeros(order + 1, dtype=complex)
     unit = np.asarray(binom_pow(phi.h.coeffs, 1.0 / d, order=order // d), dtype=complex)
+    if not phi.h.trimmed:
+        # u = 1 makes each block an exact copy.  Any other u keeps its
+        # trailing zeros: a shorter factor would change the length of
+        # np.convolve's inner sums, and with it their rounding.
+        unit = unit[:1]
     block = np.ones(1, dtype=complex)
-    for n, c in enumerate(g.base.coeffs):
+    for n, c in enumerate(g.base.trimmed):
         size = (order - n * phi.k) // d + 1
         if size <= 0:
             break

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from logsurf import LPoint, make_germ, mul, power, project
+from logsurf import LPoint, config, cpow, make_germ, mul, power, project, puiseux
 
 
 def make_star_germ(rng, radius=1.0, degree=6, scale=0.25, unit=False, k=1):
@@ -24,6 +25,9 @@ def make_star_germ(rng, radius=1.0, degree=6, scale=0.25, unit=False, k=1):
 def surface_dist(z1: LPoint, z2: LPoint) -> float:
     """Distance in the log chart: matches points sheet by sheet."""
     return abs(math.log(z1.r) - math.log(z2.r)) + abs(z1.phi - z2.phi)
+
+
+SIGNED_ZEROS = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
 
 
 def bits(*values) -> tuple:
@@ -47,6 +51,81 @@ def apply_germ_composed(phi, z: LPoint) -> LPoint:
     unit = 1.0 + ps_eval_loop(phi.h.coeffs, project(z))
     lifted = LPoint(abs(unit), cmath.phase(unit))
     return mul(phi.a, mul(power(phi.k, z), lifted))
+
+
+def ps_compose_full(f, g, order):
+    """Reference ps_compose: Horner's scheme over every coefficient of f, trailing zeros included."""
+    g_arr = np.asarray(g, dtype=complex)
+    acc = np.zeros(1, dtype=complex)
+    for c in reversed(np.asarray(f, dtype=complex)):
+        acc = np.convolve(acc, g_arr)[: order + 1]
+        acc[0] += c
+    return tuple(acc.tolist())
+
+
+def binom_pow_full(h, alpha: float, order: int) -> tuple:
+    """Reference binom_pow: the binomial series, h**j by repeated products of the whole of h."""
+    h_arr = np.asarray(h, dtype=complex)
+    coeffs = np.zeros(order + 1, dtype=complex)
+    b = 1.0 + 0.0j
+    for j in range(order + 1):
+        coeffs[j] = b
+        b *= (alpha - j) / (j + 1)
+    acc = np.zeros(order + 1, dtype=complex)
+    acc[0] = coeffs[0]
+    pw = np.ones(1, dtype=complex)
+    for j in range(1, order + 1):
+        pw = np.convolve(pw, h_arr)[: order + 1]
+        if coeffs[j] == 0 or not pw.any():
+            break
+        acc[: len(pw)] += coeffs[j] * pw
+    return tuple(acc.tolist())
+
+
+def reversion_full(f, order: int) -> tuple:
+    """Reference reversion: Lagrange inversion with the v recurrence and every power of v."""
+    f_arr = np.zeros(order + 1, dtype=complex)
+    f_arr[: min(len(f), order + 1)] = np.asarray(f, dtype=complex)[: order + 1]
+    v = np.zeros(order, dtype=complex)
+    v[0] = 1 / f_arr[1]
+    for m in range(1, order):
+        v[m] = -np.dot(f_arr[2 : m + 2], v[m - 1 :: -1]) / f_arr[1]
+    g = np.zeros(order + 1, dtype=complex)
+    vn = np.ones(1, dtype=complex)
+    for n in range(1, order + 1):
+        vn = np.convolve(vn, v)[:order]
+        g[n] = vn[n - 1] / n
+    return tuple(g.tolist())
+
+
+def compose_germ_full(g, phi):
+    """Reference compose_germ: a block for every coefficient of g and the whole unit series."""
+    order = config.get_trunc_order()
+    d = g.d
+    s = min(phi.radius, (g.radius / (2.0 * phi.a.r)) ** (1.0 / phi.k))
+    out = np.zeros(order + 1, dtype=complex)
+    unit = np.asarray(binom_pow_full(phi.h.coeffs, 1.0 / d, order // d), dtype=complex)
+    block = np.ones(1, dtype=complex)
+    for n, c in enumerate(g.base.coeffs):
+        size = (order - n * phi.k) // d + 1
+        if size <= 0:
+            break
+        if n > 0:
+            block = np.convolve(block[:size], unit[:size])[:size]
+        if c != 0:
+            out[n * phi.k :: d][: len(block)] += c * cpow(n / d, phi.a) * block
+    return puiseux(out.tolist(), s, d)
+
+
+def sampled_h_sup_full(h_coeffs, radius: float) -> float:
+    """Reference sampled_h_sup: polyval on every circle, whatever the coefficients."""
+    coeffs = np.asarray(h_coeffs, dtype=complex)
+    worst = 0.0
+    angles = np.exp(2j * np.pi * np.arange(64) / 64)
+    for frac in (1.0, 0.5, 0.25):
+        vals = np.polyval(coeffs[::-1], radius * frac * angles)
+        worst = max(worst, float(np.max(np.abs(vals))))
+    return worst
 
 
 @pytest.fixture

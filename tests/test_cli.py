@@ -8,6 +8,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,20 +143,53 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         ("reflect_wedge", ("corner", "g0", "terms", 0, "num"), 10**6, "$.corner.g0.terms[0]"),
         ("reflect_wedge", ("corner", "chi", "h_terms"), [{"deg": 33, "re": 0.1}],
          "$.corner.chi.h_terms[0].deg"),
+        ("green_disk", ("y", "re"), math.nan, "$.y.re"),
+        ("reflect_wedge", ("corner", "g0", "radius"), math.inf, "$.corner.g0.radius"),
+        ("reflect_wedge", ("corner", "eps"), 10**400, "$.corner.eps"),
+        ("reflect_wedge", ("trunc_order",), 1025, "$.trunc_order"),
+        ("reflect_wedge", ("trunc_order",), 10**9, "$.trunc_order"),
+        ("reflect_wedge", None, 1025, "$.trunc_order"),
+        ("reflect_wedge", None, 10**9, "$.trunc_order"),
     ],
 )
-def test_out_of_range_numbers_exit_two(tmp_path, capsys, name, path, value, loc):
+def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
     obj = json.loads((SCENARIOS / f"{name}.json").read_text())
-    target = obj
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    flags = []
+    if path is None:  # the value goes to the --trunc-order flag
+        flags = ["--trunc-order", str(value)]
+    else:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    if loc == "$.trunc_order":
+        # Refused before any series exists: order 10**9 would ask np.zeros for 16 GB.
+        monkeypatch.setattr(np, "zeros", _no_allocation)
     mutated = _write(tmp_path, "mutated.json", obj)
-    rc = main(["run", str(mutated), "--out", str(tmp_path / "o")])
+    rc = main(["run", str(mutated), "--out", str(tmp_path / "o"), *flags])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error (mutated.json): {loc}: " in err
     assert "Traceback" not in err
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError(f"np.zeros{args} was called")
+
+
+def test_nan_error_fails_its_check(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "poisson_disk.json").read_text())
+    obj["data"]["terms"][1]["cos"] = 1e308
+    huge = _write(tmp_path, "huge.json", obj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["run", str(huge), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("FAIL huge")
+    payload = json.loads((tmp_path / "o" / "summary.json").read_text())
+    [check] = payload["checks"]
+    assert check["name"] == "poisson_trig"
+    assert check["passed"] is False
+    assert math.isnan(check["observed"])
 
 
 def _number_paths(obj, path=()):

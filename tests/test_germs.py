@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_germ_composed, bits, make_star_germ, ps_eval_loop, surface_dist
+from conftest import (
+    SIGNED_ZEROS,
+    apply_germ_composed,
+    bits,
+    make_star_germ,
+    ps_eval_loop,
+    sampled_h_sup_full,
+    surface_dist,
+)
 from logsurf import (
     InvalidGerm,
     LPoint,
@@ -33,6 +41,7 @@ from logsurf import (
     rotation_germ,
     tau_conj,
 )
+from logsurf.germs import sampled_h_sup
 from logsurf.series import PowerSeries
 
 
@@ -240,3 +249,18 @@ def test_apply_germ_is_the_composed_form_bit_for_bit(a_r, a_phi, k, h, z_r, z_ph
     # where the full loop overflows on trailing zeros, apply_germ differs on purpose
     if cmath.isfinite(ps_eval_loop(phi.h.coeffs, project(z))):
         assert _outcome(apply_germ, phi, z) == _outcome(apply_germ_composed, phi, z)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    head=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        | SIGNED_ZEROS,
+        max_size=10,
+    ),
+    tail=st.lists(SIGNED_ZEROS, max_size=40),
+    radius=st.floats(1e-3, 10.0),
+)
+def test_sampled_h_sup_is_the_full_sampling_bit_for_bit(head, tail, radius):
+    h = (0j, *head, *tail)  # h = 0 when head holds only zeros
+    assert float(sampled_h_sup(h, radius)).hex() == float(sampled_h_sup_full(h, radius)).hex()

@@ -121,6 +121,30 @@ def test_tower_frozen_table():
         tower(unit_wedge_corner(), 0)
 
 
+def test_straight_tower_cost_is_flat_in_the_order(monkeypatch):
+    convolve = np.convolve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    counts, radii = {}, {}
+    for order in (16, 128):
+        calls.clear()
+        with trunc_order(order):
+            states = tower(unit_wedge_corner(), 5)
+        counts[order] = len(calls)
+        germs = [g for st in states for g in (st.phi, st.phi_inv, st.omega)]
+        # every germ of a straight tower is a ray, and inverting a ray keeps its radius
+        assert not any(g.h.trimmed for g in germs)
+        assert all(st.phi_inv.radius == st.phi.radius for st in states)
+        radii[order] = [g.radius for g in germs]
+    assert counts[16] == counts[128]
+    assert radii[16] == radii[128]
+
+
 def test_reflected_data_right_angle():
     # data t on the real ray, zero on the vertical ray: h_2 = +z
     corner = CornerSpec(

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, ps_eval_loop
-from logsurf import LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
+from conftest import (
+    SIGNED_ZEROS,
+    binom_pow_full,
+    bits,
+    compose_germ_full,
+    ps_compose_full,
+    ps_eval_loop,
+    reversion_full,
+)
+from logsurf import Germ, LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
 from logsurf.series import (
     PowerSeries,
     add,
@@ -144,17 +152,14 @@ def test_reversion_requires_a_unit_linear_term():
         reversion((0.0, 0.0, 1.0))
 
 
-_ZEROS = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
-
-
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(
     head=st.lists(
         st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
-        | _ZEROS,
+        | SIGNED_ZEROS,
         max_size=24,
     ),
-    tail=st.lists(_ZEROS, max_size=24),
+    tail=st.lists(SIGNED_ZEROS, max_size=24),
     w=st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
 )
 def test_ps_eval_is_the_full_loop_bit_for_bit(head, tail, w):
@@ -164,6 +169,87 @@ def test_ps_eval_is_the_full_loop_bit_for_bit(head, tail, w):
     ref = ps_eval_loop(f.coeffs, w)
     if cmath.isfinite(ref):
         assert bits(ps_eval(f, w)) == bits(ref)
+
+
+def _dense_head(seed: int, size: int) -> list:
+    rng = np.random.default_rng(seed)
+    return (0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))).tolist()
+
+
+# Kernel inputs: some coefficients, then up to 40 trailing zeros, which the
+# kernels skip and the references do not.  Drawn heads bring zeros of either
+# sign; seeded dense heads make long sums, whose rounding depends on their
+# lengths inside np.convolve.
+_trailing = st.builds(
+    lambda head, tail: head + tail,
+    st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False) | SIGNED_ZEROS,
+        max_size=10,
+    )
+    | st.builds(_dense_head, st.integers(0, 2**32 - 1), st.integers(1, 16)),
+    st.lists(SIGNED_ZEROS, max_size=40),
+)
+_orders = st.sampled_from([1, 2, 4, 8, 16, 33])
+_bitwise = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    assert bits(*got) == bits(*want)
+
+
+@_bitwise
+@example(f=[0j] * 5, g=[1.0], order=8)
+@given(f=_trailing, g=_trailing, order=_orders)
+def test_ps_compose_is_the_full_horner_scheme_bit_for_bit(f, g, order):
+    g = [0j, *g]
+    _same_bits(ps_compose(f, g, order=order), ps_compose_full(f, g, order))
+
+
+@_bitwise
+@example(h=[], alpha=0.5, order=16)
+@example(h=[complex(-0.0, -0.0)] * 7, alpha=2.0, order=16)
+@given(
+    h=_trailing,
+    alpha=st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, 1.0 / 3.0, -0.5, -1.0]),
+    order=_orders,
+)
+def test_binom_pow_is_the_full_series_bit_for_bit(h, alpha, order):
+    h = [0j, *h]
+    _same_bits(binom_pow(h, alpha, order=order), binom_pow_full(h, alpha, order))
+
+
+@_bitwise
+@example(f1_mod=1.0, f1_arg=math.pi, rest=[], order=16)
+@given(
+    f1_mod=st.floats(0.5, 2.0),
+    f1_arg=st.floats(-math.pi, math.pi),
+    rest=_trailing,
+    order=_orders,
+)
+def test_reversion_is_the_full_inversion_bit_for_bit(f1_mod, f1_arg, rest, order):
+    f = [0j, cmath.rect(f1_mod, f1_arg), *rest]  # linear when rest holds only zeros
+    _same_bits(reversion(f, order=order), reversion_full(f, order))
+
+
+@_bitwise
+@example(coeffs=[0j, 1.0, 0j, 0j], h=[0j] * 9, d=2, k=1, a_r=1.0, a_phi=1.0, order=16)
+@given(
+    coeffs=_trailing,
+    h=_trailing,
+    d=st.sampled_from([1, 2, 3]),
+    k=st.sampled_from([1, 2]),
+    a_r=st.floats(0.5, 2.0),
+    a_phi=st.floats(-4.0, 4.0),
+    order=_orders,
+)
+def test_compose_germ_is_the_full_loop_bit_for_bit(coeffs, h, d, k, a_r, a_phi, order):
+    g = puiseux(coeffs or [0j], 0.8, d)
+    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((0j, *h), 0.5), 0.5)
+    with config.trunc_order(order):
+        got, want = compose_germ(g, phi), compose_germ_full(g, phi)
+    assert (got.d, got.radius, got.base.radius) == (want.d, want.radius, want.base.radius)
+    _same_bits(got.base.coeffs, want.base.coeffs)
 
 
 def test_puiseux_radius_is_capped_by_the_base():
