@@ -7,7 +7,7 @@ the iterated reflection that extends a corner solution to quadratic
 domains, together with sampled certificates for the printed bounds.
 """
 
-from .config import DEFAULT_TRUNC_ORDER, get_trunc_order, set_trunc_order, trunc_order
+from .config import DEFAULT_TRUNC_ORDER, get_trunc_order, trunc_order
 from .corner import (
     CornerSpec,
     ExponentLattice,

@@ -56,12 +56,11 @@ from .reflect import (
     envelope,
     envelope_level,
     extend_eval,
-    lower_bound,
     membership,
     tower,
-    upper_bound,
+    worst,
 )
-from .series import PuiseuxSeries, evaluate as series_evaluate, puiseux_from_terms
+from .series import PuiseuxSeries, dense_coeffs, evaluate as series_evaluate, puiseux_from_terms
 from .surface import LPoint
 
 from . import __version__
@@ -164,18 +163,15 @@ def _parse_germ(obj, loc: str) -> Germ:
     a_phi = _as_real(_need(obj, "a_phi", loc), f"{loc}.a_phi")
     k = _as_int(_need(obj, "k", loc), f"{loc}.k", 0)
     radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius")
-    h_terms = _as_list(obj.get("h_terms", []), f"{loc}.h_terms")
-    coeffs = [0j]
-    for i, term in enumerate(h_terms):
+    terms = []
+    for i, term in enumerate(_as_list(obj.get("h_terms", []), f"{loc}.h_terms")):
         tloc = f"{loc}.h_terms[{i}]"
         deg = _as_int(_need(term, "deg", tloc), f"{tloc}.deg", 1, config.get_trunc_order())
         re = _as_real(_need(term, "re", tloc), f"{tloc}.re")
         im = _as_real(term.get("im", 0.0), f"{tloc}.im")
-        if deg >= len(coeffs):
-            coeffs.extend([0j] * (deg + 1 - len(coeffs)))
-        coeffs[deg] += complex(re, im)
+        terms.append((deg, complex(re, im)))
     with _at(loc, SchemaError):
-        return make_germ(LPoint(a_r, a_phi), k, tuple(coeffs), radius)
+        return make_germ(LPoint(a_r, a_phi), k, dense_coeffs(terms), radius)
 
 
 def _parse_corner(obj, loc: str) -> CornerSpec:
@@ -240,11 +236,6 @@ class Check:
     passed: bool
     observed: float
     tolerance: float
-
-
-def _worst(*errors: float) -> float:
-    """The largest error, or nan when any error is nan: max() would drop it."""
-    return math.nan if any(math.isnan(e) for e in errors) else max(errors)
 
 
 def _check_max(name: str, observed: float, tolerance: float) -> Check:
@@ -317,22 +308,22 @@ def _run_wedge(obj, rng):
 
     ts = np.linspace(grid["r_min"], grid["r_max"], grid["r_n"])
     phis = np.linspace(0.0, tv, grid["phi_n"])
-    b0 = _worst(*(abs(evaluator.u(LPoint(t, 0.0)) - _data_eval(problem.edge0, t)) for t in ts))
-    b1 = _worst(*(abs(evaluator.u(LPoint(t, tv)) - _data_eval(problem.edge1, t)) for t in ts))
+    b0 = worst(*(abs(evaluator.u(LPoint(t, 0.0)) - _data_eval(problem.edge0, t)) for t in ts))
+    b1 = worst(*(abs(evaluator.u(LPoint(t, tv)) - _data_eval(problem.edge1, t)) for t in ts))
 
     worst_lap = 0.0
     for r in np.geomspace(0.5, 1.0, 6):
         for phi in np.linspace(tv * 0.1, tv * 0.9, 6):
             z = LPoint(float(r), float(phi))
             lap = fd_laplacian(evaluator.u, z, 1e-3)
-            worst_lap = _worst(worst_lap, abs(lap) / (1.0 + abs(evaluator.u(z))))
+            worst_lap = worst(worst_lap, abs(lap) / (1.0 + abs(evaluator.u(z))))
 
     worst_re = 0.0
     for r in ts:
         for phi in phis:
             z = LPoint(float(r), float(phi))
             fv = evaluator.f(z)
-            worst_re = _worst(worst_re, abs(evaluator.u(z) - fv.real) / (1.0 + abs(fv)))
+            worst_re = worst(worst_re, abs(evaluator.u(z) - fv.real) / (1.0 + abs(fv)))
 
     has_resonance = any(
         beta > 0 and c != 0 and is_resonant(theta, beta)
@@ -395,9 +386,9 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     d_stable = True
     for st in states:
         scale = 100.0 ** (st.k - 1)
-        drift = _worst(drift, abs(st.s * scale / s1 - 1.0), abs(st.r * scale / r1 - 1.0))
-        angle_err = _worst(angle_err, abs((st.phi.a.phi - alpha) - 2.0 ** (st.k - 1) * theta))
-        mod_err = _worst(mod_err, abs(st.phi.a.r - 1.0))
+        drift = worst(drift, abs(st.s * scale / s1 - 1.0), abs(st.r * scale / r1 - 1.0))
+        angle_err = worst(angle_err, abs((st.phi.a.phi - alpha) - 2.0 ** (st.k - 1) * theta))
+        mod_err = worst(mod_err, abs(st.phi.a.r - 1.0))
         d_stable = d_stable and st.h.d == states[0].h.d
 
     boundary_err = 0.0
@@ -407,10 +398,9 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
             z = apply_germ(st.phi, LPoint(float(t), 0.0))
             fv = extend_eval(states, base, z)
             hv = series_evaluate(st.h, z)
-            boundary_err = _worst(boundary_err, abs(fv.real - hv.real))
+            boundary_err = worst(boundary_err, abs(fv.real - hv.real))
 
-    upper = upper_bound(states[-1])
-    lower = lower_bound(states)
+    lower, upper = states[-1].lower, states[-1].upper
     pad = (upper - lower) * 1e-3
     oracle_err = 0.0
     for _ in range(n_oracle):
@@ -423,7 +413,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
         z = LPoint(rr, ang)
         fv = extend_eval(states, base, z)
         ref = base.f(z)
-        oracle_err = _worst(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
+        oracle_err = worst(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
 
     checks = [
         _check_max(f"radius_recursion{suffix}", drift, 1e-12),
@@ -456,8 +446,7 @@ def _run_reflect(obj, rng):
         for st in states
     ]
     grid = _parse_grid(obj.get("grid"), "$.grid", {"r_n": 6, "phi_n": 7})
-    lower = lower_bound(states)
-    upper = upper_bound(states[-1])
+    lower, upper = states[-1].lower, states[-1].upper
     span = upper - lower
 
     def eval_point(z: LPoint):
@@ -501,8 +490,8 @@ def _run_expansion_compare(obj, rng):
         cert = certify_expansion(states, base, gamma, R)
 
     # C_k and the window ratios are nonnegative, so a leading 0.0 is max()'s default.
-    cascade = _worst(0.0, *(ck / ak for _, ck, ak, _ in cert.step_bounds if ak > 0))
-    worst_window = _worst(0.0, *(row[3] for row in cert.window_rows))
+    cascade = worst(0.0, *(ck / ak for _, ck, ak, _ in cert.step_bounds if ak > 0))
+    worst_window = worst(0.0, *(row[3] for row in cert.window_rows))
     checks = [
         _check_flag("exponent_window", cert.R < cert.S < cert.R_prime),
         _check_max("cascade_bound", cascade, 1.0),
@@ -570,7 +559,7 @@ def _run_poisson(obj, rng):
         raise SchemaError(f"unknown data kind {kind!r}", "$.data.kind")
 
     rows = []
-    worst = 0.0
+    worst_err = 0.0
     for i, p in enumerate(points):
         ploc = f"$.points[{i}]"
         xi = _parse_disc_point(p, ploc)
@@ -578,9 +567,9 @@ def _run_poisson(obj, rng):
             got = poisson_disk(h, xi, nodes)
         want = ref(xi)
         err = abs(got - want)
-        worst = _worst(worst, err)
+        worst_err = worst(worst_err, err)
         rows.append([xi.real, xi.imag, got, want, err])
-    checks = [_check_max(f"poisson_{kind}", worst, tol)]
+    checks = [_check_max(f"poisson_{kind}", worst_err, tol)]
     tables = {"values": (["re_xi", "im_xi", "computed", "reference", "abs_err"], rows)}
     return checks, {"nodes": float(nodes)}, tables
 
@@ -599,8 +588,8 @@ def _run_green(obj, rng):
             got = green_function(solve, y, x)
             swapped = green_function(solve, x, y)
             want = disk_green_reference(y, x)
-        worst_ref = _worst(worst_ref, abs(got - want))
-        worst_sym = _worst(worst_sym, abs(got - swapped))
+        worst_ref = worst(worst_ref, abs(got - want))
+        worst_sym = worst(worst_sym, abs(got - swapped))
         rows.append([x.real, x.imag, got, want, swapped, abs(got - want)])
     checks = [
         _check_max("green_closed_form", worst_ref, 1e-5),

@@ -19,19 +19,14 @@ def get_trunc_order() -> int:
     return _trunc_order
 
 
-def set_trunc_order(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"truncation order must be a positive integer, got {n!r}")
-    global _trunc_order
-    _trunc_order = n
-
-
 @contextmanager
 def trunc_order(n: int):
     """Temporarily run with truncation order n (used by tests and the CLI)."""
-    old = get_trunc_order()
-    set_trunc_order(n)
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"truncation order must be a positive integer, got {n!r}")
+    global _trunc_order
+    old, _trunc_order = _trunc_order, n
     try:
         yield
     finally:
-        set_trunc_order(old)
+        _trunc_order = old

@@ -16,15 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import config
 from .errors import InvalidGerm, NoSupport, OutOfRadius
 from .germs import sampled_h_sup
-from .series import PowerSeries, binom_pow, log1p_series, ps_add, ps_eval
-from .surface import LPoint, cpow, logmap
+from .series import PowerSeries, _nonzero_len, binom_pow, log1p_series, ps_add, ps_eval
+from .surface import LPoint, cpow, logmap, project
 
 Exponent = Fraction | float
 
@@ -40,13 +40,6 @@ def _exp(x) -> Exponent:
     if isinstance(x, float):
         return x
     raise ValueError(f"unsupported exponent type {type(x).__name__}")
-
-
-def _strip(poly: Sequence[complex]) -> tuple:
-    out = [complex(c) for c in poly]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,7 @@ def log_power_series(terms: Iterable[tuple]) -> LogPowerSeries:
         bucket[key] = tuple(cur)
     out = []
     for alpha in sorted(bucket):
-        poly = _strip(bucket[alpha])
+        poly = bucket[alpha][: _nonzero_len(bucket[alpha])]
         if poly:
             out.append((alpha, poly))
     return LogPowerSeries(tuple(out))
@@ -278,7 +271,7 @@ def evaluate_image(img: LogPowerGermImage, z: LPoint) -> complex:
     if z.r >= img.radius:
         raise OutOfRadius(f"|z| = {z.r} is not below the image radius {img.radius}")
     lam = logmap(z)
-    w = complex(z.r * math.cos(z.phi), z.r * math.sin(z.phi))
+    w = project(z)
     total = 0j
     for alpha, series_list in img.terms:
         inner = 0j

@@ -60,8 +60,11 @@ class ReflectionState:
     written as a function of z, and r, s the printed domain radii.  The
     germ radii of phi and its cached inverse may be smaller than r for
     curved corners; they gate evaluation, while r and s drive the
-    covering windows.  The window edges `lower` (lower_bound, the same at
-    every level) and `upper` (upper_bound) are computed once.
+    covering windows.  phi_inv and omega = phi o tau_conj(phi_inv) are
+    derived from phi when the level is built.  The window edges are
+    computed once per level: `lower` is alpha, plus pi/2 when psi is
+    curved (the same on every level), and `upper` is arg a(phi), minus
+    pi/2 when phi is curved.
     """
 
     k: int
@@ -75,8 +78,15 @@ class ReflectionState:
     h0: PuiseuxSeries
     alpha: float
     theta: float
-    lower = cached_property(lambda self: lower_bound((self,)))
-    upper = cached_property(lambda self: upper_bound(self))
+    lower = cached_property(lambda self: self.alpha + (0.0 if is_ray(self.psi) else math.pi / 2))
+    upper = cached_property(lambda self: self.phi.a.phi - (0.0 if is_ray(self.phi) else math.pi / 2))
+
+
+def _level(k, r, s, phi, h, psi, h0, alpha, theta) -> ReflectionState:
+    """The level-k state over the curve phi, with its inverse and omega."""
+    phi_inv = invert(phi)
+    omega = compose(phi, tau_conj(phi_inv))
+    return ReflectionState(k, r, s, phi, h, phi_inv, omega, psi, h0, alpha, theta)
 
 
 def init_state(corner: CornerSpec) -> ReflectionState:
@@ -104,9 +114,7 @@ def init_state(corner: CornerSpec) -> ReflectionState:
     h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, invert(chi))
     r1 = min(psi.radius, chi.radius)
     s1 = min(r1, corner.eps, h0.radius, h1.radius)
-    phi_inv = invert(chi)
-    omega = compose(chi, tau_conj(phi_inv))
-    return ReflectionState(1, r1, s1, chi, h1, phi_inv, omega, psi, h0, alpha, theta)
+    return _level(1, r1, s1, chi, h1, psi, h0, alpha, theta)
 
 
 def step(state: ReflectionState) -> ReflectionState:
@@ -122,21 +130,8 @@ def step(state: ReflectionState) -> ReflectionState:
     reflected = conj_tau(compose_germ(diff, state.omega))
     h_sum = add(scale(-1.0, reflected), state.h)
     h_next = puiseux(h_sum.base.coeffs, state.s / 4.0, h_sum.d)
-    phi_next_inv = invert(phi_next)
-    omega_next = compose(phi_next, tau_conj(phi_next_inv))
-    return ReflectionState(
-        state.k + 1,
-        state.r / 100.0,
-        state.s / 100.0,
-        phi_next,
-        h_next,
-        phi_next_inv,
-        omega_next,
-        state.psi,
-        state.h0,
-        state.alpha,
-        state.theta,
-    )
+    return _level(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, h_next,
+                  state.psi, state.h0, state.alpha, state.theta)
 
 
 def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
@@ -147,17 +142,6 @@ def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
     while len(states) < steps:
         states.append(step(states[-1]))
     return states
-
-
-def lower_bound(states: Sequence[ReflectionState]) -> float:
-    """The lower argument edge shared by all windows: alpha, plus pi/2 when psi is curved."""
-    lead = states[0]
-    return lead.alpha + (0.0 if is_ray(lead.psi) else math.pi / 2)
-
-
-def upper_bound(st: ReflectionState) -> float:
-    """The upper argument edge of a level's window: arg a(phi), minus pi/2 when phi is curved."""
-    return st.phi.a.phi - (0.0 if is_ray(st.phi) else math.pi / 2)
 
 
 def membership(states: Sequence[ReflectionState], z: LPoint) -> int | None:
@@ -325,6 +309,11 @@ class ExtensionCertificate:
 _NOISE_FLOOR = 1e-12
 
 
+def worst(*errors: float) -> float:
+    """The largest error, or nan when any error is nan: max() would drop it."""
+    return math.nan if any(math.isnan(e) for e in errors) else max(errors)
+
+
 def _next_exponent_bound(gamma: LogPowerSeries, R: float) -> float:
     exps = set()
     d = 1
@@ -353,8 +342,7 @@ def _cert_samples(
 ) -> Iterator[tuple[float, float, float]]:
     """Yield (|z|, |f - gamma|, |gamma|) at count angles across window idx
     times the given radii, angle-major; nothing when the window is empty."""
-    lo = lower_bound(states)
-    hi = upper_bound(states[idx])
+    lo, hi = states[idx].lower, states[idx].upper
     if not hi > lo:
         return
     pad = (hi - lo) * 1e-3 + 1e-9
@@ -381,8 +369,10 @@ def certify_expansion(
     |f - gamma| / |z|**R' over the level-k window (minus a fixed
     relative noise floor), A is chosen so C_k <= A**k and so the scale
     t_k = A**(-k / (R' - S)) stays below s_k; the window check then
-    verifies |f - gamma| <= |z|**S for t_{k+1} <= |z| <= t_k.  Raises
-    WindowEmpty when the scales underflow before the last level.
+    verifies |f - gamma| <= |z|**S for t_{k+1} <= |z| <= t_k.  Both
+    folds use worst, so a nan sample makes its C_k nan and fails its
+    window.  Raises WindowEmpty when the scales underflow before the last
+    level.
     """
     bound = _next_exponent_bound(gamma, R)
     if not bound > R:
@@ -393,12 +383,12 @@ def certify_expansion(
     c_values = []
     for idx, st in enumerate(states):
         radii = np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples)
-        worst = 0.0
-        for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii):
-            resid = err - _NOISE_FLOOR * size
-            if resid > 0:
-                worst = max(worst, resid / r ** R_prime)
-        c_values.append(worst)
+        resids = (
+            (r, err - _NOISE_FLOOR * size)
+            for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii)
+        )
+        # a nan residual is not <= 0, so it reaches the fold and C_k is nan
+        c_values.append(worst(0.0, *(e / r ** R_prime for r, e in resids if not e <= 0)))
 
     denom = R_prime - S
     A = 1.0001
@@ -426,10 +416,11 @@ def certify_expansion(
             raise WindowEmpty(
                 f"certificate scales underflow at level {k}: t = {t_hi}"
             )
-        worst_ratio = 0.0
         radii = np.geomspace(lo_r, t_hi, 6)
-        for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii):
-            worst_ratio = max(worst_ratio, err / (r ** S + _NOISE_FLOOR * size))
+        worst_ratio = worst(0.0, *(
+            err / (r ** S + _NOISE_FLOOR * size)
+            for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii)
+        ))
         ok = worst_ratio <= 1.0
         window_rows.append((k, t_hi, t_lo, worst_ratio, ok))
         all_ok = all_ok and ok

@@ -69,10 +69,6 @@ def _nonzero_len(coeffs: Sequence[complex]) -> int:
     return n
 
 
-def power_series(coeffs: Iterable[complex], radius: float) -> PowerSeries:
-    return PowerSeries(tuple(complex(c) for c in coeffs), float(radius))
-
-
 def _radius_pow(radius: float, p: float) -> float:
     """radius**p, except that an effectively infinite radius stays at 1e300."""
     return radius ** p if radius < 1e100 else 1e300
@@ -243,20 +239,24 @@ class PuiseuxSeries:
 
 def puiseux(coeffs: Iterable[complex], radius: float, d: int = 1) -> PuiseuxSeries:
     """Build a Puiseux series from base coefficients (index n means z**(n/d))."""
-    base = PowerSeries(tuple(complex(c) for c in coeffs), _radius_pow(radius, 1.0 / d))
+    base = PowerSeries(tuple(coeffs), _radius_pow(radius, 1.0 / d))
     return PuiseuxSeries(d, base, float(radius))
 
 
-def puiseux_from_terms(terms: Iterable[tuple[int, complex]], radius: float, d: int = 1) -> PuiseuxSeries:
-    """Build from sparse (n, coefficient) pairs, n counted in units of 1/d."""
+def dense_coeffs(terms: Iterable[tuple[int, complex]]) -> list:
+    """Sum sparse (n, coefficient) pairs into coefficients 0..max n (at least one)."""
     terms = list(terms)
-    top = max((n for n, _ in terms), default=0)
-    coeffs = [0j] * (top + 1)
+    coeffs = [0j] * (max((n for n, _ in terms), default=0) + 1)
     for n, c in terms:
         if n < 0:
             raise ValueError("exponents must be nonnegative")
         coeffs[n] += complex(c)
-    return puiseux(coeffs, radius, d)
+    return coeffs
+
+
+def puiseux_from_terms(terms: Iterable[tuple[int, complex]], radius: float, d: int = 1) -> PuiseuxSeries:
+    """Build from sparse (n, coefficient) pairs, n counted in units of 1/d."""
+    return puiseux(dense_coeffs(terms), radius, d)
 
 
 def evaluate(g: PuiseuxSeries, z: LPoint) -> complex:

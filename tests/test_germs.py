@@ -59,6 +59,10 @@ def test_constructor_enforces_h_constraints():
     from logsurf.germs import sampled_h_sup
 
     assert sampled_h_sup(g.h.coeffs, g.radius) <= 0.5
+    # a nan sample certifies no radius
+    assert math.isnan(sampled_h_sup((0.0, math.nan), 1.0))
+    with pytest.raises(ValueError):
+        make_germ(ONE, 1, (0.0, math.nan), 1.0)
 
 
 def test_identity_and_rotation_apply_exactly():

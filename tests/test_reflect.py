@@ -29,6 +29,7 @@ from logsurf import (
     extend_eval,
     identity_germ,
     init_state,
+    is_ray,
     log_power_series,
     make_germ,
     membership,
@@ -42,7 +43,6 @@ from logsurf import (
     truncate,
     wedge_solve,
 )
-from logsurf.reflect import lower_bound, upper_bound
 
 from conftest import apply_germ_composed, bits, ps_eval_loop, surface_dist
 
@@ -219,6 +219,13 @@ def test_membership_curved_side_shrinks_window():
     # the curved first side pushes the lower edge up by pi / 2
     assert membership(states, LPoint(5e-5, 1.2)) is None
     assert membership(states, LPoint(5e-5, 2.0)) == 3
+    # on every level: the lower edge is alpha + pi / 2, and the upper edge
+    # is arg a(phi) for the straight phi_1, arg a(phi) - pi / 2 once curved
+    assert [st.lower for st in states] == [states[0].alpha + math.pi / 2] * 3
+    assert states[0].upper == states[0].phi.a.phi == 1.0
+    for st in states[1:]:
+        assert not is_ray(st.phi)
+        assert st.upper == st.phi.a.phi - math.pi / 2
 
 
 def test_extension_matches_entire_oracle(rng):
@@ -266,9 +273,9 @@ def curved_oracle_tower(order: int):
 
 def _windows(states):
     """The non-empty windows of a tower as (lowest arg, highest arg, level state)."""
-    out, lo = [], lower_bound(states)
+    out, lo = [], states[0].lower
     for st in states:
-        hi = upper_bound(st)
+        hi = st.upper
         if hi > lo:
             out.append((lo, hi, st))
             lo = hi
@@ -293,8 +300,9 @@ def test_curved_extension_matches_entire_oracle(rng, order):
 def _extend_eval_reference(states, base, z):
     """extend_eval with the window edges recomputed per call, the full
     ps_eval loop and apply_germ as products of surface points."""
-    lo = lower_bound(states)
-    level = next((st.k for st in states if lo < z.phi < upper_bound(st) and z.r < st.s), None)
+    lo = states[0].alpha + (0.0 if is_ray(states[0].psi) else math.pi / 2)
+    hi = lambda st: st.phi.a.phi - (0.0 if is_ray(st.phi) else math.pi / 2)
+    level = next((st.k for st in states if lo < z.phi < hi(st) and z.r < st.s), None)
     ev = lambda g, x: ps_eval_loop(g.base.coeffs, cpow(1.0 / g.d, x))
     stack, current = [], z
     while level > 1:
@@ -452,6 +460,23 @@ def test_certificate_zero_data_trivial():
     cert = certify_expansion(tower(corner, 4), ev, truncate(expansion, 2.5), 2.5)
     assert cert.ok
     assert all(ck == 0.0 for _, ck, _, _ in cert.step_bounds)
+
+
+def test_certificate_fails_on_nan_samples():
+    # f is nan below |z| = 1e-5, which the descent through rotations keeps,
+    # so levels 3 and 4 sample nan: their windows must fail, not drop those
+    # samples from the folds with C_k = 0.0
+    states = tower(unit_wedge_corner(), 4)
+    base = unit_wedge_base()
+    _, expansion = wedge_solve(WedgeProblem(IrrationalAngle(1.0), ((1, 1.0),), ()))
+    nan_near_0 = lambda z: complex(math.nan, math.nan) if z.r < 1e-5 else base.f(z)
+    cert = certify_expansion(
+        states, HarmonicEvaluator(base.u, nan_near_0), truncate(expansion, 1.5), 1.5
+    )
+    assert not cert.ok
+    assert [ok for *_, ok in cert.window_rows] == [True, True, False, False]
+    assert [math.isnan(row[3]) for row in cert.window_rows] == [False, False, True, True]
+    assert [math.isnan(ck) for _, ck, _, _ in cert.step_bounds] == [False, False, True, True]
 
 
 def test_certificate_scales_underflow():

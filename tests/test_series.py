@@ -30,7 +30,6 @@ from logsurf.series import (
     log1p_series,
     mul_series,
     param_power,
-    power_series,
     ps_add,
     ps_compose,
     ps_eval,
@@ -253,7 +252,7 @@ def test_compose_germ_is_the_full_loop_bit_for_bit(coeffs, h, d, k, a_r, a_phi, 
 
 
 def test_puiseux_radius_is_capped_by_the_base():
-    base = power_series((0.0, 1.0), 0.5)
+    base = PowerSeries((0.0, 1.0), 0.5)
     with pytest.raises(ValueError):
         # d = 2 forces radius <= 0.25
         from logsurf.series import PuiseuxSeries
