@@ -21,6 +21,7 @@ from .corner import (
     disk_green_reference,
     fd_laplacian,
     green_function,
+    green_pole,
     is_resonant,
     normalize,
     poisson_disk,
@@ -83,6 +84,7 @@ from .reflect import (
     conjugate_evaluator,
     envelope,
     extend_eval,
+    extend_eval_many,
     init_state,
     membership,
     step,

@@ -41,8 +41,8 @@ from .corner import (
     disk_green_reference,
     fd_laplacian,
     green_function,
+    green_pole,
     is_resonant,
-    poisson_disk,
     unit_disk_solver,
     wedge_solve,
 )
@@ -55,7 +55,7 @@ from .reflect import (
     conjugate_evaluator,
     envelope,
     envelope_level,
-    extend_eval,
+    extend_eval_many,
     membership,
     tower,
     worst,
@@ -256,26 +256,27 @@ def _fmt_cell(v) -> str:
     return format(float(v), ".17g")
 
 
-def emit_grid(evaluate_point, r_values, phi_values) -> list:
+def emit_grid(evaluate_points, r_values, phi_values) -> list:
     """Tabulate an evaluator over a rectangular grid, phi-major.
 
-    evaluate_point maps a surface point to (u, f) and may raise a
-    LogSurfError; such points get status 'outside' and empty value
-    cells.
+    evaluate_points maps the list of grid points to an iterable with one
+    (u, f) pair or one exception per point.  A point whose exception is a
+    LogSurfError gets status 'outside' and empty value cells; any other
+    exception is raised when its point is reached.
     """
+    points = [LPoint(float(r), float(phi)) for phi in phi_values for r in r_values]
     rows = []
-    for phi in phi_values:
-        for r in r_values:
-            z = LPoint(float(r), float(phi))
-            try:
-                u, f = evaluate_point(z)
-            except LogSurfError:
-                rows.append([z.r, z.phi, "", "", "", "outside"])
-                continue
-            if f is None:
-                rows.append([z.r, z.phi, u, "", "", "ok"])
-            else:
-                rows.append([z.r, z.phi, u, f.real, f.imag, "ok"])
+    for z, value in zip(points, evaluate_points(points)):
+        if isinstance(value, LogSurfError):
+            rows.append([z.r, z.phi, "", "", "", "outside"])
+            continue
+        if isinstance(value, Exception):
+            raise value
+        u, f = value
+        if f is None:
+            rows.append([z.r, z.phi, u, "", "", "ok"])
+        else:
+            rows.append([z.r, z.phi, u, f.real, f.imag, "ok"])
     return rows
 
 
@@ -340,7 +341,7 @@ def _run_wedge(obj, rng):
         _check_flag("log_dichotomy", dichotomy),
     ]
 
-    grid_rows = emit_grid(lambda z: (evaluator.u(z), evaluator.f(z)), ts, phis)
+    grid_rows = emit_grid(lambda zs: ((evaluator.u(z), evaluator.f(z)) for z in zs), ts, phis)
     exp_rows = []
     for alpha, poly in expansion.terms:
         for m, c in enumerate(poly):
@@ -375,6 +376,20 @@ def _straight_wedge_base(corner: CornerSpec, loc: str):
     return base, expansion
 
 
+def _extend_many(states, base, points: list) -> list:
+    """extend_eval_many at surface points: a value or an exception for each."""
+    return extend_eval_many(states, base, [z.r for z in points], [z.phi for z in points])
+
+
+def _extend_at(states, base, points: list):
+    """extend_eval at each point, from one batch; a failing point raises
+    its exception when it is reached."""
+    for fv in _extend_many(states, base, points):
+        if isinstance(fv, Exception):
+            raise fv
+        yield fv
+
+
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     states = tower(corner, steps)
     s1, r1 = states[0].s, states[0].r
@@ -391,27 +406,28 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
         mod_err = worst(mod_err, abs(st.phi.a.r - 1.0))
         d_stable = d_stable and st.h.d == states[0].h.d
 
-    boundary_err = 0.0
+    edge = []
     for st in states[:-1]:
         t_cap = min(states[st.k].s, st.phi.radius) * 0.5
-        for t in np.geomspace(t_cap * 1e-2, t_cap, 5):
-            z = apply_germ(st.phi, LPoint(float(t), 0.0))
-            fv = extend_eval(states, base, z)
-            hv = series_evaluate(st.h, z)
-            boundary_err = worst(boundary_err, abs(fv.real - hv.real))
+        edge += [(st, apply_germ(st.phi, LPoint(float(t), 0.0)))
+                 for t in np.geomspace(t_cap * 1e-2, t_cap, 5)]
+    boundary_err = 0.0
+    for (st, z), fv in zip(edge, _extend_at(states, base, [z for _, z in edge])):
+        hv = series_evaluate(st.h, z)
+        boundary_err = worst(boundary_err, abs(fv.real - hv.real))
 
     lower, upper = states[-1].lower, states[-1].upper
     pad = (upper - lower) * 1e-3
-    oracle_err = 0.0
+    oracle = []
     for _ in range(n_oracle):
         ang = lower + pad + (upper - lower - 2 * pad) * rng.random()
         lev = membership(states, LPoint(states[-1].s * 0.1, ang))
         if lev is None:
             continue
         s_lev = states[lev - 1].s
-        rr = s_lev * 0.5 * rng.random() + s_lev * 1e-6
-        z = LPoint(rr, ang)
-        fv = extend_eval(states, base, z)
+        oracle.append(LPoint(s_lev * 0.5 * rng.random() + s_lev * 1e-6, ang))
+    oracle_err = 0.0
+    for z, fv in zip(oracle, _extend_at(states, base, oracle)):
         ref = base.f(z)
         oracle_err = worst(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
 
@@ -449,12 +465,12 @@ def _run_reflect(obj, rng):
     lower, upper = states[-1].lower, states[-1].upper
     span = upper - lower
 
-    def eval_point(z: LPoint):
-        fv = extend_eval(states, base, z)
-        return fv.real, fv
+    def eval_points(points: list) -> list:
+        values = _extend_many(states, base, points)
+        return [fv if isinstance(fv, Exception) else (fv.real, fv) for fv in values]
 
     grid_rows = emit_grid(
-        eval_point,
+        eval_points,
         np.geomspace(states[-1].s * 0.3, states[0].s * 0.5, int(grid["r_n"])),
         np.linspace(lower + span * 1e-3, upper - span * 1e-3, int(grid["phi_n"])),
     )
@@ -540,11 +556,9 @@ def _run_poisson(obj, rng):
             a = _as_real(t.get("cos", 0.0), f"{tloc}.cos")
             b = _as_real(t.get("sin", 0.0), f"{tloc}.sin")
             terms.append((n, a, b))
-        h = lambda eta: sum(
-            a * math.cos(n * math.atan2(eta.imag, eta.real))
-            + b * math.sin(n * math.atan2(eta.imag, eta.real))
-            for n, a, b in terms
-        )
+        def h(eta):
+            phi = math.atan2(eta.imag, eta.real)
+            return sum(a * math.cos(n * phi) + b * math.sin(n * phi) for n, a, b in terms)
 
         def ref(xi):
             r = abs(xi)
@@ -558,13 +572,17 @@ def _run_poisson(obj, rng):
     else:
         raise SchemaError(f"unknown data kind {kind!r}", "$.data.kind")
 
+    solve = unit_disk_solver(nodes)
+    u = None
     rows = []
     worst_err = 0.0
     for i, p in enumerate(points):
         ploc = f"$.points[{i}]"
         xi = _parse_disc_point(p, ploc)
         with _at(ploc):
-            got = poisson_disk(h, xi, nodes)
+            if u is None:
+                u = solve(h)
+            got = u(xi)
         want = ref(xi)
         err = abs(got - want)
         worst_err = worst(worst_err, err)
@@ -578,6 +596,7 @@ def _run_green(obj, rng):
     y = _parse_disc_point(_need(obj, "y", "$.y"), "$.y", "the pole")
     nodes = _as_int(obj.get("nodes", 1024), "$.nodes", 16, MAX_COUNT)
     solve = unit_disk_solver(nodes)
+    green_y = None
     rows = []
     worst_ref = 0.0
     worst_sym = 0.0
@@ -585,7 +604,9 @@ def _run_green(obj, rng):
         ploc = f"$.x_list[{i}]"
         x = _parse_disc_point(p, ploc)
         with _at(ploc):
-            got = green_function(solve, y, x)
+            if green_y is None:
+                green_y = green_pole(solve, y)
+            got = green_y(x)
             swapped = green_function(solve, x, y)
             want = disk_green_reference(y, x)
         worst_ref = worst(worst_ref, abs(got - want))

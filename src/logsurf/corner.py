@@ -409,50 +409,75 @@ def wasow_exponents(d: int, alpha: float, n0_over_d, R: float) -> ExponentLattic
 # Poisson integral and Green function on the unit disc
 # ----------------------------------------------------------------------
 
-def poisson_disk(h: Callable[[complex], float], xi: complex, nodes: int = 512) -> float:
-    """The Poisson integral of boundary data h at a point of the open
-    unit disc, by the equispaced trapezoidal rule on the circle."""
+def _disc_point(xi: complex) -> complex:
     xi = complex(xi)
     if abs(xi) >= 1.0:
         raise ValueError(f"the evaluation point must satisfy |xi| < 1, got |xi| = {abs(xi)}")
-    if not (isinstance(nodes, int) and nodes >= 16):
-        raise ValueError(f"need at least 16 boundary nodes, got {nodes!r}")
-    eta = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    weights = (1.0 - abs(xi) ** 2) / np.abs(eta - xi) ** 2
-    vals = np.array([float(h(complex(e))) for e in eta])
-    return float(np.mean(weights * vals))
+    return xi
+
+
+def poisson_disk(h: Callable[[complex], float], xi: complex, nodes: int = 512) -> float:
+    """The Poisson integral of boundary data h at a point of the open
+    unit disc, by the equispaced trapezoidal rule on the circle."""
+    return unit_disk_solver(nodes)(h)(_disc_point(xi))
 
 
 def unit_disk_solver(nodes: int = 512) -> Callable:
-    """A Dirichlet solver for the unit disc: boundary data to evaluator."""
+    """A Dirichlet solver for the unit disc: boundary data to evaluator.
+
+    solve(h) evaluates h at the nodes once; the evaluator it returns
+    forms only the Poisson weights of each point.  poisson_disk is one
+    such solve and one evaluation, and every float, from the nodes and
+    the data values to the weights and their mean, is computed by the
+    same expressions in the same order, so a reused solve and
+    poisson_disk agree bit for bit.
+    """
+    if not (isinstance(nodes, int) and nodes >= 16):
+        raise ValueError(f"need at least 16 boundary nodes, got {nodes!r}")
+    eta = np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
     def solve(h: Callable[[complex], float]) -> Callable[[complex], float]:
-        return lambda x: poisson_disk(h, x, nodes)
+        vals = np.array([float(h(complex(e))) for e in eta])
+
+        def u(xi: complex) -> float:
+            xi = _disc_point(xi)
+            weights = (1.0 - abs(xi) ** 2) / np.abs(eta - xi) ** 2
+            return float(np.mean(weights * vals))
+
+        return u
 
     return solve
 
 
-def green_function(solve: Callable, y: complex, x: complex) -> float:
-    """The Green function G(x, y) = log(1/|x - y|) - u(x), where u solves
-    the Dirichlet problem with boundary data log(1/|t - y|)."""
+def _off_pole(x: complex, y: complex) -> complex:
     x = complex(x)
-    y = complex(y)
-    if x == y:
+    if x == complex(y):
         raise PoleCoincidence("the Green function argument coincides with the pole")
+    return x
 
-    def boundary(t: complex) -> float:
-        return math.log(1.0 / abs(t - y))
 
-    u = solve(boundary)
-    return math.log(1.0 / abs(x - y)) - float(u(x))
+def green_pole(solve: Callable, y: complex) -> Callable[[complex], float]:
+    """x -> G(x, y) = log(1/|x - y|) - u(x), where u solves the Dirichlet
+    problem with boundary data log(1/|t - y|), once for the pole y."""
+    y = complex(y)
+    u = solve(lambda t: math.log(1.0 / abs(t - y)))
+
+    def green(x: complex) -> float:
+        x = _off_pole(x, y)
+        return math.log(1.0 / abs(x - y)) - float(u(x))
+
+    return green
+
+
+def green_function(solve: Callable, y: complex, x: complex) -> float:
+    """The Green function G(x, y) of green_pole, with its own solve."""
+    return green_pole(solve, y)(_off_pole(x, y))
 
 
 def disk_green_reference(y: complex, x: complex) -> float:
     """Closed form of the unit-disc Green function."""
-    x = complex(x)
+    x = _off_pole(x, y)
     y = complex(y)
-    if x == y:
-        raise PoleCoincidence("the Green function argument coincides with the pole")
     return math.log(abs(1.0 - x * y.conjugate()) / abs(x - y))
 
 

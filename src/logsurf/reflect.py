@@ -19,6 +19,7 @@ extension reach every quadratic domain.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .series import (
     compose_germ,
     conj_tau,
     evaluate,
+    ps_eval_many,
     puiseux,
     scale,
     sub,
@@ -60,11 +62,11 @@ class ReflectionState:
     written as a function of z, and r, s the printed domain radii.  The
     germ radii of phi and its cached inverse may be smaller than r for
     curved corners; they gate evaluation, while r and s drive the
-    covering windows.  phi_inv and omega = phi o tau_conj(phi_inv) are
-    derived from phi when the level is built.  The window edges are
-    computed once per level: `lower` is alpha, plus pi/2 when psi is
-    curved (the same on every level), and `upper` is arg a(phi), minus
-    pi/2 when phi is curved.
+    covering windows.  phi_inv = invert(phi) and omega =
+    phi o tau_conj(phi_inv) are computed when the level is built.  The
+    window edges are computed once per level: `lower` is alpha, plus pi/2
+    when psi is curved (the same on every level), and `upper` is
+    arg a(phi), minus pi/2 when phi is curved.
     """
 
     k: int
@@ -82,9 +84,8 @@ class ReflectionState:
     upper = cached_property(lambda self: self.phi.a.phi - (0.0 if is_ray(self.phi) else math.pi / 2))
 
 
-def _level(k, r, s, phi, h, psi, h0, alpha, theta) -> ReflectionState:
-    """The level-k state over the curve phi, with its inverse and omega."""
-    phi_inv = invert(phi)
+def _level(k, r, s, phi, phi_inv, h, psi, h0, alpha, theta) -> ReflectionState:
+    """The level-k state over the curve phi and its inverse, with omega."""
     omega = compose(phi, tau_conj(phi_inv))
     return ReflectionState(k, r, s, phi, h, phi_inv, omega, psi, h0, alpha, theta)
 
@@ -111,10 +112,11 @@ def init_state(corner: CornerSpec) -> ReflectionState:
     if abs((beta - alpha) - theta) > 1e-9:
         raise NotNormalized("the declared opening does not match the tangents")
     h0 = corner.g0 if is_identity(psi) else compose_germ(corner.g0, invert(psi))
-    h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, invert(chi))
+    chi_inv = invert(chi)
+    h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, chi_inv)
     r1 = min(psi.radius, chi.radius)
     s1 = min(r1, corner.eps, h0.radius, h1.radius)
-    return _level(1, r1, s1, chi, h1, psi, h0, alpha, theta)
+    return _level(1, r1, s1, chi, chi_inv, h1, psi, h0, alpha, theta)
 
 
 def step(state: ReflectionState) -> ReflectionState:
@@ -130,8 +132,8 @@ def step(state: ReflectionState) -> ReflectionState:
     reflected = conj_tau(compose_germ(diff, state.omega))
     h_sum = add(scale(-1.0, reflected), state.h)
     h_next = puiseux(h_sum.base.coeffs, state.s / 4.0, h_sum.d)
-    return _level(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, h_next,
-                  state.psi, state.h0, state.alpha, state.theta)
+    return _level(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, invert(phi_next),
+                  h_next, state.psi, state.h0, state.alpha, state.theta)
 
 
 def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
@@ -186,6 +188,125 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     for h, w, znext in reversed(stack):
         value = -(value - evaluate(h, w)).conjugate() + evaluate(h, znext)
     return value
+
+
+def _valid(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Where LPoint(r, phi) would be built rather than raise."""
+    return (0.0 < r) & (r < math.inf) & np.isfinite(phi)
+
+
+def _apply_germ_many(g: Germ, r: np.ndarray, phi: np.ndarray):
+    """apply_germ at valid points: the image (r, phi) and where apply_germ
+    returns it rather than raising.
+
+    Every tower germ has k = 1 (invert accepts no other), so z.r ** k is
+    z.r and k * z.phi is z.phi.  A sum from ps_eval is never -0.0, so
+    1.0 + h keeps the imaginary part of h.  A ray's unit 1 + h is exactly
+    1 + 0j, with abs 1.0 and phase 0.0, so it needs no trig.
+    """
+    if g.h.trimmed:
+        tr, unit_i = ps_eval_many(g.h, r * np.cos(phi), r * np.sin(phi))  # cmath.rect
+        unit_r = 1.0 + tr
+        modulus = np.hypot(unit_r, unit_i)
+        phase = np.array(list(map(math.atan2, unit_i.tolist(), unit_r.tolist())))
+    else:
+        modulus, phase = 1.0, 0.0
+    out_r = g.a.r * (r * modulus)
+    out_phi = g.a.phi + (phi + phase)
+    return out_r, out_phi, (r < g.radius) & _valid(out_r, out_phi)
+
+
+def _evaluate_many(g: PuiseuxSeries, r: np.ndarray, phi: np.ndarray):
+    """evaluate(g, .) at valid points, as split parts, and where it does
+    not raise OutOfRadius.  w = cpow(1 / d, z) is made per point."""
+    alpha, exp, log = 1.0 / g.d, cmath.exp, math.log
+    w = np.array([exp(alpha * complex(log(x), y)) for x, y in zip(r.tolist(), phi.tolist())],
+                 dtype=complex)
+    total_r, total_i = ps_eval_many(g.base, w.real, w.imag)
+    return total_r, total_i, r < g.radius
+
+
+def extend_eval_many(
+    states: Sequence[ReflectionState], base: HarmonicEvaluator, r, phi
+) -> list:
+    """extend_eval at the points (r[i], phi[i]), evaluated together.
+
+    Returns one entry per point: the complex value that
+    extend_eval(states, base, LPoint(r[i], phi[i])) returns, bit for bit,
+    or the exception that the call raises, with its type and message
+    (an invalid point raises from LPoint).
+
+    Membership is a set of array masks.  The descent goes one level at a
+    time, with every point still above that level in one group, and the
+    unwinding climbs back the same way.  On the arrays run only products,
+    sums, differences, comparisons, np.hypot for abs and np.cos, np.sin
+    for cmath.rect, which round as Python's complex arithmetic and math
+    calls do; complex values are kept as separate real and imaginary
+    float64 arrays (see ps_eval_many).  math.log, cmath.exp, math.atan2
+    for the phase, and base.f stay per-point calls.  Each intermediate
+    point gets LPoint's check and each germ application and series
+    evaluation its radius check, as masks.  A point that fails a check,
+    lies in no window or whose base.f raises is run again through
+    extend_eval, which raises its exception.
+    """
+    if base.f is None:
+        raise ValueError("the base evaluator must provide a holomorphic completion")
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    with np.errstate(all="ignore"):
+        # membership's rule, as masks
+        level = np.zeros(len(r), dtype=int)
+        inside = _valid(r, phi) & (phi > states[0].lower)
+        for st in states:
+            level[inside & (level == 0) & (phi < st.upper) & (r < st.s)] = st.k
+        ok = level > 0
+
+        cur_r, cur_phi = r.copy(), phi.copy()
+        path = []
+        for k in range(int(level.max(initial=0)), 1, -1):
+            st = states[k - 2]
+            idx = np.flatnonzero(ok & (level >= k))
+            z_r, z_phi = cur_r[idx], cur_phi[idx]
+            u_r, u_phi, good = _apply_germ_many(st.phi_inv, z_r, z_phi)
+            # tau keeps a valid point valid, so it needs no check of its own
+            w_r, w_phi, good_w = _apply_germ_many(st.phi, u_r, -u_phi)
+            ok[idx[~(good & good_w)]] = False
+            cur_r[idx], cur_phi[idx] = w_r, w_phi
+            path.append((st.h, idx, z_r, z_phi, w_r, w_phi))
+
+        landed = np.flatnonzero(ok)
+        at_base = []
+        for i, x, y in zip(landed.tolist(), cur_r[landed].tolist(), cur_phi[landed].tolist()):
+            try:
+                at_base.append(complex(base.f(LPoint(x, y))))
+            except Exception:
+                ok[i] = False
+                at_base.append(0j)
+        at_base = np.array(at_base, dtype=complex)
+        val_r, val_i = np.zeros(len(r)), np.zeros(len(r))
+        val_r[landed], val_i[landed] = at_base.real, at_base.imag
+
+        # value = -(value - h(w)).conjugate() + h(z), one part at a time
+        for h, idx, z_r, z_phi, w_r, w_phi in reversed(path):
+            keep = ok[idx]
+            idx, m = idx[keep], int(keep.sum())
+            # h at the descended points w, then at the points z
+            both_r = np.concatenate((w_r[keep], z_r[keep]))
+            both_phi = np.concatenate((w_phi[keep], z_phi[keep]))
+            e_r, e_i, good = _evaluate_many(h, both_r, both_phi)
+            val_r[idx] = -(val_r[idx] - e_r[:m]) + e_r[m:]
+            val_i[idx] = (val_i[idx] - e_i[:m]) + e_i[m:]
+            ok[idx[~(good[:m] & good[m:])]] = False
+
+    values = np.empty(len(r), dtype=complex)
+    values.real, values.imag = val_r, val_i
+    out = values.tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            out[i] = extend_eval(states, base, LPoint(float(r[i]), float(phi[i])))
+        except Exception as exc:
+            out[i] = exc
+    return out
 
 
 def conjugate_corner(corner: CornerSpec) -> CornerSpec:
@@ -332,26 +453,48 @@ def _next_exponent_bound(gamma: LogPowerSeries, R: float) -> float:
     return best
 
 
+def _window_points(states, idx: int, count: int, radii: np.ndarray) -> list[tuple[float, float]]:
+    """(|z|, arg z) at count angles across window idx times the given radii,
+    angle-major; none when the window is empty."""
+    lo, hi = states[idx].lower, states[idx].upper
+    if not hi > lo:
+        return []
+    pad = (hi - lo) * 1e-3 + 1e-9
+    angles = np.linspace(lo + pad, hi - pad, count)
+    return [(float(rr), float(ang)) for ang in angles for rr in radii]
+
+
+def _samples(gamma: LogPowerSeries, points, values) -> Iterator[tuple[float, float, float]]:
+    for (rr, ang), f in zip(points, values):
+        z = LPoint(rr, ang)
+        g = lp_evaluate(gamma, z)
+        if isinstance(f, Exception):
+            raise f
+        yield z.r, abs(f - g), abs(g)
+
+
 def _cert_samples(
     states: Sequence[ReflectionState],
     base: HarmonicEvaluator,
     gamma: LogPowerSeries,
-    idx: int,
     count: int,
-    radii: np.ndarray,
-) -> Iterator[tuple[float, float, float]]:
-    """Yield (|z|, |f - gamma|, |gamma|) at count angles across window idx
-    times the given radii, angle-major; nothing when the window is empty."""
-    lo, hi = states[idx].lower, states[idx].upper
-    if not hi > lo:
-        return
-    pad = (hi - lo) * 1e-3 + 1e-9
-    for ang in np.linspace(lo + pad, hi - pad, count):
-        for rr in radii:
-            z = LPoint(float(rr), float(ang))
-            g = lp_evaluate(gamma, z)
-            f = extend_eval(states, base, z)
-            yield z.r, abs(f - g), abs(g)
+    grids: Sequence[tuple[int, np.ndarray]],
+) -> list[Iterator[tuple[float, float, float]]]:
+    """For each (idx, radii) of grids, the samples (|z|, |f - gamma|, |gamma|)
+    of _window_points(states, idx, count, radii).
+
+    f is evaluated at every point of every window in one extend_eval_many
+    call.  Each window's samples are then made lazily, in the order of
+    scalar evaluation, so the first failing sample raises its exception.
+    """
+    points = [_window_points(states, idx, count, radii) for idx, radii in grids]
+    flat = [p for pts in points for p in pts]
+    values = extend_eval_many(states, base, [r for r, _ in flat], [a for _, a in flat])
+    out, start = [], 0
+    for pts in points:
+        out.append(_samples(gamma, pts, values[start : start + len(pts)]))
+        start += len(pts)
+    return out
 
 
 def certify_expansion(
@@ -372,7 +515,10 @@ def certify_expansion(
     verifies |f - gamma| <= |z|**S for t_{k+1} <= |z| <= t_k.  Both
     folds use worst, so a nan sample makes its C_k nan and fails its
     window.  Raises WindowEmpty when the scales underflow before the last
-    level.
+    level.  Each of the two passes evaluates f at all of its samples, over
+    every window, in one extend_eval_many call, so every float is that of
+    sample-by-sample extend_eval, and a failing sample raises the same
+    exception.
     """
     bound = _next_exponent_bound(gamma, R)
     if not bound > R:
@@ -381,12 +527,12 @@ def certify_expansion(
     S = max(0.5 * (R + R_prime), R_prime - 1.0)
 
     c_values = []
-    for idx, st in enumerate(states):
-        radii = np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples)
-        resids = (
-            (r, err - _NOISE_FLOOR * size)
-            for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii)
-        )
+    grids = [
+        (idx, np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples))
+        for idx, st in enumerate(states)
+    ]
+    for samples in _cert_samples(states, base, gamma, angle_samples, grids):
+        resids = ((r, err - _NOISE_FLOOR * size) for r, err, size in samples)
         # a nan residual is not <= 0, so it reaches the fold and C_k is nan
         c_values.append(worst(0.0, *(e / r ** R_prime for r, e in resids if not e <= 0)))
 
@@ -405,25 +551,28 @@ def certify_expansion(
         (k, ck, A ** k, scales[k - 1]) for k, ck in enumerate(c_values, start=1)
     )
 
-    window_rows = []
-    all_ok = True
+    # The windows before the first underflowing scale are sampled, and
+    # their failures raised, before that underflow is.
+    grids, empty = [], None
     for idx, st in enumerate(states):
-        k = st.k
-        t_hi = scales[k - 1]
-        t_lo = scales[k]
+        t_hi, t_lo = scales[st.k - 1], scales[st.k]
         lo_r = max(t_lo, t_hi * 1e-3)
         if t_hi < 1e-300 or t_lo == 0.0 or lo_r ** S == 0.0:
-            raise WindowEmpty(
-                f"certificate scales underflow at level {k}: t = {t_hi}"
-            )
-        radii = np.geomspace(lo_r, t_hi, 6)
+            empty = WindowEmpty(f"certificate scales underflow at level {st.k}: t = {t_hi}")
+            break
+        grids.append((idx, np.geomspace(lo_r, t_hi, 6)))
+    window_rows = []
+    all_ok = True
+    for (idx, _), samples in zip(grids, _cert_samples(states, base, gamma, angle_samples, grids)):
+        k = states[idx].k
         worst_ratio = worst(0.0, *(
-            err / (r ** S + _NOISE_FLOOR * size)
-            for r, err, size in _cert_samples(states, base, gamma, idx, angle_samples, radii)
+            err / (r ** S + _NOISE_FLOOR * size) for r, err, size in samples
         ))
         ok = worst_ratio <= 1.0
-        window_rows.append((k, t_hi, t_lo, worst_ratio, ok))
+        window_rows.append((k, scales[k - 1], scales[k], worst_ratio, ok))
         all_ok = all_ok and ok
+    if empty is not None:
+        raise empty
 
     return ExtensionCertificate(
         float(R), R_prime, S, A, step_bounds, tuple(window_rows), all_ok

@@ -21,11 +21,12 @@ so the floats are those of the full loops.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class PowerSeries:
             raise ValueError("a power series needs at least the constant coefficient")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be a finite positive real, got {self.radius!r}")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        # Callers mostly pass tuples of complex already, which need no copy.
+        if type(self.coeffs) is not tuple or set(map(type, self.coeffs)) != {complex}:
+            object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @property
     def order(self) -> int:
@@ -85,6 +88,30 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
         total += c * term
         term *= w
     return total
+
+
+def ps_eval_many(f: PowerSeries, wr: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ps_eval at the points wr + i*wi, as (real parts, imaginary parts).
+
+    The complex values are kept split in two float64 arrays and run the
+    same ascending loop as ps_eval, with Python's complex product written
+    out, (a + bi)(c + di) = (ac - bd) + (ad + bc)i.  Only elementwise
+    products, sums and differences run on the arrays, and these round as
+    Python's floats do, so every value is the float ps_eval returns, bit
+    for bit, inf and nan included; nothing runs per point.  (numpy's
+    complex128 products do not round that way.)
+    """
+    total_r = np.zeros(len(wr))
+    total_i = np.zeros(len(wr))
+    term_r = np.ones(len(wr))
+    term_i = np.zeros(len(wr))
+    last = len(f.trimmed) - 1
+    for n, c in enumerate(f.trimmed):
+        total_r += c.real * term_r - c.imag * term_i
+        total_i += c.real * term_i + c.imag * term_r
+        if n < last:
+            term_r, term_i = term_r * wr - term_i * wi, term_r * wi + term_i * wr
+    return total_r, total_i
 
 
 def _arr(coeffs: Sequence[complex], length: int) -> np.ndarray:
@@ -131,14 +158,17 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     return tuple(acc.tolist())
 
 
+def _binomials(alpha: float) -> Iterator[complex]:
+    """C(alpha, j) for j = 0, 1, 2, ... by the product recurrence."""
+    b = 1.0 + 0.0j
+    for j in itertools.count():
+        yield b
+        b *= (alpha - j) / (j + 1)
+
+
 def binom_coefficients(alpha: float, count: int) -> np.ndarray:
     """Generalized binomial coefficients C(alpha, j) for j = 0..count-1."""
-    out = np.zeros(count, dtype=complex)
-    b = 1.0 + 0.0j
-    for j in range(count):
-        out[j] = b
-        b *= (alpha - j) / (j + 1)
-    return out
+    return np.array(list(itertools.islice(_binomials(alpha), count)), dtype=complex)
 
 
 def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> tuple:
@@ -146,10 +176,12 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
 
     Converges wherever |h| <= 1/2, the standing smallness bound; at the
     truncated level the expansion is exact polynomial algebra because
-    h**j has valuation >= j.  It is finite for a nonnegative integer alpha.
-    h = 0 returns 1 at once.  Otherwise each power of h is one product
-    with the whole of h as given: cutting its trailing zeros here would
-    change the rounding of those products.
+    h**j has valuation >= j.  It is finite for a nonnegative integer alpha:
+    the binomial coefficients are made one at a time, and the first zero,
+    C(alpha, alpha + 1), ends the sum.  h = 0 returns 1 at once.
+    Otherwise each power of h is one product with the whole of h as
+    given: cutting its trailing zeros here would change the rounding of
+    those products.
     """
     if order is None:
         order = config.get_trunc_order()
@@ -160,13 +192,12 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     acc[0] = 1.0
     if not any(h):
         return tuple(acc.tolist())
-    coeffs = binom_coefficients(alpha, order + 1)
     pw = np.ones(1, dtype=complex)
-    for j in range(1, order + 1):
+    for b in itertools.islice(_binomials(alpha), 1, order + 1):
         pw = np.convolve(pw, h_arr)[: order + 1]
-        if coeffs[j] == 0 or not pw.any():
+        if b == 0 or not pw.any():
             break
-        acc[: len(pw)] += coeffs[j] * pw
+        acc[: len(pw)] += b * pw
     return tuple(acc.tolist())
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsurf import SchemaError, get_trunc_order
+from logsurf import cli
 from logsurf.cli import main, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -171,6 +172,29 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
     err = capsys.readouterr().err
     assert f"error (mutated.json): {loc}: " in err
     assert "Traceback" not in err
+
+
+def test_disc_runners_solve_once_per_data(tmp_path, monkeypatch):
+    # Poisson solves its data once for all points; Green solves the pole y
+    # once and each swapped pole x once
+    solves = []
+    solver = cli.unit_disk_solver
+
+    def counting(nodes):
+        solve = solver(nodes)
+
+        def counted(h):
+            solves.append(nodes)
+            return solve(h)
+
+        return counted
+
+    monkeypatch.setattr(cli, "unit_disk_solver", counting)
+    assert run(SCENARIOS / "poisson_disk.json", tmp_path / "p").passed
+    assert solves == [512]
+    solves.clear()
+    assert run(SCENARIOS / "green_disk.json", tmp_path / "g").passed
+    assert solves == [1024] * 5
 
 
 def _no_allocation(*args, **kwargs):

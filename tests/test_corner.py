@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from logsurf import (
     disk_green_reference,
     fd_laplacian,
     green_function,
+    green_pole,
     identity_germ,
     invert,
     is_identity,
@@ -330,6 +333,38 @@ def test_green_matches_closed_form():
         green_function(solve, y, y)
     with pytest.raises(PoleCoincidence):
         disk_green_reference(y, y)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def test_reused_disc_solve_is_poisson_disk_bit_for_bit():
+    # every point of both shipped disc scenarios, from one solve per data
+    poisson = json.loads((SCENARIOS / "poisson_disk.json").read_text())
+    terms = [(t["n"], t.get("cos", 0.0), t.get("sin", 0.0)) for t in poisson["data"]["terms"]]
+
+    def h(t):
+        a = math.atan2(t.imag, t.real)
+        return sum(c * math.cos(n * a) + s * math.sin(n * a) for n, c, s in terms)
+
+    nodes = poisson["nodes"]
+    u = unit_disk_solver(nodes)(h)
+    for p in poisson["points"]:
+        xi = complex(p["re"], p["im"])
+        assert u(xi).hex() == poisson_disk(h, xi, nodes).hex()
+
+    green = json.loads((SCENARIOS / "green_disk.json").read_text())
+    solve = unit_disk_solver(green["nodes"])
+    y = complex(green["y"]["re"], green["y"]["im"])
+    green_y = green_pole(solve, y)
+    for p in green["x_list"]:
+        x = complex(p["re"], p["im"])
+        for pole, at, got in ((y, x, green_y(x)), (x, y, green_pole(solve, x)(y))):
+            data = lambda t: math.log(1.0 / abs(t - pole))
+            want = math.log(1.0 / abs(at - pole)) - poisson_disk(data, at, green["nodes"])
+            assert got.hex() == want.hex() == green_function(solve, pole, at).hex()
+    with pytest.raises(PoleCoincidence):
+        green_y(y)
 
 
 def test_fd_laplacian_calibration():

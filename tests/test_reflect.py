@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies
 
 from logsurf import (
@@ -27,8 +30,10 @@ from logsurf import (
     envelope,
     evaluate,
     extend_eval,
+    extend_eval_many,
     identity_germ,
     init_state,
+    invert,
     is_ray,
     log_power_series,
     make_germ,
@@ -43,6 +48,8 @@ from logsurf import (
     truncate,
     wedge_solve,
 )
+
+from logsurf import reflect
 
 from conftest import apply_germ_composed, bits, ps_eval_loop, surface_dist
 
@@ -104,6 +111,16 @@ def test_init_state_requires_normal_form():
         init_state(CornerSpec(rotation_germ(1.0), rotation_germ(0.5), IrrationalAngle(0.5), t, z, 1.0))
     with pytest.raises(NotNormalized):
         init_state(CornerSpec(identity_germ(), rotation_germ(1.0), IrrationalAngle(0.9), t, z, 1.0))
+
+
+def test_init_state_inverts_a_curved_chi_once(monkeypatch):
+    chi = make_germ(LPoint(1.0, 1.0), 1, (0.0, 0.1), 1.0)
+    corner = CornerSpec(identity_germ(), chi, IrrationalAngle(1.0), _data_t(), _zero_data(), 1.0)
+    inverted = []
+    monkeypatch.setattr(reflect, "invert", lambda g: inverted.append(g) or invert(g))
+    state = init_state(corner)
+    assert inverted == [chi]
+    assert state.phi_inv == invert(chi)
 
 
 def test_tower_frozen_table():
@@ -329,6 +346,137 @@ def test_curved_extend_eval_is_the_reference_descent_bit_for_bit(window, t_arg, 
     assert bits(extend_eval(states, base, z)) == bits(_extend_eval_reference(states, base, z))
 
 
+def _shrunk_curved_tower():
+    """The curved oracle tower with a germ radius and a data radius cut to
+    half a window radius, so the descent and the unwinding can leave them."""
+    states = list(curved_oracle_tower(16)[0])
+
+    def cut(k, field, level):
+        part = dataclasses.replace(getattr(states[k], field), radius=states[level - 1].s * 0.5)
+        states[k] = dataclasses.replace(states[k], **{field: part})
+
+    cut(1, "phi_inv", 3)
+    cut(3, "phi", 5)
+    cut(2, "h", 4)
+    return states
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_towers():
+    # the Schwarz corner's chi is the identity, whose inverse has arg a = -0.0
+    straight = tower(unit_wedge_corner(), 4), unit_wedge_base()
+    schwarz = tower(schwarz_corner(), 3), schwarz_base()
+    curved = curved_oracle_tower(16)[:2]
+    shrunk = _shrunk_curved_tower(), curved[1]
+    return {"straight": straight, "schwarz": schwarz, "curved": curved, "shrunk": shrunk}
+
+
+def _with_f(base, kind):
+    """base, or base with an f that is nan or raises for |z| < 1e-7."""
+    if kind == "plain":
+        return base
+
+    def f(z):
+        if z.r < 1e-7:
+            if kind == "raises":
+                raise ArithmeticError(f"no value at {z.r}")
+            return complex(math.nan, math.nan)
+        return base.f(z)
+
+    return HarmonicEvaluator(base.u, f)
+
+
+def _point(states, kind, window, variant, t_arg, t_r):
+    """A drawn point: inside a window, on a window edge, outside every
+    window, or not a valid surface point."""
+    wins = _windows(states)
+    lo, hi, st = wins[window % len(wins)]
+    mid = lo + (hi - lo) * t_arg
+    if kind == "inside":
+        return st.s * (1e-3 + (1.0 - 1e-3) * t_r) ** 2, mid
+    if kind == "edge":
+        # the shrunk tower's radii are cut to half a window radius
+        return [(st.s, mid), (st.s * t_r, lo), (st.s * t_r, hi), (st.s * 0.5, mid),
+                (st.s * t_r, 0.0), (st.s * t_r, -0.0)][variant]
+    if kind == "outside":
+        return [(st.s * t_r, states[0].lower - t_arg), (st.s * t_r, wins[-1][1] + t_arg),
+                (st.s * (1.0 + t_r), mid)][variant % 3]
+    return [(0.0, mid), (-st.s, mid), (math.nan, mid), (math.inf, mid), (st.s * t_r, math.nan),
+            (st.s * t_r, -math.inf)][variant]
+
+
+def _outcome(value):
+    """The float hex of a value, or the type and message of an exception."""
+    return (type(value), str(value)) if isinstance(value, Exception) else bits(value)
+
+
+def _scalar_outcome(states, base, r, phi):
+    try:
+        return _outcome(extend_eval(states, base, LPoint(r, phi)))
+    except Exception as exc:
+        return _outcome(exc)
+
+
+_drawn_points = strategies.lists(
+    strategies.tuples(
+        strategies.sampled_from(["inside"] * 4 + ["edge", "outside", "invalid"]),
+        strategies.integers(0, 4),
+        strategies.integers(0, 5),
+        strategies.floats(0.0, 1.0),
+        strategies.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+# every window of the shrunk tower at the cut radius and just past it
+@example(which="shrunk", f_kind="plain",
+         drawn=[(kind, w, 3, 0.5, 0.8) for w in range(5) for kind in ("edge", "inside")])
+# signed zero arguments in every window of the Schwarz tower
+@example(which="schwarz", f_kind="nan",
+         drawn=[("edge", w, v, 0.5, 0.5) for w in range(3) for v in (4, 5)])
+@given(
+    which=strategies.sampled_from(["straight", "schwarz", "curved", "shrunk"]),
+    f_kind=strategies.sampled_from(["plain", "nan", "raises"]),
+    drawn=_drawn_points,
+)
+def test_extend_eval_many_is_the_scalar_extend_eval_bit_for_bit(which, f_kind, drawn):
+    states, base = _batch_towers()[which]
+    base = _with_f(base, f_kind)
+    points = [_point(states, *d) for d in drawn]
+    want = [_scalar_outcome(states, base, r, phi) for r, phi in points]
+    # the batch runs a point through extend_eval again only to raise its
+    # exception, and an invalid point raises from LPoint before that call
+    with mock.patch.object(reflect, "extend_eval", wraps=extend_eval) as rerun:
+        got = extend_eval_many(states, base, [r for r, _ in points], [phi for _, phi in points])
+    assert [_outcome(v) for v in got] == want
+    assert rerun.call_count == sum(
+        isinstance(w[0], type) and 0 < r < math.inf and math.isfinite(phi)
+        for w, (r, phi) in zip(want, points)
+    )
+
+
+def test_extend_eval_many_draws_reach_every_outcome():
+    # near the window radius, points of the shrunk tower leave a germ
+    # radius in the descent (levels 3 and 5) and a data radius in the
+    # unwinding (level 4); at level 6 the base f raises or is nan
+    states, base = _batch_towers()["shrunk"]
+    pts = [(st.s * 0.9, (lo + hi) / 2) for lo, hi, st in _windows(states)]
+    for kind in ("raises", "nan"):
+        with_f = _with_f(base, kind)
+        got = extend_eval_many(states, with_f, [r for r, _ in pts], [phi for _, phi in pts])
+        assert [_outcome(v) for v in got] == [_scalar_outcome(states, with_f, *p) for p in pts]
+        assert [type(v).__name__ for v in got] == [
+            "complex", "OutOfRadius", "OutOfRadius", "OutOfRadius",
+            "ArithmeticError" if kind == "raises" else "complex",
+        ]
+        assert "germ radius" in str(got[1]) and "asserted radius" in str(got[2])
+        assert "germ radius" in str(got[3])
+    assert cmath.isnan(got[4])
+
+
 def test_extension_boundary_data(rng):
     states = tower(unit_wedge_corner(), 3)
     base = unit_wedge_base()
@@ -343,9 +491,9 @@ def test_extension_boundary_data(rng):
     assert worst < 1e-8
 
 
-def test_schwarz_reflection_special_case(rng):
-    # zero data on the real ray: the extension is -conj(f(conj z))
-    corner = CornerSpec(
+def schwarz_corner() -> CornerSpec:
+    # data t on the ray at argument -0.8, zero data on the real ray
+    return CornerSpec(
         rotation_germ(-0.8),
         identity_germ(),
         IrrationalAngle(0.8),
@@ -353,10 +501,18 @@ def test_schwarz_reflection_special_case(rng):
         _zero_data(),
         1.0,
     )
+
+
+def schwarz_base() -> HarmonicEvaluator:
     ev, _ = wedge_solve(WedgeProblem(IrrationalAngle(0.8), ((1, 1.0),), ()))
     rot = lambda z: LPoint(z.r, z.phi + 0.8)
-    base = HarmonicEvaluator(lambda z: ev.u(rot(z)), lambda z: ev.f(rot(z)))
-    states = tower(corner, 2)
+    return HarmonicEvaluator(lambda z: ev.u(rot(z)), lambda z: ev.f(rot(z)))
+
+
+def test_schwarz_reflection_special_case(rng):
+    # zero data on the real ray: the extension is -conj(f(conj z))
+    base = schwarz_base()
+    states = tower(schwarz_corner(), 2)
     worst = 0.0
     for _ in range(100):
         z = LPoint(1e-6 + 0.004 * rng.random(), 0.01 + 0.78 * rng.random())

@@ -17,6 +17,7 @@ from conftest import (
     ps_eval_loop,
     reversion_full,
 )
+from logsurf import series
 from logsurf import Germ, LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
 from logsurf.series import (
     PowerSeries,
@@ -33,6 +34,7 @@ from logsurf.series import (
     ps_add,
     ps_compose,
     ps_eval,
+    ps_eval_many,
     ps_mul,
     ps_scale,
     puiseux,
@@ -168,6 +170,53 @@ def test_ps_eval_is_the_full_loop_bit_for_bit(head, tail, w):
     ref = ps_eval_loop(f.coeffs, w)
     if cmath.isfinite(ref):
         assert bits(ps_eval(f, w)) == bits(ref)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    head=st.lists(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+        | SIGNED_ZEROS,
+        max_size=24,
+    ),
+    tail=st.lists(SIGNED_ZEROS, max_size=24),
+    ws=st.lists(
+        st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False)
+        | SIGNED_ZEROS,
+        max_size=12,
+    ),
+)
+def test_ps_eval_many_is_ps_eval_bit_for_bit(head, tail, ws):
+    f = PowerSeries(tuple(head + tail or [0j]), 1.0)
+    with np.errstate(all="ignore"):
+        re, im = ps_eval_many(f, np.array([w.real for w in ws]), np.array([w.imag for w in ws]))
+    # overflow to inf and nan included: the split sums round as the complex ones
+    got = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
+    assert bits(*got) == bits(*(ps_eval(f, w) for w in ws))
+
+
+def test_power_series_keeps_a_tuple_of_complex():
+    coeffs = (1 + 0j, complex(-0.0, 2.0))
+    assert PowerSeries(coeffs, 1.0).coeffs is coeffs
+    # anything else is converted: lists, floats, numpy's complex subclass
+    for given_coeffs in ([1 + 0j, 2j], (1.0, 2j), (np.complex128(1 + 0j), 2j)):
+        got = PowerSeries(given_coeffs, 1.0).coeffs
+        assert type(got) is tuple and [type(c) for c in got] == [complex, complex]
+        assert got == (1 + 0j, 2j)
+
+
+def test_binom_pow_integer_exponent_stops_at_the_first_zero_coefficient(monkeypatch):
+    made = []
+    binomials = series._binomials
+
+    def counting(alpha):
+        for b in binomials(alpha):
+            made.append(b)
+            yield b
+
+    monkeypatch.setattr(series, "_binomials", counting)
+    binom_pow((0j, 0.5, 0.25), 2.0, order=64)
+    assert made == [1, 2, 1, 0]
 
 
 def _dense_head(seed: int, size: int) -> list:
