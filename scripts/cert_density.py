@@ -1,0 +1,72 @@
+"""Time certify_expansion against its sample density, on one scenario's corner.
+
+The corner, the tower and gamma come from ``<root>/scenarios/expansion_sanity.json``
+(or ``--scenario``), built as ``logsurf run`` builds them: the closed-form
+wedge base, its expansion truncated at R, and the file's number of levels,
+at the file's truncation order.  For each (angle_samples, radial_samples)
+the script times ``certify_expansion`` and prints one row: the samples of
+the first pass (windows x angles x radii) and of the second (windows x
+angles x 6, fewer when the scales underflow), the median and quartiles
+of the time over ``--repeats`` runs after one warm-up, and whether the
+certificate's windows passed.  The logsurf package is imported from ``<root>/src``, so two trees are timed
+with one copy of this script:
+
+    python scripts/cert_density.py --root base
+    python scripts/cert_density.py
+
+It is a measurement, not a test, and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+DENSITIES = ((5, 8), (10, 16), (16, 25))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="source tree holding src/logsurf and scenarios/ (default: this checkout)",
+    )
+    parser.add_argument("--scenario", default="expansion_sanity.json",
+                        help="an expansion_compare file under <root>/scenarios")
+    parser.add_argument("--repeats", type=int, default=21, help="timed runs per density")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    from logsurf import certify_expansion, cli, config, tower, truncate
+
+    obj = json.loads((root / "scenarios" / args.scenario).read_text())
+    order = obj.get("trunc_order", config.get_trunc_order())
+    with config.trunc_order(order):
+        corner = cli._parse_corner(obj["corner"], "$.corner")
+        base, expansion = cli._straight_wedge_base(corner, "$.corner")
+        gamma = truncate(expansion, obj["R"])
+        states = tower(corner, obj.get("steps", 5))
+        windows = sum(st.upper > st.lower for st in states)
+        print(f"{args.scenario}: {len(states)} levels, order {order}, tree {root}")
+        print(f"{'angles':>6} {'radii':>5} {'pass 1':>6} {'pass 2':>6} "
+              f"{'median ms':>9} {'q1 ms':>7} {'q3 ms':>7}  ok")
+        for angles, radii in DENSITIES:
+            times = []
+            for _ in range(args.repeats + 1):
+                start = time.perf_counter()
+                cert = certify_expansion(states, base, gamma, obj["R"], angles, radii)
+                times.append((time.perf_counter() - start) * 1e3)
+            q1, median, q3 = statistics.quantiles(times[1:], n=4)
+            print(f"{angles:6d} {radii:5d} {windows * angles * radii:6d} "
+                  f"{windows * angles * 6:6d} {median:9.2f} {q1:7.2f} {q3:7.2f}  {cert.ok}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -110,6 +110,7 @@ from .surface import (
     LPoint,
     QuadraticDomain,
     cpow,
+    cpow_many,
     from_complex,
     logmap,
     mul,

@@ -38,6 +38,7 @@ from .corner import (
     RationalPi,
     WedgeProblem,
     angle_value,
+    completion_many,
     disk_green_reference,
     fd_laplacian,
     green_function,
@@ -51,6 +52,7 @@ from .germs import Germ, apply_germ, is_ray, make_germ
 from .logpower import is_log_free, log_power_series, truncate
 from .reflect import (
     certify_expansion,
+    complex_list,
     conjugate_corner,
     conjugate_evaluator,
     envelope,
@@ -355,7 +357,10 @@ def _run_wedge(obj, rng):
 
 
 def _straight_wedge_base(corner: CornerSpec, loc: str):
-    """Closed-form base solution for a corner whose curves are rays."""
+    """Closed-form base solution for a corner whose curves are rays.
+
+    A first ray at argument alpha != 0 rotates the wedge solution,
+    phi -> phi - alpha, and its batch completion with it."""
     if not (is_ray(corner.psi) and is_ray(corner.chi)):
         raise ScenarioError(
             "closed-form bases exist only for straight boundary rays", loc
@@ -372,7 +377,8 @@ def _straight_wedge_base(corner: CornerSpec, loc: str):
     if alpha == 0.0:
         return evaluator, expansion
     rot = lambda z: LPoint(z.r, z.phi - alpha)
-    base = HarmonicEvaluator(lambda z: evaluator.u(rot(z)), lambda z: evaluator.f(rot(z)))
+    base = HarmonicEvaluator(lambda z: evaluator.u(rot(z)), lambda z: evaluator.f(rot(z)),
+                             lambda r, phi: evaluator.f_many(r, phi - alpha))
     return base, expansion
 
 
@@ -388,6 +394,15 @@ def _extend_at(states, base, points: list):
         if isinstance(fv, Exception):
             raise fv
         yield fv
+
+
+def _base_at(base, points: list):
+    """base.f at each point, from one batch completion; a point the batch
+    leaves to base.f is evaluated, or raises, when it is reached."""
+    re, im, ok = completion_many(base, np.array([z.r for z in points], dtype=float),
+                                 np.array([z.phi for z in points], dtype=float))
+    for z, value, good in zip(points, complex_list(re, im), ok.tolist()):
+        yield value if good else base.f(z)
 
 
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
@@ -427,8 +442,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
         s_lev = states[lev - 1].s
         oracle.append(LPoint(s_lev * 0.5 * rng.random() + s_lev * 1e-6, ang))
     oracle_err = 0.0
-    for z, fv in zip(oracle, _extend_at(states, base, oracle)):
-        ref = base.f(z)
+    for fv, ref in zip(_extend_at(states, base, oracle), _base_at(base, oracle)):
         oracle_err = worst(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
 
     checks = [

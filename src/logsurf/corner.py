@@ -31,7 +31,8 @@ from .errors import (
     UndecidableAngle,
 )
 from .germs import Germ, apply_germ, compose, identity_germ, invert, is_identity, power_germ, root_pullback
-from .logpower import LogPowerSeries, log_power_series
+from .logpower import LogPowerSeries, evaluate_many, log_power_series
+from .logpower import evaluate as lp_evaluate
 from .series import PuiseuxSeries, param_power
 from .surface import LPoint, nudge, power
 
@@ -168,12 +169,39 @@ class HarmonicEvaluator:
     """A harmonic function u on a sector and its holomorphic completion f.
 
     u maps surface points to reals; f, when present, maps surface points
-    to complex values with Re f = u.  The pair is all an evaluator
+    to complex values with Re f = u.  f_many, when present, is f at many
+    points at once: it maps float64 arrays r, phi to (re, im, ok), where
+    re[i] + i*im[i] is complex(f(LPoint(r[i], phi[i]))) bit for bit
+    wherever ok[i] is True, and ok[i] is False wherever that call would
+    raise (or the batch leaves the point to f).  Evaluators without it
+    are called per point; see completion_many.  That is all an evaluator
     carries: the sector and the data it solves live with the caller.
     """
 
     u: Callable[[LPoint], float]
     f: Callable[[LPoint], complex] | None = None
+    f_many: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+
+
+def completion_many(base: HarmonicEvaluator, r: np.ndarray, phi: np.ndarray) -> tuple:
+    """base.f at the points (r[i], phi[i]), as (re, im, ok) of f_many.
+
+    One call of base.f_many when the evaluator has it; otherwise
+    complex(base.f(LPoint(r[i], phi[i]))) per point, with ok False where
+    that raises.
+    """
+    if base.f_many is not None:
+        return base.f_many(r, phi)
+    values, ok = [], []
+    for x, y in zip(r.tolist(), phi.tolist()):
+        try:
+            values.append(complex(base.f(LPoint(x, y))))
+            ok.append(True)
+        except Exception:
+            values.append(0j)
+            ok.append(False)
+    values = np.array(values, dtype=complex)
+    return values.real, values.imag, np.array(ok, dtype=bool)
 
 
 def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSeries]:
@@ -184,7 +212,8 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
     term.  Returns the evaluator (trigonometric closed forms for u, the
     expansion itself for f) and the holomorphic completion as a finite
     log-power series.  The completion is normalized to contain no
-    homogeneous solution of the zero-data problem.
+    homogeneous solution of the zero-data problem.  The evaluator's
+    f_many is logpower.evaluate_many on the same expansion.
     """
     theta = angle_value(problem.theta)
     pieces = []
@@ -241,12 +270,13 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
                 )
         return total
 
-    from .logpower import evaluate as lp_evaluate
-
     def f_of(z: LPoint) -> complex:
         return lp_evaluate(expansion, z)
 
-    return HarmonicEvaluator(u_of, f_of), expansion
+    def f_many(r: np.ndarray, phi: np.ndarray) -> tuple:
+        return evaluate_many(expansion, r, phi)
+
+    return HarmonicEvaluator(u_of, f_of, f_many), expansion
 
 
 # ----------------------------------------------------------------------
@@ -425,19 +455,21 @@ def poisson_disk(h: Callable[[complex], float], xi: complex, nodes: int = 512) -
 def unit_disk_solver(nodes: int = 512) -> Callable:
     """A Dirichlet solver for the unit disc: boundary data to evaluator.
 
-    solve(h) evaluates h at the nodes once; the evaluator it returns
-    forms only the Poisson weights of each point.  poisson_disk is one
-    such solve and one evaluation, and every float, from the nodes and
-    the data values to the weights and their mean, is computed by the
+    solve(h) evaluates h at the nodes once, passing each node as a
+    Python complex from one list made with the nodes; the evaluator it
+    returns forms only the Poisson weights of each point.  poisson_disk
+    is one such solve and one evaluation, and every float, from the nodes
+    and the data values to the weights and their mean, is computed by the
     same expressions in the same order, so a reused solve and
     poisson_disk agree bit for bit.
     """
     if not (isinstance(nodes, int) and nodes >= 16):
         raise ValueError(f"need at least 16 boundary nodes, got {nodes!r}")
     eta = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    eta_list = eta.tolist()
 
     def solve(h: Callable[[complex], float]) -> Callable[[complex], float]:
-        vals = np.array([float(h(complex(e))) for e in eta])
+        vals = np.array([float(h(e)) for e in eta_list])
 
         def u(xi: complex) -> float:
             xi = _disc_point(xi)

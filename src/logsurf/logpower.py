@@ -6,16 +6,20 @@ exact rationals (fractions.Fraction) when declared rational and floats
 otherwise; the two kinds compare and merge exactly, since ints and
 floats are exact rationals.
 
-The module provides ring operations, truncation by exponent cutoff, the
-two composition rules (with power maps and with germs), and the sampled
-coefficient-bound certificate for the germ rule.
+The module provides evaluation at one surface point (evaluate) or at
+many, as float64 arrays with the same floats (evaluate_many), ring
+operations, truncation by exponent cutoff, the two composition rules
+(with power maps and with germs), and the sampled coefficient-bound
+certificate for the germ rule.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -24,7 +28,7 @@ from . import config
 from .errors import InvalidGerm, NoSupport, OutOfRadius
 from .germs import sampled_h_sup
 from .series import PowerSeries, _nonzero_len, binom_pow, log1p_series, ps_add, ps_eval
-from .surface import LPoint, cpow, logmap, project
+from .surface import LPoint, cpow, cpow_many, log_many, logmap, project, valid_many
 
 Exponent = Fraction | float
 
@@ -58,6 +62,11 @@ class LogPowerSeries:
         if any(not (a < b) for a, b in zip(exps, exps[1:])):
             raise ValueError("exponents must be strictly increasing")
 
+    @cached_property
+    def float_exponents(self) -> tuple:
+        """float(alpha) for each term, converted once per series."""
+        return tuple(float(alpha) for alpha, _ in self.terms)
+
 
 def log_power_series(terms: Iterable[tuple]) -> LogPowerSeries:
     """Build from (alpha, poly) pairs; merges equal exponents, drops zeros."""
@@ -89,15 +98,50 @@ def monomial(alpha, log_degree: int = 0, coeff: complex = 1.0) -> LogPowerSeries
 
 
 def evaluate(g: LogPowerSeries, z: LPoint) -> complex:
-    """Evaluate at a surface point; finite sums are entire on the surface."""
+    """Evaluate at a surface point; finite sums are entire on the surface.
+
+    Each term is P(lambda) * cpow(alpha, z) with lambda = logmap(z),
+    which is taken once: cpow(alpha, z) is exp(alpha * lambda), or 1 for
+    alpha = 0.
+    """
     lam = logmap(z)
     total = 0j
-    for alpha, poly in g.terms:
+    for alpha, (_, poly) in zip(g.float_exponents, g.terms):
         pv = 0j
         for c in reversed(poly):
             pv = pv * lam + c
-        total += pv * cpow(float(alpha), z)
+        total += pv * (cmath.exp(alpha * lam) if alpha != 0 else 1.0 + 0.0j)
     return total
+
+
+def evaluate_many(g: LogPowerSeries, r, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """evaluate(g, LPoint(r[i], phi[i])) at many points, as (re, im, ok).
+
+    Where ok is True, re[i] + i*im[i] is the complex evaluate returns, bit
+    for bit; where it is False (an invalid point, or a power cpow_many
+    leaves to cpow), run the point through evaluate, which gives its value
+    or raises.  math.log runs once per point.  Each lambda-polynomial runs
+    evaluate's Horner loop on split real and imaginary float64 arrays,
+    with Python's complex product written out as in ps_eval_many, and
+    each term takes one cpow_many.
+    """
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    ok = valid_many(r, phi)
+    total_r, total_i = np.zeros(len(r)), np.zeros(len(r))
+    with np.errstate(all="ignore"):
+        log_r = log_many(r, ok)
+        for alpha, (_, poly) in zip(g.float_exponents, g.terms):
+            pv_r, pv_i = np.zeros(len(r)), np.zeros(len(r))
+            for c in reversed(poly):
+                c = complex(c)
+                pv_r, pv_i = (pv_r * log_r - pv_i * phi + c.real,
+                              pv_r * phi + pv_i * log_r + c.imag)
+            p_r, p_i, p_ok = cpow_many(alpha, r, phi, log_r)
+            total_r = total_r + (pv_r * p_r - pv_i * p_i)
+            total_i = total_i + (pv_r * p_i + pv_i * p_r)
+            ok &= p_ok
+    return total_r, total_i, ok
 
 
 def nu(g: LogPowerSeries) -> Exponent:

@@ -19,7 +19,6 @@ extension reach every quadratic domain.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corner import CornerSpec, HarmonicEvaluator, angle_value
+from .corner import CornerSpec, HarmonicEvaluator, angle_value, completion_many
 from .errors import (
     InsufficientSteps,
     NotNormalized,
@@ -39,6 +38,7 @@ from .errors import (
 from .germs import Germ, apply_germ, compose, invert, is_identity, is_ray, tau_conj
 from .logpower import LogPowerSeries
 from .logpower import evaluate as lp_evaluate
+from .logpower import evaluate_many as lp_evaluate_many
 from .logpower import support
 from .series import (
     PuiseuxSeries,
@@ -51,7 +51,7 @@ from .series import (
     scale,
     sub,
 )
-from .surface import LPoint, QuadraticDomain, tau
+from .surface import LPoint, QuadraticDomain, cpow_many, tau, valid_many
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,6 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     return value
 
 
-def _valid(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Where LPoint(r, phi) would be built rather than raise."""
-    return (0.0 < r) & (r < math.inf) & np.isfinite(phi)
-
-
 def _apply_germ_many(g: Germ, r: np.ndarray, phi: np.ndarray):
     """apply_germ at valid points: the image (r, phi) and where apply_germ
     returns it rather than raising.
@@ -213,17 +208,16 @@ def _apply_germ_many(g: Germ, r: np.ndarray, phi: np.ndarray):
         modulus, phase = 1.0, 0.0
     out_r = g.a.r * (r * modulus)
     out_phi = g.a.phi + (phi + phase)
-    return out_r, out_phi, (r < g.radius) & _valid(out_r, out_phi)
+    return out_r, out_phi, (r < g.radius) & valid_many(out_r, out_phi)
 
 
 def _evaluate_many(g: PuiseuxSeries, r: np.ndarray, phi: np.ndarray):
-    """evaluate(g, .) at valid points, as split parts, and where it does
-    not raise OutOfRadius.  w = cpow(1 / d, z) is made per point."""
-    alpha, exp, log = 1.0 / g.d, cmath.exp, math.log
-    w = np.array([exp(alpha * complex(log(x), y)) for x, y in zip(r.tolist(), phi.tolist())],
-                 dtype=complex)
-    total_r, total_i = ps_eval_many(g.base, w.real, w.imag)
-    return total_r, total_i, r < g.radius
+    """evaluate(g, .) at valid points, as split parts, and where they are
+    its floats: where it does not raise OutOfRadius and cpow_many gives
+    w = cpow(1 / d, z)."""
+    w_r, w_i, ok = cpow_many(1.0 / g.d, r, phi)
+    total_r, total_i = ps_eval_many(g.base, w_r, w_i)
+    return total_r, total_i, ok & (r < g.radius)
 
 
 def extend_eval_many(
@@ -242,12 +236,17 @@ def extend_eval_many(
     sums, differences, comparisons, np.hypot for abs and np.cos, np.sin
     for cmath.rect, which round as Python's complex arithmetic and math
     calls do; complex values are kept as separate real and imaginary
-    float64 arrays (see ps_eval_many).  math.log, cmath.exp, math.atan2
-    for the phase, and base.f stay per-point calls.  Each intermediate
+    float64 arrays (see ps_eval_many).  math.log and math.exp (in
+    cpow_many) and math.atan2 for the phase run per element.  The base
+    completion is one completion_many call for all landed points: one
+    base.f_many call when the evaluator has it (a wedge_solve evaluator,
+    and its conjugate or rotation, evaluate their expansion with
+    logpower.evaluate_many), else base.f per point.  Each intermediate
     point gets LPoint's check and each germ application and series
     evaluation its radius check, as masks.  A point that fails a check,
-    lies in no window or whose base.f raises is run again through
-    extend_eval, which raises its exception.
+    lies in no window, or whose base completion or power the batch cannot
+    give is run again through extend_eval, which gives its value or
+    raises its exception.
     """
     if base.f is None:
         raise ValueError("the base evaluator must provide a holomorphic completion")
@@ -256,7 +255,7 @@ def extend_eval_many(
     with np.errstate(all="ignore"):
         # membership's rule, as masks
         level = np.zeros(len(r), dtype=int)
-        inside = _valid(r, phi) & (phi > states[0].lower)
+        inside = valid_many(r, phi) & (phi > states[0].lower)
         for st in states:
             level[inside & (level == 0) & (phi < st.upper) & (r < st.s)] = st.k
         ok = level > 0
@@ -275,16 +274,9 @@ def extend_eval_many(
             path.append((st.h, idx, z_r, z_phi, w_r, w_phi))
 
         landed = np.flatnonzero(ok)
-        at_base = []
-        for i, x, y in zip(landed.tolist(), cur_r[landed].tolist(), cur_phi[landed].tolist()):
-            try:
-                at_base.append(complex(base.f(LPoint(x, y))))
-            except Exception:
-                ok[i] = False
-                at_base.append(0j)
-        at_base = np.array(at_base, dtype=complex)
         val_r, val_i = np.zeros(len(r)), np.zeros(len(r))
-        val_r[landed], val_i[landed] = at_base.real, at_base.imag
+        val_r[landed], val_i[landed], good = completion_many(base, cur_r[landed], cur_phi[landed])
+        ok[landed[~good]] = False
 
         # value = -(value - h(w)).conjugate() + h(z), one part at a time
         for h, idx, z_r, z_phi, w_r, w_phi in reversed(path):
@@ -298,9 +290,7 @@ def extend_eval_many(
             val_i[idx] = (val_i[idx] - e_i[:m]) + e_i[m:]
             ok[idx[~(good[:m] & good[m:])]] = False
 
-    values = np.empty(len(r), dtype=complex)
-    values.real, values.imag = val_r, val_i
-    out = values.tolist()
+    out = complex_list(val_r, val_i)
     for i in np.flatnonzero(~ok).tolist():
         try:
             out[i] = extend_eval(states, base, LPoint(float(r[i]), float(phi[i])))
@@ -322,13 +312,28 @@ def conjugate_corner(corner: CornerSpec) -> CornerSpec:
     )
 
 
+def complex_list(re: np.ndarray, im: np.ndarray) -> list:
+    """The Python complex numbers re[i] + i*im[i]."""
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values.tolist()
+
+
 def conjugate_evaluator(base: HarmonicEvaluator) -> HarmonicEvaluator:
-    """Transport an evaluator through tau: u -> u o tau, f -> conj(f o tau)."""
+    """Transport an evaluator through tau: u -> u o tau, f -> conj(f o tau).
+
+    A batch completion is carried the same way, phi -> -phi and the
+    imaginary part negated; both maps are exact.
+    """
     u = lambda z: base.u(tau(z))
-    f = None
+    f = f_many = None
     if base.f is not None:
         f = lambda z: complex(base.f(tau(z))).conjugate()
-    return HarmonicEvaluator(u, f)
+    if base.f_many is not None:
+        def f_many(r, phi):
+            re, im, ok = base.f_many(r, -phi)
+            return re, -im, ok
+    return HarmonicEvaluator(u, f, f_many)
 
 
 # ----------------------------------------------------------------------
@@ -464,13 +469,15 @@ def _window_points(states, idx: int, count: int, radii: np.ndarray) -> list[tupl
     return [(float(rr), float(ang)) for ang in angles for rr in radii]
 
 
-def _samples(gamma: LogPowerSeries, points, values) -> Iterator[tuple[float, float, float]]:
-    for (rr, ang), f in zip(points, values):
-        z = LPoint(rr, ang)
-        g = lp_evaluate(gamma, z)
+def _samples(gamma: LogPowerSeries, points, values, gammas) -> Iterator[tuple[float, float, float]]:
+    """(|z|, |f - gamma|, |gamma|) per point; a gamma of None is evaluated
+    here, so an invalid point or a failing gamma raises before f does."""
+    for (rr, ang), f, g in zip(points, values, gammas):
+        if g is None:
+            g = lp_evaluate(gamma, LPoint(rr, ang))
         if isinstance(f, Exception):
             raise f
-        yield z.r, abs(f - g), abs(g)
+        yield rr, abs(f - g), abs(g)
 
 
 def _cert_samples(
@@ -484,16 +491,22 @@ def _cert_samples(
     of _window_points(states, idx, count, radii).
 
     f is evaluated at every point of every window in one extend_eval_many
-    call.  Each window's samples are then made lazily, in the order of
-    scalar evaluation, so the first failing sample raises its exception.
+    call, and gamma in one evaluate_many call; a point whose gamma the
+    batch leaves to evaluate is evaluated when its sample is made.  Each
+    window's samples are made lazily, in the order of scalar evaluation,
+    so the first failing sample raises its exception.
     """
     points = [_window_points(states, idx, count, radii) for idx, radii in grids]
     flat = [p for pts in points for p in pts]
-    values = extend_eval_many(states, base, [r for r, _ in flat], [a for _, a in flat])
+    r, phi = [r for r, _ in flat], [a for _, a in flat]
+    values = extend_eval_many(states, base, r, phi)
+    g_r, g_i, g_ok = lp_evaluate_many(gamma, r, phi)
+    gammas = [g if good else None for g, good in zip(complex_list(g_r, g_i), g_ok.tolist())]
     out, start = [], 0
     for pts in points:
-        out.append(_samples(gamma, pts, values[start : start + len(pts)]))
-        start += len(pts)
+        stop = start + len(pts)
+        out.append(_samples(gamma, pts, values[start:stop], gammas[start:stop]))
+        start = stop
     return out
 
 
@@ -516,8 +529,9 @@ def certify_expansion(
     folds use worst, so a nan sample makes its C_k nan and fails its
     window.  Raises WindowEmpty when the scales underflow before the last
     level.  Each of the two passes evaluates f at all of its samples, over
-    every window, in one extend_eval_many call, so every float is that of
-    sample-by-sample extend_eval, and a failing sample raises the same
+    every window, in one extend_eval_many call, and gamma in one
+    logpower.evaluate_many call, so every float is that of sample-by-sample
+    extend_eval and evaluate, and a failing sample raises the same
     exception.
     """
     bound = _next_exponent_bound(gamma, R)

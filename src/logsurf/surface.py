@@ -11,6 +11,9 @@ immutable values.
 (-2+...j)
 >>> project(z)              # projection collapses sheets
 (4-...j)
+
+cpow_many takes the same powers at many points at once, as float64
+arrays, with the floats cpow gives.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,55 @@ def cpow(alpha: float, z: LPoint) -> complex:
     if alpha == 0:
         return 1.0 + 0.0j
     return cmath.exp(alpha * logmap(z))
+
+
+# For real exponents x up to this, cmath.exp takes its plain branch,
+# exp(x) * (cos y + i sin y), and its result is finite; its
+# large-argument branch starts at log(DBL_MAX / 4), about 708.4.
+_PLAIN_EXP_MAX = 700.0
+
+
+def cpow_many(alpha: float, r, phi, log_r=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cpow(alpha, LPoint(r[i], phi[i])) at many points, as (re, im, ok).
+
+    Where ok is True, re[i] + i*im[i] is the complex cpow returns, bit for
+    bit.  ok is False where LPoint(r[i], phi[i]) would raise, or where the
+    real part x of alpha * logmap(z) is not finite or exceeds 700, or its
+    imaginary part y is not finite: run those points through cpow, which
+    gives its value or raises (OverflowError past the largest float).
+    Python's float * complex promotes alpha to alpha + 0j, so x = alpha *
+    log r - 0 * phi and y = alpha * phi + 0 * log r, written out on float64
+    arrays.  math.log and math.exp run per element, as cmath does (numpy's
+    log and exp round differently); np.cos and np.sin form the rect, as
+    cmath.exp does for x up to 708.4.  log_r, when given, is math.log of
+    each valid r, so a caller taking several powers at the same points
+    takes the logarithms once.
+    """
+    if alpha < 0:
+        raise ValueError(f"power exponent must be nonnegative, got {alpha!r}")
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    valid = valid_many(r, phi)
+    if alpha == 0:
+        return np.ones(len(r)), np.zeros(len(r)), valid
+    with np.errstate(all="ignore"):
+        if log_r is None:
+            log_r = log_many(r, valid)
+        x = alpha * log_r - 0.0 * phi
+        y = alpha * phi + 0.0 * log_r
+        ok = valid & np.isfinite(x) & (x <= _PLAIN_EXP_MAX) & np.isfinite(y)
+        scale = np.array(list(map(math.exp, np.where(ok, x, 0.0).tolist())))
+        return scale * np.cos(y), scale * np.sin(y), ok
+
+
+def valid_many(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Where LPoint(r[i], phi[i]) would be built rather than raise."""
+    return (0.0 < r) & (r < math.inf) & np.isfinite(phi)
+
+
+def log_many(r: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """math.log(r[i]) where valid[i], and 0.0 elsewhere."""
+    return np.array(list(map(math.log, np.where(valid, r, 1.0).tolist())))
 
 
 def project(z: LPoint) -> complex:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from logsurf import LPoint, config, cpow, make_germ, mul, power, project, puiseux
+from logsurf import LPoint, config, cpow, logmap, make_germ, mul, power, project, puiseux
 
 
 def make_star_germ(rng, radius=1.0, degree=6, scale=0.25, unit=False, k=1):
@@ -29,10 +29,55 @@ def surface_dist(z1: LPoint, z2: LPoint) -> float:
 
 SIGNED_ZEROS = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
 
+_INVALID_POINTS = [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                   (1.0, -math.inf)]
+
+
+def surface_points(top: float):
+    """Lists of (r, phi): r over [1e-300, 1e300], and in [0.5, 2] where
+    numpy's log rounds unlike math.log most often, with |phi| <= 1e6 and
+    signed zero arguments; r whose real exponent top * log r lies in
+    [690, 720], across cmath.exp's large-argument branch (from about 708.4)
+    and its OverflowError (from about 709.8); and invalid points."""
+    phi = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+    plain = st.tuples(st.floats(-300.0, 300.0).map(lambda t: 10.0 ** t) | st.floats(0.5, 2.0), phi)
+    large = st.tuples(st.floats(690.0, 720.0).map(lambda x: math.exp(min(x / top, 709.0))), phi)
+    return st.lists(plain | large | st.sampled_from(_INVALID_POINTS), min_size=1, max_size=32)
+
+
+def plain_power(alpha: float, r: float, phi: float) -> bool:
+    """Whether (r, phi) is a valid point where alpha * logmap has a finite
+    imaginary part and a finite real part of at most 700."""
+    if not (0 < r < math.inf and math.isfinite(phi)):
+        return False
+    e = alpha * complex(math.log(r), phi)
+    return alpha == 0 or (math.isfinite(e.real) and e.real <= 700 and math.isfinite(e.imag))
+
 
 def bits(*values) -> tuple:
     """The exact floats of real or complex values, -0.0 told apart from 0.0."""
     return tuple(float(x).hex() for v in values for x in (v.real, v.imag))
+
+
+def outcome(call, *args) -> tuple:
+    """The float hex of call(*args), or the type and message of the exception it raises."""
+    try:
+        return bits(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def lp_evaluate_per_term(g, z: LPoint) -> complex:
+    """Reference logpower.evaluate: cpow per term, which takes its own
+    logmap and float of the exponent."""
+    lam = logmap(z)
+    total = 0j
+    for alpha, poly in g.terms:
+        pv = 0j
+        for c in reversed(poly):
+            pv = pv * lam + c
+        total += pv * cpow(float(alpha), z)
+    return total
 
 
 def ps_eval_loop(coeffs, w: complex) -> complex:

@@ -7,6 +7,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ def test_disc_runners_solve_once_per_data(tmp_path, monkeypatch):
     solves.clear()
     assert run(SCENARIOS / "green_disk.json", tmp_path / "g").passed
     assert solves == [1024] * 5
+
+
+@pytest.mark.parametrize("name", ["expansion_sanity", "expansion_negative", "reflect_wedge"])
+def test_certificate_and_reflect_runners_evaluate_expansions_in_batches(tmp_path, name):
+    # the certificate's gamma, the wedge base f under the descent and the
+    # oracle references all go through logpower.evaluate_many
+    from logsurf import corner, reflect
+
+    with mock.patch.object(corner, "lp_evaluate", wraps=corner.lp_evaluate) as base_f, \
+            mock.patch.object(reflect, "lp_evaluate", wraps=reflect.lp_evaluate) as gamma:
+        assert run(SCENARIOS / f"{name}.json", tmp_path / name).passed
+    assert (base_f.call_count, gamma.call_count) == (0, 0)
 
 
 def _no_allocation(*args, **kwargs):

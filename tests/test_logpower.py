@@ -3,10 +3,21 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_star_germ
+from conftest import (
+    SIGNED_ZEROS,
+    bits,
+    lp_evaluate_per_term,
+    make_star_germ,
+    outcome,
+    plain_power,
+    surface_points,
+)
 from logsurf import (
     InvalidGerm,
     LPoint,
@@ -23,6 +34,7 @@ from logsurf.logpower import (
     compose_pow,
     evaluate,
     evaluate_image,
+    evaluate_many,
     image_is_log_free,
     is_log_free,
     log_power_series,
@@ -58,6 +70,50 @@ def test_evaluate_tracks_the_sheet():
     # one full turn up: log picks up 2 pi i and z**1 returns to 1
     got = evaluate(g, LPoint(1.0, 2.0 * math.pi))
     assert got == pytest.approx(2.0j * math.pi)
+
+
+_EXPONENTS = st.builds(Fraction, st.integers(0, 12), st.integers(1, 5)) | st.floats(0.0, 6.0)
+_COEFFS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False) | SIGNED_ZEROS
+# Fraction and float exponents, exponent 0, log degree <= 3
+_SERIES = st.lists(
+    st.tuples(_EXPONENTS, st.lists(_COEFFS, min_size=1, max_size=4)), min_size=1, max_size=5
+).map(lambda terms: log_power_series([(a, p[:1] if a == 0 else p) for a, p in terms]))
+_SERIES_AND_POINTS = _SERIES.flatmap(
+    lambda g: st.tuples(st.just(g), surface_points(max(g.float_exponents, default=0.0) or 1.0))
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(drawn=_SERIES_AND_POINTS)
+def test_evaluate_is_the_per_term_form_bit_for_bit(drawn):
+    g, points = drawn
+    for r, phi in points:
+        at = lambda f: outcome(lambda: f(g, LPoint(r, phi)))
+        assert at(evaluate) == at(lp_evaluate_per_term)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(drawn=_SERIES_AND_POINTS)
+def test_evaluate_many_is_evaluate_bit_for_bit(drawn):
+    # where ok, the batch float is evaluate's; ok is False exactly where the
+    # point is invalid or a power leaves cmath.exp's plain range, and those
+    # points go to evaluate, which gives its value or raises
+    g, points = drawn
+    re, im, ok = evaluate_many(g, [r for r, _ in points], [phi for _, phi in points])
+    for i, (r, phi) in enumerate(points):
+        assert ok[i] == all(plain_power(a, r, phi) for a in (0.0, *g.float_exponents))
+        if ok[i]:
+            assert bits(complex(re[i], im[i])) == outcome(evaluate, g, LPoint(r, phi))
+
+
+def test_evaluate_converts_each_exponent_once():
+    g = log_power_series([(Fraction(1, 3), (1.0,)), (Fraction(2, 3), (0.0, 1.0)), (Fraction(5, 2), (2.0,))])
+    with mock.patch.object(Fraction, "__float__", autospec=True,
+                           side_effect=lambda q: q.numerator / q.denominator) as conversions:
+        for k in range(10):
+            evaluate(g, LPoint(0.5, 0.1 * k))
+        evaluate_many(g, [0.5] * 10, [0.1 * k for k in range(10)])
+    assert conversions.call_count == 3
 
 
 def test_support_and_nu():

@@ -49,9 +49,9 @@ from logsurf import (
     wedge_solve,
 )
 
-from logsurf import reflect
+from logsurf import cli, reflect
 
-from conftest import apply_germ_composed, bits, ps_eval_loop, surface_dist
+from conftest import apply_germ_composed, bits, outcome, ps_eval_loop, surface_dist
 
 
 def _data_t(radius: float = 2.0):
@@ -368,7 +368,13 @@ def _batch_towers():
     schwarz = tower(schwarz_corner(), 3), schwarz_base()
     curved = curved_oracle_tower(16)[:2]
     shrunk = _shrunk_curved_tower(), curved[1]
-    return {"straight": straight, "schwarz": schwarz, "curved": curved, "shrunk": shrunk}
+    # bases with a batch completion: a resonant wedge (a log term), the
+    # CLI's rotation of a wedge and a conjugated wedge
+    resonant = tower(resonant_corner(), 4), resonant_base()
+    rotated = schwarz[0], cli._straight_wedge_base(schwarz_corner(), "$")[0]
+    conjugated = tower(conjugate_corner(unit_wedge_corner()), 4), conjugate_evaluator(straight[1])
+    return {"straight": straight, "schwarz": schwarz, "curved": curved, "shrunk": shrunk,
+            "resonant": resonant, "rotated": rotated, "conjugated": conjugated}
 
 
 def _with_f(base, kind):
@@ -411,10 +417,7 @@ def _outcome(value):
 
 
 def _scalar_outcome(states, base, r, phi):
-    try:
-        return _outcome(extend_eval(states, base, LPoint(r, phi)))
-    except Exception as exc:
-        return _outcome(exc)
+    return outcome(lambda: extend_eval(states, base, LPoint(r, phi)))
 
 
 _drawn_points = strategies.lists(
@@ -438,12 +441,14 @@ _drawn_points = strategies.lists(
 @example(which="schwarz", f_kind="nan",
          drawn=[("edge", w, v, 0.5, 0.5) for w in range(3) for v in (4, 5)])
 @given(
-    which=strategies.sampled_from(["straight", "schwarz", "curved", "shrunk"]),
+    which=strategies.sampled_from(
+        ["straight", "schwarz", "curved", "shrunk", "resonant", "rotated", "conjugated"]),
     f_kind=strategies.sampled_from(["plain", "nan", "raises"]),
     drawn=_drawn_points,
 )
 def test_extend_eval_many_is_the_scalar_extend_eval_bit_for_bit(which, f_kind, drawn):
     states, base = _batch_towers()[which]
+    assert (base.f_many is not None) == (which in ("straight", "resonant", "rotated", "conjugated"))
     base = _with_f(base, f_kind)
     points = [_point(states, *d) for d in drawn]
     want = [_scalar_outcome(states, base, r, phi) for r, phi in points]
@@ -456,6 +461,27 @@ def test_extend_eval_many_is_the_scalar_extend_eval_bit_for_bit(which, f_kind, d
         isinstance(w[0], type) and 0 < r < math.inf and math.isfinite(phi)
         for w, (r, phi) in zip(want, points)
     )
+
+
+def test_extend_eval_many_makes_one_batch_completion_call():
+    # every landed point of every window takes its base value from one
+    # f_many call, and base.f is never called
+    states, base = _batch_towers()["conjugated"]
+    batches = []
+
+    def f_many(r, phi):
+        batches.append(len(r))
+        return base.f_many(r, phi)
+
+    def f(z):
+        raise AssertionError("the scalar completion was called")
+
+    counted = HarmonicEvaluator(base.u, f, f_many)
+    pts = [(st.s * 0.5 * 0.9 ** j, lo + (hi - lo) * (j + 1) / 7)
+           for lo, hi, st in _windows(states) for j in range(6)]
+    got = extend_eval_many(states, counted, [r for r, _ in pts], [phi for _, phi in pts])
+    assert batches == [len(pts)]
+    assert [_outcome(v) for v in got] == [_scalar_outcome(states, base, *p) for p in pts]
 
 
 def test_extend_eval_many_draws_reach_every_outcome():

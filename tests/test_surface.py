@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import bits, outcome, plain_power, surface_points
 from logsurf import (
     LPoint,
     ONE,
     QuadraticDomain,
     cpow,
+    cpow_many,
     from_complex,
     logmap,
     mul,
@@ -97,6 +101,48 @@ def test_cpow_uses_the_sheet():
     assert cpow(1.0, LPoint(2.0, 5.0)) == pytest.approx(project(LPoint(2.0, 5.0)))
     z = LPoint(1.7, -2.3)
     assert cpow(1.3, z) == pytest.approx(cmath.exp(1.3 * logmap(z)))
+
+
+_ALPHAS = st.sampled_from([0.0, 0.5, 1.0 / 3.0, 2.0]) | st.floats(1e-3, 8.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(drawn=_ALPHAS.flatmap(lambda a: st.tuples(st.just(a), surface_points(a or 1.0))))
+def test_cpow_many_is_cpow_bit_for_bit(drawn):
+    # where ok, the batch float is cpow's; ok is False exactly where the
+    # point is invalid or the exponent leaves cmath.exp's plain range,
+    # and those points go to cpow, which gives its value or raises
+    alpha, points = drawn
+    re, im, ok = cpow_many(alpha, [r for r, _ in points], [phi for _, phi in points])
+    for i, (r, phi) in enumerate(points):
+        assert ok[i] == plain_power(alpha, r, phi)
+        if ok[i]:
+            assert bits(complex(re[i], im[i])) == outcome(cpow, alpha, LPoint(r, phi))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+def test_cpow_many_is_cpow_on_a_dense_sample(rng, alpha):
+    # near r = 1, where numpy's log rounds unlike math.log in about 0.5% of
+    # points, and over a few sheets
+    r = rng.uniform(0.5, 2.0, 4096)
+    phi = rng.uniform(-20.0, 20.0, 4096)
+    re, im, ok = cpow_many(alpha, r, phi)
+    assert ok.all()
+    got = [bits(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+    assert got == [bits(cpow(alpha, LPoint(x, y))) for x, y in zip(r.tolist(), phi.tolist())]
+
+
+def test_cpow_many_leaves_large_exponents_to_cpow():
+    # real exponents x = 2 log r around the largest float
+    xs = [600.0, 700.0, 705.0, 709.0, 709.5, 710.0, 720.0]
+    r = [math.exp(x / 2.0) for x in xs]
+    _, _, ok = cpow_many(2.0, r, [0.3] * len(r))
+    assert ok.tolist() == [True, True, False, False, False, False, False]
+    got = [outcome(cpow, 2.0, LPoint(x, 0.3)) for x in r]
+    assert [type(v[0]) for v in got] == [str] * 5 + [type] * 2
+    assert got[-1] == (OverflowError, "math range error")
+    with pytest.raises(ValueError, match="nonnegative"):
+        cpow_many(-1.0, [1.0], [0.0])
 
 
 def test_tau_is_an_involution_compatible_with_mul():
