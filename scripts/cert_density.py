@@ -41,6 +41,8 @@ def main(argv=None) -> int:
                         help="an expansion_compare file under <root>/scenarios")
     parser.add_argument("--repeats", type=int, default=21, help="timed runs per density")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
     from logsurf import certify_expansion, cli, config, tower, truncate
@@ -62,7 +64,8 @@ def main(argv=None) -> int:
                 start = time.perf_counter()
                 cert = certify_expansion(states, base, gamma, obj["R"], angles, radii)
                 times.append((time.perf_counter() - start) * 1e3)
-            q1, median, q3 = statistics.quantiles(times[1:], n=4)
+            runs = times[1:]  # one run is its own median and quartiles
+            q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
             print(f"{angles:6d} {radii:5d} {windows * angles * radii:6d} "
                   f"{windows * angles * 6:6d} {median:9.2f} {q1:7.2f} {q3:7.2f}  {cert.ok}")
     return 0

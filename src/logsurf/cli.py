@@ -11,8 +11,8 @@ their json location.  Every failure of a runner, including numbers out
 of range, is such an error: it never escapes as a traceback.  Every
 number must be finite.  Counts, coefficient indices and the truncation
 order (at most MAX_TRUNC_ORDER = 1024, from the file or --trunc-order)
-are bounded, so no file asks for unbounded work.  A check whose error
-is nan fails.
+are bounded, so no file asks for unbounded work.  Flags are json
+booleans.  A check whose error is nan fails.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from . import config
 from .corner import (
     CornerSpec,
-    HarmonicEvaluator,
     IrrationalAngle,
     RationalPi,
     WedgeProblem,
@@ -52,18 +51,18 @@ from .germs import Germ, apply_germ, is_ray, make_germ
 from .logpower import is_log_free, log_power_series, truncate
 from .reflect import (
     certify_expansion,
-    complex_list,
     conjugate_corner,
     conjugate_evaluator,
     envelope,
     envelope_level,
     extend_eval_many,
     membership,
+    rotate_evaluator,
     tower,
     worst,
 )
 from .series import PuiseuxSeries, dense_coeffs, evaluate as series_evaluate, puiseux_from_terms
-from .surface import LPoint
+from .surface import LPoint, fallback_many, raising
 
 from . import __version__
 
@@ -116,6 +115,12 @@ def _as_real(v, loc: str) -> float:
     if not math.isfinite(x):
         raise SchemaError(f"expected a finite number, got {v!r}", loc)
     return x
+
+
+def _as_bool(v, loc: str) -> bool:
+    if not isinstance(v, bool):
+        raise SchemaError(f"expected true or false, got {v!r}", loc)
+    return v
 
 
 def _as_list(v, loc: str) -> list:
@@ -275,10 +280,7 @@ def emit_grid(evaluate_points, r_values, phi_values) -> list:
         if isinstance(value, Exception):
             raise value
         u, f = value
-        if f is None:
-            rows.append([z.r, z.phi, u, "", "", "ok"])
-        else:
-            rows.append([z.r, z.phi, u, f.real, f.imag, "ok"])
+        rows.append([z.r, z.phi, u, f.real, f.imag, "ok"])
     return rows
 
 
@@ -359,8 +361,8 @@ def _run_wedge(obj, rng):
 def _straight_wedge_base(corner: CornerSpec, loc: str):
     """Closed-form base solution for a corner whose curves are rays.
 
-    A first ray at argument alpha != 0 rotates the wedge solution,
-    phi -> phi - alpha, and its batch completion with it."""
+    A first ray at argument alpha != 0 rotates the wedge solution by
+    reflect.rotate_evaluator, phi -> phi - alpha."""
     if not (is_ray(corner.psi) and is_ray(corner.chi)):
         raise ScenarioError(
             "closed-form bases exist only for straight boundary rays", loc
@@ -374,35 +376,12 @@ def _straight_wedge_base(corner: CornerSpec, loc: str):
         problem = WedgeProblem(corner.theta, tuple(edge[0]), tuple(edge[1]))
         evaluator, expansion = wedge_solve(problem)
     alpha = corner.psi.a.phi
-    if alpha == 0.0:
-        return evaluator, expansion
-    rot = lambda z: LPoint(z.r, z.phi - alpha)
-    base = HarmonicEvaluator(lambda z: evaluator.u(rot(z)), lambda z: evaluator.f(rot(z)),
-                             lambda r, phi: evaluator.f_many(r, phi - alpha))
-    return base, expansion
+    return (evaluator if alpha == 0.0 else rotate_evaluator(evaluator, alpha)), expansion
 
 
 def _extend_many(states, base, points: list) -> list:
     """extend_eval_many at surface points: a value or an exception for each."""
     return extend_eval_many(states, base, [z.r for z in points], [z.phi for z in points])
-
-
-def _extend_at(states, base, points: list):
-    """extend_eval at each point, from one batch; a failing point raises
-    its exception when it is reached."""
-    for fv in _extend_many(states, base, points):
-        if isinstance(fv, Exception):
-            raise fv
-        yield fv
-
-
-def _base_at(base, points: list):
-    """base.f at each point, from one batch completion; a point the batch
-    leaves to base.f is evaluated, or raises, when it is reached."""
-    re, im, ok = completion_many(base, np.array([z.r for z in points], dtype=float),
-                                 np.array([z.phi for z in points], dtype=float))
-    for z, value, good in zip(points, complex_list(re, im), ok.tolist()):
-        yield value if good else base.f(z)
 
 
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
@@ -427,7 +406,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
         edge += [(st, apply_germ(st.phi, LPoint(float(t), 0.0)))
                  for t in np.geomspace(t_cap * 1e-2, t_cap, 5)]
     boundary_err = 0.0
-    for (st, z), fv in zip(edge, _extend_at(states, base, [z for _, z in edge])):
+    for (st, z), fv in zip(edge, raising(_extend_many(states, base, [z for _, z in edge]))):
         hv = series_evaluate(st.h, z)
         boundary_err = worst(boundary_err, abs(fv.real - hv.real))
 
@@ -441,8 +420,11 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
             continue
         s_lev = states[lev - 1].s
         oracle.append(LPoint(s_lev * 0.5 * rng.random() + s_lev * 1e-6, ang))
+    r = np.array([z.r for z in oracle], dtype=float)
+    phi = np.array([z.phi for z in oracle], dtype=float)
+    refs = fallback_many(base.f, r, phi, *completion_many(base, r, phi))
     oracle_err = 0.0
-    for fv, ref in zip(_extend_at(states, base, oracle), _base_at(base, oracle)):
+    for fv, ref in zip(raising(extend_eval_many(states, base, r, phi)), raising(refs)):
         oracle_err = worst(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
 
     checks = [
@@ -460,11 +442,12 @@ def _run_reflect(obj, rng):
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
     steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 2)
     n_oracle = _as_int(obj.get("oracle_points", 100), "$.oracle_points", 1, MAX_COUNT)
+    negative = _as_bool(obj.get("negative", False), "$.negative")
     base, _ = _straight_wedge_base(corner, "$.corner")
     with _at("$.corner"):
         states, checks = _reflect_checks(corner, base, steps, rng, n_oracle)
 
-    if obj.get("negative", False):
+    if negative:
         mirror = conjugate_corner(corner)
         mbase = conjugate_evaluator(base)
         with _at("$.negative"):
@@ -502,8 +485,8 @@ def _run_expansion_compare(obj, rng):
     R = _as_real(_need(obj, "R", "$.R"), "$.R")
     if not R >= 0:
         raise SchemaError("R must be nonnegative", "$.R")
-    strip_logs = bool(obj.get("strip_logs", False))
-    expect_ok = bool(obj.get("expect_windows_ok", not strip_logs))
+    strip_logs = _as_bool(obj.get("strip_logs", False), "$.strip_logs")
+    expect_ok = _as_bool(obj.get("expect_windows_ok", not strip_logs), "$.expect_windows_ok")
     if corner.psi.a.phi != 0.0 or not is_ray(corner.psi):
         raise ScenarioError(
             "expansion comparison needs the first curve to be the real ray",
@@ -696,7 +679,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
         obj = json.loads(path.read_text())
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file: {exc}", "$")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad json, bytes or digit counts are ValueErrors
         raise SchemaError(f"invalid json: {exc}", "$")
     if not isinstance(obj, dict):
         raise SchemaError("scenario file must hold a json object", "$")

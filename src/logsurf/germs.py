@@ -15,7 +15,8 @@ estimated improvement, so radius recursions stay bit-for-bit
 reproducible.  The factory make_germ verifies the smallness of h by
 circle sampling and shrinks the radius by halving until the sampled
 bound holds; algebraic operations construct directly from the printed
-formulas.
+formulas.  apply_germ_many is apply_germ on float64 arrays, with its
+floats, for k = 1 germs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGerm, NotInvertible, OutOfRadius
-from .series import PowerSeries, binom_pow, ps_compose, ps_eval, ps_mul, reversion
-from .surface import LPoint, mul, power, project, tau
+from .series import PowerSeries, binom_pow, ps_compose, ps_eval, ps_eval_many, ps_mul, reversion
+from .surface import LPoint, mul, power, project, tau, valid_many
 
 IDENTITY_RADIUS = 1e12
 
@@ -158,6 +159,29 @@ def apply_germ(phi: Germ, z: LPoint) -> LPoint:
     unit = 1.0 + ps_eval(phi.h, project(z))
     r = phi.a.r * (z.r ** phi.k * abs(unit))
     return LPoint(r, phi.a.phi + (phi.k * z.phi + cmath.phase(unit)))
+
+
+def apply_germ_many(g: Germ, r: np.ndarray, phi: np.ndarray) -> tuple:
+    """apply_germ(g, LPoint(r[i], phi[i])) at many points, as (r, phi, ok).
+
+    Where ok, the image is apply_germ's, bit for bit; ok is False where
+    apply_germ or LPoint raises.  Like invert, it takes only k = 1 germs.
+    A ps_eval sum is never -0.0, so 1.0 + h keeps the imaginary part of h;
+    a ray's unit is exactly 1 + 0j and needs no trig.  np.hypot is abs,
+    np.cos and np.sin form cmath.rect, and math.atan2 (per element) phase.
+    """
+    if g.k != 1:
+        raise InvalidGerm("apply_germ_many takes only k = 1 germs")
+    if g.h.trimmed:
+        tr, unit_i = ps_eval_many(g.h, r * np.cos(phi), r * np.sin(phi))
+        unit_r = 1.0 + tr
+        modulus = np.hypot(unit_r, unit_i)
+        phase = np.array(list(map(math.atan2, unit_i.tolist(), unit_r.tolist())))
+    else:
+        modulus, phase = 1.0, 0.0
+    out_r = g.a.r * (r * modulus)
+    out_phi = g.a.phi + (phi + phase)
+    return out_r, out_phi, (r < g.radius) & valid_many(out_r, out_phi)
 
 
 def compose(phi: Germ, psi: Germ) -> Germ:

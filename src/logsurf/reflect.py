@@ -35,7 +35,7 @@ from .errors import (
     OutsideExtension,
     WindowEmpty,
 )
-from .germs import Germ, apply_germ, compose, invert, is_identity, is_ray, tau_conj
+from .germs import Germ, apply_germ, apply_germ_many, compose, invert, is_identity, is_ray, tau_conj
 from .logpower import LogPowerSeries
 from .logpower import evaluate as lp_evaluate
 from .logpower import evaluate_many as lp_evaluate_many
@@ -46,12 +46,12 @@ from .series import (
     compose_germ,
     conj_tau,
     evaluate,
-    ps_eval_many,
+    evaluate_many,
     puiseux,
     scale,
     sub,
 )
-from .surface import LPoint, QuadraticDomain, cpow_many, tau, valid_many
+from .surface import LPoint, QuadraticDomain, fallback_many, raising, tau, valid_many
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,11 @@ class ReflectionState:
     written as a function of z, and r, s the printed domain radii.  The
     germ radii of phi and its cached inverse may be smaller than r for
     curved corners; they gate evaluation, while r and s drive the
-    covering windows.  phi_inv = invert(phi) and omega =
-    phi o tau_conj(phi_inv) are computed when the level is built.  The
-    window edges are computed once per level: `lower` is alpha, plus pi/2
-    when psi is curved (the same on every level), and `upper` is
-    arg a(phi), minus pi/2 when phi is curved.
+    covering windows.  phi_inv = invert(phi) is built with the level;
+    omega = phi o tau_conj(phi_inv) (read by step, at the truncation order
+    then in force) and the window edges on first read: `lower` is alpha,
+    plus pi/2 when psi is curved, and `upper` is arg a(phi), minus pi/2
+    when phi is curved.
     """
 
     k: int
@@ -75,19 +75,13 @@ class ReflectionState:
     phi: Germ
     h: PuiseuxSeries
     phi_inv: Germ
-    omega: Germ
     psi: Germ
     h0: PuiseuxSeries
     alpha: float
     theta: float
     lower = cached_property(lambda self: self.alpha + (0.0 if is_ray(self.psi) else math.pi / 2))
     upper = cached_property(lambda self: self.phi.a.phi - (0.0 if is_ray(self.phi) else math.pi / 2))
-
-
-def _level(k, r, s, phi, phi_inv, h, psi, h0, alpha, theta) -> ReflectionState:
-    """The level-k state over the curve phi and its inverse, with omega."""
-    omega = compose(phi, tau_conj(phi_inv))
-    return ReflectionState(k, r, s, phi, h, phi_inv, omega, psi, h0, alpha, theta)
+    omega = cached_property(lambda self: compose(self.phi, tau_conj(self.phi_inv)))
 
 
 def init_state(corner: CornerSpec) -> ReflectionState:
@@ -116,7 +110,7 @@ def init_state(corner: CornerSpec) -> ReflectionState:
     h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, chi_inv)
     r1 = min(psi.radius, chi.radius)
     s1 = min(r1, corner.eps, h0.radius, h1.radius)
-    return _level(1, r1, s1, chi, chi_inv, h1, psi, h0, alpha, theta)
+    return ReflectionState(1, r1, s1, chi, h1, chi_inv, psi, h0, alpha, theta)
 
 
 def step(state: ReflectionState) -> ReflectionState:
@@ -132,8 +126,8 @@ def step(state: ReflectionState) -> ReflectionState:
     reflected = conj_tau(compose_germ(diff, state.omega))
     h_sum = add(scale(-1.0, reflected), state.h)
     h_next = puiseux(h_sum.base.coeffs, state.s / 4.0, h_sum.d)
-    return _level(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, invert(phi_next),
-                  h_next, state.psi, state.h0, state.alpha, state.theta)
+    return ReflectionState(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, h_next,
+                           invert(phi_next), state.psi, state.h0, state.alpha, state.theta)
 
 
 def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
@@ -159,6 +153,16 @@ def membership(states: Sequence[ReflectionState], z: LPoint) -> int | None:
         if z.phi < st.upper and z.r < st.s:
             return st.k
     return None
+
+
+def membership_many(states: Sequence[ReflectionState], r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """membership(states, LPoint(r[i], phi[i])) at many points, as levels:
+    0 where membership is None or LPoint raises."""
+    level = np.zeros(len(r), dtype=int)
+    inside = valid_many(r, phi) & (phi > states[0].lower)
+    for st in states:
+        level[inside & (level == 0) & (phi < st.upper) & (r < st.s)] = st.k
+    return level
 
 
 def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: LPoint) -> complex:
@@ -190,36 +194,6 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     return value
 
 
-def _apply_germ_many(g: Germ, r: np.ndarray, phi: np.ndarray):
-    """apply_germ at valid points: the image (r, phi) and where apply_germ
-    returns it rather than raising.
-
-    Every tower germ has k = 1 (invert accepts no other), so z.r ** k is
-    z.r and k * z.phi is z.phi.  A sum from ps_eval is never -0.0, so
-    1.0 + h keeps the imaginary part of h.  A ray's unit 1 + h is exactly
-    1 + 0j, with abs 1.0 and phase 0.0, so it needs no trig.
-    """
-    if g.h.trimmed:
-        tr, unit_i = ps_eval_many(g.h, r * np.cos(phi), r * np.sin(phi))  # cmath.rect
-        unit_r = 1.0 + tr
-        modulus = np.hypot(unit_r, unit_i)
-        phase = np.array(list(map(math.atan2, unit_i.tolist(), unit_r.tolist())))
-    else:
-        modulus, phase = 1.0, 0.0
-    out_r = g.a.r * (r * modulus)
-    out_phi = g.a.phi + (phi + phase)
-    return out_r, out_phi, (r < g.radius) & valid_many(out_r, out_phi)
-
-
-def _evaluate_many(g: PuiseuxSeries, r: np.ndarray, phi: np.ndarray):
-    """evaluate(g, .) at valid points, as split parts, and where they are
-    its floats: where it does not raise OutOfRadius and cpow_many gives
-    w = cpow(1 / d, z)."""
-    w_r, w_i, ok = cpow_many(1.0 / g.d, r, phi)
-    total_r, total_i = ps_eval_many(g.base, w_r, w_i)
-    return total_r, total_i, ok & (r < g.radius)
-
-
 def extend_eval_many(
     states: Sequence[ReflectionState], base: HarmonicEvaluator, r, phi
 ) -> list:
@@ -230,34 +204,22 @@ def extend_eval_many(
     or the exception that the call raises, with its type and message
     (an invalid point raises from LPoint).
 
-    Membership is a set of array masks.  The descent goes one level at a
-    time, with every point still above that level in one group, and the
-    unwinding climbs back the same way.  On the arrays run only products,
-    sums, differences, comparisons, np.hypot for abs and np.cos, np.sin
-    for cmath.rect, which round as Python's complex arithmetic and math
-    calls do; complex values are kept as separate real and imaginary
-    float64 arrays (see ps_eval_many).  math.log and math.exp (in
-    cpow_many) and math.atan2 for the phase run per element.  The base
-    completion is one completion_many call for all landed points: one
-    base.f_many call when the evaluator has it (a wedge_solve evaluator,
-    and its conjugate or rotation, evaluate their expansion with
-    logpower.evaluate_many), else base.f per point.  Each intermediate
-    point gets LPoint's check and each germ application and series
-    evaluation its radius check, as masks.  A point that fails a check,
-    lies in no window, or whose base completion or power the batch cannot
-    give is run again through extend_eval, which gives its value or
-    raises its exception.
+    The points take membership_many, then descend one level at a time,
+    every point still above that level in one group, through
+    germs.apply_germ_many, and unwind the same way through
+    series.evaluate_many, on split real and imaginary float64 arrays.
+    The base completion is one completion_many call for all landed points:
+    one base.f_many call when the evaluator has it (a wedge_solve
+    evaluator, and its conjugate or rotation), else base.f per point.  A
+    point that a twin's ok mask drops goes through extend_eval by
+    fallback_many, which gives its value or its exception.
     """
     if base.f is None:
         raise ValueError("the base evaluator must provide a holomorphic completion")
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     with np.errstate(all="ignore"):
-        # membership's rule, as masks
-        level = np.zeros(len(r), dtype=int)
-        inside = valid_many(r, phi) & (phi > states[0].lower)
-        for st in states:
-            level[inside & (level == 0) & (phi < st.upper) & (r < st.s)] = st.k
+        level = membership_many(states, r, phi)
         ok = level > 0
 
         cur_r, cur_phi = r.copy(), phi.copy()
@@ -266,9 +228,9 @@ def extend_eval_many(
             st = states[k - 2]
             idx = np.flatnonzero(ok & (level >= k))
             z_r, z_phi = cur_r[idx], cur_phi[idx]
-            u_r, u_phi, good = _apply_germ_many(st.phi_inv, z_r, z_phi)
+            u_r, u_phi, good = apply_germ_many(st.phi_inv, z_r, z_phi)
             # tau keeps a valid point valid, so it needs no check of its own
-            w_r, w_phi, good_w = _apply_germ_many(st.phi, u_r, -u_phi)
+            w_r, w_phi, good_w = apply_germ_many(st.phi, u_r, -u_phi)
             ok[idx[~(good & good_w)]] = False
             cur_r[idx], cur_phi[idx] = w_r, w_phi
             path.append((st.h, idx, z_r, z_phi, w_r, w_phi))
@@ -285,18 +247,12 @@ def extend_eval_many(
             # h at the descended points w, then at the points z
             both_r = np.concatenate((w_r[keep], z_r[keep]))
             both_phi = np.concatenate((w_phi[keep], z_phi[keep]))
-            e_r, e_i, good = _evaluate_many(h, both_r, both_phi)
+            e_r, e_i, good = evaluate_many(h, both_r, both_phi)
             val_r[idx] = -(val_r[idx] - e_r[:m]) + e_r[m:]
             val_i[idx] = (val_i[idx] - e_i[:m]) + e_i[m:]
             ok[idx[~(good[:m] & good[m:])]] = False
 
-    out = complex_list(val_r, val_i)
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            out[i] = extend_eval(states, base, LPoint(float(r[i]), float(phi[i])))
-        except Exception as exc:
-            out[i] = exc
-    return out
+    return fallback_many(lambda z: extend_eval(states, base, z), r, phi, val_r, val_i, ok)
 
 
 def conjugate_corner(corner: CornerSpec) -> CornerSpec:
@@ -312,28 +268,28 @@ def conjugate_corner(corner: CornerSpec) -> CornerSpec:
     )
 
 
-def complex_list(re: np.ndarray, im: np.ndarray) -> list:
-    """The Python complex numbers re[i] + i*im[i]."""
-    values = np.empty(len(re), dtype=complex)
-    values.real, values.imag = re, im
-    return values.tolist()
-
-
 def conjugate_evaluator(base: HarmonicEvaluator) -> HarmonicEvaluator:
     """Transport an evaluator through tau: u -> u o tau, f -> conj(f o tau).
 
     A batch completion is carried the same way, phi -> -phi and the
     imaginary part negated; both maps are exact.
     """
-    u = lambda z: base.u(tau(z))
-    f = f_many = None
-    if base.f is not None:
-        f = lambda z: complex(base.f(tau(z))).conjugate()
+    f = None if base.f is None else lambda z: complex(base.f(tau(z))).conjugate()
+    f_many = None
     if base.f_many is not None:
         def f_many(r, phi):
             re, im, ok = base.f_many(r, -phi)
             return re, -im, ok
-    return HarmonicEvaluator(u, f, f_many)
+    return HarmonicEvaluator(lambda z: base.u(tau(z)), f, f_many)
+
+
+def rotate_evaluator(base: HarmonicEvaluator, angle: float) -> HarmonicEvaluator:
+    """Transport an evaluator by the rotation (r, phi) -> (r, phi - angle):
+    u -> u o rot, f -> f o rot, and a batch completion at phi - angle."""
+    rot = lambda z: LPoint(z.r, z.phi - angle)
+    f = None if base.f is None else lambda z: base.f(rot(z))
+    f_many = None if base.f_many is None else lambda r, phi: base.f_many(r, phi - angle)
+    return HarmonicEvaluator(lambda z: base.u(rot(z)), f, f_many)
 
 
 # ----------------------------------------------------------------------
@@ -469,17 +425,6 @@ def _window_points(states, idx: int, count: int, radii: np.ndarray) -> list[tupl
     return [(float(rr), float(ang)) for ang in angles for rr in radii]
 
 
-def _samples(gamma: LogPowerSeries, points, values, gammas) -> Iterator[tuple[float, float, float]]:
-    """(|z|, |f - gamma|, |gamma|) per point; a gamma of None is evaluated
-    here, so an invalid point or a failing gamma raises before f does."""
-    for (rr, ang), f, g in zip(points, values, gammas):
-        if g is None:
-            g = lp_evaluate(gamma, LPoint(rr, ang))
-        if isinstance(f, Exception):
-            raise f
-        yield rr, abs(f - g), abs(g)
-
-
 def _cert_samples(
     states: Sequence[ReflectionState],
     base: HarmonicEvaluator,
@@ -491,21 +436,21 @@ def _cert_samples(
     of _window_points(states, idx, count, radii).
 
     f is evaluated at every point of every window in one extend_eval_many
-    call, and gamma in one evaluate_many call; a point whose gamma the
-    batch leaves to evaluate is evaluated when its sample is made.  Each
-    window's samples are made lazily, in the order of scalar evaluation,
-    so the first failing sample raises its exception.
+    call, and gamma in one evaluate_many call, whose leftovers go through
+    logpower.evaluate by fallback_many.  Each window's samples are made
+    lazily, in the order of scalar evaluation, so the first failing sample
+    raises its exception, gamma's before f's.
     """
     points = [_window_points(states, idx, count, radii) for idx, radii in grids]
     flat = [p for pts in points for p in pts]
     r, phi = [r for r, _ in flat], [a for _, a in flat]
     values = extend_eval_many(states, base, r, phi)
-    g_r, g_i, g_ok = lp_evaluate_many(gamma, r, phi)
-    gammas = [g if good else None for g, good in zip(complex_list(g_r, g_i), g_ok.tolist())]
+    gammas = fallback_many(lambda z: lp_evaluate(gamma, z), r, phi, *lp_evaluate_many(gamma, r, phi))
     out, start = [], 0
     for pts in points:
         stop = start + len(pts)
-        out.append(_samples(gamma, pts, values[start:stop], gammas[start:stop]))
+        gs, fs = raising(gammas[start:stop]), raising(values[start:stop])
+        out.append((rr, abs(f - g), abs(g)) for (rr, _), g, f in zip(pts, gs, fs))
         start = stop
     return out
 

@@ -16,7 +16,9 @@ at once for h = 0, reversion inverts a linear series with one product,
 and compose_germ composes with a ray (h = 0) through copies.  So rays
 and short series cost a few calls at any N.  Outputs keep their
 lengths, and every np.convolve still made keeps its operand lengths,
-so the floats are those of the full loops.
+so the floats are those of the full loops.  ps_eval_many and
+evaluate_many are ps_eval and evaluate on float64 arrays, with their
+floats.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import config
 from .errors import InvalidGerm, OutOfRadius
-from .surface import LPoint, cpow
+from .surface import LPoint, cpow, cpow_many
 
 if TYPE_CHECKING:
     from .germs import Germ
@@ -296,6 +298,19 @@ def evaluate(g: PuiseuxSeries, z: LPoint) -> complex:
         raise OutOfRadius(f"|z| = {z.r} is not below the asserted radius {g.radius}")
     w = cpow(1.0 / g.d, z)
     return ps_eval(g.base, w)
+
+
+def evaluate_many(g: PuiseuxSeries, r, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """evaluate(g, LPoint(r[i], phi[i])) at many points, as (re, im, ok).
+
+    Where ok, re[i] + i*im[i] is evaluate's complex, bit for bit, from
+    cpow_many and ps_eval_many.  ok is False where evaluate or LPoint
+    raises, or where cpow_many leaves w to cpow.
+    """
+    r = np.asarray(r, dtype=float)
+    w_r, w_i, ok = cpow_many(1.0 / g.d, r, phi)
+    total_r, total_i = ps_eval_many(g.base, w_r, w_i)
+    return total_r, total_i, ok & (r < g.radius)
 
 
 def tail_bound(c: float, d: int, radius: float, N: int, z: LPoint) -> float:

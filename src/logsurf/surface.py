@@ -12,8 +12,9 @@ immutable values.
 >>> project(z)              # projection collapses sheets
 (4-...j)
 
-cpow_many takes the same powers at many points at once, as float64
-arrays, with the floats cpow gives.
+cpow_many and valid_many are cpow and LPoint's check on float64 arrays.
+Each array twin (a *_many function) gives its scalar rule's floats where
+its ok mask holds; fallback_many runs the other points through the scalar.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -140,6 +142,33 @@ def valid_many(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def log_many(r: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """math.log(r[i]) where valid[i], and 0.0 elsewhere."""
     return np.array(list(map(math.log, np.where(valid, r, 1.0).tolist())))
+
+
+def complex_list(re: np.ndarray, im: np.ndarray) -> list:
+    """The Python complex numbers re[i] + i*im[i]."""
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values.tolist()
+
+
+def fallback_many(scalar: Callable[[LPoint], complex], r, phi, re, im, ok) -> list:
+    """re[i] + i*im[i] where ok[i], else what scalar(LPoint(r[i], phi[i]))
+    returns or the exception that it (or LPoint) raises, as a list."""
+    out = complex_list(re, im)
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            out[i] = scalar(LPoint(float(r[i]), float(phi[i])))
+        except Exception as exc:
+            out[i] = exc
+    return out
+
+
+def raising(results: Iterable) -> Iterator:
+    """Each result in turn; an exception among them is raised when reached."""
+    for value in results:
+        if isinstance(value, Exception):
+            raise value
+        yield value
 
 
 def project(z: LPoint) -> complex:

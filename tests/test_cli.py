@@ -119,6 +119,21 @@ def test_schema_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error (bad.json)" in err
     assert "$.scenario" in err
+    # files that cannot be read as json at all: bytes that are not UTF-8,
+    # an integer past the 4,300-digit conversion limit, and nesting past
+    # the recursion limit
+    unreadable = {
+        "latin1.json": b'{"scenario": "caf\xe9"}',
+        "digits.json": b'{"scenario": "wedge", "seed": ' + b"7" * 5000 + b"}",
+        "nested.json": b"[" * 100_000 + b"]" * 100_000,
+    }
+    for name, content in unreadable.items():
+        (tmp_path / name).write_bytes(content)
+        rc = main(["run", str(tmp_path / name), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error ({name}): $: " in err
+        assert "Traceback" not in err
 
 
 def test_scenario_error_curved_ray(tmp_path, capsys):
@@ -152,6 +167,10 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         ("reflect_wedge", ("trunc_order",), 10**9, "$.trunc_order"),
         ("reflect_wedge", None, 1025, "$.trunc_order"),
         ("reflect_wedge", None, 10**9, "$.trunc_order"),
+        # flags take only json booleans, not strings or numbers read by truthiness
+        ("reflect_wedge", ("negative",), "false", "$.negative"),
+        ("expansion_negative", ("strip_logs",), "no", "$.strip_logs"),
+        ("expansion_sanity", ("expect_windows_ok",), 1, "$.expect_windows_ok"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from conftest import (
     ps_eval_loop,
     sampled_h_sup_full,
     surface_dist,
+    surface_points,
 )
 from logsurf import (
     InvalidGerm,
@@ -41,7 +43,7 @@ from logsurf import (
     rotation_germ,
     tau_conj,
 )
-from logsurf.germs import sampled_h_sup
+from logsurf.germs import apply_germ_many, sampled_h_sup
 from logsurf.series import PowerSeries
 
 
@@ -268,3 +270,44 @@ def test_apply_germ_is_the_composed_form_bit_for_bit(a_r, a_phi, k, h, z_r, z_ph
 def test_sampled_h_sup_is_the_full_sampling_bit_for_bit(head, tail, radius):
     h = (0j, *head, *tail)  # h = 0 when head holds only zeros
     assert float(sampled_h_sup(h, radius)).hex() == float(sampled_h_sup_full(h, radius)).hex()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    a_r=_MODULI,
+    a_phi=_ARGS,
+    h=st.lists(
+        st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+        | SIGNED_ZEROS,
+        max_size=12,
+    ),
+    radius=st.sampled_from([1e-3, 1.0, 1e12, 1e308]),
+    points=surface_points(1.0),
+    # at the germ radius, the float on either side of it, and inside it
+    at_radius=st.lists(
+        st.tuples(st.sampled_from([1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 0.5]),
+                  st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])),
+        max_size=6,
+    ),
+)
+def test_apply_germ_many_is_apply_germ_bit_for_bit(a_r, a_phi, h, radius, points, at_radius):
+    # where ok, the batch image is apply_germ's; ok is False exactly where
+    # apply_germ or LPoint raises
+    g = Germ(LPoint(a_r, a_phi), 1, PowerSeries((0j, *h), radius), radius)
+    points = points + [(radius * t, phi) for t, phi in at_radius]
+    r, phi = np.array([p[0] for p in points]), np.array([p[1] for p in points])
+    with np.errstate(all="ignore"):
+        out_r, out_phi, ok = apply_germ_many(g, r, phi)
+    for i, (z_r, z_phi) in enumerate(points):
+        try:
+            w = apply_germ(g, LPoint(z_r, z_phi))
+        except (ValueError, ArithmeticError, OutOfRadius) as exc:
+            assert not ok[i], exc
+        else:
+            assert ok[i] and bits(out_r[i], out_phi[i]) == bits(w.r, w.phi)
+
+
+def test_apply_germ_many_takes_only_k_one():
+    for g in (power_germ(2), Germ(LPoint(1.0, 0.5), 0, PowerSeries((0j,), 1.0), 1.0)):
+        with pytest.raises(InvalidGerm, match="k = 1"):
+            apply_germ_many(g, np.array([0.5]), np.array([0.1]))

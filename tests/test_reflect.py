@@ -24,6 +24,7 @@ from logsurf import (
     WindowEmpty,
     apply_germ,
     certify_expansion,
+    compose,
     conjugate_corner,
     conjugate_evaluator,
     cpow,
@@ -43,6 +44,7 @@ from logsurf import (
     puiseux_from_terms,
     rotation_germ,
     tau,
+    tau_conj,
     tower,
     trunc_order,
     truncate,
@@ -121,6 +123,17 @@ def test_init_state_inverts_a_curved_chi_once(monkeypatch):
     state = init_state(corner)
     assert inverted == [chi]
     assert state.phi_inv == invert(chi)
+
+
+def test_omega_is_built_when_step_reads_it():
+    # the last level's omega is read by no step, so a tower never builds it
+    chi = make_germ(LPoint(1.0, 1.0), 1, (0.0, 0.1), 1.0)
+    corner = CornerSpec(identity_germ(), chi, IrrationalAngle(1.0), _data_t(), _zero_data(), 1.0)
+    states = tower(corner, 3)
+    assert "omega" not in {f.name for f in dataclasses.fields(states[0])}
+    assert ["omega" in vars(st) for st in states] == [True, True, False]
+    last = states[-1]
+    assert last.omega == compose(last.phi, tau_conj(last.phi_inv))
 
 
 def test_tower_frozen_table():
@@ -461,6 +474,27 @@ def test_extend_eval_many_is_the_scalar_extend_eval_bit_for_bit(which, f_kind, d
         isinstance(w[0], type) and 0 < r < math.inf and math.isfinite(phi)
         for w, (r, phi) in zip(want, points)
     )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    which=strategies.sampled_from(["straight", "schwarz", "curved", "shrunk", "conjugated"]),
+    drawn=_drawn_points,
+)
+def test_membership_many_is_membership(which, drawn):
+    # a level wherever membership gives one, and 0 where it gives None or
+    # LPoint raises; window edges, signed zeros, nan and inf included
+    states, _ = _batch_towers()[which]
+    points = [_point(states, *d) for d in drawn]
+    got = reflect.membership_many(states, np.array([r for r, _ in points]),
+                                  np.array([phi for _, phi in points]))
+    for level, (r, phi) in zip(got.tolist(), points):
+        try:
+            z = LPoint(r, phi)
+        except ValueError:
+            assert level == 0
+        else:
+            assert level == (membership(states, z) or 0)
 
 
 def test_extend_eval_many_makes_one_batch_completion_call():

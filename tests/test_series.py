@@ -14,8 +14,10 @@ from conftest import (
     bits,
     compose_germ_full,
     ps_compose_full,
+    plain_power,
     ps_eval_loop,
     reversion_full,
+    surface_points,
 )
 from logsurf import series
 from logsurf import Germ, LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
@@ -28,6 +30,7 @@ from logsurf.series import (
     compose_germ,
     conj_tau,
     evaluate,
+    evaluate_many,
     log1p_series,
     mul_series,
     param_power,
@@ -458,3 +461,38 @@ def test_coefficients_close():
     g2 = puiseux((0.0, 1.0 + 5e-11), 1.0, 1)
     assert coefficients_close(g1, g2, 1e-10)
     assert not coefficients_close(g1, g2, 1e-12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    coeffs=st.lists(
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+        | SIGNED_ZEROS,
+        min_size=1,
+        max_size=12,
+    ),
+    radius=st.sampled_from([1e-3, 1.0, 1e300]),
+    drawn=st.data(),
+)
+def test_evaluate_many_is_evaluate_bit_for_bit(d, coeffs, radius, drawn):
+    # where ok, the batch float is evaluate's; ok is False exactly where the
+    # point is invalid, at or past the radius, or w leaves cmath.exp's plain
+    # range, and evaluate raises at the first two
+    g = puiseux(coeffs, radius, d)
+    points = drawn.draw(surface_points(1.0 / d))
+    # at the radius, the float on either side of it, and inside it
+    points += [(g.radius * t, phi) for t, phi in drawn.draw(st.lists(
+        st.tuples(st.sampled_from([1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 0.5]),
+                  st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])), max_size=6))]
+    with np.errstate(all="ignore"):
+        re, im, ok = evaluate_many(g, [r for r, _ in points], [phi for _, phi in points])
+    for i, (r, phi) in enumerate(points):
+        plain = plain_power(1.0 / d, r, phi)
+        assert ok[i] == (plain and r < g.radius)
+        try:
+            want = evaluate(g, LPoint(r, phi))
+        except (ValueError, ArithmeticError, OutOfRadius) as exc:
+            assert not ok[i], exc
+        else:
+            assert not plain or ok[i] and bits(complex(re[i], im[i])) == bits(want)
