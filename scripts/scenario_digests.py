@@ -119,7 +119,7 @@ def curved_tower_digest(seed: int, order: int) -> str:
         states = ls.tower(corner, CURVED_LEVELS)
         for st in states:
             put(st.r, st.s, st.h.radius, st.h.base.radius, *st.h.base.coeffs)
-            for germ in (st.phi, st.phi_inv, st.omega):
+            for germ in (st.phi, st.phi_inv, ls.compose(st.phi, ls.tau_conj(st.phi_inv))):
                 put(germ.a.r, germ.a.phi, germ.radius, *germ.h.coeffs)
         lo = states[0].alpha + (0.0 if ls.is_ray(states[0].psi) else math.pi / 2)
         windows = []

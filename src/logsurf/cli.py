@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -205,7 +205,11 @@ def _parse_edge(arr, loc: str) -> list:
         else:
             num = _as_int(_need(term, "beta_num", tloc), f"{tloc}.beta_num", 0)
             den = _as_int(_need(term, "beta_den", tloc), f"{tloc}.beta_den", 1)
-            out.append((Fraction(num, den), coeff))
+            beta = Fraction(num, den)
+            with _at(tloc, SchemaError):  # float(beta) overflows past the float range
+                if beta and not float(beta):
+                    raise SchemaError("a positive exponent rounds to 0.0 as a float", tloc)
+            out.append((beta, coeff))
     return out
 
 
@@ -263,24 +267,25 @@ def _fmt_cell(v) -> str:
     return format(float(v), ".17g")
 
 
-def emit_grid(evaluate_points, r_values, phi_values) -> list:
-    """Tabulate an evaluator over a rectangular grid, phi-major.
+def emit_grid(r_values, phi_values, evaluate) -> list:
+    """Tabulate an evaluator over the grid r_values x phi_values, phi-major.
 
-    evaluate_points maps the list of grid points to an iterable with one
-    (u, f) pair or one exception per point.  A point whose exception is a
-    LogSurfError gets status 'outside' and empty value cells; any other
-    exception is raised when its point is reached.
+    evaluate(r, phi) takes the grid points as two float lists, phi-major,
+    and returns one (u, f) pair or one exception per point.  A point whose
+    exception is a LogSurfError gets status 'outside' and empty value
+    cells; any other exception is raised when its point is reached.
     """
-    points = [LPoint(float(r), float(phi)) for phi in phi_values for r in r_values]
+    r = [float(x) for _ in phi_values for x in r_values]
+    phi = [float(y) for y in phi_values for _ in r_values]
     rows = []
-    for z, value in zip(points, evaluate_points(points)):
+    for x, y, value in zip(r, phi, evaluate(r, phi)):
         if isinstance(value, LogSurfError):
-            rows.append([z.r, z.phi, "", "", "", "outside"])
-            continue
-        if isinstance(value, Exception):
+            rows.append([x, y, "", "", "", "outside"])
+        elif isinstance(value, Exception):
             raise value
-        u, f = value
-        rows.append([z.r, z.phi, u, f.real, f.imag, "ok"])
+        else:
+            u, f = value
+            rows.append([x, y, u, f.real, f.imag, "ok"])
     return rows
 
 
@@ -301,7 +306,7 @@ def _run_wedge(obj, rng):
     edge1 = _parse_edge(_need(obj, "edge1", "$.edge1"), "$.edge1")
     with _at("$", SchemaError):
         problem = WedgeProblem(theta, tuple(edge0), tuple(edge1))
-    with _at("$.theta"):
+    with _at("$"):
         evaluator, expansion = wedge_solve(problem)
     tv = angle_value(theta)
     grid = _parse_grid(obj.get("grid"), "$.grid",
@@ -311,11 +316,6 @@ def _run_wedge(obj, rng):
     if not grid["r_max"] > grid["r_min"]:
         raise SchemaError("r_max must exceed r_min", "$.grid.r_max")
 
-    ts = np.linspace(grid["r_min"], grid["r_max"], grid["r_n"])
-    phis = np.linspace(0.0, tv, grid["phi_n"])
-    b0 = worst(*(abs(evaluator.u(LPoint(t, 0.0)) - _data_eval(problem.edge0, t)) for t in ts))
-    b1 = worst(*(abs(evaluator.u(LPoint(t, tv)) - _data_eval(problem.edge1, t)) for t in ts))
-
     worst_lap = 0.0
     for r in np.geomspace(0.5, 1.0, 6):
         for phi in np.linspace(tv * 0.1, tv * 0.9, 6):
@@ -323,12 +323,15 @@ def _run_wedge(obj, rng):
             lap = fd_laplacian(evaluator.u, z, 1e-3)
             worst_lap = worst(worst_lap, abs(lap) / (1.0 + abs(evaluator.u(z))))
 
-    worst_re = 0.0
-    for r in ts:
-        for phi in phis:
-            z = LPoint(float(r), float(phi))
-            fv = evaluator.f(z)
-            worst_re = worst(worst_re, abs(evaluator.u(z) - fv.real) / (1.0 + abs(fv)))
+    # One pass over the grid, phi-major, f before u at each point; its
+    # first and last rows lie on the edges 0 and theta.
+    ts = np.linspace(grid["r_min"], grid["r_max"], grid["r_n"])
+    phis = np.linspace(0.0, tv, grid["phi_n"])
+    points = [LPoint(float(r), float(phi)) for phi in phis for r in ts]
+    fu = [(evaluator.f(z), evaluator.u(z)) for z in points]
+    b0 = worst(*(abs(u - _data_eval(problem.edge0, t)) for t, (_, u) in zip(ts, fu)))
+    b1 = worst(*(abs(u - _data_eval(problem.edge1, t)) for t, (_, u) in zip(ts, fu[-len(ts):])))
+    worst_re = worst(0.0, *(abs(u - f.real) / (1.0 + abs(f)) for f, u in fu))
 
     has_resonance = any(
         beta > 0 and c != 0 and is_resonant(theta, beta)
@@ -345,11 +348,9 @@ def _run_wedge(obj, rng):
         _check_flag("log_dichotomy", dichotomy),
     ]
 
-    grid_rows = emit_grid(lambda zs: ((evaluator.u(z), evaluator.f(z)) for z in zs), ts, phis)
-    exp_rows = []
-    for alpha, poly in expansion.terms:
-        for m, c in enumerate(poly):
-            exp_rows.append([float(alpha), m, c.real, c.imag])
+    grid_rows = emit_grid(ts, phis, lambda r, phi: [(u, f) for f, u in fu])
+    exp_rows = [[float(alpha), m, c.real, c.imag]
+                for alpha, poly in expansion.terms for m, c in enumerate(poly)]
     tables = {
         "grid": (GRID_HEADER, grid_rows),
         "expansion": (["alpha", "log_degree", "re", "im"], exp_rows),
@@ -379,11 +380,6 @@ def _straight_wedge_base(corner: CornerSpec, loc: str):
     return (evaluator if alpha == 0.0 else rotate_evaluator(evaluator, alpha)), expansion
 
 
-def _extend_many(states, base, points: list) -> list:
-    """extend_eval_many at surface points: a value or an exception for each."""
-    return extend_eval_many(states, base, [z.r for z in points], [z.phi for z in points])
-
-
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     states = tower(corner, steps)
     s1, r1 = states[0].s, states[0].r
@@ -405,10 +401,6 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
         t_cap = min(states[st.k].s, st.phi.radius) * 0.5
         edge += [(st, apply_germ(st.phi, LPoint(float(t), 0.0)))
                  for t in np.geomspace(t_cap * 1e-2, t_cap, 5)]
-    boundary_err = 0.0
-    for (st, z), fv in zip(edge, raising(_extend_many(states, base, [z for _, z in edge]))):
-        hv = series_evaluate(st.h, z)
-        boundary_err = worst(boundary_err, abs(fv.real - hv.real))
 
     lower, upper = states[-1].lower, states[-1].upper
     pad = (upper - lower) * 1e-3
@@ -420,12 +412,16 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
             continue
         s_lev = states[lev - 1].s
         oracle.append(LPoint(s_lev * 0.5 * rng.random() + s_lev * 1e-6, ang))
+    # the boundary points, then the oracle points, in one batch
+    points = [z for _, z in edge] + oracle
+    values = extend_eval_many(states, base, [z.r for z in points], [z.phi for z in points])
+    boundary_err = worst(0.0, *(abs(fv.real - series_evaluate(st.h, z).real)
+                                for (st, z), fv in zip(edge, raising(values[:len(edge)]))))
     r = np.array([z.r for z in oracle], dtype=float)
     phi = np.array([z.phi for z in oracle], dtype=float)
     refs = fallback_many(base.f, r, phi, *completion_many(base, r, phi))
-    oracle_err = 0.0
-    for fv, ref in zip(raising(extend_eval_many(states, base, r, phi)), raising(refs)):
-        oracle_err = worst(oracle_err, abs(fv - ref) / (1.0 + abs(ref)))
+    oracle_err = worst(0.0, *(abs(fv - ref) / (1.0 + abs(ref))
+                              for fv, ref in zip(raising(values[len(edge):]), raising(refs))))
 
     checks = [
         _check_max(f"radius_recursion{suffix}", drift, 1e-12),
@@ -461,15 +457,11 @@ def _run_reflect(obj, rng):
     grid = _parse_grid(obj.get("grid"), "$.grid", {"r_n": 6, "phi_n": 7})
     lower, upper = states[-1].lower, states[-1].upper
     span = upper - lower
-
-    def eval_points(points: list) -> list:
-        values = _extend_many(states, base, points)
-        return [fv if isinstance(fv, Exception) else (fv.real, fv) for fv in values]
-
     grid_rows = emit_grid(
-        eval_points,
         np.geomspace(states[-1].s * 0.3, states[0].s * 0.5, int(grid["r_n"])),
         np.linspace(lower + span * 1e-3, upper - span * 1e-3, int(grid["phi_n"])),
+        lambda r, phi: [fv if isinstance(fv, Exception) else (fv.real, fv)
+                        for fv in extend_eval_many(states, base, r, phi)],
     )
     tables = {
         "states": (["k", "r", "s", "arg_a", "abs_a", "d", "h_radius"], state_rows),
@@ -510,11 +502,8 @@ def _run_expansion_compare(obj, rng):
         _check_max("cascade_bound", cascade, 1.0),
         _check_flag("scale_windows", cert.ok == expect_ok),
     ]
-    rows = []
-    for (k, ck, ak, tk), (_, t_hi, t_lo, ratio, ok) in zip(
-        cert.step_bounds, cert.window_rows
-    ):
-        rows.append([k, ck, ak, tk, t_lo, ratio, "true" if ok else "false"])
+    rows = [[k, ck, ak, tk, t_lo, ratio, "true" if ok else "false"]
+            for (k, ck, ak, tk), (_, _, t_lo, ratio, ok) in zip(cert.step_bounds, cert.window_rows)]
     tables = {
         "certificate": (
             ["k", "C_k", "A_pow_k", "t_k", "t_next", "window_ratio", "window_ok"],
@@ -710,15 +699,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
 
     payload = {
         "scenario": obj,
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "observed": c.observed,
-                "tolerance": c.tolerance,
-            }
-            for c in sorted(checks, key=lambda c: c.name)
-        ],
+        "checks": [asdict(c) for c in sorted(checks, key=lambda c: c.name)],
         "constants": {k: float(v) for k, v in sorted(constants.items())},
         "passed": all(c.passed for c in checks),
         "tables": sorted(tables),

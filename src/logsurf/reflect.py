@@ -62,11 +62,11 @@ class ReflectionState:
     written as a function of z, and r, s the printed domain radii.  The
     germ radii of phi and its cached inverse may be smaller than r for
     curved corners; they gate evaluation, while r and s drive the
-    covering windows.  phi_inv = invert(phi) is built with the level;
-    omega = phi o tau_conj(phi_inv) (read by step, at the truncation order
-    then in force) and the window edges on first read: `lower` is alpha,
-    plus pi/2 when psi is curved, and `upper` is arg a(phi), minus pi/2
-    when phi is curved.
+    covering windows.  Every germ and series of a level, phi_inv =
+    invert(phi) included, is built with it, at the truncation order then
+    in force.  Only the window edges are made on first read: `lower` is
+    alpha, plus pi/2 when psi is curved, and `upper` is arg a(phi), minus
+    pi/2 when phi is curved.  A level keeps no omega; step builds it.
     """
 
     k: int
@@ -81,7 +81,6 @@ class ReflectionState:
     theta: float
     lower = cached_property(lambda self: self.alpha + (0.0 if is_ray(self.psi) else math.pi / 2))
     upper = cached_property(lambda self: self.phi.a.phi - (0.0 if is_ray(self.phi) else math.pi / 2))
-    omega = cached_property(lambda self: compose(self.phi, tau_conj(self.phi_inv)))
 
 
 def init_state(corner: CornerSpec) -> ReflectionState:
@@ -119,11 +118,12 @@ def step(state: ReflectionState) -> ReflectionState:
     The next curve is phi o tau_conj(phi^{-1} o psi); the next data is
     h_{k+1} = -conj_tau((h0 - h_k) o omega_k) + h_k with
     omega_k = phi_k o tau_conj(phi_k^{-1}), valid on radius s_k / 4.
+    omega_k is built here, at the truncation order in force, and not kept.
     """
     inner = compose(state.phi_inv, state.psi)
     phi_next = compose(state.phi, tau_conj(inner))
-    diff = sub(state.h0, state.h)
-    reflected = conj_tau(compose_germ(diff, state.omega))
+    omega = compose(state.phi, tau_conj(state.phi_inv))
+    reflected = conj_tau(compose_germ(sub(state.h0, state.h), omega))
     h_sum = add(scale(-1.0, reflected), state.h)
     h_next = puiseux(h_sum.base.coeffs, state.s / 4.0, h_sum.d)
     return ReflectionState(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, h_next,

@@ -171,6 +171,9 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         ("reflect_wedge", ("negative",), "false", "$.negative"),
         ("expansion_negative", ("strip_logs",), "no", "$.strip_logs"),
         ("expansion_sanity", ("expect_windows_ok",), 1, "$.expect_windows_ok"),
+        # a rational edge exponent must have a finite float, nonzero when it is positive
+        ("wedge_irrational", ("edge0", 0, "beta_num"), 10**400, "$.edge0[0]"),
+        ("wedge_irrational", ("edge0", 0, "beta_den"), 10**400, "$.edge0[0]"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -192,6 +195,47 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
     err = capsys.readouterr().err
     assert f"error (mutated.json): {loc}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edge0, r_max, message",
+    [
+        ([{"beta_real": 1e300, "coeff": 1.0}], 2, "$: (34, 'Numerical result out of range')"),
+        ([{"beta_real": 400, "coeff": 1.0}], 1e3, "$: math range error"),
+        (None, 1e308, "$: math range error"),
+    ],
+)
+def test_failing_wedge_reports_its_first_failing_evaluation(tmp_path, capsys, edge0, r_max, message):
+    # The harmonicity loop runs before the grid pass, and the pass takes f
+    # before u at each point.  u's float power overflows as (34, ...), f's
+    # complex exponential as "math range error", so either order changed
+    # would change these messages.
+    obj = json.loads((SCENARIOS / "wedge_irrational.json").read_text())
+    if edge0 is not None:
+        obj["edge0"] = edge0
+    obj["grid"]["r_max"] = r_max
+    mutated = _write(tmp_path, "mutated.json", obj)
+    rc = main(["run", str(mutated), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error (mutated.json): {message}\n" in capsys.readouterr().err
+
+
+def test_wedge_runner_evaluates_each_grid_point_once(tmp_path):
+    # one pass over the 8 x 7 grid feeds both boundary checks, the
+    # compatibility check and the grid table
+    from logsurf import corner
+
+    with mock.patch.object(corner, "lp_evaluate", wraps=corner.lp_evaluate) as f:
+        assert run(SCENARIOS / "wedge_irrational.json", tmp_path).passed
+    assert f.call_count == 8 * 7
+
+
+def test_reflect_runner_makes_one_batch_per_tower_and_one_for_the_grid(tmp_path):
+    # negative: true builds two towers; each sends its boundary and oracle
+    # points through one extend_eval_many call
+    with mock.patch.object(cli, "extend_eval_many", wraps=cli.extend_eval_many) as batch:
+        assert run(SCENARIOS / "reflect_wedge.json", tmp_path).passed
+    assert batch.call_count == 3
 
 
 def test_disc_runners_solve_once_per_data(tmp_path, monkeypatch):

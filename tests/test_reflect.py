@@ -13,12 +13,14 @@ from hypothesis import strategies
 
 from logsurf import (
     CornerSpec,
+    Germ,
     HarmonicEvaluator,
     InsufficientSteps,
     IrrationalAngle,
     LPoint,
     NotNormalized,
     OutsideExtension,
+    PuiseuxSeries,
     RationalPi,
     WedgeProblem,
     WindowEmpty,
@@ -125,15 +127,22 @@ def test_init_state_inverts_a_curved_chi_once(monkeypatch):
     assert state.phi_inv == invert(chi)
 
 
-def test_omega_is_built_when_step_reads_it():
-    # the last level's omega is read by no step, so a tower never builds it
-    chi = make_germ(LPoint(1.0, 1.0), 1, (0.0, 0.1), 1.0)
-    corner = CornerSpec(identity_germ(), chi, IrrationalAngle(1.0), _data_t(), _zero_data(), 1.0)
-    states = tower(corner, 3)
-    assert "omega" not in {f.name for f in dataclasses.fields(states[0])}
-    assert ["omega" in vars(st) for st in states] == [True, True, False]
-    last = states[-1]
-    assert last.omega == compose(last.phi, tau_conj(last.phi_inv))
+def test_tower_keeps_the_order_it_was_built_at():
+    # every germ and series a level offers, read after the order block, was
+    # made under that block: no attribute builds one on first read, at
+    # whatever order is in force then
+    with trunc_order(16):
+        chi = make_germ(LPoint(1.0, 1.0), 1, (0.0, 0.1), 1.0)
+        corner = CornerSpec(identity_germ(), chi, IrrationalAngle(1.0), _data_t(), _zero_data(), 1.0)
+        states = tower(corner, 3)
+    sizes = []
+    for st in states:
+        for value in (getattr(st, name) for name in dir(st) if not name.startswith("_")):
+            if isinstance(value, Germ):
+                sizes.append(len(value.h.coeffs))
+            elif isinstance(value, PuiseuxSeries):
+                sizes.append(len(value.base.coeffs))
+    assert max(sizes) == 17
 
 
 def test_tower_frozen_table():
@@ -165,8 +174,9 @@ def test_straight_tower_cost_is_flat_in_the_order(monkeypatch):
         calls.clear()
         with trunc_order(order):
             states = tower(unit_wedge_corner(), 5)
-        counts[order] = len(calls)
-        germs = [g for st in states for g in (st.phi, st.phi_inv, st.omega)]
+            counts[order] = len(calls)
+            omegas = [compose(st.phi, tau_conj(st.phi_inv)) for st in states]
+        germs = [st.phi for st in states] + [st.phi_inv for st in states] + omegas
         # every germ of a straight tower is a ray, and inverting a ray keeps its radius
         assert not any(g.h.trimmed for g in germs)
         assert all(st.phi_inv.radius == st.phi.radius for st in states)
