@@ -31,6 +31,7 @@ from .corner import (
     wedge_solve,
 )
 from .errors import (
+    DegenerateTerm,
     InsufficientSteps,
     InvalidGerm,
     LogSurfError,

@@ -46,7 +46,7 @@ from .corner import (
     unit_disk_solver,
     wedge_solve,
 )
-from .errors import LogSurfError, SchemaError, ScenarioError
+from .errors import DegenerateTerm, LogSurfError, SchemaError, ScenarioError
 from .germs import Germ, apply_germ, is_ray, make_germ
 from .logpower import is_log_free, log_power_series, truncate
 from .reflect import (
@@ -307,7 +307,10 @@ def _run_wedge(obj, rng):
     with _at("$", SchemaError):
         problem = WedgeProblem(theta, tuple(edge0), tuple(edge1))
     with _at("$"):
-        evaluator, expansion = wedge_solve(problem)
+        try:
+            evaluator, expansion = wedge_solve(problem)
+        except DegenerateTerm as exc:
+            raise SchemaError(exc.reason, f"$.edge{exc.side}[{exc.index}]") from exc
     tv = angle_value(theta)
     grid = _parse_grid(obj.get("grid"), "$.grid",
                        {"r_min": 0.05, "r_max": 1.0, "r_n": 8, "phi_n": 7})

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateTerm,
     InvalidGerm,
     PoleCoincidence,
     ResonanceUndeclared,
@@ -213,7 +214,11 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
     expansion itself for f) and the holomorphic completion as a finite
     log-power series.  The completion is normalized to contain no
     homogeneous solution of the zero-data problem.  The evaluator's
-    f_many is logpower.evaluate_many on the same expansion.
+    f_many is logpower.evaluate_many on the same expansion.  A
+    non-resonant term needs c / sin(beta * theta) and, on edge 0,
+    cot(beta * theta) as finite floats; DegenerateTerm refuses one whose
+    sine underflows to 0 or has no value (beta * theta overflows), or
+    whose quotient overflows.
     """
     theta = angle_value(problem.theta)
     pieces = []
@@ -222,7 +227,7 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
     if const:
         lp_terms.append((0, (complex(const),)))
     for side, edge in ((0, problem.edge0), (1, problem.edge1)):
-        for beta, c in edge:
+        for i, (beta, c) in enumerate(edge):
             if c == 0 or beta == 0:
                 continue
             b = float(beta)
@@ -231,10 +236,18 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
             except UndecidableAngle as exc:
                 raise ResonanceUndeclared(str(exc)) from exc
             if not resonant:
-                s = math.sin(b * theta)
+                x = b * theta
+                s = math.sin(x) if math.isfinite(x) else math.nan
+                if not (s and math.isfinite(c / s)):
+                    raise DegenerateTerm(side, i, f"c / sin(beta * theta) is not finite: "
+                                         f"sin({b!r} * {theta!r}) = {s!r}")
                 if side == 0:
+                    t = math.tan(x)
+                    if not math.isfinite(1.0 / t):
+                        raise DegenerateTerm(side, i, f"cot(beta * theta) is not finite: "
+                                             f"tan({b!r} * {theta!r}) = {t!r}")
                     pieces.append(("0n", b, c / s))
-                    lp_terms.append((beta, (c * (1.0 + 1j / math.tan(b * theta)),)))
+                    lp_terms.append((beta, (c * (1.0 + 1j / t),)))
                 else:
                     pieces.append(("1n", b, c / s))
                     lp_terms.append((beta, (-1j * c / s,)))

@@ -35,6 +35,15 @@ class ResonanceUndeclared(LogSurfError):
     """A wedge solve needed a resonance decision the angle data lacks."""
 
 
+class DegenerateTerm(LogSurfError):
+    """A wedge data term whose closed-form solution is not a finite float;
+    carries the edge (0 or 1) and the term's index on it."""
+
+    def __init__(self, side: int, index: int, reason: str):
+        super().__init__(f"edge{side}[{index}]: {reason}")
+        self.side, self.index, self.reason = side, index, reason
+
+
 class PoleCoincidence(LogSurfError):
     """Green function evaluated at its own pole."""
 

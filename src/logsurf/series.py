@@ -16,9 +16,13 @@ at once for h = 0, reversion inverts a linear series with one product,
 and compose_germ composes with a ray (h = 0) through copies.  So rays
 and short series cost a few calls at any N.  Outputs keep their
 lengths, and every np.convolve still made keeps its operand lengths,
-so the floats are those of the full loops.  ps_eval_many and
-evaluate_many are ps_eval and evaluate on float64 arrays, with their
-floats.
+so the floats are those of the full loops.  ps_eval stops its sum
+once no later term can change a bit of it: inside the unit disc, when
+the largest coefficient still to come times the current power of w is
+below a quarter ulp of both parts of the total.  Each skipped addend
+then rounds straight back to the total, so the float is that of the
+full sum.  ps_eval_many and evaluate_many are ps_eval and evaluate on
+float64 arrays, with their floats; ps_eval_many sums every term.
 """
 
 from __future__ import annotations
@@ -65,6 +69,13 @@ class PowerSeries:
         """coeffs up to the last nonzero one; empty when the series is zero."""
         return self.coeffs[: _nonzero_len(self.coeffs)]
 
+    @cached_property
+    def tail_max(self) -> tuple:
+        """max |c_m| over the m > n of trimmed, for each n of trimmed (0.0 at
+        the last); nan when a later coefficient is nan.  ps_eval's stop rule."""
+        mags = np.abs(np.array(self.trimmed[1:] + (0j,), dtype=complex))
+        return tuple(np.maximum.accumulate(mags[::-1])[::-1].tolist())
+
 
 def _nonzero_len(coeffs: Sequence[complex]) -> int:
     """Length up to the last nonzero coefficient, scanning only the trailing zeros."""
@@ -80,28 +91,65 @@ def _radius_pow(radius: float, p: float) -> float:
 
 
 def ps_eval(f: PowerSeries, w: complex) -> complex:
-    """Evaluate at a complex point, summing in ascending degree order up to
-    the last nonzero coefficient.  Trailing zeros cannot change a finite
-    sum (it starts at +0, so it is never -0), and skipping them keeps w**n
-    from overflowing to inf, where 0 * inf would be nan."""
+    """Evaluate at a complex point by the ascending sum, total += c * term
+    and term *= w, over the coefficients up to the last nonzero one,
+    stopping as soon as no later term can change a bit of the total.
+
+    Trailing zeros cannot change a finite sum (it starts at +0, so it is
+    never -0), and skipping them keeps w**n from overflowing to inf,
+    where 0 * inf would be nan.
+
+    The stop rule.  When |w| <= 1, the sum stops after the term of c_n
+    once both parts p of the total satisfy
+
+        2 * M * (|term| + 1e-300) + 1e-280 < 2**-55 * |p|,
+
+    where term = w**(n+1) as computed and M = tail_max[n] is the largest
+    |c_m| still to come.  The rule is exact:
+    * no later |term| exceeds this one by more than rounding, which the
+      factor 2 covers, or by more than a few subnormal units once the
+      terms underflow, which the 1e-300 covers;
+    * so each later addend is below 2**-55 * |p|, under a quarter of p's
+      ulp, and the 1e-280 keeps p normal;
+    * such an addend rounds straight back to p, also below a power of
+      two, where the spacing is half an ulp.
+    The total never changes again: it is the float of the full loop, bit
+    for bit.  A nan or overflowing bound, a nan or zero part and any
+    |w| > 1 never meet the rule, so those sums run to the end.  An inf
+    part stays inf, since a finite bound keeps every later addend finite.
+
+    >>> f = PowerSeries(tuple(0.5 ** n * (1 + 1j) for n in range(33)), 2.0)
+    >>> w = 0.001 - 0.002j
+    >>> full, term = 0j, 1 + 0j
+    >>> for c in f.coeffs:
+    ...     full, term = full + c * term, term * w
+    >>> ps_eval(f, w) == full
+    True
+    """
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
-    for c in f.trimmed:
+    cut = 2**-55 if abs(w) <= 1.0 else 0.0  # bound >= 1e-280 is never below 0.0
+    for c, m in zip(f.trimmed, f.tail_max):
         total += c * term
         term *= w
+        bound = 2.0 * m * (abs(term) + 1e-300) + 1e-280
+        if bound < cut * abs(total.real) and bound < cut * abs(total.imag):
+            break
     return total
 
 
 def ps_eval_many(f: PowerSeries, wr: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ps_eval at the points wr + i*wi, as (real parts, imaginary parts).
 
-    The complex values are kept split in two float64 arrays and run the
-    same ascending loop as ps_eval, with Python's complex product written
-    out, (a + bi)(c + di) = (ac - bd) + (ad + bc)i.  Only elementwise
-    products, sums and differences run on the arrays, and these round as
-    Python's floats do, so every value is the float ps_eval returns, bit
-    for bit, inf and nan included; nothing runs per point.  (numpy's
-    complex128 products do not round that way.)
+    The complex values are kept split in two float64 arrays, with
+    Python's complex product written out, (a + bi)(c + di) = (ac - bd) +
+    (ad + bc)i.  The sum runs over every coefficient of trimmed at every
+    point: ps_eval stops early only where the terms it skips cannot
+    change its total, so the full sum has ps_eval's floats too.  Only
+    elementwise products, sums and differences run on the arrays, and
+    these round as Python's floats do, so every value is the float
+    ps_eval returns, bit for bit, inf and nan included; nothing runs per
+    point.  (numpy's complex128 products do not round that way.)
     """
     total_r = np.zeros(len(wr))
     total_i = np.zeros(len(wr))

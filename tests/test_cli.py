@@ -220,6 +220,39 @@ def test_failing_wedge_reports_its_first_failing_evaluation(tmp_path, capsys, ed
     assert f"error (mutated.json): {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "theta, side, beta, coeff, loc, cause",
+    [
+        # beta * theta underflows to 0.0: the sine is 0
+        (0.5, "edge0", 5e-324, 1.0, "$.edge0[0]",
+         "c / sin(beta * theta) is not finite: sin(5e-324 * 0.5) = 0.0"),
+        # the sine is the subnormal 5e-324, and c / sin overflows to inf
+        (1.0, "edge0", 5e-324, 1.0, "$.edge0[0]",
+         "c / sin(beta * theta) is not finite: sin(5e-324 * 1.0) = 5e-324"),
+        (1.0, "edge0", 5e-324, 1e-320, "$.edge0[0]",
+         "cot(beta * theta) is not finite: tan(5e-324 * 1.0) = 5e-324"),
+        (1.0, "edge1", 5e-324, 1.0, "$.edge1[1]",
+         "c / sin(beta * theta) is not finite: sin(5e-324 * 1.0) = 5e-324"),
+        # beta * theta overflows to inf, where the sine has no value
+        (2.0, "edge0", 1e308, 1.0, "$.edge0[0]",
+         "c / sin(beta * theta) is not finite: sin(1e+308 * 2.0) = nan"),
+    ],
+)
+def test_wedge_refuses_a_term_without_a_finite_closed_form(tmp_path, capsys, theta, side, beta,
+                                                           coeff, loc, cause):
+    obj = json.loads((SCENARIOS / "wedge_irrational.json").read_text())
+    obj["theta"]["value"] = theta
+    term = {"beta_real": beta, "coeff": coeff}
+    if side == "edge0":
+        obj["edge0"] = [term]
+    else:
+        obj["edge1"].append(term)
+    mutated = _write(tmp_path, "mutated.json", obj)
+    rc = main(["run", str(mutated), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error (mutated.json): {loc}: {cause}\n" in capsys.readouterr().err
+
+
 def test_wedge_runner_evaluates_each_grid_point_once(tmp_path):
     # one pass over the 8 x 7 grid feeds both boundary checks, the
     # compatibility check and the grid table

@@ -175,6 +175,81 @@ def test_ps_eval_is_the_full_loop_bit_for_bit(head, tail, w):
         assert bits(ps_eval(f, w)) == bits(ref)
 
 
+# Points of the closed unit disc, where ps_eval may stop early: moduli
+# drawn from [0, 1] and by exponent down to 1e-300, the unit circle, and
+# exact points on the axes and the diagonal.
+_UNIT_DISC = st.builds(
+    cmath.rect,
+    st.floats(0.0, 1.0) | st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e) | st.just(1.0),
+    st.floats(-math.pi, math.pi) | st.sampled_from([0.0, math.pi / 2, math.pi]),
+) | st.sampled_from([1.0, -1j, 0.5 + 0.5j, complex(-0.0, 1e-310)]) | SIGNED_ZEROS
+
+
+def _decaying(a, rho, phases):
+    """c_n = a * rho**-n, each turned by its phase."""
+    return [cmath.rect(a * rho ** -n, p) for n, p in enumerate(phases)]
+
+
+_PHASES = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=40)
+_RHO = st.floats(1.0, 1e4)
+_DECAYING = st.builds(_decaying, st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), _RHO, _PHASES)
+_MAGNITUDES = st.lists(
+    st.builds(cmath.rect, st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+              st.floats(-math.pi, math.pi)) | SIGNED_ZEROS,
+    min_size=1, max_size=40,
+)
+# A leading coefficient that steers the parts of the sum: exactly zero,
+# tiny (around the 1e-280 floor and subnormal), or a power of two, which
+# smaller later terms may round down to from below.
+_PART = (
+    st.sampled_from([0.0, -0.0, 1e-280, -2e-280, 1e-300, 5e-324, 1e-290])
+    | st.builds(lambda k, sign: sign * 2.0 ** k, st.integers(-1000, 1000), st.sampled_from([1, -1]))
+)
+_STEERED = st.builds(
+    lambda c0, e, rho, phases: [c0] + _decaying(abs(c0) * 10.0 ** e, rho, phases),
+    st.builds(complex, _PART, _PART), st.floats(-40.0, 0.0), _RHO, _PHASES,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+# The rule's edges: a real addend of 0.6 ulp, which rounds 2 - 2**-52 up
+# to 2; an imaginary part that a later term still changes; and later terms
+# that grow past every bound at |w| = 1.5.
+@example(coeffs=[complex(2 - 2**-52, 2 - 2**-52), 0.6 * 2**-52], w=1.0)
+@example(coeffs=[1 + 1e-10j, 1e-20j], w=1.0)
+@example(coeffs=[1 + 1j] + [1e-20 + 1e-20j] * 39, w=1.5)
+@given(
+    coeffs=_DECAYING | _MAGNITUDES | _STEERED,
+    w=_UNIT_DISC | st.builds(cmath.rect, st.floats(1.0, 4.0), st.floats(-math.pi, math.pi)),
+)
+def test_ps_eval_stopping_early_is_the_full_loop_bit_for_bit(coeffs, w):
+    # Inside the unit disc the sum may stop once no later term can change
+    # a bit of it; every coefficient read or not, the floats are the loop's.
+    # Just outside it, later terms grow, and the sum must not stop.
+    f = PowerSeries(tuple(coeffs), 1.0)
+    assert bits(ps_eval(f, w)) == bits(ps_eval_loop(f.coeffs, w))
+
+
+def test_ps_eval_stops_once_no_later_term_can_change_the_sum():
+    rng = np.random.default_rng(3)
+    coeffs = tuple(complex(x, y) for x, y in rng.uniform(0.5, 2.0, (33, 2)))
+    f = PowerSeries(coeffs, 2.0)
+    w = cmath.rect(1e-3, 0.7)
+    read = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for c in tuple.__iter__(self):
+                read.append(c)
+                yield c
+
+    f.tail_max  # cached first, so the stand-in counts only the sum's reads
+    f.__dict__["trimmed"] = Counted(f.trimmed)
+    assert bits(ps_eval(f, w)) == bits(ps_eval_loop(coeffs, w))
+    # 2 * M * |w|**6 ~ 5e-18 is below 2**-55 of either part (0.63, 0.86): six reads
+    assert len(read) <= 8
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(
     head=st.lists(
@@ -185,11 +260,12 @@ def test_ps_eval_is_the_full_loop_bit_for_bit(head, tail, w):
     tail=st.lists(SIGNED_ZEROS, max_size=24),
     ws=st.lists(
         st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False)
-        | SIGNED_ZEROS,
+        | _UNIT_DISC,
         max_size=12,
     ),
 )
 def test_ps_eval_many_is_ps_eval_bit_for_bit(head, tail, ws):
+    # Inside the unit disc ps_eval may stop early; ps_eval_many never does.
     f = PowerSeries(tuple(head + tail or [0j]), 1.0)
     with np.errstate(all="ignore"):
         re, im = ps_eval_many(f, np.array([w.real for w in ws]), np.array([w.imag for w in ws]))
