@@ -1,0 +1,102 @@
+"""Time extend_eval against its descent depth, on one scenario's corner.
+
+The corner and the base evaluator come from ``<root>/scenarios/reflect_wedge.json``
+(or ``--scenario``), built as ``logsurf run`` builds them: ``cli._parse_corner``
+and the closed-form wedge base of ``cli._straight_wedge_base``.  For each
+truncation order N in 16, 32 and 64 the script builds a tower of LEVELS
+levels and takes, in every non-empty window (from the previous level's
+``ReflectionState.upper``, or the first level's ``lower``, to this level's
+``upper``, within radius s_k), a grid of points whose least level is k, so
+extend_eval descends k - 1 reflections before it reaches the base.  It
+times one extend_eval call per point and prints one row per window: the
+order, the level, the depth, the number of points, and the median and
+quartiles of the time per point over ``--repeats`` passes after one
+warm-up.  The logsurf package is imported from ``<root>/src``, so two trees
+are timed with one copy of this script:
+
+    python scripts/descent_depth.py --root base
+    python scripts/descent_depth.py
+
+It is a measurement, not a test, and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ORDERS = (16, 32, 64)
+LEVELS = 6
+ANGLES = 10
+RADII = 10
+
+
+def window_points(states, membership, LPoint) -> list:
+    """(level, points) for each non-empty window of the tower, with every
+    point's least level checked to be that level."""
+    out, lo = [], states[0].lower
+    for st in states:
+        hi = st.upper
+        if not hi > lo:
+            continue
+        pad = (hi - lo) * 1e-3
+        points = [
+            LPoint(st.s * 10.0 ** (-3.0 * i / RADII - 1e-3),
+                   lo + pad + (hi - lo - 2 * pad) * j / (ANGLES - 1))
+            for j in range(ANGLES)
+            for i in range(RADII)
+        ]
+        if any(membership(states, z) != st.k for z in points):
+            raise RuntimeError(f"a point of the level-{st.k} window lies in another window")
+        out.append((st.k, points))
+        lo = hi
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="source tree holding src/logsurf and scenarios/ (default: this checkout)",
+    )
+    parser.add_argument("--scenario", default="reflect_wedge.json",
+                        help="a file under <root>/scenarios with a straight corner")
+    parser.add_argument("--repeats", type=int, default=21, help="timed passes per window")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    from logsurf import LPoint, cli, config, extend_eval, membership, tower
+
+    obj = json.loads((root / "scenarios" / args.scenario).read_text())
+    print(f"{args.scenario}: {LEVELS} levels, tree {root}")
+    print(f"{'order':>5} {'level':>5} {'depth':>5} {'points':>6} "
+          f"{'median us':>9} {'q1 us':>7} {'q3 us':>7}")
+    for order in ORDERS:
+        with config.trunc_order(order):
+            corner = cli._parse_corner(obj["corner"], "$.corner")
+            base, _ = cli._straight_wedge_base(corner, "$.corner")
+            states = tower(corner, LEVELS)
+        for level, points in window_points(states, membership, LPoint):
+            times = []
+            for _ in range(args.repeats + 1):
+                start = time.perf_counter()
+                for z in points:
+                    extend_eval(states, base, z)
+                times.append((time.perf_counter() - start) * 1e6 / len(points))
+            runs = times[1:]  # one run is its own median and quartiles
+            q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+            print(f"{order:5d} {level:5d} {level - 1:5d} {len(points):6d} "
+                  f"{median:9.2f} {q1:7.2f} {q3:7.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -465,14 +465,23 @@ def poisson_disk(h: Callable[[complex], float], xi: complex, nodes: int = 512) -
     return unit_disk_solver(nodes)(h)(_disc_point(xi))
 
 
+@dataclass(frozen=True)
+class NodeData:
+    """Boundary data given on the solver's whole node array at once:
+    values(eta) returns the float data at the complex128 nodes eta."""
+
+    values: Callable[[np.ndarray], Sequence[float]]
+
+
 def unit_disk_solver(nodes: int = 512) -> Callable:
     """A Dirichlet solver for the unit disc: boundary data to evaluator.
 
     solve(h) evaluates h at the nodes once, passing each node as a
-    Python complex from one list made with the nodes; the evaluator it
-    returns forms only the Poisson weights of each point.  poisson_disk
-    is one such solve and one evaluation, and every float, from the nodes
-    and the data values to the weights and their mean, is computed by the
+    Python complex from one list made with the nodes, or, for NodeData,
+    making one values call on the node array; the evaluator it returns
+    forms only the Poisson weights of each point.  poisson_disk is one
+    such solve and one evaluation, and every float, from the nodes and
+    the data values to the weights and their mean, is computed by the
     same expressions in the same order, so a reused solve and
     poisson_disk agree bit for bit.
     """
@@ -481,8 +490,11 @@ def unit_disk_solver(nodes: int = 512) -> Callable:
     eta = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     eta_list = eta.tolist()
 
-    def solve(h: Callable[[complex], float]) -> Callable[[complex], float]:
-        vals = np.array([float(h(e)) for e in eta_list])
+    def solve(h: Callable[[complex], float] | NodeData) -> Callable[[complex], float]:
+        if isinstance(h, NodeData):
+            vals = np.array(h.values(eta), dtype=float)
+        else:
+            vals = np.array([float(h(e)) for e in eta_list])
 
         def u(xi: complex) -> float:
             xi = _disc_point(xi)
@@ -503,9 +515,25 @@ def _off_pole(x: complex, y: complex) -> complex:
 
 def green_pole(solve: Callable, y: complex) -> Callable[[complex], float]:
     """x -> G(x, y) = log(1/|x - y|) - u(x), where u solves the Dirichlet
-    problem with boundary data log(1/|t - y|), once for the pole y."""
+    problem with boundary data log(1/|t - y|), once for the pole y.
+
+    The data is NodeData: t - y on the node array, np.hypot of its parts
+    (Python's abs; numpy's complex abs rounds differently), 1.0 over it
+    and math.log per element (numpy's log rounds differently).  When a
+    modulus is 0, inf or nan (a pole on a node, an overflow, a nan pole),
+    every node goes through the per-node rule log(1.0 / abs(t - y))
+    instead, which raises or gives inf or nan as Python does.
+    """
     y = complex(y)
-    u = solve(lambda t: math.log(1.0 / abs(t - y)))
+
+    def values(eta: np.ndarray) -> list:
+        diff = eta - y
+        size = np.hypot(diff.real, diff.imag)
+        if not np.all((0.0 < size) & (size < math.inf)):
+            return [math.log(1.0 / abs(t - y)) for t in eta.tolist()]
+        return list(map(math.log, (1.0 / size).tolist()))
+
+    u = solve(NodeData(values))
 
     def green(x: complex) -> float:
         x = _off_pole(x, y)

@@ -15,16 +15,21 @@ set by the recursion, never re-estimated.  The union of the rotated
 sectors reached after k steps covers arguments up to 2**(k-1) * theta
 (minus a fixed pi/2 haircut for curvature), which is what makes the
 extension reach every quadratic domain.
+
+extend_eval evaluates the extension at one point, carrying it as the
+floats (r, phi) through the descent; extend_eval_many evaluates many
+points on float64 arrays, with extend_eval's floats and exceptions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +40,16 @@ from .errors import (
     OutsideExtension,
     WindowEmpty,
 )
-from .germs import Germ, apply_germ, apply_germ_many, compose, invert, is_identity, is_ray, tau_conj
+from .germs import (
+    Germ,
+    apply_germ_many,
+    apply_germ_polar,
+    compose,
+    invert,
+    is_identity,
+    is_ray,
+    tau_conj,
+)
 from .logpower import LogPowerSeries
 from .logpower import evaluate as lp_evaluate
 from .logpower import evaluate_many as lp_evaluate_many
@@ -45,13 +59,13 @@ from .series import (
     add,
     compose_germ,
     conj_tau,
-    evaluate,
     evaluate_many,
+    evaluate_polar,
     puiseux,
     scale,
     sub,
 )
-from .surface import LPoint, QuadraticDomain, fallback_many, raising, tau, valid_many
+from .surface import LPoint, QuadraticDomain, fallback_many, on_surface, raising, tau, valid_many
 
 
 @dataclass(frozen=True)
@@ -172,6 +186,14 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     corner, evaluates the base completion there, then unwinds
     f_{j+1}(z) = -conj((f_j - h_j)(w)) + h_j(z).  Raises
     OutsideExtension when no materialized window contains z.
+
+    The descent and the unwinding carry each point as its floats (r, phi):
+    w = phi_j(tau(phi_j^-1(z))) is two apply_germ_polar calls with the sign
+    of the argument flipped between them, and h_j is evaluate_polar.  Each
+    germ image is checked with LPoint's rule, on_surface, and an LPoint is
+    built only to raise its exception, so the floats and exceptions are
+    those of apply_germ and evaluate on LPoints.  The one LPoint built is
+    the landing point given to base.f (z itself when z is in the corner).
     """
     if base.f is None:
         raise ValueError("the base evaluator must provide a holomorphic completion")
@@ -181,16 +203,22 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
             f"point (r={z.r}, phi={z.phi}) lies in no materialized window"
         )
     stack = []
-    current = z
+    r, phi = z.r, z.phi
     while level > 1:
         st = states[level - 2]
-        w = apply_germ(st.phi, tau(apply_germ(st.phi_inv, current)))
-        stack.append((st.h, w, current))
-        current = w
+        u_r, u_phi = apply_germ_polar(st.phi_inv, r, phi)
+        if not on_surface(u_r, u_phi):
+            LPoint(u_r, u_phi)  # raises LPoint's exception
+        w_r, w_phi = apply_germ_polar(st.phi, u_r, -u_phi)
+        if not on_surface(w_r, w_phi):
+            LPoint(w_r, w_phi)
+        stack.append((st.h, w_r, w_phi, r, phi))
+        r, phi = w_r, w_phi
         level -= 1
-    value = complex(base.f(current))
-    for h, w, znext in reversed(stack):
-        value = -(value - evaluate(h, w)).conjugate() + evaluate(h, znext)
+    value = complex(base.f(LPoint(r, phi) if stack else z))
+    for h, w_r, w_phi, z_r, z_phi in reversed(stack):
+        value = (-(value - evaluate_polar(h, w_r, w_phi)).conjugate()
+                 + evaluate_polar(h, z_r, z_phi))
     return value
 
 
@@ -414,15 +442,15 @@ def _next_exponent_bound(gamma: LogPowerSeries, R: float) -> float:
     return best
 
 
-def _window_points(states, idx: int, count: int, radii: np.ndarray) -> list[tuple[float, float]]:
-    """(|z|, arg z) at count angles across window idx times the given radii,
-    angle-major; none when the window is empty."""
+def _window_points(states, idx: int, count: int, radii: np.ndarray) -> tuple:
+    """(|z|, arg z) as arrays, at count angles across window idx times the
+    given radii, angle-major; empty when the window is empty."""
     lo, hi = states[idx].lower, states[idx].upper
     if not hi > lo:
-        return []
+        return np.empty(0), np.empty(0)
     pad = (hi - lo) * 1e-3 + 1e-9
     angles = np.linspace(lo + pad, hi - pad, count)
-    return [(float(rr), float(ang)) for ang in angles for rr in radii]
+    return np.tile(radii, count), np.repeat(angles, len(radii))
 
 
 def _cert_samples(
@@ -431,28 +459,64 @@ def _cert_samples(
     gamma: LogPowerSeries,
     count: int,
     grids: Sequence[tuple[int, np.ndarray]],
-) -> list[Iterator[tuple[float, float, float]]]:
-    """For each (idx, radii) of grids, the samples (|z|, |f - gamma|, |gamma|)
-    of _window_points(states, idx, count, radii).
+) -> list[tuple[np.ndarray, list, list]]:
+    """For each (idx, radii) of grids, the samples at
+    _window_points(states, idx, count, radii) as (|z|, gammas, fs): the
+    moduli as an array, and the values of gamma and f at the points, each
+    a complex or the exception its evaluation raises.
 
     f is evaluated at every point of every window in one extend_eval_many
     call, and gamma in one evaluate_many call, whose leftovers go through
-    logpower.evaluate by fallback_many.  Each window's samples are made
-    lazily, in the order of scalar evaluation, so the first failing sample
-    raises its exception, gamma's before f's.
+    logpower.evaluate by fallback_many.
     """
     points = [_window_points(states, idx, count, radii) for idx, radii in grids]
-    flat = [p for pts in points for p in pts]
-    r, phi = [r for r, _ in flat], [a for _, a in flat]
+    r = np.concatenate([np.empty(0)] + [pr for pr, _ in points])
+    phi = np.concatenate([np.empty(0)] + [pphi for _, pphi in points])
     values = extend_eval_many(states, base, r, phi)
     gammas = fallback_many(lambda z: lp_evaluate(gamma, z), r, phi, *lp_evaluate_many(gamma, r, phi))
     out, start = [], 0
-    for pts in points:
-        stop = start + len(pts)
-        gs, fs = raising(gammas[start:stop]), raising(values[start:stop])
-        out.append((rr, abs(f - g), abs(g)) for (rr, _), g, f in zip(pts, gs, fs))
+    for pr, _ in points:
+        stop = start + len(pr)
+        out.append((pr, gammas[start:stop], values[start:stop]))
         start = stop
     return out
+
+
+def _pow_many(r: np.ndarray, p: float) -> np.ndarray:
+    """r[i] ** p per element with Python's pow (np.power rounds differently);
+    OverflowError where ** raises it."""
+    return np.array(list(map(pow, r.tolist(), itertools.repeat(p))))
+
+
+def _window_worst(samples: tuple, term: Callable, term_many: Callable) -> float:
+    """worst(0.0, *terms) over one window's samples from _cert_samples.
+
+    A sample at |z| = r with values g and f has the term
+    term(r, |f - g|, |g|); term_many(r, err, size) gives the terms on
+    float64 arrays with Python's floats: err and size are np.hypot of
+    the parts (Python's abs; numpy's complex abs rounds differently) and
+    powers come from _pow_many.  The arrays fold a window whose samples
+    are all Python complex values and whose err, size and terms are all
+    finite: the scalar fold then raises nothing, and its largest term is
+    the same float.  Any other window is folded one sample at a time, so
+    the first failing sample raises its exception, gamma's before f's, a
+    term that divides by zero raises, and a nan makes the fold nan.
+    """
+    r, gammas, fs = samples
+    if set(map(type, gammas + fs)) == {complex}:
+        g = np.array(gammas, dtype=complex)
+        diff = np.array(fs, dtype=complex) - g
+        with np.errstate(all="ignore"):
+            err, size = np.hypot(diff.real, diff.imag), np.hypot(g.real, g.imag)
+            try:
+                terms = term_many(r, err, size)
+            except OverflowError:
+                terms = None
+        if terms is not None and np.isfinite(err).all() and np.isfinite(size).all() \
+                and np.isfinite(terms).all():
+            return float(np.max(terms, initial=0.0))
+    gs, fs = raising(gammas), raising(fs)
+    return worst(0.0, *(term(rr, abs(f - g), abs(g)) for rr, g, f in zip(r.tolist(), gs, fs)))
 
 
 def certify_expansion(
@@ -475,8 +539,9 @@ def certify_expansion(
     window.  Raises WindowEmpty when the scales underflow before the last
     level.  Each of the two passes evaluates f at all of its samples, over
     every window, in one extend_eval_many call, and gamma in one
-    logpower.evaluate_many call, so every float is that of sample-by-sample
-    extend_eval and evaluate, and a failing sample raises the same
+    logpower.evaluate_many call, and folds each window on arrays
+    (_window_worst), so every float is that of sample-by-sample
+    extend_eval, evaluate and fold, and a failing sample raises the same
     exception.
     """
     bound = _next_exponent_bound(gamma, R)
@@ -490,10 +555,18 @@ def certify_expansion(
         (idx, np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples))
         for idx, st in enumerate(states)
     ]
+    # the residual err - floor * size over |z|**R', or 0.0 where it is
+    # <= 0; a nan residual is not <= 0, so it reaches the fold and C_k is nan
+    def excess(r, err, size):
+        e = err - _NOISE_FLOOR * size
+        return 0.0 if e <= 0 else e / r ** R_prime
+
+    def excess_many(r, err, size):
+        e = err - _NOISE_FLOOR * size
+        return np.where(e <= 0, 0.0, e / _pow_many(r, R_prime))
+
     for samples in _cert_samples(states, base, gamma, angle_samples, grids):
-        resids = ((r, err - _NOISE_FLOOR * size) for r, err, size in samples)
-        # a nan residual is not <= 0, so it reaches the fold and C_k is nan
-        c_values.append(worst(0.0, *(e / r ** R_prime for r, e in resids if not e <= 0)))
+        c_values.append(_window_worst(samples, excess, excess_many))
 
     denom = R_prime - S
     A = 1.0001
@@ -522,11 +595,11 @@ def certify_expansion(
         grids.append((idx, np.geomspace(lo_r, t_hi, 6)))
     window_rows = []
     all_ok = True
+    ratio = lambda r, err, size: err / (r ** S + _NOISE_FLOOR * size)
+    ratio_many = lambda r, err, size: err / (_pow_many(r, S) + _NOISE_FLOOR * size)
     for (idx, _), samples in zip(grids, _cert_samples(states, base, gamma, angle_samples, grids)):
         k = states[idx].k
-        worst_ratio = worst(0.0, *(
-            err / (r ** S + _NOISE_FLOOR * size) for r, err, size in samples
-        ))
+        worst_ratio = _window_worst(samples, ratio, ratio_many)
         ok = worst_ratio <= 1.0
         window_rows.append((k, scales[k - 1], scales[k], worst_ratio, ok))
         all_ok = all_ok and ok

@@ -21,8 +21,10 @@ once no later term can change a bit of it: inside the unit disc, when
 the largest coefficient still to come times the current power of w is
 below a quarter ulp of both parts of the total.  Each skipped addend
 then rounds straight back to the total, so the float is that of the
-full sum.  ps_eval_many and evaluate_many are ps_eval and evaluate on
-float64 arrays, with their floats; ps_eval_many sums every term.
+full sum.  evaluate_polar is evaluate on the floats (r, phi) of a point,
+and evaluate wraps it.  ps_eval_many and evaluate_many are ps_eval and
+evaluate on float64 arrays, with their floats; ps_eval_many sums every
+term.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import config
 from .errors import InvalidGerm, OutOfRadius
-from .surface import LPoint, cpow, cpow_many
+from .surface import LPoint, cpow, cpow_many, cpow_polar
 
 if TYPE_CHECKING:
     from .germs import Germ
@@ -71,10 +73,11 @@ class PowerSeries:
 
     @cached_property
     def tail_max(self) -> tuple:
-        """max |c_m| over the m > n of trimmed, for each n of trimmed (0.0 at
-        the last); nan when a later coefficient is nan.  ps_eval's stop rule."""
+        """2 * max |c_m| over the m > n of trimmed, for each n of trimmed (0.0
+        at the last); nan when a later coefficient is nan.  ps_eval's stop
+        rule.  Doubling is exact (or inf, as 2.0 * M is in Python)."""
         mags = np.abs(np.array(self.trimmed[1:] + (0j,), dtype=complex))
-        return tuple(np.maximum.accumulate(mags[::-1])[::-1].tolist())
+        return tuple((2.0 * np.maximum.accumulate(mags[::-1])[::-1]).tolist())
 
 
 def _nonzero_len(coeffs: Sequence[complex]) -> int:
@@ -104,8 +107,9 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
 
         2 * M * (|term| + 1e-300) + 1e-280 < 2**-55 * |p|,
 
-    where term = w**(n+1) as computed and M = tail_max[n] is the largest
-    |c_m| still to come.  The rule is exact:
+    where term = w**(n+1) as computed and M is the largest |c_m| still to
+    come; tail_max[n] holds 2 * M, the float Python forms first in
+    2.0 * M * (...).  The rule is exact:
     * no later |term| exceeds this one by more than rounding, which the
       factor 2 covers, or by more than a few subnormal units once the
       terms underflow, which the 1e-300 covers;
@@ -129,10 +133,10 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
     cut = 2**-55 if abs(w) <= 1.0 else 0.0  # bound >= 1e-280 is never below 0.0
-    for c, m in zip(f.trimmed, f.tail_max):
+    for c, m2 in zip(f.trimmed, f.tail_max):
         total += c * term
         term *= w
-        bound = 2.0 * m * (abs(term) + 1e-300) + 1e-280
+        bound = m2 * (abs(term) + 1e-300) + 1e-280
         if bound < cut * abs(total.real) and bound < cut * abs(total.imag):
             break
     return total
@@ -228,7 +232,8 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     truncated level the expansion is exact polynomial algebra because
     h**j has valuation >= j.  It is finite for a nonnegative integer alpha:
     the binomial coefficients are made one at a time, and the first zero,
-    C(alpha, alpha + 1), ends the sum.  h = 0 returns 1 at once.
+    C(alpha, alpha + 1), ends the sum before its power of h is made, so
+    alpha = k makes k products.  h = 0 returns 1 at once.
     Otherwise each power of h is one product with the whole of h as
     given: cutting its trailing zeros here would change the rounding of
     those products.
@@ -244,8 +249,10 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
         return tuple(acc.tolist())
     pw = np.ones(1, dtype=complex)
     for b in itertools.islice(_binomials(alpha), 1, order + 1):
+        if b == 0:
+            break
         pw = np.convolve(pw, h_arr)[: order + 1]
-        if b == 0 or not pw.any():
+        if not pw.any():
             break
         acc[: len(pw)] += b * pw
     return tuple(acc.tolist())
@@ -342,10 +349,15 @@ def puiseux_from_terms(terms: Iterable[tuple[int, complex]], radius: float, d: i
 
 def evaluate(g: PuiseuxSeries, z: LPoint) -> complex:
     """Evaluate on the surface; fractional powers use the sheet of z."""
-    if z.r >= g.radius:
-        raise OutOfRadius(f"|z| = {z.r} is not below the asserted radius {g.radius}")
-    w = cpow(1.0 / g.d, z)
-    return ps_eval(g.base, w)
+    return evaluate_polar(g, z.r, z.phi)
+
+
+def evaluate_polar(g: PuiseuxSeries, r: float, phi: float) -> complex:
+    """evaluate(g, LPoint(r, phi)) for a point (r, phi) of the surface,
+    without building the LPoint: ps_eval of the base at w = z**(1/d)."""
+    if r >= g.radius:
+        raise OutOfRadius(f"|z| = {r} is not below the asserted radius {g.radius}")
+    return ps_eval(g.base, cpow_polar(1.0 / g.d, r, phi))
 
 
 def evaluate_many(g: PuiseuxSeries, r, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

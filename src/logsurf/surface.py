@@ -12,6 +12,8 @@ immutable values.
 >>> project(z)              # projection collapses sheets
 (4-...j)
 
+on_surface is LPoint's check and cpow_polar is cpow, both on the floats
+(r, phi) of a point, for code that carries points as floats.
 cpow_many and valid_many are cpow and LPoint's check on float64 arrays.
 Each array twin (a *_many function) gives its scalar rule's floats where
 its ok mask holds; fallback_many runs the other points through the scalar.
@@ -35,10 +37,21 @@ class LPoint:
     phi: float
 
     def __post_init__(self):
-        if not (isinstance(self.r, (int, float)) and 0 < self.r < math.inf):
-            raise ValueError(f"modulus must be a finite positive real, got {self.r!r}")
-        if not (isinstance(self.phi, (int, float)) and -math.inf < self.phi < math.inf):
+        if not on_surface(self.r, self.phi):
+            if not on_surface(self.r, 0.0):
+                raise ValueError(f"modulus must be a finite positive real, got {self.r!r}")
             raise ValueError(f"argument must be a finite real, got {self.phi!r}")
+
+
+def on_surface(r, phi) -> bool:
+    """LPoint's rule: whether LPoint(r, phi) is built rather than raising.
+
+    r must be a finite positive real and phi a finite real.  Code that
+    carries (r, phi) as floats checks a point with this and builds an
+    LPoint only to raise its exception.
+    """
+    return (isinstance(r, (int, float)) and 0 < r < math.inf
+            and isinstance(phi, (int, float)) and -math.inf < phi < math.inf)
 
 
 @dataclass(frozen=True)
@@ -88,11 +101,17 @@ def cpow(alpha: float, z: LPoint) -> complex:
     For phi in (-pi, pi) this agrees with the principal-branch power of
     the projected point; on other sheets it differs, which is the point.
     """
+    return cpow_polar(alpha, z.r, z.phi)
+
+
+def cpow_polar(alpha: float, r: float, phi: float) -> complex:
+    """cpow(alpha, LPoint(r, phi)) for a point (r, phi) of the surface,
+    without building the LPoint: exp(alpha * (log r + i*phi))."""
     if alpha < 0:
         raise ValueError(f"power exponent must be nonnegative, got {alpha!r}")
     if alpha == 0:
         return 1.0 + 0.0j
-    return cmath.exp(alpha * logmap(z))
+    return cmath.exp(alpha * complex(math.log(r), phi))
 
 
 # For real exponents x up to this, cmath.exp takes its plain branch,

@@ -43,7 +43,7 @@ from logsurf import (
 from logsurf.germs import Germ
 from logsurf.series import PowerSeries
 
-from conftest import surface_dist
+from conftest import outcome, surface_dist
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +365,20 @@ def test_reused_disc_solve_is_poisson_disk_bit_for_bit():
             assert got.hex() == want.hex() == green_function(solve, pole, at).hex()
     with pytest.raises(PoleCoincidence):
         green_y(y)
+
+
+@pytest.mark.parametrize("y", [0.3 + 0.2j, 1.0, complex(math.inf, 0.0), complex(math.nan, 0.0)])
+def test_green_pole_data_on_the_node_array_is_the_per_node_data(y):
+    # a pole inside the disc, on a node (1.0 / 0.0 raises), at infinity
+    # (log(0.0) raises) and nan: the float, or the exception, of the data
+    # log(1/|t - y|) evaluated node by node
+    x = 0.1j
+
+    def per_node():
+        data = lambda t: math.log(1.0 / abs(t - y))
+        return math.log(1.0 / abs(x - y)) - poisson_disk(data, x, 64)
+
+    assert outcome(lambda: green_pole(unit_disk_solver(64), y)(x)) == outcome(per_node)
 
 
 def test_fd_laplacian_calibration():

@@ -19,6 +19,7 @@ from logsurf import (
     IrrationalAngle,
     LPoint,
     NotNormalized,
+    OutOfRadius,
     OutsideExtension,
     PuiseuxSeries,
     RationalPi,
@@ -54,6 +55,7 @@ from logsurf import (
 )
 
 from logsurf import cli, reflect
+from logsurf.surface import raising
 
 from conftest import apply_germ_composed, bits, outcome, ps_eval_loop, surface_dist
 
@@ -593,6 +595,56 @@ def test_schwarz_reflection_special_case(rng):
     assert worst < 1e-10
 
 
+def test_extend_eval_builds_only_the_landing_point():
+    # a level-5 point descends four levels on floats; the one LPoint built
+    # is the point given to base.f, where the LPoint descent built twelve
+    states, base, f = curved_oracle_tower(32)
+    lo, hi, st = _windows(states)[3]
+    z = LPoint(st.s * 0.1, 0.5 * (lo + hi))
+    assert membership(states, z) == 5
+    built = []
+    check = LPoint.__post_init__
+    with mock.patch.object(LPoint, "__post_init__", lambda p: (built.append(p), check(p))[1]):
+        got = extend_eval(states, base, z)
+    assert len(built) == 1
+    assert abs(got - f(z)) <= 1e-10 * abs(f(z))
+
+
+def test_extend_eval_raises_the_exceptions_of_the_lpoint_descent():
+    # a level-3 point of the unit wedge descends through the second level,
+    # then the first; a germ image that underflows or overflows fails
+    # LPoint's check where it is made, and a point past a germ or data
+    # radius raises OutOfRadius, as when each image was built as an LPoint
+    states = tower(unit_wedge_corner(), 3)
+    base = unit_wedge_base()
+    z = LPoint(1e-5, 3.0)
+    second = states[1]
+    assert membership(states, z) == 3
+
+    def germ(name, **changes):
+        return {name: dataclasses.replace(getattr(second, name), **changes)}
+
+    # a k = 0 outer germ maps the underflowed image back onto the surface
+    tiny = {**germ("phi_inv", a=LPoint(5e-324, -2.0)), **germ("phi", k=0)}
+    huge = {**germ("phi_inv", a=LPoint(1e300, -2.0)),
+            **germ("phi", a=LPoint(1e300, 2.0), radius=1e308)}
+    cases = [
+        (tiny, ValueError, "modulus must be a finite positive real, got 0.0"),
+        (huge, ValueError, "modulus must be a finite positive real, got inf"),
+        (germ("phi_inv", radius=5e-6), OutOfRadius,
+         "|z| = 1e-05 is not below the germ radius 5e-06"),
+        (germ("phi", radius=5e-6), OutOfRadius,
+         "|z| = 1e-05 is not below the germ radius 5e-06"),
+        (germ("h", radius=5e-6), OutOfRadius,
+         "|z| = 1e-05 is not below the asserted radius 5e-06"),
+    ]
+    for changes, kind, message in cases:
+        broken = [states[0], dataclasses.replace(second, **changes), states[2]]
+        with pytest.raises(kind) as raised:
+            extend_eval(broken, base, z)
+        assert type(raised.value) is kind and str(raised.value) == message
+
+
 def test_extension_outside_raises():
     states = tower(unit_wedge_corner(), 3)
     base = unit_wedge_base()
@@ -703,6 +755,64 @@ def test_certificate_fails_on_nan_samples():
     assert [ok for *_, ok in cert.window_rows] == [True, True, False, False]
     assert [math.isnan(row[3]) for row in cert.window_rows] == [False, False, True, True]
     assert [math.isnan(ck) for _, ck, _, _ in cert.step_bounds] == [False, False, True, True]
+
+
+def _fold_terms(p):
+    """The certificate's two folds at the power p, each as (term, term_many)
+    for reflect._window_worst and the sample-by-sample fold it must equal."""
+    def excess(r, err, size):
+        e = err - 1e-12 * size
+        return 0.0 if e <= 0 else e / r ** p
+
+    def excess_many(r, err, size):
+        e = err - 1e-12 * size
+        return np.where(e <= 0, 0.0, e / reflect._pow_many(r, p))
+
+    def excess_folded(samples):
+        resids = ((r, err - 1e-12 * size) for r, err, size in samples)
+        return reflect.worst(0.0, *(e / r ** p for r, e in resids if not e <= 0))
+
+    ratio = lambda r, err, size: err / (r ** p + 1e-12 * size)
+    ratio_many = lambda r, err, size: err / (reflect._pow_many(r, p) + 1e-12 * size)
+    ratio_folded = lambda samples: reflect.worst(0.0, *(ratio(*sample) for sample in samples))
+    return (excess, excess_many, excess_folded), (ratio, ratio_many, ratio_folded)
+
+
+def _samples_one_by_one(r, gammas, fs):
+    """(|z|, |f - g|, |g|) per sample, raising gamma's exception before f's."""
+    for rr, g, f in zip(r.tolist(), raising(gammas), raising(fs)):
+        yield rr, abs(f - g), abs(g)
+
+
+_FOLD_VALUES = strategies.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_FOLD_SPECIALS = strategies.sampled_from([
+    0j, complex(1e308, 1e308), complex(math.nan, 0.0), complex(math.inf, 1.0), complex(5e-324, 0.0),
+    ArithmeticError("no gamma"), ValueError("no f"),
+])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    values=strategies.lists(
+        strategies.tuples(strategies.floats(-20.0, 1.0), _FOLD_VALUES, _FOLD_VALUES), max_size=12),
+    specials=strategies.lists(
+        strategies.tuples(strategies.integers(0, 11), strategies.booleans(), _FOLD_SPECIALS),
+        max_size=2),
+    p=strategies.sampled_from([0.5, 2.625, 30.0, 400.0]),
+)
+def test_certificate_window_folds_are_the_sample_folds(values, specials, p):
+    # radii from 1e-20 to 10, where |z|**p underflows to 0 or overflows for
+    # p = 400, gamma and f values near 0, overflowing |f - g|, nan, inf and
+    # exceptions: the array fold gives the sample fold's float or raises
+    # its first exception
+    r = np.array([10.0 ** e for e, _, _ in values])
+    gammas, fs = [g for _, g, _ in values], [f for _, _, f in values]
+    for i, on_f, v in specials:
+        if i < len(values):
+            (fs if on_f else gammas)[i] = v
+    for term, term_many, folded in _fold_terms(p):
+        want = outcome(lambda: folded(_samples_one_by_one(r, gammas, fs)))
+        assert outcome(reflect._window_worst, (r, gammas, fs), term, term_many) == want
 
 
 def test_certificate_scales_underflow():

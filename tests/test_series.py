@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,6 +297,17 @@ def test_binom_pow_integer_exponent_stops_at_the_first_zero_coefficient(monkeypa
     monkeypatch.setattr(series, "_binomials", counting)
     binom_pow((0j, 0.5, 0.25), 2.0, order=64)
     assert made == [1, 2, 1, 0]
+
+
+@pytest.mark.parametrize("alpha, products", [(1.0, 1), (2.0, 2)])
+def test_binom_pow_integer_exponent_makes_one_product_per_power(alpha, products):
+    # (1 + h)**k needs h, ..., h**k: the zero coefficient C(k, k + 1) ends
+    # the sum before an unused h**(k + 1) is made
+    h = (0j, 0.5, 0.25j)
+    with mock.patch.object(np, "convolve", wraps=np.convolve) as convolve:
+        got = binom_pow(h, alpha, order=16)
+    assert convolve.call_count == products
+    _same_bits(got, binom_pow_full(h, alpha, 16))
 
 
 def _dense_head(seed: int, size: int) -> list:
