@@ -7,9 +7,11 @@ at the file's truncation order.  For each (angle_samples, radial_samples)
 the script times ``certify_expansion`` and prints one row: the samples of
 the first pass (windows x angles x radii) and of the second (windows x
 angles x 6, fewer when the scales underflow), the median and quartiles
-of the time over ``--repeats`` runs after one warm-up, and whether the
-certificate's windows passed.  The logsurf package is imported from ``<root>/src``, so two trees are timed
-with one copy of this script:
+of the time over ``--repeats`` runs after one warm-up, whether the
+certificate's windows passed, and a sha256 over the repr of its floats
+``(A, step_bounds, window_rows, ok)``.  The logsurf package is imported
+from ``<root>/src``, so two trees are timed, and their certificates
+compared, with one copy of this script:
 
     python scripts/cert_density.py --root base
     python scripts/cert_density.py
@@ -20,6 +22,7 @@ It is a measurement, not a test, and is not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -57,7 +60,7 @@ def main(argv=None) -> int:
         windows = sum(st.upper > st.lower for st in states)
         print(f"{args.scenario}: {len(states)} levels, order {order}, tree {root}")
         print(f"{'angles':>6} {'radii':>5} {'pass 1':>6} {'pass 2':>6} "
-              f"{'median ms':>9} {'q1 ms':>7} {'q3 ms':>7}  ok")
+              f"{'median ms':>9} {'q1 ms':>7} {'q3 ms':>7}  ok    sha256")
         for angles, radii in DENSITIES:
             times = []
             for _ in range(args.repeats + 1):
@@ -66,8 +69,10 @@ def main(argv=None) -> int:
                 times.append((time.perf_counter() - start) * 1e3)
             runs = times[1:]  # one run is its own median and quartiles
             q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+            floats = repr((cert.A, cert.step_bounds, cert.window_rows, cert.ok))
             print(f"{angles:6d} {radii:5d} {windows * angles * radii:6d} "
-                  f"{windows * angles * 6:6d} {median:9.2f} {q1:7.2f} {q3:7.2f}  {cert.ok}")
+                  f"{windows * angles * 6:6d} {median:9.2f} {q1:7.2f} {q3:7.2f}  {cert.ok!s:5} "
+                  f"{hashlib.sha256(floats.encode()).hexdigest()}")
     return 0
 
 

@@ -528,6 +528,8 @@ def _run_poisson(obj, rng):
     kind = _need(data, "kind", "$.data")
     nodes = _as_int(obj.get("nodes", 512), "$.nodes", 16, MAX_COUNT)
     points = _as_list(_need(obj, "points", "$.points"), "$.points")
+    if not points:
+        raise SchemaError("expected at least one point", "$.points")
     if kind == "constant":
         value = _as_real(_need(data, "value", "$.data"), "$.data.value")
         h = lambda eta: value
@@ -589,7 +591,10 @@ def _run_green(obj, rng):
     rows = []
     worst_ref = 0.0
     worst_sym = 0.0
-    for i, p in enumerate(_as_list(_need(obj, "x_list", "$.x_list"), "$.x_list")):
+    x_list = _as_list(_need(obj, "x_list", "$.x_list"), "$.x_list")
+    if not x_list:
+        raise SchemaError("expected at least one point", "$.x_list")
+    for i, p in enumerate(x_list):
         ploc = f"$.x_list[{i}]"
         x = _parse_disc_point(p, ploc)
         with _at(ploc):
@@ -681,7 +686,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
             f"unknown scenario kind {kind!r}; expected one of {sorted(_RUNNERS)}",
             "$.scenario",
         )
-    eff_seed = seed if seed is not None else _as_int(obj.get("seed", 0), "$.seed", 0)
+    eff_seed = _as_int(seed if seed is not None else obj.get("seed", 0), "$.seed", 0)
     eff_order = trunc_order if trunc_order is not None else obj.get("trunc_order")
     if eff_order is None:
         eff_order = config.get_trunc_order()
@@ -691,14 +696,6 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
 
     with config.trunc_order(eff_order), _at("$"):
         checks, constants, tables = _RUNNERS[kind](obj, rng)
-
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt_cell(v) for v in row])
 
     payload = {
         "scenario": obj,
@@ -713,9 +710,19 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            with open(out / f"{name}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_fmt_cell(v) for v in row])
+        with open(out / "summary.json", "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write the report to {out}: {exc}", "$") from exc
     return Report(path.stem, payload["passed"], checks, out)
 
 

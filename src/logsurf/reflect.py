@@ -23,7 +23,6 @@ points on float64 arrays, with extend_eval's floats and exceptions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -482,41 +481,17 @@ def _cert_samples(
     return out
 
 
-def _pow_many(r: np.ndarray, p: float) -> np.ndarray:
-    """r[i] ** p per element with Python's pow (np.power rounds differently);
-    OverflowError where ** raises it."""
-    return np.array(list(map(pow, r.tolist(), itertools.repeat(p))))
-
-
-def _window_worst(samples: tuple, term: Callable, term_many: Callable) -> float:
+def _window_worst(samples: tuple, term: Callable) -> float:
     """worst(0.0, *terms) over one window's samples from _cert_samples.
 
     A sample at |z| = r with values g and f has the term
-    term(r, |f - g|, |g|); term_many(r, err, size) gives the terms on
-    float64 arrays with Python's floats: err and size are np.hypot of
-    the parts (Python's abs; numpy's complex abs rounds differently) and
-    powers come from _pow_many.  The arrays fold a window whose samples
-    are all Python complex values and whose err, size and terms are all
-    finite: the scalar fold then raises nothing, and its largest term is
-    the same float.  Any other window is folded one sample at a time, so
-    the first failing sample raises its exception, gamma's before f's, a
-    term that divides by zero raises, and a nan makes the fold nan.
+    term(r, |f - g|, |g|).  The samples are folded one at a time, so the
+    first failing sample raises its exception, gamma's before f's, a term
+    that divides by zero raises, and a nan makes the fold nan.
     """
     r, gammas, fs = samples
-    if set(map(type, gammas + fs)) == {complex}:
-        g = np.array(gammas, dtype=complex)
-        diff = np.array(fs, dtype=complex) - g
-        with np.errstate(all="ignore"):
-            err, size = np.hypot(diff.real, diff.imag), np.hypot(g.real, g.imag)
-            try:
-                terms = term_many(r, err, size)
-            except OverflowError:
-                terms = None
-        if terms is not None and np.isfinite(err).all() and np.isfinite(size).all() \
-                and np.isfinite(terms).all():
-            return float(np.max(terms, initial=0.0))
-    gs, fs = raising(gammas), raising(fs)
-    return worst(0.0, *(term(rr, abs(f - g), abs(g)) for rr, g, f in zip(r.tolist(), gs, fs)))
+    terms = (term(rr, abs(f - g), abs(g)) for rr, g, f in zip(r.tolist(), raising(gammas), raising(fs)))
+    return worst(0.0, *terms)
 
 
 def certify_expansion(
@@ -539,10 +514,9 @@ def certify_expansion(
     window.  Raises WindowEmpty when the scales underflow before the last
     level.  Each of the two passes evaluates f at all of its samples, over
     every window, in one extend_eval_many call, and gamma in one
-    logpower.evaluate_many call, and folds each window on arrays
-    (_window_worst), so every float is that of sample-by-sample
-    extend_eval, evaluate and fold, and a failing sample raises the same
-    exception.
+    logpower.evaluate_many call, so every value is that of extend_eval
+    and evaluate at the sample; each window is then folded sample by
+    sample (_window_worst), and a failing sample raises its exception.
     """
     bound = _next_exponent_bound(gamma, R)
     if not bound > R:
@@ -561,12 +535,8 @@ def certify_expansion(
         e = err - _NOISE_FLOOR * size
         return 0.0 if e <= 0 else e / r ** R_prime
 
-    def excess_many(r, err, size):
-        e = err - _NOISE_FLOOR * size
-        return np.where(e <= 0, 0.0, e / _pow_many(r, R_prime))
-
     for samples in _cert_samples(states, base, gamma, angle_samples, grids):
-        c_values.append(_window_worst(samples, excess, excess_many))
+        c_values.append(_window_worst(samples, excess))
 
     denom = R_prime - S
     A = 1.0001
@@ -596,10 +566,9 @@ def certify_expansion(
     window_rows = []
     all_ok = True
     ratio = lambda r, err, size: err / (r ** S + _NOISE_FLOOR * size)
-    ratio_many = lambda r, err, size: err / (_pow_many(r, S) + _NOISE_FLOOR * size)
     for (idx, _), samples in zip(grids, _cert_samples(states, base, gamma, angle_samples, grids)):
         k = states[idx].k
-        worst_ratio = _window_worst(samples, ratio, ratio_many)
+        worst_ratio = _window_worst(samples, ratio)
         ok = worst_ratio <= 1.0
         window_rows.append((k, scales[k - 1], scales[k], worst_ratio, ok))
         all_ok = all_ok and ok

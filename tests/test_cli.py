@@ -74,6 +74,30 @@ def test_seed_precedence(tmp_path):
     assert pb["provenance"]["seed"] == 123
 
 
+def test_negative_seed_exits_two(tmp_path, capsys):
+    # the flag and run() follow the file's rule for its seed
+    src = SCENARIOS / "reflect_wedge.json"
+    rc = main(["run", str(src), "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error (reflect_wedge.json): $.seed: expected an integer >= 0, got -1" in err
+    assert "Traceback" not in err
+    with pytest.raises(SchemaError) as exc:
+        run(src, tmp_path / "o", seed=-1)
+    assert exc.value.location == "$.seed"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a directory cannot be made under an existing file
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "o"
+    rc = main(["run", str(SCENARIOS / "envelope_wedge.json"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (envelope_wedge.json): $: cannot write the report to {out}: ")
+    assert err.count("\n") == 1
+
+
 def test_trunc_order_recorded(tmp_path):
     src = SCENARIOS / "wedge_irrational.json"
     run(src, tmp_path / "a")
@@ -174,6 +198,9 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         # a rational edge exponent must have a finite float, nonzero when it is positive
         ("wedge_irrational", ("edge0", 0, "beta_num"), 10**400, "$.edge0[0]"),
         ("wedge_irrational", ("edge0", 0, "beta_den"), 10**400, "$.edge0[0]"),
+        # a disc check over no points would pass with nothing checked
+        ("poisson_disk", ("points",), [], "$.points"),
+        ("green_disk", ("x_list",), [], "$.x_list"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):

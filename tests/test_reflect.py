@@ -758,24 +758,19 @@ def test_certificate_fails_on_nan_samples():
 
 
 def _fold_terms(p):
-    """The certificate's two folds at the power p, each as (term, term_many)
-    for reflect._window_worst and the sample-by-sample fold it must equal."""
+    """The certificate's two folds at the power p, each as the term for
+    reflect._window_worst and the sample-by-sample fold it must equal."""
     def excess(r, err, size):
         e = err - 1e-12 * size
         return 0.0 if e <= 0 else e / r ** p
-
-    def excess_many(r, err, size):
-        e = err - 1e-12 * size
-        return np.where(e <= 0, 0.0, e / reflect._pow_many(r, p))
 
     def excess_folded(samples):
         resids = ((r, err - 1e-12 * size) for r, err, size in samples)
         return reflect.worst(0.0, *(e / r ** p for r, e in resids if not e <= 0))
 
     ratio = lambda r, err, size: err / (r ** p + 1e-12 * size)
-    ratio_many = lambda r, err, size: err / (reflect._pow_many(r, p) + 1e-12 * size)
     ratio_folded = lambda samples: reflect.worst(0.0, *(ratio(*sample) for sample in samples))
-    return (excess, excess_many, excess_folded), (ratio, ratio_many, ratio_folded)
+    return (excess, excess_folded), (ratio, ratio_folded)
 
 
 def _samples_one_by_one(r, gammas, fs):
@@ -803,16 +798,16 @@ _FOLD_SPECIALS = strategies.sampled_from([
 def test_certificate_window_folds_are_the_sample_folds(values, specials, p):
     # radii from 1e-20 to 10, where |z|**p underflows to 0 or overflows for
     # p = 400, gamma and f values near 0, overflowing |f - g|, nan, inf and
-    # exceptions: the array fold gives the sample fold's float or raises
+    # exceptions: the window fold gives the sample fold's float or raises
     # its first exception
     r = np.array([10.0 ** e for e, _, _ in values])
     gammas, fs = [g for _, g, _ in values], [f for _, _, f in values]
     for i, on_f, v in specials:
         if i < len(values):
             (fs if on_f else gammas)[i] = v
-    for term, term_many, folded in _fold_terms(p):
+    for term, folded in _fold_terms(p):
         want = outcome(lambda: folded(_samples_one_by_one(r, gammas, fs)))
-        assert outcome(reflect._window_worst, (r, gammas, fs), term, term_many) == want
+        assert outcome(reflect._window_worst, (r, gammas, fs), term) == want
 
 
 def test_certificate_scales_underflow():
