@@ -1,17 +1,18 @@
 """Time certify_expansion against its sample density, on one scenario's corner.
 
 The corner, the tower and gamma come from ``<root>/scenarios/expansion_sanity.json``
-(or ``--scenario``), built as ``logsurf run`` builds them: the closed-form
-wedge base, its expansion truncated at R, and the file's number of levels,
-at the file's truncation order.  For each (angle_samples, radial_samples)
+(or ``--scenario``), built by the runner's own set-up, ``cli._expansion_setup``:
+the closed-form wedge base, its expansion truncated at R (log-free when the
+file sets strip_logs), and the file's number of levels, at the truncation
+order ``logsurf run`` takes for the file.  For each (angle_samples, radial_samples)
 the script times ``certify_expansion`` and prints one row: the samples of
 the first pass (windows x angles x radii) and of the second (windows x
 angles x 6, fewer when the scales underflow), the median and quartiles
 of the time over ``--repeats`` runs after one warm-up, whether the
 certificate's windows passed, and a sha256 over the repr of its floats
 ``(A, step_bounds, window_rows, ok)``.  The logsurf package is imported
-from ``<root>/src``, so two trees are timed, and their certificates
-compared, with one copy of this script:
+from ``<root>/src``, so two trees that have ``cli._expansion_setup`` are
+timed, and their certificates compared, with one copy of this script:
 
     python scripts/cert_density.py --root base
     python scripts/cert_density.py
@@ -48,15 +49,12 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
-    from logsurf import certify_expansion, cli, config, tower, truncate
+    from logsurf import certify_expansion, cli, config
 
     obj = json.loads((root / "scenarios" / args.scenario).read_text())
-    order = obj.get("trunc_order", config.get_trunc_order())
+    order = cli._trunc_order(obj)
     with config.trunc_order(order):
-        corner = cli._parse_corner(obj["corner"], "$.corner")
-        base, expansion = cli._straight_wedge_base(corner, "$.corner")
-        gamma = truncate(expansion, obj["R"])
-        states = tower(corner, obj.get("steps", 5))
+        states, base, gamma, R, _ = cli._expansion_setup(obj)
         windows = sum(st.upper > st.lower for st in states)
         print(f"{args.scenario}: {len(states)} levels, order {order}, tree {root}")
         print(f"{'angles':>6} {'radii':>5} {'pass 1':>6} {'pass 2':>6} "
@@ -65,7 +63,7 @@ def main(argv=None) -> int:
             times = []
             for _ in range(args.repeats + 1):
                 start = time.perf_counter()
-                cert = certify_expansion(states, base, gamma, obj["R"], angles, radii)
+                cert = certify_expansion(states, base, gamma, R, angles, radii)
                 times.append((time.perf_counter() - start) * 1e3)
             runs = times[1:]  # one run is its own median and quartiles
             q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3

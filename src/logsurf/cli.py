@@ -37,7 +37,6 @@ from .corner import (
     RationalPi,
     WedgeProblem,
     angle_value,
-    completion_many,
     disk_green_reference,
     fd_laplacian,
     green_function,
@@ -383,6 +382,14 @@ def _straight_wedge_base(corner: CornerSpec, loc: str):
     return (evaluator if alpha == 0.0 else rotate_evaluator(evaluator, alpha)), expansion
 
 
+def _level_scale(k: int, loc: str) -> float:
+    """100**(k - 1), level k's radius scale; a SchemaError at loc past the float range."""
+    try:
+        return 100.0 ** (k - 1)
+    except OverflowError:
+        raise SchemaError(f"level {k}'s radius scale 100**{k - 1} overflows a float", loc) from None
+
+
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     states = tower(corner, steps)
     s1, r1 = states[0].s, states[0].r
@@ -393,7 +400,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     mod_err = 0.0
     d_stable = True
     for st in states:
-        scale = 100.0 ** (st.k - 1)
+        scale = _level_scale(st.k, "$.steps")
         drift = worst(drift, abs(st.s * scale / s1 - 1.0), abs(st.r * scale / r1 - 1.0))
         angle_err = worst(angle_err, abs((st.phi.a.phi - alpha) - 2.0 ** (st.k - 1) * theta))
         mod_err = worst(mod_err, abs(st.phi.a.r - 1.0))
@@ -422,7 +429,7 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
                                 for (st, z), fv in zip(edge, raising(values[:len(edge)]))))
     r = np.array([z.r for z in oracle], dtype=float)
     phi = np.array([z.phi for z in oracle], dtype=float)
-    refs = fallback_many(base.f, r, phi, *completion_many(base, r, phi))
+    refs = fallback_many(base.f, r, phi, *base.f_many(r, phi))
     oracle_err = worst(0.0, *(abs(fv - ref) / (1.0 + abs(ref))
                               for fv, ref in zip(raising(values[len(edge):]), raising(refs))))
 
@@ -474,7 +481,8 @@ def _run_reflect(obj, rng):
     return checks, constants, tables
 
 
-def _run_expansion_compare(obj, rng):
+def _expansion_setup(obj):
+    """An expansion_compare file's (states, base, gamma, R, expect_ok) at the order in force."""
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
     steps = _as_int(obj.get("steps", 5), "$.steps", 3)
     R = _as_real(_need(obj, "R", "$.R"), "$.R")
@@ -495,6 +503,12 @@ def _run_expansion_compare(obj, rng):
         )
     with _at("$"):
         states = tower(corner, steps)
+    return states, base, gamma, R, expect_ok
+
+
+def _run_expansion_compare(obj, rng):
+    states, base, gamma, R, expect_ok = _expansion_setup(obj)
+    with _at("$"):
         cert = certify_expansion(states, base, gamma, R)
 
     # C_k and the window ratios are nonnegative, so a leading 0.0 is max()'s default.
@@ -544,6 +558,8 @@ def _run_poisson(obj, rng):
         for i, t in enumerate(_as_list(_need(data, "terms", "$.data"), "$.data.terms")):
             tloc = f"$.data.terms[{i}]"
             n = _as_int(_need(t, "n", tloc), f"{tloc}.n", 0)
+            with _at(f"{tloc}.n", SchemaError):  # the data takes n * phi as a float
+                float(n)
             a = _as_real(t.get("cos", 0.0), f"{tloc}.cos")
             b = _as_real(t.get("sin", 0.0), f"{tloc}.sin")
             terms.append((n, a, b))
@@ -563,16 +579,14 @@ def _run_poisson(obj, rng):
     else:
         raise SchemaError(f"unknown data kind {kind!r}", "$.data.kind")
 
-    solve = unit_disk_solver(nodes)
-    u = None
+    with _at("$.data"):
+        u = unit_disk_solver(nodes)(h)
     rows = []
     worst_err = 0.0
     for i, p in enumerate(points):
         ploc = f"$.points[{i}]"
         xi = _parse_disc_point(p, ploc)
         with _at(ploc):
-            if u is None:
-                u = solve(h)
             got = u(xi)
         want = ref(xi)
         err = abs(got - want)
@@ -587,7 +601,7 @@ def _run_green(obj, rng):
     y = _parse_disc_point(_need(obj, "y", "$.y"), "$.y", "the pole")
     nodes = _as_int(obj.get("nodes", 1024), "$.nodes", 16, MAX_COUNT)
     solve = unit_disk_solver(nodes)
-    green_y = None
+    green_y = green_pole(solve, y)
     rows = []
     worst_ref = 0.0
     worst_sym = 0.0
@@ -598,8 +612,6 @@ def _run_green(obj, rng):
         ploc = f"$.x_list[{i}]"
         x = _parse_disc_point(p, ploc)
         with _at(ploc):
-            if green_y is None:
-                green_y = green_pole(solve, y)
             got = green_y(x)
             swapped = green_function(solve, x, y)
             want = disk_green_reference(y, x)
@@ -625,10 +637,10 @@ def _run_envelope(obj, rng):
     samples = _as_int(obj.get("samples", 64), "$.samples", 2, MAX_COUNT)
     with _at("$"):
         states = tower(corner, steps)
+        theta, s1 = states[0].theta, states[0].s
+        _level_scale(envelope_level(theta, phi_max), "$.phi_max")  # the deepest level envelope reads
         env = envelope(states, phi_max)
 
-    theta = states[0].theta
-    s1 = states[0].s
     violations = 0
     for x in np.geomspace(1.0, phi_max, samples):
         window_radius = s1 / 100.0 ** (envelope_level(theta, x) - 1)
@@ -659,6 +671,13 @@ _RUNNERS = {
 # report plumbing
 # ----------------------------------------------------------------------
 
+def _trunc_order(obj: dict, override: int | None = None) -> int:
+    """A run's truncation order: override, else the file's trunc_order, else the order in force."""
+    order = obj.get("trunc_order") if override is None else override
+    return config.get_trunc_order() if order is None else _as_int(
+        order, "$.trunc_order", 1, MAX_TRUNC_ORDER)
+
+
 @dataclass
 class Report:
     name: str
@@ -687,11 +706,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
             "$.scenario",
         )
     eff_seed = _as_int(seed if seed is not None else obj.get("seed", 0), "$.seed", 0)
-    eff_order = trunc_order if trunc_order is not None else obj.get("trunc_order")
-    if eff_order is None:
-        eff_order = config.get_trunc_order()
-    else:
-        eff_order = _as_int(eff_order, "$.trunc_order", 1, MAX_TRUNC_ORDER)
+    eff_order = _trunc_order(obj, trunc_order)
     rng = np.random.default_rng(eff_seed)
 
     with config.trunc_order(eff_order), _at("$"):

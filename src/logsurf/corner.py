@@ -174,35 +174,14 @@ class HarmonicEvaluator:
     points at once: it maps float64 arrays r, phi to (re, im, ok), where
     re[i] + i*im[i] is complex(f(LPoint(r[i], phi[i]))) bit for bit
     wherever ok[i] is True, and ok[i] is False wherever that call would
-    raise (or the batch leaves the point to f).  Evaluators without it
-    are called per point; see completion_many.  That is all an evaluator
-    carries: the sector and the data it solves live with the caller.
+    raise (or the batch leaves the point to f); without it, extend_eval_many
+    takes extend_eval at each point.  An evaluator carries nothing else:
+    the sector and the data it solves live with the caller.
     """
 
     u: Callable[[LPoint], float]
     f: Callable[[LPoint], complex] | None = None
     f_many: Callable[[np.ndarray, np.ndarray], tuple] | None = None
-
-
-def completion_many(base: HarmonicEvaluator, r: np.ndarray, phi: np.ndarray) -> tuple:
-    """base.f at the points (r[i], phi[i]), as (re, im, ok) of f_many.
-
-    One call of base.f_many when the evaluator has it; otherwise
-    complex(base.f(LPoint(r[i], phi[i]))) per point, with ok False where
-    that raises.
-    """
-    if base.f_many is not None:
-        return base.f_many(r, phi)
-    values, ok = [], []
-    for x, y in zip(r.tolist(), phi.tolist()):
-        try:
-            values.append(complex(base.f(LPoint(x, y))))
-            ok.append(True)
-        except Exception:
-            values.append(0j)
-            ok.append(False)
-    values = np.array(values, dtype=complex)
-    return values.real, values.imag, np.array(ok, dtype=bool)
 
 
 def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSeries]:
@@ -283,13 +262,8 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
                 )
         return total
 
-    def f_of(z: LPoint) -> complex:
-        return lp_evaluate(expansion, z)
-
-    def f_many(r: np.ndarray, phi: np.ndarray) -> tuple:
-        return evaluate_many(expansion, r, phi)
-
-    return HarmonicEvaluator(u_of, f_of, f_many), expansion
+    f_many = lambda r, phi: evaluate_many(expansion, r, phi)
+    return HarmonicEvaluator(u_of, lambda z: lp_evaluate(expansion, z), f_many), expansion
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corner import CornerSpec, HarmonicEvaluator, angle_value, completion_many
+from .corner import CornerSpec, HarmonicEvaluator, angle_value
 from .errors import (
     InsufficientSteps,
     NotNormalized,
@@ -231,20 +231,25 @@ def extend_eval_many(
     or the exception that the call raises, with its type and message
     (an invalid point raises from LPoint).
 
-    The points take membership_many, then descend one level at a time,
+    A base without a batch completion (say, one built from lambdas) sends
+    every point through extend_eval, in one fallback_many call.  With
+    base.f_many (a wedge_solve evaluator, and its conjugate or rotation),
+    the points take membership_many, then descend one level at a time,
     every point still above that level in one group, through
-    germs.apply_germ_many, and unwind the same way through
-    series.evaluate_many, on split real and imaginary float64 arrays.
-    The base completion is one completion_many call for all landed points:
-    one base.f_many call when the evaluator has it (a wedge_solve
-    evaluator, and its conjugate or rotation), else base.f per point.  A
-    point that a twin's ok mask drops goes through extend_eval by
-    fallback_many, which gives its value or its exception.
+    germs.apply_germ_many, take their base values from one base.f_many
+    call, and unwind the same way through series.evaluate_many, on split
+    real and imaginary float64 arrays.  A point that a twin's ok mask
+    drops goes through extend_eval by fallback_many, which gives its
+    value or its exception.
     """
     if base.f is None:
         raise ValueError("the base evaluator must provide a holomorphic completion")
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    scalar = lambda z: extend_eval(states, base, z)
+    if base.f_many is None:
+        zeros = np.zeros(len(r))
+        return fallback_many(scalar, r, phi, zeros, zeros, zeros.astype(bool))
     with np.errstate(all="ignore"):
         level = membership_many(states, r, phi)
         ok = level > 0
@@ -264,7 +269,7 @@ def extend_eval_many(
 
         landed = np.flatnonzero(ok)
         val_r, val_i = np.zeros(len(r)), np.zeros(len(r))
-        val_r[landed], val_i[landed], good = completion_many(base, cur_r[landed], cur_phi[landed])
+        val_r[landed], val_i[landed], good = base.f_many(cur_r[landed], cur_phi[landed])
         ok[landed[~good]] = False
 
         # value = -(value - h(w)).conjugate() + h(z), one part at a time
@@ -279,7 +284,7 @@ def extend_eval_many(
             val_i[idx] = (val_i[idx] - e_i[:m]) + e_i[m:]
             ok[idx[~(good[:m] & good[m:])]] = False
 
-    return fallback_many(lambda z: extend_eval(states, base, z), r, phi, val_r, val_i, ok)
+    return fallback_many(scalar, r, phi, val_r, val_i, ok)
 
 
 def conjugate_corner(corner: CornerSpec) -> CornerSpec:
@@ -524,7 +529,6 @@ def certify_expansion(
     R_prime = R + 0.5 * (bound - R)
     S = max(0.5 * (R + R_prime), R_prime - 1.0)
 
-    c_values = []
     grids = [
         (idx, np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples))
         for idx, st in enumerate(states)
@@ -535,8 +539,8 @@ def certify_expansion(
         e = err - _NOISE_FLOOR * size
         return 0.0 if e <= 0 else e / r ** R_prime
 
-    for samples in _cert_samples(states, base, gamma, angle_samples, grids):
-        c_values.append(_window_worst(samples, excess))
+    c_values = [_window_worst(samples, excess)
+                for samples in _cert_samples(states, base, gamma, angle_samples, grids)]
 
     denom = R_prime - S
     A = 1.0001
@@ -564,17 +568,14 @@ def certify_expansion(
             break
         grids.append((idx, np.geomspace(lo_r, t_hi, 6)))
     window_rows = []
-    all_ok = True
     ratio = lambda r, err, size: err / (r ** S + _NOISE_FLOOR * size)
     for (idx, _), samples in zip(grids, _cert_samples(states, base, gamma, angle_samples, grids)):
         k = states[idx].k
         worst_ratio = _window_worst(samples, ratio)
-        ok = worst_ratio <= 1.0
-        window_rows.append((k, scales[k - 1], scales[k], worst_ratio, ok))
-        all_ok = all_ok and ok
+        window_rows.append((k, scales[k - 1], scales[k], worst_ratio, worst_ratio <= 1.0))
     if empty is not None:
         raise empty
 
     return ExtensionCertificate(
-        float(R), R_prime, S, A, step_bounds, tuple(window_rows), all_ok
+        float(R), R_prime, S, A, step_bounds, tuple(window_rows), all(row[4] for row in window_rows)
     )

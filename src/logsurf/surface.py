@@ -163,17 +163,12 @@ def log_many(r: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.log, np.where(valid, r, 1.0).tolist())))
 
 
-def complex_list(re: np.ndarray, im: np.ndarray) -> list:
-    """The Python complex numbers re[i] + i*im[i]."""
-    values = np.empty(len(re), dtype=complex)
-    values.real, values.imag = re, im
-    return values.tolist()
-
-
 def fallback_many(scalar: Callable[[LPoint], complex], r, phi, re, im, ok) -> list:
     """re[i] + i*im[i] where ok[i], else what scalar(LPoint(r[i], phi[i]))
     returns or the exception that it (or LPoint) raises, as a list."""
-    out = complex_list(re, im)
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    out = values.tolist()
     for i in np.flatnonzero(~ok).tolist():
         try:
             out[i] = scalar(LPoint(float(r[i]), float(phi[i])))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -201,6 +202,8 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         # a disc check over no points would pass with nothing checked
         ("poisson_disk", ("points",), [], "$.points"),
         ("green_disk", ("x_list",), [], "$.x_list"),
+        # the trig data takes n * phi as a float
+        ("poisson_disk", ("data", "terms", 0, "n"), 10**400, "$.data.terms[0].n"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -222,6 +225,25 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
     err = capsys.readouterr().err
     assert f"error (mutated.json): {loc}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, key, value, message",
+    [
+        # 100**155 is past the float range; 155 levels pass
+        ("reflect_wedge", "steps", 157, "$.steps: level 156's radius scale 100**155 overflows a float"),
+        # at theta = 1 the window of x = 1e47 is level 158's; 1e46 passes
+        ("envelope_wedge", "phi_max", 1e47,
+         "$.phi_max: level 158's radius scale 100**157 overflows a float"),
+    ],
+)
+def test_an_overflowing_radius_scale_names_its_field(tmp_path, capsys, name, key, value, message):
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    obj[key] = value
+    mutated = _write(tmp_path, "mutated.json", obj)
+    rc = main(["run", str(mutated), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error (mutated.json): {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -449,3 +471,15 @@ def test_reflect_grid_marks_outside_points(tmp_path):
     for row in rows:
         if row[5] == "outside":
             assert row[2] == row[3] == row[4] == ""
+
+
+def test_cert_density_script_certifies_the_files_gamma(capsys):
+    # expansion_negative strips the logs from gamma, so the certificate
+    # the script times fails its windows at every density, as the run does
+    path = SCENARIOS.parent / "scripts" / "cert_density.py"
+    spec = importlib.util.spec_from_file_location("cert_density", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--scenario", "expansion_negative.json", "--repeats", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[7] for row in rows] == ["False"] * len(script.DENSITIES)

@@ -477,15 +477,17 @@ def test_extend_eval_many_is_the_scalar_extend_eval_bit_for_bit(which, f_kind, d
     base = _with_f(base, f_kind)
     points = [_point(states, *d) for d in drawn]
     want = [_scalar_outcome(states, base, r, phi) for r, phi in points]
-    # the batch runs a point through extend_eval again only to raise its
-    # exception, and an invalid point raises from LPoint before that call
+    # with f_many the batch runs a point through extend_eval again only to
+    # raise its exception; without it every point takes extend_eval; an
+    # invalid point raises from LPoint before that call
     with mock.patch.object(reflect, "extend_eval", wraps=extend_eval) as rerun:
         got = extend_eval_many(states, base, [r for r, _ in points], [phi for _, phi in points])
     assert [_outcome(v) for v in got] == want
-    assert rerun.call_count == sum(
-        isinstance(w[0], type) and 0 < r < math.inf and math.isfinite(phi)
-        for w, (r, phi) in zip(want, points)
-    )
+    valid = [0 < r < math.inf and math.isfinite(phi) for r, phi in points]
+    if base.f_many is None:
+        assert rerun.call_count == sum(valid)
+    else:
+        assert rerun.call_count == sum(isinstance(w[0], type) and v for w, v in zip(want, valid))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -528,6 +530,28 @@ def test_extend_eval_many_makes_one_batch_completion_call():
     got = extend_eval_many(states, counted, [r for r, _ in pts], [phi for _, phi in pts])
     assert batches == [len(pts)]
     assert [_outcome(v) for v in got] == [_scalar_outcome(states, base, *p) for p in pts]
+
+
+def test_extend_eval_many_without_f_many_is_extend_eval_point_by_point():
+    # a base built from lambdas takes no array descent: each valid point
+    # goes through extend_eval once, and an invalid one raises from LPoint
+    states, base = _batch_towers()["shrunk"]
+    base = _with_f(base, "raises")
+    pts = [(st.s * 0.9, (lo + hi) / 2) for lo, hi, st in _windows(states)]
+    pts += [(0.0, 0.5), (math.nan, 0.5), (states[0].s * 0.5, states[0].lower - 1.0)]
+
+    def no_descent(*args):
+        raise AssertionError("the array descent was taken")
+
+    with mock.patch.object(reflect, "membership_many", no_descent), \
+            mock.patch.object(reflect, "extend_eval", wraps=extend_eval) as scalar:
+        got = extend_eval_many(states, base, [r for r, _ in pts], [phi for _, phi in pts])
+    assert [_outcome(v) for v in got] == [_scalar_outcome(states, base, *p) for p in pts]
+    assert [type(v).__name__ for v in got] == [
+        "complex", "OutOfRadius", "OutOfRadius", "OutOfRadius", "ArithmeticError",
+        "ValueError", "ValueError", "OutsideExtension",
+    ]
+    assert scalar.call_count == len(pts) - 2
 
 
 def test_extend_eval_many_draws_reach_every_outcome():
