@@ -80,16 +80,16 @@ def _poly_eval(coeffs, w: complex) -> complex:
     return total
 
 
-def curved_tower_digest(seed: int, order: int) -> str:
-    """sha256 over the float hex of a manufactured curved tower and its extension.
+def curved_corner(rng):
+    """A seeded manufactured curved corner and its base evaluator, (corner, base).
 
     F is a random cubic and chi(t) = e**(i theta) t (1 + h(t)) a curved
     boundary germ; the data are Re F on the real ray and Re F(chi(t)) on
-    chi, so the extension is F itself.
+    chi, so the extension is F itself.  The corner is built from public
+    constructors, and F(chi(t)) by the plain polynomial algebra above.
     """
     import logsurf as ls
 
-    rng = np.random.default_rng([seed, 5])
     theta = float(rng.uniform(0.7, 1.4))
     F = [0j] + [complex(rng.normal(), rng.normal()) / n for n in (1, 2, 3)]
     h = [0j] + [amp * cmath.exp(2j * math.pi * rng.random()) for amp in (0.1, 0.05)]
@@ -103,6 +103,22 @@ def curved_tower_digest(seed: int, order: int) -> str:
     def f(z):
         return _poly_eval(F, cmath.rect(z.r, z.phi))
 
+    chi = ls.make_germ(ls.LPoint(1.0, theta), 1, tuple(h), 1.0)
+    g0 = ls.puiseux([c.real for c in F], 10.0)
+    g1 = ls.puiseux([c.real for c in on_chi], 10.0)
+    corner = ls.CornerSpec(ls.identity_germ(), chi, ls.IrrationalAngle(theta), g0, g1, 1.0)
+    return corner, ls.HarmonicEvaluator(lambda z: f(z).real, f)
+
+
+def curved_tower_digest(seed: int, order: int) -> str:
+    """sha256 over the float hex of a manufactured curved tower and its extension.
+
+    The corner is curved_corner's, drawn from the seed; the points are
+    drawn after it from the same generator.
+    """
+    import logsurf as ls
+
+    rng = np.random.default_rng([seed, 5])
     digest = hashlib.sha256()
 
     def put(*values):
@@ -111,11 +127,7 @@ def curved_tower_digest(seed: int, order: int) -> str:
                 digest.update(float(x).hex().encode() + b" ")
 
     with ls.trunc_order(order):
-        chi = ls.make_germ(ls.LPoint(1.0, theta), 1, tuple(h), 1.0)
-        g0 = ls.puiseux([c.real for c in F], 10.0)
-        g1 = ls.puiseux([c.real for c in on_chi], 10.0)
-        corner = ls.CornerSpec(ls.identity_germ(), chi, ls.IrrationalAngle(theta), g0, g1, 1.0)
-        base = ls.HarmonicEvaluator(lambda z: f(z).real, f)
+        corner, base = curved_corner(rng)
         states = ls.tower(corner, CURVED_LEVELS)
         for st in states:
             put(st.r, st.s, st.h.radius, st.h.base.radius, *st.h.base.coeffs)

@@ -1,0 +1,100 @@
+"""Time the reflection tower against truncation order and depth, for a straight and a curved corner.
+
+The straight corner is ``<root>/scenarios/reflect_wedge.json``'s, built as
+``logsurf run`` builds it, through ``cli._parse_corner``.  The curved corner
+is the manufactured corner of ``scenario_digests.curved_corner`` at seed 0,
+the one the ``curved_tower`` digests are taken over.  For each truncation
+order N in 16, 32, 64 and 128 and each depth in 3, 5 and 8 the script builds
+``tower(corner, depth)`` once untimed, counting its ``np.convolve`` and
+``germs.sampled_h_sup`` calls, then ``--repeats`` times timed.  It prints
+one row per corner, order and depth: the median and quartiles of the time
+per tower and the two call counts.  The logsurf package is imported from
+``<root>/src``, so two trees are timed with one copy of this script:
+
+    python scripts/tower_cost.py --root base
+    python scripts/tower_cost.py
+
+It is a measurement, not a test, and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from scenario_digests import curved_corner
+
+ORDERS = (16, 32, 64, 128)
+DEPTHS = (3, 5, 8)
+
+
+def counted_build(tower, germs, corner, depth) -> tuple[int, int]:
+    """(np.convolve calls, sampled_h_sup calls) of one tower(corner, depth)."""
+    calls = {"convolve": 0, "sampled": 0}
+    convolve, sampled = np.convolve, germs.sampled_h_sup
+
+    def counting_convolve(*args, **kwargs):
+        calls["convolve"] += 1
+        return convolve(*args, **kwargs)
+
+    def counting_sampled(*args, **kwargs):
+        calls["sampled"] += 1
+        return sampled(*args, **kwargs)
+
+    np.convolve, germs.sampled_h_sup = counting_convolve, counting_sampled
+    try:
+        tower(corner, depth)
+    finally:
+        np.convolve, germs.sampled_h_sup = convolve, sampled
+    return calls["convolve"], calls["sampled"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--root",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="source tree holding src/logsurf and scenarios/ (default: this checkout)",
+    )
+    parser.add_argument("--repeats", type=int, default=9, help="timed builds per row")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    from logsurf import cli, config, germs, tower
+
+    obj = json.loads((root / "scenarios" / "reflect_wedge.json").read_text())
+    print(f"tower cost, tree {root}")
+    print(f"{'corner':>8} {'order':>5} {'depth':>5} {'median ms':>9} {'q1 ms':>7} {'q3 ms':>7} "
+          f"{'convolve':>8} {'sampled':>7}")
+    for name in ("straight", "curved"):
+        for order in ORDERS:
+            with config.trunc_order(order):
+                if name == "straight":
+                    corner = cli._parse_corner(obj["corner"], "$.corner")
+                else:
+                    corner, _ = curved_corner(np.random.default_rng([0, 5]))
+                for depth in DEPTHS:
+                    convolves, samples = counted_build(tower, germs, corner, depth)
+                    times = []
+                    for _ in range(args.repeats):
+                        start = time.perf_counter()
+                        tower(corner, depth)
+                        times.append((time.perf_counter() - start) * 1e3)
+                    # one build is its own median and quartiles
+                    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+                    print(f"{name:>8} {order:5d} {depth:5d} {median:9.2f} {q1:7.2f} {q3:7.2f} "
+                          f"{convolves:8d} {samples:7d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

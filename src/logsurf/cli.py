@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config
+from .config import MAX_TRUNC_ORDER
 from .corner import (
     CornerSpec,
     IrrationalAngle,
@@ -45,7 +46,7 @@ from .corner import (
     unit_disk_solver,
     wedge_solve,
 )
-from .errors import DegenerateTerm, LogSurfError, SchemaError, ScenarioError
+from .errors import DegenerateTerm, LogSurfError, SchemaError, ScenarioError, WindowEmpty
 from .germs import Germ, apply_germ, is_ray, make_germ
 from .logpower import is_log_free, log_power_series, truncate
 from .reflect import (
@@ -66,7 +67,6 @@ from .surface import LPoint, fallback_many, raising
 from . import __version__
 
 MAX_COUNT = 100_000  # the most nodes, samples, oracle points or grid points
-MAX_TRUNC_ORDER = 1024  # the highest series truncation order
 
 # ----------------------------------------------------------------------
 # schema helpers
@@ -390,8 +390,16 @@ def _level_scale(k: int, loc: str) -> float:
         raise SchemaError(f"level {k}'s radius scale 100**{k - 1} overflows a float", loc) from None
 
 
+def _tower(corner, steps):
+    """tower(corner, steps); a level radius that underflows is a SchemaError at $.steps."""
+    try:
+        return tower(corner, steps)
+    except WindowEmpty as exc:
+        raise SchemaError(str(exc), "$.steps") from None
+
+
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
-    states = tower(corner, steps)
+    states = _tower(corner, steps)
     s1, r1 = states[0].s, states[0].r
     theta, alpha = states[0].theta, states[0].alpha
 
@@ -502,7 +510,7 @@ def _expansion_setup(obj):
             [(alpha, poly[:1]) for alpha, poly in gamma.terms]
         )
     with _at("$"):
-        states = tower(corner, steps)
+        states = _tower(corner, steps)
     return states, base, gamma, R, expect_ok
 
 
@@ -559,7 +567,8 @@ def _run_poisson(obj, rng):
             tloc = f"$.data.terms[{i}]"
             n = _as_int(_need(t, "n", tloc), f"{tloc}.n", 0)
             with _at(f"{tloc}.n", SchemaError):  # the data takes n * phi as a float
-                float(n)
+                if not math.isfinite(n * math.pi):  # |phi| <= pi
+                    raise SchemaError(f"n * pi overflows a float for n = {n:.3e}", f"{tloc}.n")
             a = _as_real(t.get("cos", 0.0), f"{tloc}.cos")
             b = _as_real(t.get("sin", 0.0), f"{tloc}.sin")
             terms.append((n, a, b))
@@ -636,7 +645,7 @@ def _run_envelope(obj, rng):
         raise SchemaError("phi_max must be at least 1", "$.phi_max")
     samples = _as_int(obj.get("samples", 64), "$.samples", 2, MAX_COUNT)
     with _at("$"):
-        states = tower(corner, steps)
+        states = _tower(corner, steps)
         theta, s1 = states[0].theta, states[0].s
         _level_scale(envelope_level(theta, phi_max), "$.phi_max")  # the deepest level envelope reads
         env = envelope(states, phi_max)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 DEFAULT_TRUNC_ORDER = 32
+MAX_TRUNC_ORDER = 1024  # the highest series truncation order
 
 _trunc_order = DEFAULT_TRUNC_ORDER
 

@@ -61,7 +61,8 @@ class InsufficientSteps(LogSurfError):
 
 
 class WindowEmpty(LogSurfError):
-    """A certificate window radius underflowed before the last step."""
+    """A tower level's radius or a certificate window's scale underflowed
+    before the last step."""
 
 
 class SchemaError(LogSurfError):

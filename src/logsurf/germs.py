@@ -15,9 +15,15 @@ estimated improvement, so radius recursions stay bit-for-bit
 reproducible.  The factory make_germ verifies the smallness of h by
 circle sampling and shrinks the radius by halving until the sampled
 bound holds; algebraic operations construct directly from the printed
-formulas.  apply_germ_polar is apply_germ on the floats (r, phi) of a
-point, and apply_germ wraps it in an LPoint; apply_germ_many is
-apply_germ on float64 arrays, with its floats, for k = 1 germs.
+formulas.  Two exact shortcuts skip work whose outcome is known:
+a radius whose coefficient majorant M(r) = sum |c_n| r**n is at most
+1/2 less a margin for rounding is accepted without sampling (the sampled
+bound holds there, so the radius is the one halving would certify), and
+compose with an identity inner germ copies h in closed form, with the
+floats of the full series products.  apply_germ_polar is apply_germ on
+the floats (r, phi) of a point, and apply_germ wraps it in an LPoint;
+apply_germ_many is apply_germ on float64 arrays, with its floats, for
+k = 1 germs.
 """
 
 from __future__ import annotations
@@ -28,14 +34,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
+from .config import MAX_TRUNC_ORDER
 from .errors import InvalidGerm, NotInvertible, OutOfRadius
-from .series import PowerSeries, binom_pow, ps_compose, ps_eval, ps_eval_many, ps_mul, reversion
+from .series import (
+    PowerSeries,
+    _nonzero_len,
+    binom_pow,
+    ps_compose,
+    ps_eval,
+    ps_eval_many,
+    ps_mul,
+    reversion,
+)
 from .surface import LPoint, mul, power, project, tau, valid_many
 
 IDENTITY_RADIUS = 1e12
 
 _SAMPLE_FRACTIONS = (1.0, 0.5, 0.25)
 _SAMPLE_ANGLES = 64
+_FLOOR = 2.0**-1000  # majorant's floor on each factor
 
 
 @dataclass(frozen=True)
@@ -75,9 +93,58 @@ def sampled_h_sup(h_coeffs: tuple, radius: float) -> float:
     return float(np.max(np.abs(np.polyval(np.asarray(h_coeffs, dtype=complex)[::-1], w))))
 
 
+def majorant(h_coeffs: tuple, radius: float) -> float:
+    """The coefficient majorant M(r) = sum |c_n| r**n of h at r = radius,
+    in floats, each factor raised by the floor 2**-1000:
+
+        sum over n <= N of (|c_n| + 2**-1000) * (p_n + 2**-1000),
+
+    where N is the index of the last nonzero coefficient and p_n = r**n is
+    formed by repeated products.  The floor covers underflow (see
+    _shrink_to_bound); it changes no normal-sized sum.  h = 0 gives 0.0,
+    a nan coefficient or radius gives nan, and an overflow gives inf.
+    """
+    total, power = 0.0, 1.0
+    for c in h_coeffs[: _nonzero_len(h_coeffs)]:
+        total += (abs(c) + _FLOOR) * (power + _FLOOR)
+        power *= radius
+    return total
+
+
 def _shrink_to_bound(h_coeffs: tuple, radius: float) -> float:
+    """The first of radius, radius / 2, radius / 4, ... at which the
+    sampled |h| <= 1/2 holds; ValueError after 200 halvings.
+
+    A radius r >= 0 is accepted at once, without sampling, when h has at
+    most MAX_TRUNC_ORDER + 1 = 1025 coefficients up to its last nonzero
+    one and majorant(h, r) <= 1/2 - 2**-30.  Then sampled_h_sup(h, r) <=
+    1/2 holds as well, so the radius returned is the one sampling alone
+    would return.  The proof, with u = 2**-53, N <= 1024 and B the
+    majorant as computed:
+    * Rounding.  The sample points w = (r * f) * e**(2 pi i j / 64), with
+      f in {1, 1/2, 1/4}, have |w| <= r (1 + 8u) where they are normal;
+      np.polyval's Horner scheme runs N steps of one complex product and
+      one sum past the trailing zeros (whose steps give exact zeros), and
+      np.abs is within an ulp.  So relative rounding moves the sampled
+      sup by a factor below (1 + 8u)**(5N + 20) < 1 + 2**-31 from
+      sum |c_n| |w|**n, and B undershoots sum |c_n| r**n by no more.
+    * Underflow.  A subnormal result errs by at most 2**-1074 per part.
+      In Horner's scheme such an error is carried by |w|**j into the
+      value; in B, p_n errs below n * 2**-1075 <= 2**-1000 when r < 1.
+      The floor's cross terms 2**-1000 * sum (|c_n| + p_n) in B exceed
+      all of these, since 2**-1000 is 2**74 subnormal units.
+    * Overflow.  B >= 2**-1000 * sum |c_n| bounds every |c_n| by 2**999,
+      so every Horner value, at most sum |c_n| where |w| <= 1 and at most
+      B (1 + 2**-31) where |w| > 1, stays finite.
+    So the sampled sup is at most B (1 + 2**-31)**2 < 1/2.  A nan
+    or inf majorant, a longer h or a negative r always falls through to
+    sampling, which decides as before.
+    """
     r = float(radius)
+    short = _nonzero_len(h_coeffs) <= MAX_TRUNC_ORDER + 1
     for _ in range(200):
+        if short and r >= 0.0 and majorant(h_coeffs, r) <= 0.5 - 2**-30:
+            return r
         if sampled_h_sup(h_coeffs, r) <= 0.5:
             return r
         r /= 2.0
@@ -201,17 +268,30 @@ def compose(phi: Germ, psi: Germ) -> Germ:
     k = k(phi) * k(psi), and
     1 + h = (1 + h(psi))**k(phi) * (1 + h(phi) o s(psi)).
     The radius is the printed (1/10)*min(r(phi), r(psi))/max(1, |a(psi)|).
+
+    An identity psi with finite h(phi) gives h in closed form: h(phi)'s
+    coefficients 1..N, each plus 0j, after a zero and padded with zeros
+    to N + 1 entries, N the truncation order.  These are the floats of
+    the products above, where each coefficient is multiplied by 1 and
+    summed with zero products; the + 0j turns a -0.0 part into the +0.0
+    those sums give.  An inf or nan coefficient takes the products,
+    which spread nan through the zero products.
     """
     if psi.k == 0:
         raise InvalidGerm("inner germ must have k >= 1")
     a = mul(phi.a, power(float(phi.k), psi.a))
     k = phi.k * psi.k
-    factor1 = binom_pow(psi.h.coeffs, float(phi.k))
-    factor2 = list(ps_compose(phi.h.coeffs, s_series(psi)))
-    factor2[0] += 1.0
-    h_new = list(ps_mul(factor1, factor2))
-    h_new[0] = 0.0
     radius = 0.1 * min(phi.radius, psi.radius) / max(1.0, psi.a.r)
+    if is_identity(psi) and all(map(cmath.isfinite, phi.h.coeffs)):
+        order = config.get_trunc_order()
+        h_new = [0j] + [c + 0j for c in phi.h.coeffs[1 : order + 1]]
+        h_new += [0j] * (order + 1 - len(h_new))
+    else:
+        factor1 = binom_pow(psi.h.coeffs, float(phi.k))
+        factor2 = list(ps_compose(phi.h.coeffs, s_series(psi)))
+        factor2[0] += 1.0
+        h_new = list(ps_mul(factor1, factor2))
+        h_new[0] = 0.0
     return Germ(a, k, PowerSeries(tuple(h_new), radius), radius)
 
 

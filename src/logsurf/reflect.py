@@ -132,7 +132,11 @@ def step(state: ReflectionState) -> ReflectionState:
     h_{k+1} = -conj_tau((h0 - h_k) o omega_k) + h_k with
     omega_k = phi_k o tau_conj(phi_k^{-1}), valid on radius s_k / 4.
     omega_k is built here, at the truncation order in force, and not kept.
+    Raises WindowEmpty when s_{k+1} = s_k / 100 underflows to 0.0.
     """
+    if not state.s / 100.0 > 0.0:
+        raise WindowEmpty(f"level {state.k + 1}'s radius s_{state.k + 1} = s_{state.k} / 100 "
+                          f"underflows to 0.0")
     inner = compose(state.phi_inv, state.psi)
     phi_next = compose(state.phi, tau_conj(inner))
     omega = compose(state.phi, tau_conj(state.phi_inv))

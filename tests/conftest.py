@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from logsurf import LPoint, config, cpow, logmap, make_germ, mul, power, project, puiseux
+from logsurf import Germ, LPoint, config, cpow, logmap, make_germ, mul, power, project, puiseux
+from logsurf.germs import s_series, sampled_h_sup
+from logsurf.series import PowerSeries
 
 
 def make_star_germ(rng, radius=1.0, degree=6, scale=0.25, unit=False, k=1):
@@ -20,6 +22,16 @@ def make_star_germ(rng, radius=1.0, degree=6, scale=0.25, unit=False, k=1):
     a_r = 1.0 if unit else 0.5 + 1.5 * rng.random()
     a = LPoint(a_r, rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
     return make_germ(a, k, tuple(coeffs), radius)
+
+
+def star_germs(k=st.just(1)):
+    """Hypothesis germs drawn as make_star_germ draws them: degree 6, h_j
+    with parts in [-0.75, 0.75] / (j*j + 1), |a| in [0.5, 2], radius 1."""
+    part = st.floats(-0.75, 0.75) | st.just(0.0)
+    h = st.tuples(*(st.builds(complex, part, part).map(lambda c, j=j: c / (j * j + 1))
+                    for j in range(1, 7)))
+    return st.builds(lambda a_r, a_phi, k, h: make_germ(LPoint(a_r, a_phi), k, (0j, *h), 1.0),
+                     st.floats(0.5, 2.0), st.floats(-2.0 * math.pi, 2.0 * math.pi), k, h)
 
 
 def surface_dist(z1: LPoint, z2: LPoint) -> float:
@@ -127,6 +139,19 @@ def binom_pow_full(h, alpha: float, order: int) -> tuple:
     return tuple(acc.tolist())
 
 
+def compose_full(phi, psi):
+    """Reference compose: the data laws by the full products, whatever psi is."""
+    order = config.get_trunc_order()
+    factor1 = binom_pow_full(psi.h.coeffs, float(phi.k), order)
+    factor2 = list(ps_compose_full(phi.h.coeffs, s_series(psi), order))
+    factor2[0] += 1.0
+    h_new = np.convolve(np.asarray(factor1, dtype=complex), np.asarray(factor2, dtype=complex))
+    h_new = [0.0] + h_new[1 : order + 1].tolist()
+    radius = 0.1 * min(phi.radius, psi.radius) / max(1.0, psi.a.r)
+    a = mul(phi.a, power(float(phi.k), psi.a))
+    return Germ(a, phi.k * psi.k, PowerSeries(tuple(h_new), radius), radius)
+
+
 def reversion_full(f, order: int) -> tuple:
     """Reference reversion: Lagrange inversion with the v recurrence and every power of v."""
     f_arr = np.zeros(order + 1, dtype=complex)
@@ -171,6 +196,16 @@ def sampled_h_sup_full(h_coeffs, radius: float) -> float:
         vals = np.polyval(coeffs[::-1], radius * frac * angles)
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
+
+
+def shrink_by_sampling(h_coeffs, radius: float) -> float:
+    """Reference germs._shrink_to_bound: halve until the sampled |h| <= 1/2, sampling every radius."""
+    r = float(radius)
+    for _ in range(200):
+        if sampled_h_sup(h_coeffs, r) <= 0.5:
+            return r
+        r /= 2.0
+    raise ValueError("could not certify |h| <= 1/2 by radius halving")
 
 
 @pytest.fixture

@@ -175,7 +175,8 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
     [
         ("wedge_right_angle", ("grid", "r_min"), 0, "$.grid.r_min"),
         ("wedge_right_angle", ("grid", "r_max"), 1e308, "$"),
-        ("reflect_wedge", ("steps",), 200, "$.corner"),
+        # s_k = s_1 / 100**(k - 1) underflows to 0.0 at level 163
+        ("reflect_wedge", ("steps",), 200, "$.steps"),
         ("envelope_wedge", ("phi_max",), -5, "$.phi_max"),
         ("expansion_sanity", ("R",), -1, "$.R"),
         ("wedge_irrational", ("grid", "phi_n"), 10**6, "$.grid.phi_n"),
@@ -204,6 +205,12 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         ("green_disk", ("x_list",), [], "$.x_list"),
         # the trig data takes n * phi as a float
         ("poisson_disk", ("data", "terms", 0, "n"), 10**400, "$.data.terms[0].n"),
+        # the tower stops at the level whose radius underflows, not at the last
+        ("reflect_wedge", ("steps",), 10**9, "$.steps"),
+        ("envelope_wedge", ("steps",), 200, "$.steps"),
+        ("expansion_sanity", ("steps",), 200, "$.steps"),
+        # n has a float, but n * phi overflows it
+        ("poisson_disk", ("data", "terms", 0, "n"), 10**308, "$.data.terms[0].n"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -235,6 +242,8 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
         # at theta = 1 the window of x = 1e47 is level 158's; 1e46 passes
         ("envelope_wedge", "phi_max", 1e47,
          "$.phi_max: level 158's radius scale 100**157 overflows a float"),
+        # past the scale, a deeper tower's radius s_k underflows as it is built
+        ("reflect_wedge", "steps", 200, "$.steps: level 163's radius s_163 = s_162 / 100 underflows to 0.0"),
     ],
 )
 def test_an_overflowing_radius_scale_names_its_field(tmp_path, capsys, name, key, value, message):
@@ -243,6 +252,17 @@ def test_an_overflowing_radius_scale_names_its_field(tmp_path, capsys, name, key
     mutated = _write(tmp_path, "mutated.json", obj)
     rc = main(["run", str(mutated), "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert f"error (mutated.json): {message}\n" in capsys.readouterr().err
+
+
+def test_a_trig_order_whose_angle_overflows_names_its_term(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "poisson_disk.json").read_text())
+    obj["data"]["terms"].append({"n": 10**308, "cos": 1.0})
+    mutated = _write(tmp_path, "mutated.json", obj)
+    rc = main(["run", str(mutated), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    i = len(obj["data"]["terms"]) - 1
+    message = f"$.data.terms[{i}].n: n * pi overflows a float for n = 1.000e+308"
     assert f"error (mutated.json): {message}\n" in capsys.readouterr().err
 
 

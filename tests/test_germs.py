@@ -12,9 +12,13 @@ from conftest import (
     SIGNED_ZEROS,
     apply_germ_composed,
     bits,
+    compose_full,
     make_star_germ,
+    outcome,
     ps_eval_loop,
     sampled_h_sup_full,
+    shrink_by_sampling,
+    star_germs,
     surface_dist,
     surface_points,
 )
@@ -43,7 +47,8 @@ from logsurf import (
     rotation_germ,
     tau_conj,
 )
-from logsurf.germs import apply_germ_many, sampled_h_sup
+from logsurf import germs
+from logsurf.germs import _shrink_to_bound, apply_germ_many, majorant, sampled_h_sup
 from logsurf.series import PowerSeries
 
 
@@ -97,29 +102,33 @@ def test_compose_matches_pointwise_application(rng):
             assert surface_dist(apply_germ(fg, z), direct) < 1e-9
 
 
-def test_compose_group_grading_is_exact(rng):
-    for _ in range(20):
-        f = make_star_germ(rng, k=int(rng.integers(1, 4)))
-        g = make_star_germ(rng, k=int(rng.integers(1, 4)))
-        fg = compose(f, g)
-        assert fg.k == f.k * g.k
-        assert fg.a == mul(f.a, power(float(f.k), g.a))
+_GRADES = st.sampled_from([1, 2, 3])
+# an identity inner germ takes compose's closed form
+_GROUP = star_germs() | st.just(identity_germ())
 
 
-def test_invert_round_trip(rng):
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(f=star_germs(_GRADES) | st.just(identity_germ()), g=star_germs(_GRADES) | st.just(identity_germ()))
+def test_compose_group_grading_is_exact(f, g):
+    fg = compose(f, g)
+    assert fg.k == f.k * g.k
+    assert fg.a == mul(f.a, power(float(f.k), g.a))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(f=_GROUP)
+def test_invert_round_trip(f):
     with config.trunc_order(16):
-        for _ in range(25):
-            f = make_star_germ(rng)
-            fi = invert(f)
-            left = compose(fi, f)
-            right = compose(f, fi)
-            for rt in (left, right):
-                assert rt.k == 1
-                assert abs(rt.a.r - 1.0) < 1e-10
-                assert abs(rt.a.phi) < 1e-10
-                assert _h_max(rt, upto=8) < 1e-10
-            z = LPoint(right.radius * 0.5, 0.7)
-            assert surface_dist(apply_germ(right, z), z) < 1e-9
+        fi = invert(f)
+        left = compose(fi, f)
+        right = compose(f, fi)
+    for rt in (left, right):
+        assert rt.k == 1
+        assert abs(rt.a.r - 1.0) < 1e-10
+        assert abs(rt.a.phi) < 1e-10
+        assert _h_max(rt, upto=8) < 1e-10
+    z = LPoint(right.radius * 0.5, 0.7)
+    assert surface_dist(apply_germ(right, z), z) < 1e-9
 
 
 def test_invert_refuses_higher_k(rng):
@@ -133,34 +142,31 @@ def test_invert_preserves_radius_for_rays():
     assert invert(rot).radius == 3.0
 
 
-def test_associativity_coefficientwise(rng):
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(f=_GROUP, g=_GROUP, h=_GROUP)
+def test_associativity_coefficientwise(f, g, h):
     with config.trunc_order(16):
-        for _ in range(10):
-            f, g, h = (make_star_germ(rng) for _ in range(3))
-            left = compose(f, compose(g, h))
-            right = compose(compose(f, g), h)
-            assert left.k == right.k
-            assert surface_dist_pt(left.a, right.a) < 1e-12
-            diff = max(
-                abs(x - y) for x, y in zip(left.h.coeffs[:9], right.h.coeffs[:9])
-            )
-            assert diff < 1e-10
+        left = compose(f, compose(g, h))
+        right = compose(compose(f, g), h)
+    assert left.k == right.k
+    assert surface_dist_pt(left.a, right.a) < 1e-12
+    diff = max(abs(x - y) for x, y in zip(left.h.coeffs[:9], right.h.coeffs[:9]))
+    assert diff < 1e-10
 
 
 def surface_dist_pt(a, b):
     return abs(a.r - b.r) + abs(a.phi - b.phi)
 
 
-def test_tau_conj_is_an_involutive_homomorphism(rng):
-    for _ in range(10):
-        f = make_star_germ(rng)
-        g = make_star_germ(rng)
-        back = tau_conj(tau_conj(f))
-        assert back.a == f.a and back.h.coeffs == f.h.coeffs
-        lhs = tau_conj(compose(f, g))
-        rhs = compose(tau_conj(f), tau_conj(g))
-        assert surface_dist_pt(lhs.a, rhs.a) < 1e-14
-        assert max(abs(x - y) for x, y in zip(lhs.h.coeffs, rhs.h.coeffs)) < 1e-14
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(f=_GROUP, g=_GROUP)
+def test_tau_conj_is_an_involutive_homomorphism(f, g):
+    back = tau_conj(tau_conj(f))
+    assert back.a == f.a and back.h.coeffs == f.h.coeffs
+    lhs = tau_conj(compose(f, g))
+    rhs = compose(tau_conj(f), tau_conj(g))
+    assert surface_dist_pt(lhs.a, rhs.a) < 1e-14
+    assert max(abs(x - y) for x, y in zip(lhs.h.coeffs, rhs.h.coeffs)) < 1e-14
 
 
 def test_growth_and_argument_bounds(rng):
@@ -311,3 +317,84 @@ def test_apply_germ_many_takes_only_k_one():
     for g in (power_germ(2), Germ(LPoint(1.0, 0.5), 0, PowerSeries((0j,), 1.0), 1.0)):
         with pytest.raises(InvalidGerm, match="k = 1"):
             apply_germ_many(g, np.array([0.5]), np.array([0.1]))
+
+
+# moderate parts, signed zeros, subnormals, 1e300 and non-finite parts
+_EDGE_PARTS = st.floats(-1.0, 1.0) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, math.inf, -math.inf, math.nan])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    order=st.integers(1, 40),
+    k=st.sampled_from([1, 2, 3]),
+    a_r=st.floats(0.1, 10.0),
+    a_phi=st.floats(-50.0, 50.0),
+    h=st.lists(st.builds(complex, _EDGE_PARTS, _EDGE_PARTS), max_size=45),
+    finite=st.booleans(),
+    head=SIGNED_ZEROS,
+    identity_phi=st.sampled_from([0.0, -0.0]),
+    identity_h=st.lists(SIGNED_ZEROS, min_size=1, max_size=45),
+    radii=st.tuples(st.sampled_from([1e-3, 1.0, 1e12]), st.sampled_from([1e-3, 1.0, 1e12])),
+)
+def test_compose_with_the_identity_is_the_full_product_bit_for_bit(
+        order, k, a_r, a_phi, h, finite, head, identity_phi, identity_h, radii):
+    # h(phi) is drawn shorter and longer than order + 1; the closed form
+    # must give the floats of the products, and an inf or nan takes them
+    if finite:
+        h = [c if cmath.isfinite(c) else 0.5j for c in h]
+    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((head, *h), radii[0]), radii[0])
+    psi = Germ(LPoint(1.0, identity_phi), 1, PowerSeries(tuple(identity_h), radii[1]), radii[1])
+    assert is_identity(psi)
+    with config.trunc_order(order):
+        got, want = compose(phi, psi), compose_full(phi, psi)
+    assert got.k == want.k
+    assert bits(got.a.r, got.a.phi, got.radius) == bits(want.a.r, want.a.phi, want.radius)
+    assert bits(*got.h.coeffs) == bits(*want.h.coeffs)
+
+
+def _scaled(weights, radius, total):
+    """Coefficients c_n = total * w_n / radius**n, n >= 1, after a zero, so
+    that sum |c_n| radius**n is about total when the weights sum to 1."""
+    norm = sum(abs(w) for w in weights) or 1.0
+    return (0j, *(total * (w / norm) * radius ** -n for n, w in enumerate(weights, start=1)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    weights=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        | SIGNED_ZEROS,
+        min_size=1, max_size=40,
+    ),
+    # positive real coefficients: the sampled sup at w = radius is the majorant
+    positive=st.booleans(),
+    radius=st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e),
+    # M(radius) - 1/2, across the majorant's margin of 2**-30 and past 1/2
+    excess=st.floats(-1e-6, 1e-6) | st.floats(-2e-9, 1e-9),
+    spoil=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+    where=st.integers(0, 40),
+)
+def test_shrink_to_bound_is_the_sampled_halving_bit_for_bit(weights, positive, radius, excess,
+                                                            spoil, where):
+    if positive:
+        weights = [abs(w) for w in weights]
+    h = list(_scaled(weights, radius, 0.5 + excess))
+    if spoil is not None:
+        h[1 + where % (len(h) - 1)] = complex(spoil, 0.25)
+    with np.errstate(all="ignore"):
+        assert outcome(_shrink_to_bound, tuple(h), radius) == outcome(shrink_by_sampling, tuple(h), radius)
+
+
+def test_the_majorant_decides_where_it_bounds_the_sampled_sup(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(germs, "sampled_h_sup", lambda h, r: sampled.append(r) or sampled_h_sup(h, r))
+    # h = w / 2 at radius 1: M = 1/2 lies within the margin, so sampling
+    # decides, and a rounded sample point with |w| > 1 fails it; at radius
+    # 1/2 the majorant decides alone
+    assert majorant((0j, 0.5 + 0j), 1.0) == 0.5
+    assert _shrink_to_bound((0j, 0.5 + 0j), 1.0) == 0.5 and sampled == [1.0]
+    assert _shrink_to_bound((0j, 0.25 + 0j), 1.0) == 1.0 and sampled == [1.0]
+    assert majorant((0j, 0j), 1e300) == 0.0
+    assert math.isnan(majorant((0j, complex(math.nan, 0.0)), 1.0))
+    assert majorant((0j, 0.25 + 0j), math.inf) == math.inf

@@ -54,7 +54,7 @@ from logsurf import (
     wedge_solve,
 )
 
-from logsurf import cli, reflect
+from logsurf import cli, germs, reflect
 from logsurf.surface import raising
 
 from conftest import apply_germ_composed, bits, outcome, ps_eval_loop, surface_dist
@@ -287,30 +287,56 @@ def test_extension_matches_entire_oracle(rng):
     assert worst < 1e-8
 
 
-@functools.lru_cache(maxsize=None)
-def curved_oracle_tower(order: int):
-    """A 6-level tower over a curved corner whose extension is the entire F.
+def curved_oracle_corner():
+    """A curved corner whose extension is the entire F.
 
-    Returns the states, the base evaluator and F on surface points.
+    Returns the corner, the base evaluator and F on surface points.
     """
     theta = 1.0
     F = np.polynomial.Polynomial([0.0, 1.0, 0.5j, 0.3])
     h = (0.0, 0.1, 0.05j)
     # the curve chi(t) = exp(i theta) t (1 + h(t)) as a polynomial in t
     curve = np.polynomial.Polynomial([0.0, 1.0, *h[1:]]) * complex(math.cos(theta), math.sin(theta))
-    with trunc_order(order):
-        chi = make_germ(LPoint(1.0, theta), 1, h, 1.0)
-        corner = CornerSpec(
-            identity_germ(),
-            chi,
-            IrrationalAngle(theta),
-            puiseux(F.coef.real, 10.0),
-            puiseux(F(curve).coef.real, 10.0),
-            1.0,
-        )
-        states = tower(corner, 6)
+    chi = make_germ(LPoint(1.0, theta), 1, h, 1.0)
+    corner = CornerSpec(
+        identity_germ(),
+        chi,
+        IrrationalAngle(theta),
+        puiseux(F.coef.real, 10.0),
+        puiseux(F(curve).coef.real, 10.0),
+        1.0,
+    )
     f = lambda z: complex(F(project(z)))
-    return states, HarmonicEvaluator(lambda z: f(z).real, f), f
+    return corner, HarmonicEvaluator(lambda z: f(z).real, f), f
+
+
+@functools.lru_cache(maxsize=None)
+def curved_oracle_tower(order: int):
+    """A 6-level tower over curved_oracle_corner: the states, the base evaluator and F."""
+    corner, base, f = curved_oracle_corner()
+    with trunc_order(order):
+        states = tower(corner, 6)
+    return states, base, f
+
+
+def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
+    # Every level composes with the identity psi in closed form, and the
+    # majorant certifies every inverse: the parent made 1,158 np.convolve
+    # and 8 sampled_h_sup calls here.
+    corner, _, _ = curved_oracle_corner()
+    calls = {"np.convolve": 0, "sampled_h_sup": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "convolve", counted("np.convolve", np.convolve))
+    monkeypatch.setattr(germs, "sampled_h_sup", counted("sampled_h_sup", germs.sampled_h_sup))
+    with trunc_order(32):
+        tower(corner, 8)
+    assert calls == {"np.convolve": 927, "sampled_h_sup": 0}
 
 
 def _windows(states):
