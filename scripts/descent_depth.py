@@ -1,8 +1,13 @@
-"""Time extend_eval against its descent depth, on one scenario's corner.
+"""Time extend_eval against its descent depth, on a straight or a curved corner.
 
 The corner and the base evaluator come from ``<root>/scenarios/reflect_wedge.json``
 (or ``--scenario``), built as ``logsurf run`` builds them: ``cli._parse_corner``
-and the closed-form wedge base of ``cli._straight_wedge_base``.  For each
+and the closed-form wedge base of ``cli._straight_wedge_base``.  A straight
+wedge's germs are rays, whose series are empty, so its descent never sums
+a series.  With ``--curved`` the corner is instead the manufactured curved
+corner of ``scenario_digests.curved_corner`` at seed 0 (the one the
+``curved_tower`` digests and ``tower_cost.py`` use), with its polynomial
+base, and every level of the descent sums its germs' series.  For each
 truncation order N in 16, 32 and 64 the script builds a tower of LEVELS
 levels and takes, in every non-empty window (from the previous level's
 ``ReflectionState.upper``, or the first level's ``lower``, to this level's
@@ -16,6 +21,7 @@ are timed with one copy of this script:
 
     python scripts/descent_depth.py --root base
     python scripts/descent_depth.py
+    python scripts/descent_depth.py --curved
 
 It is a measurement, not a test, and is not part of the test suite.
 """
@@ -28,6 +34,10 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+
+from scenario_digests import curved_corner
 
 ORDERS = (16, 32, 64)
 LEVELS = 6
@@ -65,8 +75,11 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parent.parent,
         help="source tree holding src/logsurf and scenarios/ (default: this checkout)",
     )
-    parser.add_argument("--scenario", default="reflect_wedge.json",
-                        help="a file under <root>/scenarios with a straight corner")
+    corners = parser.add_mutually_exclusive_group()
+    corners.add_argument("--scenario", default="reflect_wedge.json",
+                         help="a file under <root>/scenarios with a straight corner")
+    corners.add_argument("--curved", action="store_true",
+                         help="time scenario_digests.curved_corner at seed 0 instead")
     parser.add_argument("--repeats", type=int, default=21, help="timed passes per window")
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -75,14 +88,21 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(root / "src"))
     from logsurf import LPoint, cli, config, extend_eval, membership, tower
 
-    obj = json.loads((root / "scenarios" / args.scenario).read_text())
-    print(f"{args.scenario}: {LEVELS} levels, tree {root}")
+    if args.curved:
+        label = "curved_corner seed 0"
+    else:
+        label = args.scenario
+        obj = json.loads((root / "scenarios" / args.scenario).read_text())
+    print(f"{label}: {LEVELS} levels, tree {root}")
     print(f"{'order':>5} {'level':>5} {'depth':>5} {'points':>6} "
           f"{'median us':>9} {'q1 us':>7} {'q3 us':>7}")
     for order in ORDERS:
         with config.trunc_order(order):
-            corner = cli._parse_corner(obj["corner"], "$.corner")
-            base, _ = cli._straight_wedge_base(corner, "$.corner")
+            if args.curved:
+                corner, base = curved_corner(np.random.default_rng([0, 5]))
+            else:
+                corner = cli._parse_corner(obj["corner"], "$.corner")
+                base, _ = cli._straight_wedge_base(corner, "$.corner")
             states = tower(corner, LEVELS)
         for level, points in window_points(states, membership, LPoint):
             times = []

@@ -56,6 +56,7 @@ from .reflect import (
     envelope,
     envelope_level,
     extend_eval_many,
+    init_state,
     membership,
     rotate_evaluator,
     tower,
@@ -390,12 +391,21 @@ def _level_scale(k: int, loc: str) -> float:
         raise SchemaError(f"level {k}'s radius scale 100**{k - 1} overflows a float", loc) from None
 
 
+_DEEPEST_LEVEL = 155  # the last level whose radius scale 100**(k - 1) is a float
+
+
 def _tower(corner, steps):
-    """tower(corner, steps); a level radius that underflows is a SchemaError at $.steps."""
+    """tower(corner, steps); a level radius that underflows is a SchemaError.
+
+    Within _DEEPEST_LEVEL levels a radius underflows only from a small s_1,
+    so the error is at $.corner.eps when eps sets s_1; past that depth, or
+    when another radius sets s_1, it is at $.steps.
+    """
     try:
         return tower(corner, steps)
     except WindowEmpty as exc:
-        raise SchemaError(str(exc), "$.steps") from None
+        small_eps = steps <= _DEEPEST_LEVEL and init_state(corner).s == corner.eps
+        raise SchemaError(str(exc), "$.corner.eps" if small_eps else "$.steps") from None
 
 
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
@@ -780,18 +790,21 @@ def main(argv=None) -> int:
     else:
         jobs = [(Path(args.scenario), Path(args.out))]
 
-    all_passed = True
+    # every file runs; the exit code is the worst file's, 2 over 1 over 0
+    code = 0
     for path, out in jobs:
         try:
             report = run(path, out, args.trunc_order, args.seed)
         except (SchemaError, ScenarioError) as exc:
             print(f"error ({path.name}): {exc}", file=sys.stderr)
-            return 2
+            code = 2
+            continue
         n_pass = sum(1 for c in report.checks if c.passed)
         verdict = "PASS" if report.passed else "FAIL"
         print(f"{verdict} {report.name}: {n_pass}/{len(report.checks)} checks -> {out}")
-        all_passed = all_passed and report.passed
-    return 0 if all_passed else 1
+        if not report.passed:
+            code = max(code, 1)
+    return code
 
 
 if __name__ == "__main__":

@@ -207,8 +207,7 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
         )
     stack = []
     r, phi = z.r, z.phi
-    while level > 1:
-        st = states[level - 2]
+    for st in reversed(states[: level - 1]):
         u_r, u_phi = apply_germ_polar(st.phi_inv, r, phi)
         if not on_surface(u_r, u_phi):
             LPoint(u_r, u_phi)  # raises LPoint's exception
@@ -217,7 +216,6 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
             LPoint(w_r, w_phi)
         stack.append((st.h, w_r, w_phi, r, phi))
         r, phi = w_r, w_phi
-        level -= 1
     value = complex(base.f(LPoint(r, phi) if stack else z))
     for h, w_r, w_phi, z_r, z_phi in reversed(stack):
         value = (-(value - evaluate_polar(h, w_r, w_phi)).conjugate()

@@ -21,10 +21,13 @@ once no later term can change a bit of it: inside the unit disc, when
 the largest coefficient still to come times the current power of w is
 below a quarter ulp of both parts of the total.  Each skipped addend
 then rounds straight back to the total, so the float is that of the
-full sum.  evaluate_polar is evaluate on the floats (r, phi) of a point,
-and evaluate wraps it.  ps_eval_many and evaluate_many are ps_eval and
-evaluate on float64 arrays, with their floats; ps_eval_many sums every
-term.
+full sum.  It adds the first two terms before it first checks the
+rule: a later check is exact too, since the total no longer changes once
+the rule holds.  The coefficients and their bounds are cached together,
+as PowerSeries.eval_pairs.  evaluate_polar is evaluate on the floats
+(r, phi) of a point, and evaluate wraps it.  ps_eval_many and
+evaluate_many are ps_eval and evaluate on float64 arrays, with their
+floats; ps_eval_many sums every term.
 """
 
 from __future__ import annotations
@@ -72,12 +75,14 @@ class PowerSeries:
         return self.coeffs[: _nonzero_len(self.coeffs)]
 
     @cached_property
-    def tail_max(self) -> tuple:
-        """2 * max |c_m| over the m > n of trimmed, for each n of trimmed (0.0
-        at the last); nan when a later coefficient is nan.  ps_eval's stop
-        rule.  Doubling is exact (or inf, as 2.0 * M is in Python)."""
+    def eval_pairs(self) -> tuple:
+        """(c_n, 2 * max |c_m| over the m > n of trimmed) for each n of
+        trimmed: ps_eval's coefficients with its stop rule's bounds.  The
+        bound is 0.0 at the last n, and nan when a later coefficient is
+        nan; doubling is exact (or inf, as 2.0 * M is in Python)."""
         mags = np.abs(np.array(self.trimmed[1:] + (0j,), dtype=complex))
-        return tuple((2.0 * np.maximum.accumulate(mags[::-1])[::-1]).tolist())
+        bounds = (2.0 * np.maximum.accumulate(mags[::-1])[::-1]).tolist()
+        return tuple(zip(self.trimmed, bounds))
 
 
 def _nonzero_len(coeffs: Sequence[complex]) -> int:
@@ -108,8 +113,8 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
         2 * M * (|term| + 1e-300) + 1e-280 < 2**-55 * |p|,
 
     where term = w**(n+1) as computed and M is the largest |c_m| still to
-    come; tail_max[n] holds 2 * M, the float Python forms first in
-    2.0 * M * (...).  The rule is exact:
+    come; f.eval_pairs holds each c_n with 2 * M, the float Python forms
+    first in 2.0 * M * (...).  The rule is exact:
     * no later |term| exceeds this one by more than rounding, which the
       factor 2 covers, or by more than a few subnormal units once the
       terms underflow, which the 1e-300 covers;
@@ -118,9 +123,19 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
     * such an addend rounds straight back to p, also below a power of
       two, where the spacing is half an ulp.
     The total never changes again: it is the float of the full loop, bit
-    for bit.  A nan or overflowing bound, a nan or zero part and any
-    |w| > 1 never meet the rule, so those sums run to the end.  An inf
-    part stays inf, since a finite bound keeps every later addend finite.
+    for bit.  A nan or overflowing bound and a nan or zero part never
+    meet the rule, so those sums run to the end.  An inf part stays inf,
+    since a finite bound keeps every later addend finite.  Where |w| > 1
+    or w is nan the sum takes no check: it is the full loop.
+
+    The unchecked head.  The rule is first checked after c_2, not c_0:
+    the first two terms are added unchecked.  Checking later is exact
+    too.  Once the rule holds, no later addend changes a bit of the
+    total, so the total at any later check, or at the end of the loop,
+    is still the full loop's float; a skipped check only moves the stop
+    to a later term.  A series of at most two terms is its head alone
+    and takes no check (a ray's h has no term at all), so it never
+    computes |w|.
 
     >>> f = PowerSeries(tuple(0.5 ** n * (1 + 1j) for n in range(33)), 2.0)
     >>> w = 0.001 - 0.002j
@@ -130,14 +145,24 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
     >>> ps_eval(f, w) == full
     True
     """
+    pairs = f.eval_pairs
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
-    cut = 2**-55 if abs(w) <= 1.0 else 0.0  # bound >= 1e-280 is never below 0.0
-    for c, m2 in zip(f.trimmed, f.tail_max):
+    if len(pairs) < 3 or not abs(w) <= 1.0:
+        for c, _ in pairs:
+            total += c * term
+            term *= w
+        return total
+    rest = iter(pairs)
+    total += next(rest)[0] * term
+    term *= w
+    total += next(rest)[0] * term
+    term *= w
+    for c, m2 in rest:
         total += c * term
         term *= w
         bound = m2 * (abs(term) + 1e-300) + 1e-280
-        if bound < cut * abs(total.real) and bound < cut * abs(total.imag):
+        if bound < 2**-55 * abs(total.real) and bound < 2**-55 * abs(total.imag):
             break
     return total
 

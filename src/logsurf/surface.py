@@ -48,8 +48,11 @@ def on_surface(r, phi) -> bool:
 
     r must be a finite positive real and phi a finite real.  Code that
     carries (r, phi) as floats checks a point with this and builds an
-    LPoint only to raise its exception.
+    LPoint only to raise its exception.  Two Python floats, the descent's
+    case, take the comparisons alone; any other type takes the full rule.
     """
+    if type(r) is float and type(phi) is float:
+        return 0.0 < r < math.inf and -math.inf < phi < math.inf
     return (isinstance(r, (int, float)) and 0 < r < math.inf
             and isinstance(phi, (int, float)) and -math.inf < phi < math.inf)
 

@@ -103,6 +103,12 @@ def ps_eval_loop(coeffs, w: complex) -> complex:
     return total
 
 
+def on_surface_full(r, phi) -> bool:
+    """Reference surface.on_surface: LPoint's rule for values of any type."""
+    return (isinstance(r, (int, float)) and 0 < r < math.inf
+            and isinstance(phi, (int, float)) and -math.inf < phi < math.inf)
+
+
 def apply_germ_composed(phi, z: LPoint) -> LPoint:
     """Reference apply_germ: a * z**k * (1 + h(z)) as products of surface points."""
     unit = 1.0 + ps_eval_loop(phi.h.coeffs, project(z))
@@ -188,14 +194,13 @@ def compose_germ_full(g, phi):
 
 
 def sampled_h_sup_full(h_coeffs, radius: float) -> float:
-    """Reference sampled_h_sup: polyval on every circle, whatever the coefficients."""
+    """Reference sampled_h_sup: polyval on every circle, whatever the
+    coefficients; a nan sample on any circle makes the sup nan."""
     coeffs = np.asarray(h_coeffs, dtype=complex)
-    worst = 0.0
     angles = np.exp(2j * np.pi * np.arange(64) / 64)
-    for frac in (1.0, 0.5, 0.25):
-        vals = np.polyval(coeffs[::-1], radius * frac * angles)
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    sups = [float(np.max(np.abs(np.polyval(coeffs[::-1], radius * frac * angles))))
+            for frac in (1.0, 0.5, 0.25)]
+    return math.nan if any(math.isnan(x) for x in sups) else max(sups)
 
 
 def shrink_by_sampling(h_coeffs, radius: float) -> float:

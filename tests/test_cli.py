@@ -211,6 +211,8 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         ("expansion_sanity", ("steps",), 200, "$.steps"),
         # n has a float, but n * phi overflows it
         ("poisson_disk", ("data", "terms", 0, "n"), 10**308, "$.data.terms[0].n"),
+        # s_1 = eps = 1e-320, so s_3 = s_1 / 100**2 underflows within three steps
+        ("reflect_wedge", ("corner", "eps"), 1e-320, "$.corner.eps"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -456,6 +458,28 @@ def test_batch_requires_files(tmp_path, capsys):
     rc = main(["run", "--batch", str(empty), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "no scenario files" in capsys.readouterr().err
+
+
+def test_batch_runs_every_file_and_exits_with_the_worst_code(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    # sorted first: a schema error, after which the other files still run
+    (batch / "a_bad.json").write_text(json.dumps({"scenario": "no_such_kind"}))
+    failing = json.loads((SCENARIOS / "expansion_negative.json").read_text())
+    failing["expect_windows_ok"] = True
+    _write(batch, "b_fail.json", failing)
+    _write(batch, "c_pass.json", json.loads((SCENARIOS / "wedge_right_angle.json").read_text()))
+    rc = main(["run", "--batch", str(batch), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error (a_bad.json): $.scenario: " in captured.err
+    assert captured.out.splitlines()[0].startswith("FAIL b_fail")
+    assert captured.out.splitlines()[1].startswith("PASS c_pass")
+    for name in ("b_fail", "c_pass"):
+        assert (tmp_path / "o" / name / "summary.json").exists()
+    # without the error, a failed check is the worst code
+    (batch / "a_bad.json").unlink()
+    assert main(["run", "--batch", str(batch), "--out", str(tmp_path / "o2")]) == 1
 
 
 def test_argument_validation():

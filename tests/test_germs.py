@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -267,12 +267,14 @@ def test_apply_germ_is_the_composed_form_bit_for_bit(a_r, a_phi, k, h, z_r, z_ph
 @given(
     head=st.lists(
         st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
-        | SIGNED_ZEROS,
+        | SIGNED_ZEROS
+        | st.just(complex(math.nan, 0.0)),
         max_size=10,
     ),
     tail=st.lists(SIGNED_ZEROS, max_size=40),
     radius=st.floats(1e-3, 10.0),
 )
+@example(head=[complex(math.nan, 0.0)], tail=[], radius=1.0)  # h = (0, nan): nan, never 0.0
 def test_sampled_h_sup_is_the_full_sampling_bit_for_bit(head, tail, radius):
     h = (0j, *head, *tail)  # h = 0 when head holds only zeros
     assert float(sampled_h_sup(h, radius)).hex() == float(sampled_h_sup_full(h, radius)).hex()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, outcome, plain_power, surface_points
+from conftest import bits, on_surface_full, outcome, plain_power, surface_points
 from logsurf import (
     LPoint,
     ONE,
@@ -24,6 +24,7 @@ from logsurf import (
     sqd_contains,
     tau,
 )
+from logsurf.surface import on_surface
 
 
 def test_point_validation():
@@ -58,6 +59,31 @@ def test_point_accepts_positive_reals(x):
     assert (z.r, z.phi) == (x, x)
     for phi in (0, -0.0, -1):
         assert LPoint(x, phi).phi == phi
+
+
+# Moduli and arguments of every type a caller might pass: Python floats
+# (the fast path's case), ints, bools, numpy floats, signed zeros, inf,
+# nan, None, strings and complex numbers.
+_ANY_PART = (
+    st.floats()
+    | st.integers()
+    | st.booleans()
+    | st.floats().map(np.float64)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, None, "1.0", 1 + 0j, 2j])
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(r=_ANY_PART, phi=_ANY_PART)
+def test_on_surface_is_lpoints_rule_for_any_type(r, phi):
+    expected = on_surface_full(r, phi)
+    assert on_surface(r, phi) == expected
+    try:
+        LPoint(r, phi)
+    except ValueError:
+        assert not expected
+    else:
+        assert expected
 
 
 def test_project_and_from_complex_round_trip():
