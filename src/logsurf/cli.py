@@ -398,14 +398,21 @@ def _tower(corner, steps):
     """tower(corner, steps); a level radius that underflows is a SchemaError.
 
     Within _DEEPEST_LEVEL levels a radius underflows only from a small s_1,
-    so the error is at $.corner.eps when eps sets s_1; past that depth, or
-    when another radius sets s_1, it is at $.steps.
+    so the error names the first corner field equal to s_1: eps, then the
+    psi, chi, g0 and g1 radii, or $.corner itself when s_1 is a radius
+    transported by a curve.  Past that depth it is at $.steps.
     """
     try:
         return tower(corner, steps)
     except WindowEmpty as exc:
-        small_eps = steps <= _DEEPEST_LEVEL and init_state(corner).s == corner.eps
-        raise SchemaError(str(exc), "$.corner.eps" if small_eps else "$.steps") from None
+        loc = "$.steps"
+        if steps <= _DEEPEST_LEVEL:
+            s1 = init_state(corner).s
+            fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
+                      ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
+                      ("g1.radius", corner.g1.radius))
+            loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
+        raise SchemaError(str(exc), loc) from None
 
 
 def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
@@ -702,7 +709,6 @@ class Report:
     name: str
     passed: bool
     checks: list
-    out_dir: Path
 
 
 def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
@@ -757,7 +763,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
             fh.write("\n")
     except OSError as exc:
         raise ScenarioError(f"cannot write the report to {out}: {exc}", "$") from exc
-    return Report(path.stem, payload["passed"], checks, out)
+    return Report(path.stem, payload["passed"], checks)
 
 
 def main(argv=None) -> int:
@@ -776,8 +782,6 @@ def main(argv=None) -> int:
                       help="override the scenario sampling seed")
     args = parser.parse_args(argv)
 
-    if args.command != "run":
-        parser.error("unknown command")
     if (args.scenario is None) == (args.batch is None):
         parser.error("provide exactly one of a scenario file or --batch DIR")
 

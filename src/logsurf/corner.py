@@ -296,41 +296,31 @@ class CornerSpec:
 
 @dataclass(frozen=True)
 class TransformRecord:
-    """The coordinate changes applied by normalize.
+    """The coordinate changes applied by normalize, in application order.
 
-    stages lists them in application order; forward maps an original
-    point into the normalized chart, backward inverts it.
+    A stage ("root", n) maps z to z**(1/n); a stage ("germ", g_inv, g)
+    applies g_inv.  forward maps an original point into the normalized
+    chart through the stages, backward inverts it through them in
+    reverse; the record holds nothing but its stages.
     """
 
     stages: tuple
-    forward: Callable[[LPoint], LPoint]
-    backward: Callable[[LPoint], LPoint]
+
+    def forward(self, z: LPoint) -> LPoint:
+        for stage in self.stages:
+            z = power(1.0 / stage[1], z) if stage[0] == "root" else apply_germ(stage[1], z)
+        return z
+
+    def backward(self, z: LPoint) -> LPoint:
+        for stage in reversed(self.stages):
+            z = power(float(stage[1]), z) if stage[0] == "root" else apply_germ(stage[2], z)
+        return z
 
 
 @dataclass(frozen=True)
 class NormalizedCorner:
     corner: CornerSpec
     record: TransformRecord
-
-
-def _chain(stages: Sequence[tuple]) -> tuple[Callable, Callable]:
-    def forward(z: LPoint) -> LPoint:
-        for stage in stages:
-            if stage[0] == "root":
-                z = power(1.0 / stage[1], z)
-            else:
-                z = apply_germ(stage[1], z)
-        return z
-
-    def backward(z: LPoint) -> LPoint:
-        for stage in reversed(stages):
-            if stage[0] == "root":
-                z = power(float(stage[1]), z)
-            else:
-                z = apply_germ(stage[2], z)
-        return z
-
-    return forward, backward
 
 
 def normalize(spec: CornerSpec) -> NormalizedCorner:
@@ -342,12 +332,11 @@ def normalize(spec: CornerSpec) -> NormalizedCorner:
     k(psi); compose with the inverse of the straightened first curve;
     pull back by the root map of order k of the remaining second curve.
     Data series follow their parameters, the opening angle divides by
-    the product of the two root orders, and the record chains the point
-    maps.
+    the product of the two root orders, and the record lists the stages
+    whose chain is the point maps.
     """
     if is_identity(spec.psi) and spec.chi.k == 1:
-        fwd, bwd = _chain(())
-        return NormalizedCorner(spec, TransformRecord((), fwd, bwd))
+        return NormalizedCorner(spec, TransformRecord(()))
 
     m = spec.psi.k
     chi = spec.chi
@@ -381,9 +370,8 @@ def normalize(spec: CornerSpec) -> NormalizedCorner:
         eps0 = spec.eps ** (1.0 / n3)
 
     theta3 = scale_angle(spec.theta, m * n3)
-    fwd, bwd = _chain(tuple(stages))
     corner = CornerSpec(identity_germ(), chi3, theta3, g0, g1, min(eps0, eps1))
-    return NormalizedCorner(corner, TransformRecord(tuple(stages), fwd, bwd))
+    return NormalizedCorner(corner, TransformRecord(tuple(stages)))
 
 
 # ----------------------------------------------------------------------

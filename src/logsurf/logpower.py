@@ -291,15 +291,12 @@ def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGe
                 bound = 2.0 ** (m + alpha_f) * (arg_a + 3.0) ** m
                 rows.append(BoundRow(alpha_f, m, ell, observed, bound, observed <= bound))
                 contrib = c_m * canonical
-                key = (new_alpha, ell)
-                bucket[key] = ps_add(bucket.get(key, (0j,)), tuple(contrib.tolist()))
+                by_ell = bucket.setdefault(new_alpha, {})
+                by_ell[ell] = ps_add(by_ell.get(ell, (0j,)), tuple(contrib.tolist()))
 
-    grouped: dict = {}
-    for (new_alpha, ell), coeffs in bucket.items():
-        grouped.setdefault(new_alpha, {})[ell] = coeffs
     terms = []
-    for new_alpha in sorted(grouped):
-        by_ell = grouped[new_alpha]
+    for new_alpha in sorted(bucket):
+        by_ell = bucket[new_alpha]
         top = max(by_ell)
         series_list = tuple(
             PowerSeries(by_ell.get(ell, (0j,)), phi.radius) for ell in range(top + 1)

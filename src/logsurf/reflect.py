@@ -367,8 +367,12 @@ def envelope(states: Sequence[ReflectionState], phi_max: float = 1e4) -> Envelop
     pi/2 within radius s_1 / 100**(k-1); the recursion extends past the
     materialized levels, so K is the supremum of
     (100**(k-1) / s_1) ** (1 / log+ x) over the breakpoints in
-    [1, phi_max].  The returned domain (c, C) = (min(1, s_1), log K)
-    satisfies c * exp(-C * sqrt(x)) <= K ** (-log+ x) for x >= 1.
+    [1, phi_max].  The breakpoints come with their levels from one loop:
+    x = 1 at k0 = envelope_level(theta, 1), then each reach
+    x = 2**(k-1) * theta - pi/2 below phi_max, k >= k0, at level k + 1,
+    since the reach strictly increases in k (and exceeds 1 from k0 on).
+    The returned domain (c, C) = (min(1, s_1), log K) satisfies
+    c * exp(-C * sqrt(x)) <= K ** (-log+ x) for x >= 1.
     """
     if len(states) < 3:
         raise InsufficientSteps(
@@ -380,20 +384,15 @@ def envelope(states: Sequence[ReflectionState], phi_max: float = 1e4) -> Envelop
     def log_plus(x: float) -> float:
         return max(1.0, math.log(x))
 
-    xs = [1.0]
-    k = envelope_level(theta, 1.0)
-    while _reach(theta, k) < phi_max:
-        if _reach(theta, k) >= 1.0:
-            xs.append(_reach(theta, k))
-        k += 1
     K = 1.0 + 1e-6
     rows = []
-    for x in xs:
-        lev = envelope_level(theta, x)
+    x, lev = 1.0, envelope_level(theta, 1.0)
+    while not rows or x < phi_max:
         window_radius = s1 / 100.0 ** (lev - 1)
         needed = (1.0 / window_radius) ** (1.0 / log_plus(x))
         rows.append((x, lev, window_radius, needed))
         K = max(K, needed)
+        x, lev = _reach(theta, lev), lev + 1
     K *= 1.0 + 1e-9
     c = min(1.0, s1)
     return EnvelopeResult(K, QuadraticDomain(c, math.log(K)), tuple(rows))

@@ -170,6 +170,47 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
     assert "$.corner.psi" in capsys.readouterr().err
 
 
+def test_reflect_refuses_a_curved_chi_at_the_corner(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+    obj["corner"]["chi"]["h_terms"] = [{"deg": 2, "re": 0.1}]
+    rc = main(["run", str(_write(tmp_path, "curved.json", obj)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error (curved.json): $.corner: closed-form bases exist only for straight boundary rays" in err
+
+
+def test_wedge_resonant_terms_on_the_second_edge(tmp_path):
+    # At theta = pi/2, beta = 2 and 4 resonate with n = 1 (odd, sign -1)
+    # and n = 2 (sign +1): each edge-1 term gives -i * c * sign / theta
+    # times z**beta log z, and no z**beta term.
+    obj = json.loads((SCENARIOS / "wedge_right_angle.json").read_text())
+    obj["edge0"] = []
+    obj["edge1"] = [{"beta_num": 2, "beta_den": 1, "coeff": 1.5},
+                    {"beta_num": 4, "beta_den": 1, "coeff": 0.5}]
+    report = run(_write(tmp_path, "resonant.json", obj), tmp_path / "o")
+    assert report.passed and len(report.checks) == 5
+    with open(tmp_path / "o" / "expansion.csv", newline="") as fh:
+        rows = {(float(a), int(m)): (float(re), float(im))
+                for a, m, re, im in list(csv.reader(fh))[1:]}
+    theta = math.pi / 2
+    assert rows[(2.0, 1)] == pytest.approx((0.0, 1.5 / theta), abs=1e-15)
+    assert rows[(4.0, 1)] == pytest.approx((0.0, -0.5 / theta), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "data, observed",
+    [({"kind": "constant", "value": 2.5}, 0.0), ({"kind": "re"}, 5.6e-17)],
+)
+def test_poisson_constant_and_re_data(tmp_path, data, observed):
+    obj = json.loads((SCENARIOS / "poisson_disk.json").read_text())
+    obj["data"] = data
+    report = run(_write(tmp_path, "poisson.json", obj), tmp_path / "o")
+    assert report.passed
+    [check] = report.checks
+    assert check.name == f"poisson_{data['kind']}"
+    assert check.observed == pytest.approx(observed, abs=1e-17)
+
+
 @pytest.mark.parametrize(
     "name, path, value, loc",
     [
@@ -213,6 +254,11 @@ def test_scenario_error_curved_ray(tmp_path, capsys):
         ("poisson_disk", ("data", "terms", 0, "n"), 10**308, "$.data.terms[0].n"),
         # s_1 = eps = 1e-320, so s_3 = s_1 / 100**2 underflows within three steps
         ("reflect_wedge", ("corner", "eps"), 1e-320, "$.corner.eps"),
+        # s_1 is the first corner field equal to it: a germ radius, a data radius
+        ("reflect_wedge", ("corner", "chi", "radius"), 1e-320, "$.corner.chi.radius"),
+        ("reflect_wedge", ("corner", "g0", "radius"), 1e-320, "$.corner.g0.radius"),
+        # g1 behind the rotated chi transports to s_1 = 5e-321, no field's value
+        ("reflect_wedge", ("corner", "g1", "radius"), 1e-320, "$.corner"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):

@@ -42,6 +42,8 @@ from logsurf import (
     log_power_series,
     make_germ,
     membership,
+    normalize,
+    power_germ,
     project,
     puiseux,
     puiseux_from_terms,
@@ -55,6 +57,8 @@ from logsurf import (
 )
 
 from logsurf import cli, germs, reflect
+from logsurf.germs import s_series
+from logsurf.series import ps_compose
 from logsurf.surface import raising
 
 from conftest import apply_germ_composed, bits, outcome, ps_eval_loop, surface_dist
@@ -363,6 +367,44 @@ def test_curved_extension_matches_entire_oracle(rng, order):
             z = LPoint(r, lo + (hi - lo) * rng.uniform(1e-3, 1.0 - 1e-3))
             assert membership(states, z) == st.k
             assert abs(extend_eval(states, base, z) - f(z)) <= 1e-10 * abs(f(z))
+
+
+_CURVED_H = (0.0, 0.1, 0.05j)
+
+
+@pytest.mark.parametrize(
+    "psi, chi, theta, stages",
+    [
+        # a germ stage: the ray psi is straightened by its inverse
+        (rotation_germ(0.3), make_germ(LPoint(1.0, 1.3), 1, _CURVED_H, 1.0), 1.0, ["germ"]),
+        # a root stage of order k(psi) = 2
+        (power_germ(2), make_germ(LPoint(1.0, 2.0), 2, _CURVED_H, 1.0), 2.0, [("root", 2)]),
+        # a root stage of order k(chi) = 2 after the first curve (n3 > 1)
+        (identity_germ(), make_germ(LPoint(1.0, 2.0), 2, _CURVED_H, 1.0), 2.0, [("root", 2)]),
+        # k(psi) = 2 does not divide k(chi) = 1: chi is reparametrized first
+        (power_germ(2), make_germ(LPoint(1.0, 2.0), 1, _CURVED_H, 1.0), 2.0, [("root", 2)]),
+    ],
+    ids=["germ", "root_psi", "root_chi", "reparametrized_chi"],
+)
+def test_a_normalized_corner_extends_its_original_solution(psi, chi, theta, stages):
+    # The data is Re F on each original curve, so the extension over the
+    # normalized corner is F o record.backward on every sheet.
+    F = (0.0, 1.0, 0.5j, 0.3)
+    data = lambda curve: puiseux([c.real for c in ps_compose(F, s_series(curve))], 10.0)
+    spec = CornerSpec(psi, chi, IrrationalAngle(theta), data(psi), data(chi), 1.0)
+    norm = normalize(spec)
+    assert norm == normalize(spec)
+    assert [s if s[0] == "root" else s[0] for s in norm.record.stages] == stages
+    poly = np.polynomial.Polynomial(F)
+    f = lambda z: complex(poly(project(norm.record.backward(z))))
+    states = tower(norm.corner, 5)
+    base = HarmonicEvaluator(lambda z: f(z).real, f)
+    wins = _windows(states)
+    assert len(wins) == 4
+    for lo, hi, st in wins:
+        for i in range(1, 10):
+            z = LPoint(0.2 * st.s, lo + (hi - lo) * i / 10)
+            assert abs(extend_eval(states, base, z) - f(z)) <= 1e-12 * abs(f(z))
 
 
 def _extend_eval_reference(states, base, z):
