@@ -5,10 +5,12 @@ The straight corner is ``<root>/scenarios/reflect_wedge.json``'s, built as
 is the manufactured corner of ``scenario_digests.curved_corner`` at seed 0,
 the one the ``curved_tower`` digests are taken over.  For each truncation
 order N in 16, 32, 64 and 128 and each depth in 3, 5 and 8 the script builds
-``tower(corner, depth)`` once untimed, counting its ``np.convolve`` and
+``tower(corner, depth)`` once untimed, counting its ``np.convolve``,
+``np.dot`` (the v recurrence of ``series.reversion``) and
 ``germs.sampled_h_sup`` calls, then ``--repeats`` times timed.  It prints
 one row per corner, order and depth: the median and quartiles of the time
-per tower and the two call counts.  The logsurf package is imported from
+per tower and the three call counts; the two numpy counts are every
+kernel call a tower makes.  The logsurf package is imported from
 ``<root>/src``, so two trees are timed with one copy of this script:
 
     python scripts/tower_cost.py --root base
@@ -34,25 +36,24 @@ ORDERS = (16, 32, 64, 128)
 DEPTHS = (3, 5, 8)
 
 
-def counted_build(tower, germs, corner, depth) -> tuple[int, int]:
-    """(np.convolve calls, sampled_h_sup calls) of one tower(corner, depth)."""
-    calls = {"convolve": 0, "sampled": 0}
-    convolve, sampled = np.convolve, germs.sampled_h_sup
+def counted_build(tower, germs, corner, depth) -> tuple[int, int, int]:
+    """(np.convolve, np.dot, sampled_h_sup) calls of one tower(corner, depth)."""
+    calls = {"convolve": 0, "dot": 0, "sampled": 0}
+    convolve, dot, sampled = np.convolve, np.dot, germs.sampled_h_sup
 
-    def counting_convolve(*args, **kwargs):
-        calls["convolve"] += 1
-        return convolve(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting_sampled(*args, **kwargs):
-        calls["sampled"] += 1
-        return sampled(*args, **kwargs)
-
-    np.convolve, germs.sampled_h_sup = counting_convolve, counting_sampled
+    np.convolve, np.dot = counting("convolve", convolve), counting("dot", dot)
+    germs.sampled_h_sup = counting("sampled", sampled)
     try:
         tower(corner, depth)
     finally:
-        np.convolve, germs.sampled_h_sup = convolve, sampled
-    return calls["convolve"], calls["sampled"]
+        np.convolve, np.dot, germs.sampled_h_sup = convolve, dot, sampled
+    return calls["convolve"], calls["dot"], calls["sampled"]
 
 
 def main(argv=None) -> int:
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     obj = json.loads((root / "scenarios" / "reflect_wedge.json").read_text())
     print(f"tower cost, tree {root}")
     print(f"{'corner':>8} {'order':>5} {'depth':>5} {'median ms':>9} {'q1 ms':>7} {'q3 ms':>7} "
-          f"{'convolve':>8} {'sampled':>7}")
+          f"{'convolve':>8} {'dot':>5} {'sampled':>7}")
     for name in ("straight", "curved"):
         for order in ORDERS:
             with config.trunc_order(order):
@@ -83,7 +84,7 @@ def main(argv=None) -> int:
                 else:
                     corner, _ = curved_corner(np.random.default_rng([0, 5]))
                 for depth in DEPTHS:
-                    convolves, samples = counted_build(tower, germs, corner, depth)
+                    convolves, dots, samples = counted_build(tower, germs, corner, depth)
                     times = []
                     for _ in range(args.repeats):
                         start = time.perf_counter()
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
                     # one build is its own median and quartiles
                     q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
                     print(f"{name:>8} {order:5d} {depth:5d} {median:9.2f} {q1:7.2f} {q3:7.2f} "
-                          f"{convolves:8d} {samples:7d}")
+                          f"{convolves:8d} {dots:5d} {samples:7d}")
     return 0
 
 

@@ -725,7 +725,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
     if not isinstance(obj, dict):
         raise SchemaError("scenario file must hold a json object", "$")
     kind = _need(obj, "scenario", "$")
-    if kind not in _RUNNERS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         raise SchemaError(
             f"unknown scenario kind {kind!r}; expected one of {sorted(_RUNNERS)}",
             "$.scenario",

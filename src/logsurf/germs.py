@@ -316,7 +316,7 @@ def invert(phi: Germ) -> Germ:
 
 def tau_conj(phi: Germ) -> Germ:
     """Conjugation by tau: a -> tau(a), h coefficients conjugated, radius kept."""
-    h = PowerSeries(tuple(c.conjugate() for c in phi.h.coeffs), phi.h.radius)
+    h = PowerSeries(tuple(map(complex.conjugate, phi.h.coeffs)), phi.h.radius)
     return Germ(tau(phi.a), phi.k, h, phi.radius)
 
 

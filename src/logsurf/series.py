@@ -16,7 +16,14 @@ at once for h = 0, reversion inverts a linear series with one product,
 and compose_germ composes with a ray (h = 0) through copies.  So rays
 and short series cost a few calls at any N.  Outputs keep their
 lengths, and every np.convolve still made keeps its operand lengths,
-so the floats are those of the full loops.  ps_eval stops its sum
+so the floats are those of the full loops.  binom_pow with alpha = 1
+skips its one product, whose floats are known: 1 + h in closed form.
+Around the numpy calls the kernels keep only scalar work that sets a
+float, each in a form with the same floats: compose_germ takes each
+a**(n/d) by cpow's own expression from one log of a, reversion divides
+its diagonal by 1, 2, ... in one array division, and _spread (so add
+and sub) writes coefficients through one strided slice, which copies
+them exactly.  ps_eval stops its sum
 once no later term can change a bit of it: inside the unit disc, when
 the largest coefficient still to come times the current power of w is
 below a quarter ulp of both parts of the total.  Each skipped addend
@@ -32,6 +39,7 @@ floats; ps_eval_many sums every term.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +51,7 @@ import numpy as np
 
 from . import config
 from .errors import InvalidGerm, OutOfRadius
-from .surface import LPoint, cpow, cpow_many, cpow_polar
+from .surface import LPoint, cpow_many, cpow_polar
 
 if TYPE_CHECKING:
     from .germs import Germ
@@ -231,7 +239,7 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
         raise ValueError("inner series must have zero constant term")
     top = _nonzero_len(f)
     acc = np.zeros(min(1 + (len(f) - top) * (len(g_arr) - 1), order + 1), dtype=complex)
-    for c in reversed(np.asarray(f[:top], dtype=complex)):
+    for c in reversed(np.asarray(f[:top], dtype=complex).tolist()):
         acc = np.convolve(acc, g_arr)[: order + 1]
         acc[0] += c
     return tuple(acc.tolist())
@@ -262,6 +270,15 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     Otherwise each power of h is one product with the whole of h as
     given: cutting its trailing zeros here would change the rounding of
     those products.
+
+    alpha = 1 with every coefficient up to the order finite returns 1
+    followed by c + 0j for each coefficient c of h, padded to N + 1, and
+    makes no product.  These are the sum's floats: its one product is
+    h times 1 + 0j, twice (in np.convolve and by C(1, 1) = 1 + 0j), and
+    c.real * 1 - c.imag * 0 and c.real * 0 + c.imag * 1 are c's parts up
+    to the sign of a zero; adding to the zero accumulator turns a -0.0
+    into +0.0, as + 0j does.  An inf or nan coefficient takes the
+    product, where the zero parts meet it and make nan.
     """
     if order is None:
         order = config.get_trunc_order()
@@ -272,6 +289,10 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     acc[0] = 1.0
     if not any(h):
         return tuple(acc.tolist())
+    if alpha == 1:
+        head = h_arr[1 : order + 1].tolist()
+        if all(map(cmath.isfinite, head)):
+            return (1 + 0j, *[c + 0j for c in head]) + (0j,) * (order - len(head))
     pw = np.ones(1, dtype=complex)
     for b in itertools.islice(_binomials(alpha), 1, order + 1):
         if b == 0:
@@ -307,6 +328,13 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     inversion: g_n = [w**(n-1)] v**n / n with v = w / f(w).  A linear f
     has the constant v = 1 / f_1, whose powers never reach w**(n-1) past
     n = 1, so only g_1 is computed; otherwise the work is O(N) products.
+
+    The v recurrence reads f_1 and the tail f_2, f_3, ... from one scalar
+    and one view made before its loop, so each np.dot sees the slices it
+    always saw.  The diagonal [w**(n-1)] v**n is collected and divided by
+    1, 2, ... in one array division: numpy divides each complex128 by n
+    cast to complex128, as the scalar vn[n - 1] / n does, so every g_n
+    is the same float.
     """
     if order is None:
         order = config.get_trunc_order()
@@ -316,15 +344,18 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     if f_arr[1] == 0:
         raise ValueError("reversion needs a nonzero linear coefficient")
     top = order + 1 if any(f[2 : order + 1]) else 2
+    f1, tail = f_arr[1], f_arr[2:]
     v = np.zeros(order, dtype=complex)
-    v[0] = 1 / f_arr[1]
+    v[0] = 1 / f1
     for m in range(1, top - 1):
-        v[m] = -np.dot(f_arr[2 : m + 2], v[m - 1 :: -1]) / f_arr[1]
-    g = np.zeros(order + 1, dtype=complex)
+        v[m] = -np.dot(tail[:m], v[m - 1 :: -1]) / f1
+    diagonal = []
     vn = np.ones(1, dtype=complex)
     for n in range(1, top):
         vn = np.convolve(vn, v)[:order]
-        g[n] = vn[n - 1] / n
+        diagonal.append(vn[n - 1])
+    g = np.zeros(order + 1, dtype=complex)
+    g[1:top] = np.array(diagonal, dtype=complex) / np.arange(1, top)
     return tuple(g.tolist())
 
 
@@ -415,17 +446,15 @@ def tail_bound(c: float, d: int, radius: float, N: int, z: LPoint) -> float:
 
 def conj_tau(g: PuiseuxSeries) -> PuiseuxSeries:
     """The series with conjugated coefficients; equals conj(g(tau(z))) pointwise."""
-    base = PowerSeries(tuple(c.conjugate() for c in g.base.coeffs), g.base.radius)
+    base = PowerSeries(tuple(map(complex.conjugate, g.base.coeffs)), g.base.radius)
     return PuiseuxSeries(g.d, base, g.radius)
 
 
 def _spread(coeffs: Sequence[complex], stride: int, order: int) -> np.ndarray:
     """Place coeffs[n] at index n * stride of a length order + 1 array, truncating."""
     arr = np.zeros(order + 1, dtype=complex)
-    for n, c in enumerate(coeffs):
-        if n * stride > order:
-            break
-        arr[n * stride] = c
+    count = min(len(coeffs), order // stride + 1)
+    arr[: stride * count : stride] = coeffs[:count]
     return arr
 
 
@@ -485,6 +514,16 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
     s = min(r(phi), (g.radius / (2|a(phi)|)) ** (1/k(phi))).  Requires
     k(phi) >= 1.  The loop stops at the last nonzero coefficient of g, and
     a ray (h = 0) has u = 1, so its blocks are copies.
+
+    The weight c_n a**(n/d) is c_n times cmath.exp((n/d) * lg), with
+    lg = complex(log |a|, arg a) formed once: the expression cpow_polar
+    evaluates, with its 1 + 0j at n = 0, so the same floats.  Each block
+    is added through one strided slice of the output, the entries
+    n*k, n*k + d, ... that the block covers.  A ray's block is its 1
+    alone, where the full loop's has size - 1 zeros after it; a finite
+    weight times a zero adds a zero to a total that is never -0.0, which
+    changes nothing, and a non-finite weight makes nan there, which is
+    added too.
     """
     if phi.k == 0:
         raise InvalidGerm("composition needs a germ with k >= 1")
@@ -498,15 +537,22 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
         # trailing zeros: a shorter factor would change the length of
         # np.convolve's inner sums, and with it their rounding.
         unit = unit[:1]
+    lg = complex(math.log(phi.a.r), phi.a.phi)
     block = np.ones(1, dtype=complex)
     for n, c in enumerate(g.base.trimmed):
-        size = (order - n * phi.k) // d + 1
+        start = n * phi.k
+        size = (order - start) // d + 1
         if size <= 0:
             break
         if n > 0:
             block = np.convolve(block[:size], unit[:size])[:size]
         if c != 0:
-            out[n * phi.k :: d][: len(block)] += c * cpow(n / d, phi.a) * block
+            weight = c * (cmath.exp((n / d) * lg) if n else 1 + 0j)
+            out[start : start + d * len(block) : d] += weight * block
+            if n and not cmath.isfinite(weight):
+                # A ray's block is its 1 alone, where the full loop's has
+                # size - 1 zeros after it: a non-finite weight makes them nan.
+                out[start + d * len(block) : start + d * size : d] += weight * 0j
     return puiseux(out.tolist(), s, d)
 
 

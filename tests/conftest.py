@@ -145,6 +145,17 @@ def binom_pow_full(h, alpha: float, order: int) -> tuple:
     return tuple(acc.tolist())
 
 
+def spread_loop(coeffs, stride: int, order: int) -> np.ndarray:
+    """Reference series._spread: coeffs[n] written at index n * stride one
+    coefficient at a time, up to index order of a length order + 1 array."""
+    arr = np.zeros(order + 1, dtype=complex)
+    for n, c in enumerate(coeffs):
+        if n * stride > order:
+            break
+        arr[n * stride] = c
+    return arr
+
+
 def compose_full(phi, psi):
     """Reference compose: the data laws by the full products, whatever psi is."""
     order = config.get_trunc_order()

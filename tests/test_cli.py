@@ -115,10 +115,11 @@ def test_schema_error_locations(tmp_path):
         run(missing, tmp_path / "o1")
     assert exc.value.location == "$.corner"
 
-    unknown = _write(tmp_path, "unknown.json", {"scenario": "bogus"})
-    with pytest.raises(SchemaError) as exc:
-        run(unknown, tmp_path / "o2")
-    assert exc.value.location == "$.scenario"
+    for name, kind in (("unknown", "bogus"), ("list_kind", []), ("object_kind", {"a": 1})):
+        unknown = _write(tmp_path, f"{name}.json", {"scenario": kind})
+        with pytest.raises(SchemaError) as exc:
+            run(unknown, tmp_path / "o2")
+        assert exc.value.location == "$.scenario"
 
     bad_theta = _write(
         tmp_path,
@@ -159,6 +160,12 @@ def test_schema_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"error ({name}): $: " in err
         assert "Traceback" not in err
+    # a kind that is not a string, which cannot be looked up by hash
+    for name, kind in (("list_kind.json", [1]), ("object_kind.json", {})):
+        _write(tmp_path, name, {"scenario": kind})
+        rc = main(["run", str(tmp_path / name), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error ({name}): $.scenario: " in capsys.readouterr().err
 
 
 def test_scenario_error_curved_ray(tmp_path, capsys):
@@ -526,6 +533,21 @@ def test_batch_runs_every_file_and_exits_with_the_worst_code(tmp_path, capsys):
     # without the error, a failed check is the worst code
     (batch / "a_bad.json").unlink()
     assert main(["run", "--batch", str(batch), "--out", str(tmp_path / "o2")]) == 1
+
+
+def test_batch_runs_the_files_after_a_kind_that_is_not_a_string(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _write(batch, "a_list.json", {"scenario": []})
+    _write(batch, "b_pass.json", json.loads((SCENARIOS / "wedge_right_angle.json").read_text()))
+    rc = main(["run", "--batch", str(batch), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error (a_list.json): $.scenario: " in captured.err
+    assert "Traceback" not in captured.err
+    [line] = captured.out.splitlines()
+    assert line.startswith("PASS b_pass")
+    assert (tmp_path / "o" / "b_pass" / "summary.json").exists()
 
 
 def test_argument_validation():

@@ -18,12 +18,14 @@ from conftest import (
     plain_power,
     ps_eval_loop,
     reversion_full,
+    spread_loop,
     surface_points,
 )
 from logsurf import series
 from logsurf import Germ, LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
 from logsurf.series import (
     PowerSeries,
+    PuiseuxSeries,
     add,
     binom_coefficients,
     binom_pow,
@@ -321,10 +323,11 @@ def test_binom_pow_integer_exponent_stops_at_the_first_zero_coefficient(monkeypa
     assert made == [1, 2, 1, 0]
 
 
-@pytest.mark.parametrize("alpha, products", [(1.0, 1), (2.0, 2)])
+@pytest.mark.parametrize("alpha, products", [(1.0, 0), (2.0, 2)])
 def test_binom_pow_integer_exponent_makes_one_product_per_power(alpha, products):
     # (1 + h)**k needs h, ..., h**k: the zero coefficient C(k, k + 1) ends
-    # the sum before an unused h**(k + 1) is made
+    # the sum before an unused h**(k + 1) is made; (1 + h)**1 of a finite
+    # h is h in closed form, with no product at all
     h = (0j, 0.5, 0.25j)
     with mock.patch.object(np, "convolve", wraps=np.convolve) as convolve:
         got = binom_pow(h, alpha, order=16)
@@ -359,6 +362,41 @@ def _same_bits(got, want):
     assert bits(*got) == bits(*want)
 
 
+# Inf and nan coefficients, planted into _trailing's lists (their trailing
+# zeros included): an inf part meets the zero parts of the kernels'
+# products and makes nan there, which closed forms must not skip.
+_NON_FINITE = st.sampled_from([
+    complex(math.inf, 0.0), complex(-math.inf, -0.0), complex(0.0, math.nan),
+    complex(math.nan, math.nan), complex(1.0, -math.inf), complex(math.inf, math.nan),
+])
+
+
+def _plant(coeffs, spots):
+    """coeffs with each (index, value) of spots written in at index mod its length."""
+    coeffs = list(coeffs) or [0j]
+    for i, c in spots:
+        coeffs[i % len(coeffs)] = c
+    return coeffs
+
+
+_non_finite = st.builds(
+    _plant, _trailing, st.lists(st.tuples(st.integers(0, 60), _NON_FINITE), min_size=1, max_size=3)
+)
+
+
+def _kernel_outcome(call):
+    """The floats of call()'s coefficients (with d and the radii of a
+    Puiseux series), or the type and message of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            got = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, PuiseuxSeries):
+        return got.d, got.radius, got.base.radius, bits(*got.base.coeffs)
+    return bits(*got)
+
+
 @_bitwise
 @example(f=[0j] * 5, g=[1.0], order=8)
 @given(f=_trailing, g=_trailing, order=_orders)
@@ -367,17 +405,22 @@ def test_ps_compose_is_the_full_horner_scheme_bit_for_bit(f, g, order):
     _same_bits(ps_compose(f, g, order=order), ps_compose_full(f, g, order))
 
 
-@_bitwise
+@settings(_bitwise, max_examples=300)
 @example(h=[], alpha=0.5, order=16)
 @example(h=[complex(-0.0, -0.0)] * 7, alpha=2.0, order=16)
+@example(h=[math.inf], alpha=1.0, order=4)
+@example(h=[0.5, 0j, complex(math.nan, 0.0)], alpha=1.0, order=1)
 @given(
-    h=_trailing,
+    h=_trailing | _non_finite,
     alpha=st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, 1.0 / 3.0, -0.5, -1.0]),
     order=_orders,
 )
 def test_binom_pow_is_the_full_series_bit_for_bit(h, alpha, order):
+    # (1 + h)**1 is h in closed form only where every coefficient up to the
+    # order is finite; a nan past the order cannot reach the truncated sums
     h = [0j, *h]
-    _same_bits(binom_pow(h, alpha, order=order), binom_pow_full(h, alpha, order))
+    assert _kernel_outcome(lambda: binom_pow(h, alpha, order=order)) == _kernel_outcome(
+        lambda: binom_pow_full(h, alpha, order))
 
 
 @_bitwise
@@ -393,14 +436,21 @@ def test_reversion_is_the_full_inversion_bit_for_bit(f1_mod, f1_arg, rest, order
     _same_bits(reversion(f, order=order), reversion_full(f, order))
 
 
-@_bitwise
+@settings(_bitwise, max_examples=300)
 @example(coeffs=[0j, 1.0, 0j, 0j], h=[0j] * 9, d=2, k=1, a_r=1.0, a_phi=1.0, order=16)
+@example(coeffs=[1.0, 1.0, 1.0], h=[], d=1, k=1, a_r=1e300, a_phi=0.5, order=8)
+@example(coeffs=[0j, complex(math.nan, 0.0)], h=[math.inf], d=1, k=1, a_r=1.0, a_phi=0.0, order=4)
+# a ray (h = 0) with an inf coefficient, and with a finite one whose weight
+# c * a**(n/d) overflows to inf: the full loop's zeros in the block turn nan
+@example(coeffs=[0.5, complex(math.inf, 0.0)], h=[], d=1, k=1, a_r=1.0, a_phi=0.0, order=2)
+@example(coeffs=[0j, 10.0], h=[], d=1, k=1, a_r=8e307, a_phi=0.0, order=4)
 @given(
-    coeffs=_trailing,
-    h=_trailing,
+    coeffs=_trailing | _non_finite,
+    h=_trailing | _non_finite,
     d=st.sampled_from([1, 2, 3]),
     k=st.sampled_from([1, 2]),
-    a_r=st.floats(0.5, 2.0),
+    # |a| past about e**(709.78 * d / n) overflows a**(n/d): cmath.exp raises
+    a_r=st.floats(0.5, 2.0) | st.floats(1e250, 1e308),
     a_phi=st.floats(-4.0, 4.0),
     order=_orders,
 )
@@ -408,9 +458,38 @@ def test_compose_germ_is_the_full_loop_bit_for_bit(coeffs, h, d, k, a_r, a_phi, 
     g = puiseux(coeffs or [0j], 0.8, d)
     phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((0j, *h), 0.5), 0.5)
     with config.trunc_order(order):
-        got, want = compose_germ(g, phi), compose_germ_full(g, phi)
-    assert (got.d, got.radius, got.base.radius) == (want.d, want.radius, want.base.radius)
-    _same_bits(got.base.coeffs, want.base.coeffs)
+        got = _kernel_outcome(lambda: compose_germ(g, phi))
+        assert got == _kernel_outcome(lambda: compose_germ_full(g, phi))
+
+
+_SPREAD_COEFFS = st.lists(
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False) | SIGNED_ZEROS,
+    min_size=1,
+    max_size=70,
+)
+
+
+@_bitwise
+@example(coeffs=[complex(-0.0, -0.0)] * 40, stride=1, order=33)
+@given(coeffs=_SPREAD_COEFFS, stride=st.integers(1, 3), order=_orders)
+def test_spread_is_the_per_coefficient_loop_bit_for_bit(coeffs, stride, order):
+    # lists up to 70 long pass order + 1 <= 34 at every stride
+    got = series._spread(tuple(coeffs), stride, order)
+    _same_bits(got.tolist(), spread_loop(coeffs, stride, order).tolist())
+
+
+@_bitwise
+@given(c1=_SPREAD_COEFFS, c2=_SPREAD_COEFFS, d1=st.sampled_from([1, 2, 3]),
+       d2=st.sampled_from([1, 2, 3]), order=_orders)
+def test_add_and_sub_are_the_per_coefficient_spread_bit_for_bit(c1, c2, d1, d2, order):
+    g1, g2 = puiseux(c1, 0.8, d1), puiseux(c2, 0.5, d2)
+    L = math.lcm(d1, d2)
+    with config.trunc_order(order):
+        a1 = spread_loop(g1.base.coeffs, L // d1, order)
+        a2 = spread_loop(g2.base.coeffs, L // d2, order)
+        minus = spread_loop(scale(-1.0, g2).base.coeffs, L // d2, order)
+        _same_bits(add(g1, g2).base.coeffs, (a1 + a2).tolist())
+        _same_bits(sub(g1, g2).base.coeffs, (a1 + minus).tolist())
 
 
 def test_puiseux_radius_is_capped_by_the_base():
