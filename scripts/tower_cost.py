@@ -7,11 +7,15 @@ the one the ``curved_tower`` digests are taken over.  For each truncation
 order N in 16, 32, 64 and 128 and each depth in 3, 5 and 8 the script builds
 ``tower(corner, depth)`` once untimed, counting its ``np.convolve``,
 ``np.dot`` (the v recurrence of ``series.reversion``) and
-``germs.sampled_h_sup`` calls, then ``--repeats`` times timed.  It prints
-one row per corner, order and depth: the median and quartiles of the time
-per tower and the three call counts; the two numpy counts are every
-kernel call a tower makes.  The logsurf package is imported from
-``<root>/src``, so two trees are timed with one copy of this script:
+``germs.sampled_h_sup`` calls, then reads every level's ``h`` and
+``phi_inv`` and counts again, then builds the tower ``--repeats`` times
+timed.  It prints one row per corner, order and depth: the median and
+quartiles of the time per tower and the three call counts, as
+convolve/dot/sampled, twice: "built" for the build alone, and "+ read" for
+the build and every level read, which adds the top level's data and
+inverse, made on first read.  The two numpy counts are every kernel call
+a tower makes.  The logsurf package is imported from ``<root>/src``, so
+two trees are timed with one copy of this script:
 
     python scripts/tower_cost.py --root base
     python scripts/tower_cost.py
@@ -36,8 +40,10 @@ ORDERS = (16, 32, 64, 128)
 DEPTHS = (3, 5, 8)
 
 
-def counted_build(tower, germs, corner, depth) -> tuple[int, int, int]:
-    """(np.convolve, np.dot, sampled_h_sup) calls of one tower(corner, depth)."""
+def counted_build(tower, germs, corner, depth) -> tuple[str, str]:
+    """The np.convolve, np.dot and sampled_h_sup calls of one
+    tower(corner, depth), as "convolve/dot/sampled": after the build, and
+    after every level's h and phi_inv is read as well."""
     calls = {"convolve": 0, "dot": 0, "sampled": 0}
     convolve, dot, sampled = np.convolve, np.dot, germs.sampled_h_sup
 
@@ -49,11 +55,15 @@ def counted_build(tower, germs, corner, depth) -> tuple[int, int, int]:
 
     np.convolve, np.dot = counting("convolve", convolve), counting("dot", dot)
     germs.sampled_h_sup = counting("sampled", sampled)
+    counts = lambda: "/".join(str(calls[name]) for name in ("convolve", "dot", "sampled"))
     try:
-        tower(corner, depth)
+        states = tower(corner, depth)
+        built = counts()
+        for st in states:
+            st.h, st.phi_inv
     finally:
         np.convolve, np.dot, germs.sampled_h_sup = convolve, dot, sampled
-    return calls["convolve"], calls["dot"], calls["sampled"]
+    return built, counts()
 
 
 def main(argv=None) -> int:
@@ -75,7 +85,7 @@ def main(argv=None) -> int:
     obj = json.loads((root / "scenarios" / "reflect_wedge.json").read_text())
     print(f"tower cost, tree {root}")
     print(f"{'corner':>8} {'order':>5} {'depth':>5} {'median ms':>9} {'q1 ms':>7} {'q3 ms':>7} "
-          f"{'convolve':>8} {'dot':>5} {'sampled':>7}")
+          f"{'built':>12} {'+ read':>12}   (convolve/dot/sampled calls)")
     for name in ("straight", "curved"):
         for order in ORDERS:
             with config.trunc_order(order):
@@ -84,7 +94,7 @@ def main(argv=None) -> int:
                 else:
                     corner, _ = curved_corner(np.random.default_rng([0, 5]))
                 for depth in DEPTHS:
-                    convolves, dots, samples = counted_build(tower, germs, corner, depth)
+                    built, read = counted_build(tower, germs, corner, depth)
                     times = []
                     for _ in range(args.repeats):
                         start = time.perf_counter()
@@ -93,7 +103,7 @@ def main(argv=None) -> int:
                     # one build is its own median and quartiles
                     q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
                     print(f"{name:>8} {order:5d} {depth:5d} {median:9.2f} {q1:7.2f} {q3:7.2f} "
-                          f"{convolves:8d} {dots:5d} {samples:7d}")
+                          f"{built:>12} {read:>12}")
     return 0
 
 

@@ -11,7 +11,11 @@ each step reflects the current domain across the current image curve:
 where h_k is the boundary data transported to the k-th curve.  Radii
 follow the printed recursion r_{k+1} = r_k / 100, s_{k+1} = s_k / 100
 and the transported data is valid on radius s_k / 4; these values are
-set by the recursion, never re-estimated.  The union of the rotated
+set by the recursion, never re-estimated.  step builds phi_{k+1}; the
+data h_{k+1} and the inverse phi_{k+1}^{-1} are made on first read, at
+the truncation order the level was built at.  Only the next step and a
+descent from above level k + 1 read them, so the top level of a tower
+that no one reads past never makes its own.  The union of the rotated
 sectors reached after k steps covers arguments up to 2**(k-1) * theta
 (minus a fixed pi/2 haircut for curvature), which is what makes the
 extension reach every quadratic domain.
@@ -24,7 +28,7 @@ points on float64 arrays, with extend_eval's floats and exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -32,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import config
 from .corner import CornerSpec, HarmonicEvaluator, angle_value
 from .errors import (
     InsufficientSteps,
@@ -73,27 +78,46 @@ class ReflectionState:
 
     phi is the k-th image curve as a germ, h the boundary data on it
     written as a function of z, and r, s the printed domain radii.  The
-    germ radii of phi and its cached inverse may be smaller than r for
-    curved corners; they gate evaluation, while r and s drive the
-    covering windows.  Every germ and series of a level, phi_inv =
-    invert(phi) included, is built with it, at the truncation order then
-    in force.  Only the window edges are made on first read: `lower` is
-    alpha, plus pi/2 when psi is curved, and `upper` is arg a(phi), minus
-    pi/2 when phi is curved.  A level keeps no omega; step builds it.
+    germ radii of phi and its inverse may be smaller than r for curved
+    corners; they gate evaluation, while r and s drive the covering
+    windows.  order is the truncation order in force when the level was
+    built, and phi is made at it.  h and phi_inv = invert(phi) are made
+    on first read, at that order, and kept: h from the level below (its
+    phi, phi_inv and h, and omega = phi o tau_conj(phi^{-1}), which no
+    level keeps), or given by init_state at level 1.  The window edges
+    are made on first read too: `lower` is alpha, plus pi/2 when psi is
+    curved, and `upper` is arg a(phi), minus pi/2 when phi is curved.
     """
 
     k: int
     r: float
     s: float
     phi: Germ
-    h: PuiseuxSeries
-    phi_inv: Germ
     psi: Germ
     h0: PuiseuxSeries
     alpha: float
     theta: float
+    order: int
+    below: ReflectionState | None = field(default=None, repr=False, compare=False)
     lower = cached_property(lambda self: self.alpha + (0.0 if is_ray(self.psi) else math.pi / 2))
     upper = cached_property(lambda self: self.phi.a.phi - (0.0 if is_ray(self.phi) else math.pi / 2))
+
+    @cached_property
+    def phi_inv(self) -> Germ:
+        with config.trunc_order(self.order):
+            return invert(self.phi)
+
+    @cached_property
+    def h(self) -> PuiseuxSeries:
+        """h_k = -conj_tau((h0 - h_{k-1}) o omega_{k-1}) + h_{k-1} with
+        omega_{k-1} = phi_{k-1} o tau_conj(phi_{k-1}^{-1}), valid on radius
+        s_{k-1} / 4."""
+        below = self.below
+        with config.trunc_order(self.order):
+            omega = compose(below.phi, tau_conj(below.phi_inv))
+            reflected = conj_tau(compose_germ(sub(self.h0, below.h), omega))
+            h_sum = add(scale(-1.0, reflected), below.h)
+            return puiseux(h_sum.base.coeffs, below.s / 4.0, h_sum.d)
 
 
 def init_state(corner: CornerSpec) -> ReflectionState:
@@ -103,7 +127,9 @@ def init_state(corner: CornerSpec) -> ReflectionState:
     coefficient, the first tangent argument is below the second, and
     their difference equals the declared opening.  The data series are
     transported to functions of z by composing with the curve inverses;
-    s_1 is the least of r_1, eps and the transported radii.
+    s_1 is the least of r_1, eps and the transported radii.  So the level
+    is given its h = h_1 and phi_inv = chi^{-1} here: s_1 needs them, and
+    chi is inverted once.
     """
     psi, chi = corner.psi, corner.chi
     if psi.k != 1 or chi.k != 1:
@@ -122,33 +148,39 @@ def init_state(corner: CornerSpec) -> ReflectionState:
     h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, chi_inv)
     r1 = min(psi.radius, chi.radius)
     s1 = min(r1, corner.eps, h0.radius, h1.radius)
-    return ReflectionState(1, r1, s1, chi, h1, chi_inv, psi, h0, alpha, theta)
+    state = ReflectionState(1, r1, s1, chi, psi, h0, alpha, theta, config.get_trunc_order())
+    vars(state).update(h=h1, phi_inv=chi_inv)  # the cached_property values
+    return state
 
 
 def step(state: ReflectionState) -> ReflectionState:
-    """One reflection: double the sector, transport the data.
+    """One reflection: double the sector.
 
-    The next curve is phi o tau_conj(phi^{-1} o psi); the next data is
-    h_{k+1} = -conj_tau((h0 - h_k) o omega_k) + h_k with
-    omega_k = phi_k o tau_conj(phi_k^{-1}), valid on radius s_k / 4.
-    omega_k is built here, at the truncation order in force, and not kept.
-    Raises WindowEmpty when s_{k+1} = s_k / 100 underflows to 0.0.
+    The next curve is phi o tau_conj(phi^{-1} o psi), built at the
+    truncation order in force; the next level makes its data h_{k+1} and
+    inverse on first read, at that order.  step first reads the level's
+    own h and phi_inv, so the next level's reads go one level deep, and a
+    tower raises in the order of the transport: the errors of h_k, of
+    phi_k^{-1}, then WindowEmpty when s_{k+1} = s_k / 100 underflows to
+    0.0, then those of phi_{k+1}.
     """
+    state.h, state.phi_inv  # made now, if not yet read
     if not state.s / 100.0 > 0.0:
         raise WindowEmpty(f"level {state.k + 1}'s radius s_{state.k + 1} = s_{state.k} / 100 "
                           f"underflows to 0.0")
     inner = compose(state.phi_inv, state.psi)
     phi_next = compose(state.phi, tau_conj(inner))
-    omega = compose(state.phi, tau_conj(state.phi_inv))
-    reflected = conj_tau(compose_germ(sub(state.h0, state.h), omega))
-    h_sum = add(scale(-1.0, reflected), state.h)
-    h_next = puiseux(h_sum.base.coeffs, state.s / 4.0, h_sum.d)
-    return ReflectionState(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, h_next,
-                           invert(phi_next), state.psi, state.h0, state.alpha, state.theta)
+    return ReflectionState(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, state.psi,
+                           state.h0, state.alpha, state.theta, config.get_trunc_order(), state)
 
 
 def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
-    """The first `steps` levels of the reflection tower."""
+    """The first `steps` levels of the reflection tower.
+
+    Levels 1 to steps - 1 are built with their data and inverses; the top
+    level makes its h and phi_inv when they are first read (no descent
+    reads them: a point at level L descends through the levels below L).
+    """
     if steps < 1:
         raise ValueError("need at least one level")
     states = [init_state(corner)]

@@ -20,7 +20,8 @@ so the floats are those of the full loops.  binom_pow with alpha = 1
 skips its one product, whose floats are known: 1 + h in closed form.
 Around the numpy calls the kernels keep only scalar work that sets a
 float, each in a form with the same floats: compose_germ takes each
-a**(n/d) by cpow's own expression from one log of a, reversion divides
+a**(n/d) by cpow's own expression from one log of a and sums its
+weighted blocks, one row each, in one np.add.reduce, reversion divides
 its diagonal by 1, 2, ... in one array division, and _spread (so add
 and sub) writes coefficients through one strided slice, which copies
 them exactly.  ps_eval stops its sum
@@ -230,7 +231,11 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     Horner's scheme runs over f up to its last nonzero coefficient.  The
     trailing zeros of f would only grow a zero accumulator, so it starts
     at the length they would have given it: every product sees the
-    operands, and sums in the order, of the scheme over all of f.
+    operands, and sums in the order, of the scheme over all of f.  The
+    first product of that zero accumulator with g puts nan wherever the
+    skipped steps would (0 * inf and 0 * nan), so the floats are the
+    full scheme's.  An f with no nonzero coefficient makes no product at
+    all, so it runs the full scheme when g has an inf or nan.
     """
     if order is None:
         order = config.get_trunc_order()
@@ -238,6 +243,8 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     if len(g_arr) and g_arr[0] != 0:
         raise ValueError("inner series must have zero constant term")
     top = _nonzero_len(f)
+    if top == 0 and not np.isfinite(g_arr).all():
+        top = len(f)
     acc = np.zeros(min(1 + (len(f) - top) * (len(g_arr) - 1), order + 1), dtype=complex)
     for c in reversed(np.asarray(f[:top], dtype=complex).tolist()):
         acc = np.convolve(acc, g_arr)[: order + 1]
@@ -517,20 +524,21 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
 
     The weight c_n a**(n/d) is c_n times cmath.exp((n/d) * lg), with
     lg = complex(log |a|, arg a) formed once: the expression cpow_polar
-    evaluates, with its 1 + 0j at n = 0, so the same floats.  Each block
-    is added through one strided slice of the output, the entries
-    n*k, n*k + d, ... that the block covers.  A ray's block is its 1
-    alone, where the full loop's has size - 1 zeros after it; a finite
-    weight times a zero adds a zero to a total that is never -0.0, which
-    changes nothing, and a non-finite weight makes nan there, which is
-    added too.
+    evaluates, with its 1 + 0j at n = 0, so the same floats.  Each term
+    writes weight * block (in that operand order, which numpy rounds
+    unlike block * weight) into its own row of a zero array, at the
+    entries n*k, n*k + d, ... that the block covers, and one
+    np.add.reduce over the rows, a zero row first, adds them in the
+    full loop's order.  A row's other entries are zeros, and a zero
+    added to a total that is never -0.0 changes nothing.  A ray's block
+    is its 1 alone, padded with the full loop's size - 1 zeros when it is
+    weighted: a finite weight makes zeros there, a non-finite one nan.
     """
     if phi.k == 0:
         raise InvalidGerm("composition needs a germ with k >= 1")
     order = config.get_trunc_order()
     d = g.d
     s = min(phi.radius, (g.radius / (2.0 * phi.a.r)) ** (1.0 / phi.k))
-    out = np.zeros(order + 1, dtype=complex)
     unit = np.asarray(binom_pow(phi.h.coeffs, 1.0 / d, order=order // d), dtype=complex)
     if not phi.h.trimmed:
         # u = 1 makes each block an exact copy.  Any other u keeps its
@@ -538,22 +546,21 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
         # np.convolve's inner sums, and with it their rounding.
         unit = unit[:1]
     lg = complex(math.log(phi.a.r), phi.a.phi)
+    terms = g.base.trimmed[: order // phi.k + 1]
+    rows = np.zeros((len(terms) + 1, order + 1), dtype=complex)
     block = np.ones(1, dtype=complex)
-    for n, c in enumerate(g.base.trimmed):
+    for n, c in enumerate(terms):
         start = n * phi.k
         size = (order - start) // d + 1
-        if size <= 0:
-            break
         if n > 0:
             block = np.convolve(block[:size], unit[:size])[:size]
         if c != 0:
             weight = c * (cmath.exp((n / d) * lg) if n else 1 + 0j)
-            out[start : start + d * len(block) : d] += weight * block
-            if n and not cmath.isfinite(weight):
-                # A ray's block is its 1 alone, where the full loop's has
-                # size - 1 zeros after it: a non-finite weight makes them nan.
-                out[start + d * len(block) : start + d * size : d] += weight * 0j
-    return puiseux(out.tolist(), s, d)
+            full = block
+            if n and len(block) < size:  # a ray's 1, then the full loop's zeros
+                full = np.concatenate((block, np.zeros(size - 1, dtype=complex)))
+            np.multiply(weight, full, out=rows[n + 1, start : start + d * len(full) : d])
+    return puiseux(np.add.reduce(rows, axis=0).tolist(), s, d)
 
 
 def coefficients_close(g1: PuiseuxSeries, g2: PuiseuxSeries, tol: float) -> bool:

@@ -58,7 +58,7 @@ from logsurf import (
 
 from logsurf import cli, germs, reflect
 from logsurf.germs import s_series
-from logsurf.series import ps_compose
+from logsurf.series import compose_germ, ps_compose
 from logsurf.surface import raising
 
 from conftest import apply_germ_composed, bits, outcome, ps_eval_loop, surface_dist
@@ -134,13 +134,23 @@ def test_init_state_inverts_a_curved_chi_once(monkeypatch):
 
 
 def test_tower_keeps_the_order_it_was_built_at():
-    # every germ and series a level offers, read after the order block, was
-    # made under that block: no attribute builds one on first read, at
-    # whatever order is in force then
+    # every germ and series a level offers, read after the order block, is
+    # made at that block's order: the top level's h and phi_inv, first read
+    # under another order, have the bits of those read inside the block
     with trunc_order(16):
         chi = make_germ(LPoint(1.0, 1.0), 1, (0.0, 0.1), 1.0)
         corner = CornerSpec(identity_germ(), chi, IrrationalAngle(1.0), _data_t(), _zero_data(), 1.0)
         states = tower(corner, 3)
+
+        def top(st):
+            h, inv = st.h, st.phi_inv
+            return (bits(*h.base.coeffs), h.d, h.radius, h.base.radius,
+                    bits(*inv.h.coeffs), inv.a, inv.k, inv.radius)
+
+        inside = top(tower(corner, 3)[-1])
+    assert all(st.order == 16 for st in states)
+    with trunc_order(32):
+        assert top(states[-1]) == inside
     sizes = []
     for st in states:
         for value in (getattr(st, name) for name in dir(st) if not name.startswith("_")):
@@ -189,6 +199,19 @@ def test_straight_tower_cost_is_flat_in_the_order(monkeypatch):
         radii[order] = [g.radius for g in germs]
     assert counts[16] == counts[128]
     assert radii[16] == radii[128]
+
+
+def test_a_deep_tower_reads_its_top_level_one_level_deep(monkeypatch):
+    # reflect_wedge's corner: every level below the top was given its h and
+    # phi_inv while the tower was built, so the top's h, read first, is one
+    # transport from the level below, with no chain of reads down the tower
+    states = tower(unit_wedge_corner(), 150)
+    transports = []
+    monkeypatch.setattr(reflect, "compose_germ", lambda *args: transports.append(args) or compose_germ(*args))
+    top = states[-1].h
+    assert len(transports) == 1
+    assert top.radius == states[-2].s / 4.0
+    assert states[-1].phi_inv.radius == states[-1].phi.radius
 
 
 def test_reflected_data_right_angle():
@@ -328,7 +351,9 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     # makes (1 + h)**1 in closed form, and the majorant certifies every
     # inverse: without these shortcuts the tower made 1,158 np.convolve
     # and 8 sampled_h_sup calls here, and 927 np.convolve calls without
-    # the binom_pow one.
+    # the binom_pow one.  The top level makes its h (an omega and a
+    # compose_germ) and its inverse only when they are read: 98 of the
+    # 905 np.convolve calls of a tower read in full.
     corner, _, _ = curved_oracle_corner()
     calls = {"np.convolve": 0, "sampled_h_sup": 0}
 
@@ -341,7 +366,10 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     monkeypatch.setattr(np, "convolve", counted("np.convolve", np.convolve))
     monkeypatch.setattr(germs, "sampled_h_sup", counted("sampled_h_sup", germs.sampled_h_sup))
     with trunc_order(32):
-        tower(corner, 8)
+        states = tower(corner, 8)
+        assert calls == {"np.convolve": 807, "sampled_h_sup": 0}
+        for st in states:
+            st.h, st.phi_inv
     assert calls == {"np.convolve": 905, "sampled_h_sup": 0}
 
 
@@ -441,6 +469,17 @@ def test_curved_extend_eval_is_the_reference_descent_bit_for_bit(window, t_arg, 
     assert bits(extend_eval(states, base, z)) == bits(_extend_eval_reference(states, base, z))
 
 
+def _replaced(state, **changes):
+    """dataclasses.replace(state, **changes) for a level, whose h and
+    phi_inv are made on first read, not passed: the copy has those of
+    changes, else the level's own."""
+    made = {name: changes.pop(name) if name in changes else getattr(state, name)
+            for name in ("h", "phi_inv")}
+    copy = dataclasses.replace(state, **changes)
+    vars(copy).update(made)
+    return copy
+
+
 def _shrunk_curved_tower():
     """The curved oracle tower with a germ radius and a data radius cut to
     half a window radius, so the descent and the unwinding can leave them."""
@@ -448,7 +487,7 @@ def _shrunk_curved_tower():
 
     def cut(k, field, level):
         part = dataclasses.replace(getattr(states[k], field), radius=states[level - 1].s * 0.5)
-        states[k] = dataclasses.replace(states[k], **{field: part})
+        states[k] = _replaced(states[k], **{field: part})
 
     cut(1, "phi_inv", 3)
     cut(3, "phi", 5)
@@ -733,7 +772,7 @@ def test_extend_eval_raises_the_exceptions_of_the_lpoint_descent():
          "|z| = 1e-05 is not below the asserted radius 5e-06"),
     ]
     for changes, kind, message in cases:
-        broken = [states[0], dataclasses.replace(second, **changes), states[2]]
+        broken = [states[0], _replaced(second, **changes), states[2]]
         with pytest.raises(kind) as raised:
             extend_eval(broken, base, z)
         assert type(raised.value) is kind and str(raised.value) == message
