@@ -130,16 +130,16 @@ def curved_tower_digest(seed: int, order: int) -> str:
         corner, base = curved_corner(rng)
         states = ls.tower(corner, CURVED_LEVELS)
         for st in states:
-            put(st.r, st.s, st.h.radius, st.h.base.radius, *st.h.base.coeffs)
+            # the radius of h in z, then in w = z**(1/d)
+            put(st.r, st.s, st.h.radius, st.h.radius ** (1.0 / st.h.d), *st.h.base.coeffs)
             for germ in (st.phi, st.phi_inv, ls.compose(st.phi, ls.tau_conj(st.phi_inv))):
                 put(germ.a.r, germ.a.phi, germ.radius, *germ.h.coeffs)
-        lo = states[0].alpha + (0.0 if ls.is_ray(states[0].psi) else math.pi / 2)
+        lo = states[0].lower
         windows = []
         for st in states:
-            hi = st.phi.a.phi - (0.0 if ls.is_ray(st.phi) else math.pi / 2)
-            if hi > lo:
-                windows.append((lo, hi, st.s))
-                lo = hi
+            if st.upper > lo:
+                windows.append((lo, st.upper, st.s))
+                lo = st.upper
         for j in range(CURVED_POINTS):
             lo, hi, s = windows[j % len(windows)]
             r = s * 10.0 ** rng.uniform(-3.0, -1e-3)

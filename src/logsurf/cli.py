@@ -423,13 +423,15 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     drift = 0.0
     angle_err = 0.0
     mod_err = 0.0
+    # h0, h_1 and the sums of the transport have denominators dividing d_top
+    d_top = math.lcm(states[0].h0.d, states[0].h.d)
     d_stable = True
     for st in states:
         scale = _level_scale(st.k, "$.steps")
         drift = worst(drift, abs(st.s * scale / s1 - 1.0), abs(st.r * scale / r1 - 1.0))
         angle_err = worst(angle_err, abs((st.phi.a.phi - alpha) - 2.0 ** (st.k - 1) * theta))
         mod_err = worst(mod_err, abs(st.phi.a.r - 1.0))
-        d_stable = d_stable and st.h.d == states[0].h.d
+        d_stable = d_stable and d_top % st.h.d == 0
 
     edge = []
     for st in states[:-1]:

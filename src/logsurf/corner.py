@@ -56,6 +56,12 @@ class RationalPi:
             raise ValueError(f"q must be a positive integer, got {self.q!r}")
         if self.p > 2 * self.q:
             raise ValueError("the angle must lie in (0, 2*pi]")
+        try:
+            finite = math.isfinite(math.pi * self.p / self.q)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("the angle pi * p / q overflows a float")
 
 
 @dataclass(frozen=True)

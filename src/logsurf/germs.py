@@ -58,7 +58,7 @@ _FLOOR = 2.0**-1000  # majorant's floor on each factor
 
 @dataclass(frozen=True)
 class Germ:
-    """Germ data (a, k, h, radius); member of the group class iff k = 1."""
+    """Germ data (a, k, h, radius); member of the group class iff k = 1; radius gates apply_germ."""
 
     a: LPoint
     k: int
@@ -157,23 +157,23 @@ def make_germ(a: LPoint, k: int, h_coeffs, radius: float) -> Germ:
     if coeffs[0] != 0:
         raise InvalidGerm("h must vanish at the origin")
     r = _shrink_to_bound(coeffs, radius)
-    return Germ(a, k, PowerSeries(coeffs, r), r)
+    return Germ(a, k, PowerSeries(coeffs), r)
 
 
 def identity_germ() -> Germ:
-    return Germ(LPoint(1.0, 0.0), 1, PowerSeries((0.0,), IDENTITY_RADIUS), IDENTITY_RADIUS)
+    return Germ(LPoint(1.0, 0.0), 1, PowerSeries((0.0,)), IDENTITY_RADIUS)
 
 
 def rotation_germ(angle: float, radius: float = IDENTITY_RADIUS) -> Germ:
     """The germ z -> (r, phi + angle): a = (1, angle), k = 1, h = 0."""
-    return Germ(LPoint(1.0, angle), 1, PowerSeries((0.0,), radius), radius)
+    return Germ(LPoint(1.0, angle), 1, PowerSeries((0.0,)), radius)
 
 
 def power_germ(m: int, radius: float = IDENTITY_RADIUS) -> Germ:
     """The monomial germ z -> z**m for integer m >= 1."""
     if not (isinstance(m, int) and m >= 1):
         raise ValueError(f"power germ needs a positive integer, got {m!r}")
-    return Germ(LPoint(1.0, 0.0), m, PowerSeries((0.0,), radius), radius)
+    return Germ(LPoint(1.0, 0.0), m, PowerSeries((0.0,)), radius)
 
 
 def is_identity(phi: Germ) -> bool:
@@ -204,7 +204,7 @@ def root_pullback(phi: Germ, m: int) -> Germ:
     h_new = list(binom_pow(phi.h.coeffs, 1.0 / m))
     h_new[0] = 0.0
     r = _shrink_to_bound(tuple(h_new), phi.radius)
-    return Germ(a, phi.k // m, PowerSeries(tuple(h_new), r), r)
+    return Germ(a, phi.k // m, PowerSeries(tuple(h_new)), r)
 
 
 def s_series(phi: Germ) -> tuple:
@@ -292,7 +292,7 @@ def compose(phi: Germ, psi: Germ) -> Germ:
         factor2[0] += 1.0
         h_new = list(ps_mul(factor1, factor2))
         h_new[0] = 0.0
-    return Germ(a, k, PowerSeries(tuple(h_new), radius), radius)
+    return Germ(a, k, PowerSeries(tuple(h_new)), radius)
 
 
 def invert(phi: Germ) -> Germ:
@@ -311,13 +311,12 @@ def invert(phi: Germ) -> Germ:
     a1 = project(phi.a)
     h_tilde = (0.0 + 0.0j,) + tuple(c * a1 for c in g[2:])
     r = _shrink_to_bound(h_tilde, phi.radius)
-    return Germ(b, 1, PowerSeries(h_tilde, r), r)
+    return Germ(b, 1, PowerSeries(h_tilde), r)
 
 
 def tau_conj(phi: Germ) -> Germ:
     """Conjugation by tau: a -> tau(a), h coefficients conjugated, radius kept."""
-    h = PowerSeries(tuple(map(complex.conjugate, phi.h.coeffs)), phi.h.radius)
-    return Germ(tau(phi.a), phi.k, h, phi.radius)
+    return Germ(tau(phi.a), phi.k, PowerSeries(tuple(map(complex.conjugate, phi.h.coeffs))), phi.radius)
 
 
 def arg_shift_bound(phi: Germ, z: LPoint) -> float:

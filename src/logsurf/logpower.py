@@ -298,9 +298,7 @@ def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGe
     for new_alpha in sorted(bucket):
         by_ell = bucket[new_alpha]
         top = max(by_ell)
-        series_list = tuple(
-            PowerSeries(by_ell.get(ell, (0j,)), phi.radius) for ell in range(top + 1)
-        )
+        series_list = tuple(PowerSeries(by_ell.get(ell, (0j,))) for ell in range(top + 1))
         terms.append((new_alpha, series_list))
     image = LogPowerGermImage(tuple(terms), phi.radius)
     ok = (not applicable) or all(row.ok for row in rows)

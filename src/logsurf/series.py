@@ -1,12 +1,16 @@
-"""Truncated power series and Puiseux series with radius bookkeeping.
+"""Truncated power series, and Puiseux series that hold their radius.
 
-A PowerSeries is a truncated Taylor series a_0 + a_1 w + ... + a_N w**N
-with an asserted radius of validity.  A PuiseuxSeries wraps one in the
-variable w = z**(1/d) and evaluates on the logarithmic surface, where
-fractional powers are single valued.
+A PowerSeries is a truncated Taylor series a_0 + a_1 w + ... + a_N w**N:
+its coefficients alone.  A PuiseuxSeries wraps one in the variable
+w = z**(1/d), holds the radius in z on which it is asserted valid, and
+evaluates on the logarithmic surface, where fractional powers are single
+valued.  A radius lives once, on the object that is evaluated: the
+PuiseuxSeries here, the Germ whose h is a PowerSeries, the
+LogPowerGermImage whose terms are.
 
 All radius claims propagate by fixed printed formulas, never by numeric
-estimation; every evaluation outside an asserted radius raises OutOfRadius.
+estimation; evaluate raises OutOfRadius at or past the radius, as
+apply_germ and evaluate_image do at theirs.
 Coefficients are complex floats, truncated at the global order N from
 logsurf.config.  binom_pow, reversion (by Lagrange inversion) and
 compose_germ each make O(N) numpy calls at most.  The work scales with
@@ -22,8 +26,9 @@ Around the numpy calls the kernels keep only scalar work that sets a
 float, each in a form with the same floats: compose_germ takes each
 a**(n/d) by cpow's own expression from one log of a and sums its
 weighted blocks, one row each, in one np.add.reduce, reversion divides
-its diagonal by 1, 2, ... in one array division, and _spread (so add
-and sub) writes coefficients through one strided slice, which copies
+its diagonal by 1, 2, ... in one array division, and _spread, the one
+rule that pads and truncates coefficients (add, sub, ps_add and
+reversion use it), writes them through one strided slice, which copies
 them exactly.  ps_eval stops its sum
 once no later term can change a bit of it: inside the unit disc, when
 the largest coefficient still to come times the current power of w is
@@ -60,16 +65,18 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated series sum(coeffs[n] * w**n), asserted valid for |w| < radius."""
+    """Truncated series sum(coeffs[n] * w**n): its coefficients alone.
+
+    It holds no radius.  The object it is the series of (a Germ's h, a
+    PuiseuxSeries' base, a term of a LogPowerGermImage) holds the radius
+    that gates its evaluation.
+    """
 
     coeffs: tuple
-    radius: float
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("a power series needs at least the constant coefficient")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be a finite positive real, got {self.radius!r}")
         # Callers mostly pass tuples of complex already, which need no copy.
         if type(self.coeffs) is not tuple or set(map(type, self.coeffs)) != {complex}:
             object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
@@ -100,11 +107,6 @@ def _nonzero_len(coeffs: Sequence[complex]) -> int:
     while n and coeffs[n - 1] == 0:
         n -= 1
     return n
-
-
-def _radius_pow(radius: float, p: float) -> float:
-    """radius**p, except that an effectively infinite radius stays at 1e300."""
-    return radius ** p if radius < 1e100 else 1e300
 
 
 def ps_eval(f: PowerSeries, w: complex) -> complex:
@@ -146,7 +148,7 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
     and takes no check (a ray's h has no term at all), so it never
     computes |w|.
 
-    >>> f = PowerSeries(tuple(0.5 ** n * (1 + 1j) for n in range(33)), 2.0)
+    >>> f = PowerSeries(tuple(0.5 ** n * (1 + 1j) for n in range(33)))
     >>> w = 0.001 - 0.002j
     >>> full, term = 0j, 1 + 0j
     >>> for c in f.coeffs:
@@ -202,16 +204,9 @@ def ps_eval_many(f: PowerSeries, wr: np.ndarray, wi: np.ndarray) -> tuple[np.nda
     return total_r, total_i
 
 
-def _arr(coeffs: Sequence[complex], length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=complex)
-    src = np.asarray(coeffs, dtype=complex)
-    out[: min(len(src), length)] = src[: min(len(src), length)]
-    return out
-
-
 def ps_add(f: Sequence[complex], g: Sequence[complex]) -> tuple:
-    n = max(len(f), len(g))
-    return tuple((_arr(f, n) + _arr(g, n)).tolist())
+    n = max(len(f), len(g)) - 1
+    return tuple((_spread(f, 1, n) + _spread(g, 1, n)).tolist())
 
 
 def ps_scale(c: complex, f: Sequence[complex]) -> tuple:
@@ -345,7 +340,7 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     """
     if order is None:
         order = config.get_trunc_order()
-    f_arr = _arr(f, order + 1)
+    f_arr = _spread(f, 1, order)
     if f_arr[0] != 0:
         raise ValueError("reversion needs zero constant term")
     if f_arr[1] == 0:
@@ -368,10 +363,11 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
 
 @dataclass(frozen=True)
 class PuiseuxSeries:
-    """Series sum(a_n z**(n/d)): a PowerSeries base in w = z**(1/d).
+    """Series sum(a_n z**(n/d)): a PowerSeries base in w = z**(1/d),
+    asserted valid for |z| < radius.
 
-    The radius is measured in z and never exceeds base.radius**d, so an
-    in-radius z always yields an in-radius w.
+    The radius is measured in z, and it is the series' only one: evaluate
+    raises OutOfRadius at or past it.
     """
 
     d: int
@@ -383,15 +379,11 @@ class PuiseuxSeries:
             raise ValueError(f"denominator must be a positive integer, got {self.d!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be a finite positive real, got {self.radius!r}")
-        cap = _radius_pow(self.base.radius, self.d)
-        if self.radius > cap * (1 + 1e-12):
-            raise ValueError("radius in z may not exceed base.radius**d")
 
 
 def puiseux(coeffs: Iterable[complex], radius: float, d: int = 1) -> PuiseuxSeries:
     """Build a Puiseux series from base coefficients (index n means z**(n/d))."""
-    base = PowerSeries(tuple(coeffs), _radius_pow(radius, 1.0 / d))
-    return PuiseuxSeries(d, base, float(radius))
+    return PuiseuxSeries(d, PowerSeries(tuple(coeffs)), float(radius))
 
 
 def dense_coeffs(terms: Iterable[tuple[int, complex]]) -> list:
@@ -453,8 +445,7 @@ def tail_bound(c: float, d: int, radius: float, N: int, z: LPoint) -> float:
 
 def conj_tau(g: PuiseuxSeries) -> PuiseuxSeries:
     """The series with conjugated coefficients; equals conj(g(tau(z))) pointwise."""
-    base = PowerSeries(tuple(map(complex.conjugate, g.base.coeffs)), g.base.radius)
-    return PuiseuxSeries(g.d, base, g.radius)
+    return PuiseuxSeries(g.d, PowerSeries(tuple(map(complex.conjugate, g.base.coeffs))), g.radius)
 
 
 def _spread(coeffs: Sequence[complex], stride: int, order: int) -> np.ndarray:
@@ -475,14 +466,11 @@ def _common_base(g1: PuiseuxSeries, g2: PuiseuxSeries) -> tuple[int, np.ndarray,
 def add(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
     """Sum after rescaling to the common denominator lcm(d1, d2)."""
     L, a1, a2 = _common_base(g1, g2)
-    radius = min(g1.radius, g2.radius)
-    base = PowerSeries(tuple((a1 + a2).tolist()), _radius_pow(radius, 1.0 / L))
-    return PuiseuxSeries(L, base, radius)
+    return puiseux((a1 + a2).tolist(), min(g1.radius, g2.radius), L)
 
 
 def scale(c: complex, g: PuiseuxSeries) -> PuiseuxSeries:
-    base = PowerSeries(ps_scale(c, g.base.coeffs), g.base.radius)
-    return PuiseuxSeries(g.d, base, g.radius)
+    return PuiseuxSeries(g.d, PowerSeries(ps_scale(c, g.base.coeffs)), g.radius)
 
 
 def sub(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
@@ -492,9 +480,7 @@ def sub(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
 def mul_series(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
     """Product after rescaling to the common denominator lcm(d1, d2)."""
     L, a1, a2 = _common_base(g1, g2)
-    radius = min(g1.radius, g2.radius)
-    base = PowerSeries(ps_mul(a1, a2), _radius_pow(radius, 1.0 / L))
-    return PuiseuxSeries(L, base, radius)
+    return puiseux(ps_mul(a1, a2), min(g1.radius, g2.radius), L)
 
 
 def param_power(g: PuiseuxSeries, m: int) -> PuiseuxSeries:
@@ -509,7 +495,7 @@ def param_power(g: PuiseuxSeries, m: int) -> PuiseuxSeries:
     if m == 1:
         return g
     arr = _spread(g.base.coeffs, m, config.get_trunc_order())
-    return puiseux(arr.tolist(), _radius_pow(g.radius, 1.0 / m), g.d)
+    return puiseux(arr.tolist(), g.radius ** (1.0 / m), g.d)
 
 
 def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:

@@ -166,7 +166,7 @@ def compose_full(phi, psi):
     h_new = [0.0] + h_new[1 : order + 1].tolist()
     radius = 0.1 * min(phi.radius, psi.radius) / max(1.0, psi.a.r)
     a = mul(phi.a, power(float(phi.k), psi.a))
-    return Germ(a, phi.k * psi.k, PowerSeries(tuple(h_new), radius), radius)
+    return Germ(a, phi.k * psi.k, PowerSeries(tuple(h_new)), radius)
 
 
 def reversion_full(f, order: int) -> tuple:

@@ -186,6 +186,23 @@ def test_reflect_refuses_a_curved_chi_at_the_corner(tmp_path, capsys):
     assert "error (curved.json): $.corner: closed-form bases exist only for straight boundary rays" in err
 
 
+@pytest.mark.parametrize(
+    "g0",
+    [
+        # z**(1/2) on the real ray: level 1's h has d = 1, the levels above d = 2
+        {"d": 2, "radius": 2.0, "terms": [{"num": 1, "den": 2, "re": 1.0}]},
+        # a data radius past any base radius cap
+        {"d": 1, "radius": 1e308, "terms": [{"num": 1, "den": 1, "re": 1.0}]},
+    ],
+)
+def test_reflect_passes_fractional_data_and_huge_radii(tmp_path, capsys, g0):
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+    obj["corner"]["g0"] = g0
+    rc = main(["run", str(_write(tmp_path, "data.json", obj)), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("PASS data: 12/12 checks")
+
+
 def test_wedge_resonant_terms_on_the_second_edge(tmp_path):
     # At theta = pi/2, beta = 2 and 4 resonate with n = 1 (odd, sign -1)
     # and n = 2 (sign +1): each edge-1 term gives -i * c * sign / theta
@@ -266,6 +283,9 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("reflect_wedge", ("corner", "g0", "radius"), 1e-320, "$.corner.g0.radius"),
         # g1 behind the rotated chi transports to s_1 = 5e-321, no field's value
         ("reflect_wedge", ("corner", "g1", "radius"), 1e-320, "$.corner"),
+        # pi * p / q has no float
+        ("wedge_right_angle", ("theta", "q"), 10**400, "$.theta"),
+        ("expansion_negative", ("corner", "theta", "q"), 10**400, "$.corner.theta"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):

@@ -208,7 +208,7 @@ def _data_t(radius: float = 2.0):
 
 
 def test_corner_spec_validation():
-    flat = Germ(LPoint(1.0, 0.0), 0, PowerSeries((0.0j,), 1.0), 1.0)
+    flat = Germ(LPoint(1.0, 0.0), 0, PowerSeries((0.0j,)), 1.0)
     with pytest.raises(InvalidGerm):
         CornerSpec(flat, rotation_germ(1.0), IrrationalAngle(1.0), _data_t(), _data_t(), 1.0)
     with pytest.raises(ValueError):

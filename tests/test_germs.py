@@ -256,7 +256,7 @@ _ARGS = st.floats(-50.0, 50.0) | st.floats(allow_nan=False, allow_infinity=False
     z_phi=_ARGS,
 )
 def test_apply_germ_is_the_composed_form_bit_for_bit(a_r, a_phi, k, h, z_r, z_phi):
-    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((0j, *h), 1e308), 1e308)
+    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((0j, *h)), 1e308)
     z = LPoint(z_r, z_phi)
     # where the full loop overflows on trailing zeros, apply_germ differs on purpose
     if cmath.isfinite(ps_eval_loop(phi.h.coeffs, project(z))):
@@ -301,7 +301,7 @@ def test_sampled_h_sup_is_the_full_sampling_bit_for_bit(head, tail, radius):
 def test_apply_germ_many_is_apply_germ_bit_for_bit(a_r, a_phi, h, radius, points, at_radius):
     # where ok, the batch image is apply_germ's; ok is False exactly where
     # apply_germ or LPoint raises
-    g = Germ(LPoint(a_r, a_phi), 1, PowerSeries((0j, *h), radius), radius)
+    g = Germ(LPoint(a_r, a_phi), 1, PowerSeries((0j, *h)), radius)
     points = points + [(radius * t, phi) for t, phi in at_radius]
     r, phi = np.array([p[0] for p in points]), np.array([p[1] for p in points])
     with np.errstate(all="ignore"):
@@ -316,7 +316,7 @@ def test_apply_germ_many_is_apply_germ_bit_for_bit(a_r, a_phi, h, radius, points
 
 
 def test_apply_germ_many_takes_only_k_one():
-    for g in (power_germ(2), Germ(LPoint(1.0, 0.5), 0, PowerSeries((0j,), 1.0), 1.0)):
+    for g in (power_germ(2), Germ(LPoint(1.0, 0.5), 0, PowerSeries((0j,)), 1.0)):
         with pytest.raises(InvalidGerm, match="k = 1"):
             apply_germ_many(g, np.array([0.5]), np.array([0.1]))
 
@@ -345,8 +345,8 @@ def test_compose_with_the_identity_is_the_full_product_bit_for_bit(
     # must give the floats of the products, and an inf or nan takes them
     if finite:
         h = [c if cmath.isfinite(c) else 0.5j for c in h]
-    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((head, *h), radii[0]), radii[0])
-    psi = Germ(LPoint(1.0, identity_phi), 1, PowerSeries(tuple(identity_h), radii[1]), radii[1])
+    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((head, *h)), radii[0])
+    psi = Germ(LPoint(1.0, identity_phi), 1, PowerSeries(tuple(identity_h)), radii[1])
     assert is_identity(psi)
     with config.trunc_order(order):
         got, want = compose(phi, psi), compose_full(phi, psi)

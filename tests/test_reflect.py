@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import functools
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -144,7 +146,7 @@ def test_tower_keeps_the_order_it_was_built_at():
 
         def top(st):
             h, inv = st.h, st.phi_inv
-            return (bits(*h.base.coeffs), h.d, h.radius, h.base.radius,
+            return (bits(*h.base.coeffs), h.d, h.radius,
                     bits(*inv.h.coeffs), inv.a, inv.k, inv.radius)
 
         inside = top(tower(corner, 3)[-1])
@@ -312,6 +314,16 @@ def test_extension_matches_entire_oracle(rng):
         want = coeff * rr * complex(math.cos(ang), math.sin(ang))
         worst = max(worst, abs(got - want) / abs(want))
     assert worst < 1e-8
+
+
+def test_readme_library_example_prints_the_extension(capsys):
+    # README's python block, run as written: it prints f(z) = (1 + i cot 1) z
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [code] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(code, {})
+    got = complex(capsys.readouterr().out.strip())
+    want = (1.0 + 1.0j / math.tan(1.0)) * cmath.rect(5e-5, 3.0)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def curved_oracle_corner():

@@ -171,7 +171,7 @@ def test_reversion_requires_a_unit_linear_term():
 )
 def test_ps_eval_is_the_full_loop_bit_for_bit(head, tail, w):
     coeffs = head + tail or [0j]
-    f = PowerSeries(tuple(coeffs), 1.0)
+    f = PowerSeries(tuple(coeffs))
     assert len(f.trimmed) == max((n + 1 for n, c in enumerate(coeffs) if c != 0), default=0)
     ref = ps_eval_loop(f.coeffs, w)
     if cmath.isfinite(ref):
@@ -229,7 +229,7 @@ def test_ps_eval_stopping_early_is_the_full_loop_bit_for_bit(coeffs, w):
     # Inside the unit disc the sum may stop once no later term can change
     # a bit of it; every coefficient read or not, the floats are the loop's.
     # Just outside it, later terms grow, and the sum must not stop.
-    f = PowerSeries(tuple(coeffs), 1.0)
+    f = PowerSeries(tuple(coeffs))
     assert bits(ps_eval(f, w)) == bits(ps_eval_loop(f.coeffs, w))
 
 
@@ -251,14 +251,14 @@ _ANY_COMPLEX = (
 def test_ps_eval_of_at_most_three_terms_is_the_loop_bit_for_bit(coeffs, w):
     # The unchecked head is the whole of a series of up to two terms, and
     # a third term is the last: every float is the loop's over trimmed.
-    f = PowerSeries(tuple(coeffs) or (0j,), 1.0)
+    f = PowerSeries(tuple(coeffs) or (0j,))
     assert bits(ps_eval(f, w)) == bits(ps_eval_loop(f.trimmed, w))
 
 
 def test_ps_eval_stops_once_no_later_term_can_change_the_sum():
     rng = np.random.default_rng(3)
     coeffs = tuple(complex(x, y) for x, y in rng.uniform(0.5, 2.0, (33, 2)))
-    f = PowerSeries(coeffs, 2.0)
+    f = PowerSeries(coeffs)
     w = cmath.rect(1e-3, 0.7)
     read = []
 
@@ -291,7 +291,7 @@ def test_ps_eval_stops_once_no_later_term_can_change_the_sum():
 )
 def test_ps_eval_many_is_ps_eval_bit_for_bit(head, tail, ws):
     # Inside the unit disc ps_eval may stop early; ps_eval_many never does.
-    f = PowerSeries(tuple(head + tail or [0j]), 1.0)
+    f = PowerSeries(tuple(head + tail or [0j]))
     with np.errstate(all="ignore"):
         re, im = ps_eval_many(f, np.array([w.real for w in ws]), np.array([w.imag for w in ws]))
     # overflow to inf and nan included: the split sums round as the complex ones
@@ -301,10 +301,10 @@ def test_ps_eval_many_is_ps_eval_bit_for_bit(head, tail, ws):
 
 def test_power_series_keeps_a_tuple_of_complex():
     coeffs = (1 + 0j, complex(-0.0, 2.0))
-    assert PowerSeries(coeffs, 1.0).coeffs is coeffs
+    assert PowerSeries(coeffs).coeffs is coeffs
     # anything else is converted: lists, floats, numpy's complex subclass
     for given_coeffs in ([1 + 0j, 2j], (1.0, 2j), (np.complex128(1 + 0j), 2j)):
-        got = PowerSeries(given_coeffs, 1.0).coeffs
+        got = PowerSeries(given_coeffs).coeffs
         assert type(got) is tuple and [type(c) for c in got] == [complex, complex]
         assert got == (1 + 0j, 2j)
 
@@ -385,7 +385,7 @@ _non_finite = st.builds(
 
 
 def _kernel_outcome(call):
-    """The floats of call()'s coefficients (with d and the radii of a
+    """The floats of call()'s coefficients (with d and the radius of a
     Puiseux series), or the type and message of the exception it raises."""
     try:
         with np.errstate(all="ignore"):
@@ -393,7 +393,7 @@ def _kernel_outcome(call):
     except Exception as exc:
         return type(exc), str(exc)
     if isinstance(got, PuiseuxSeries):
-        return got.d, got.radius, got.base.radius, bits(*got.base.coeffs)
+        return got.d, got.radius, bits(*got.base.coeffs)
     return bits(*got)
 
 
@@ -458,7 +458,7 @@ def test_reversion_is_the_full_inversion_bit_for_bit(f1_mod, f1_arg, rest, order
 )
 def test_compose_germ_is_the_full_loop_bit_for_bit(coeffs, h, d, k, a_r, a_phi, order):
     g = puiseux(coeffs or [0j], 0.8, d)
-    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((0j, *h), 0.5), 0.5)
+    phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((0j, *h)), 0.5)
     with config.trunc_order(order):
         got = _kernel_outcome(lambda: compose_germ(g, phi))
         assert got == _kernel_outcome(lambda: compose_germ_full(g, phi))
@@ -494,21 +494,25 @@ def test_add_and_sub_are_the_per_coefficient_spread_bit_for_bit(c1, c2, d1, d2, 
         _same_bits(sub(g1, g2).base.coeffs, (a1 + minus).tolist())
 
 
-def test_puiseux_radius_is_capped_by_the_base():
-    base = PowerSeries((0.0, 1.0), 0.5)
-    with pytest.raises(ValueError):
-        # d = 2 forces radius <= 0.25
-        from logsurf.series import PuiseuxSeries
-
-        PuiseuxSeries(2, base, 0.3)
-
-
 def test_puiseux_evaluation_uses_the_sheet():
     g = puiseux((0.0, 1.0), 4.0, 2)  # z**(1/2)
     assert evaluate(g, LPoint(1.0, 0.0)) == pytest.approx(1.0)
     assert evaluate(g, LPoint(1.0, 2.0 * math.pi)) == pytest.approx(-1.0)
     with pytest.raises(OutOfRadius):
         evaluate(g, LPoint(4.0, 0.0))
+
+
+def test_a_series_radius_is_its_own():
+    # A PowerSeries holds coefficients only; a Puiseux series takes any
+    # finite radius, and a power of its parameter takes the true root.
+    with pytest.raises(TypeError):
+        PowerSeries((0j, 1.0), 1.0)
+    c = (0.0, 1.0, 0.5)
+    for d in (1, 2):
+        g = puiseux(c, 1.7976931348623157e308, d)
+        assert g.radius == 1.7976931348623157e308
+        assert evaluate(g, LPoint(4.0, 0.0)) == evaluate(puiseux(c, 8.0, d), LPoint(4.0, 0.0))
+    assert param_power(puiseux(c, 1e200), 2).radius == 1e100
 
 
 def test_puiseux_from_terms_matches_manual_sum(rng):
