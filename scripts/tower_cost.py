@@ -5,16 +5,17 @@ The straight corner is ``<root>/scenarios/reflect_wedge.json``'s, built as
 is the manufactured corner of ``scenario_digests.curved_corner`` at seed 0,
 the one the ``curved_tower`` digests are taken over.  For each truncation
 order N in 16, 32, 64 and 128 and each depth in 3, 5 and 8 the script builds
-``tower(corner, depth)`` once untimed, counting its ``np.convolve``,
+``tower(corner, depth)`` once untimed, counting its truncated products
+(``series._product``; ``np.convolve`` in a tree that predates it),
 ``np.dot`` (the v recurrence of ``series.reversion``) and
 ``germs.sampled_h_sup`` calls, then reads every level's ``h`` and
 ``phi_inv`` and counts again, then builds the tower ``--repeats`` times
 timed.  It prints one row per corner, order and depth: the median and
 quartiles of the time per tower and the three call counts, as
-convolve/dot/sampled, twice: "built" for the build alone, and "+ read" for
+product/dot/sampled, twice: "built" for the build alone, and "+ read" for
 the build and every level read, which adds the top level's data and
-inverse, made on first read.  The two numpy counts are every kernel call
-a tower makes.  The logsurf package is imported from ``<root>/src``, so
+inverse, made on first read.  The product and dot counts are every kernel
+call a tower makes.  The logsurf package is imported from ``<root>/src``, so
 two trees are timed with one copy of this script:
 
     python scripts/tower_cost.py --root base
@@ -40,12 +41,14 @@ ORDERS = (16, 32, 64, 128)
 DEPTHS = (3, 5, 8)
 
 
-def counted_build(tower, germs, corner, depth) -> tuple[str, str]:
-    """The np.convolve, np.dot and sampled_h_sup calls of one
-    tower(corner, depth), as "convolve/dot/sampled": after the build, and
+def counted_build(tower, germs, series, corner, depth) -> tuple[str, str]:
+    """The truncated product, np.dot and sampled_h_sup calls of one
+    tower(corner, depth), as "product/dot/sampled": after the build, and
     after every level's h and phi_inv is read as well."""
-    calls = {"convolve": 0, "dot": 0, "sampled": 0}
-    convolve, dot, sampled = np.convolve, np.dot, germs.sampled_h_sup
+    calls = {"product": 0, "dot": 0, "sampled": 0}
+    # a tree without series._product makes its products with np.convolve
+    owner, name = (series, "_product") if hasattr(series, "_product") else (np, "convolve")
+    product, dot, sampled = getattr(owner, name), np.dot, germs.sampled_h_sup
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -53,16 +56,17 @@ def counted_build(tower, germs, corner, depth) -> tuple[str, str]:
             return fn(*args, **kwargs)
         return wrapper
 
-    np.convolve, np.dot = counting("convolve", convolve), counting("dot", dot)
-    germs.sampled_h_sup = counting("sampled", sampled)
-    counts = lambda: "/".join(str(calls[name]) for name in ("convolve", "dot", "sampled"))
+    setattr(owner, name, counting("product", product))
+    np.dot, germs.sampled_h_sup = counting("dot", dot), counting("sampled", sampled)
+    counts = lambda: "/".join(str(calls[kind]) for kind in ("product", "dot", "sampled"))
     try:
         states = tower(corner, depth)
         built = counts()
         for st in states:
             st.h, st.phi_inv
     finally:
-        np.convolve, np.dot, germs.sampled_h_sup = convolve, dot, sampled
+        setattr(owner, name, product)
+        np.dot, germs.sampled_h_sup = dot, sampled
     return built, counts()
 
 
@@ -80,12 +84,12 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
-    from logsurf import cli, config, germs, tower
+    from logsurf import cli, config, germs, series, tower
 
     obj = json.loads((root / "scenarios" / "reflect_wedge.json").read_text())
     print(f"tower cost, tree {root}")
     print(f"{'corner':>8} {'order':>5} {'depth':>5} {'median ms':>9} {'q1 ms':>7} {'q3 ms':>7} "
-          f"{'built':>12} {'+ read':>12}   (convolve/dot/sampled calls)")
+          f"{'built':>12} {'+ read':>12}   (product/dot/sampled calls)")
     for name in ("straight", "curved"):
         for order in ORDERS:
             with config.trunc_order(order):
@@ -94,7 +98,7 @@ def main(argv=None) -> int:
                 else:
                     corner, _ = curved_corner(np.random.default_rng([0, 5]))
                 for depth in DEPTHS:
-                    built, read = counted_build(tower, germs, corner, depth)
+                    built, read = counted_build(tower, germs, series, corner, depth)
                     times = []
                     for _ in range(args.repeats):
                         start = time.perf_counter()

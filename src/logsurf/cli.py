@@ -168,8 +168,10 @@ def _parse_series(obj, loc: str) -> PuiseuxSeries:
 def _parse_germ(obj, loc: str) -> Germ:
     a_r = _as_real(_need(obj, "a_r", loc), f"{loc}.a_r")
     a_phi = _as_real(_need(obj, "a_phi", loc), f"{loc}.a_phi")
-    k = _as_int(_need(obj, "k", loc), f"{loc}.k", 0)
+    k = _as_int(_need(obj, "k", loc), f"{loc}.k", 1)  # a corner's curves have k >= 1
     radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius")
+    if radius <= 0:
+        raise SchemaError("radius must be positive", f"{loc}.radius")
     terms = []
     for i, term in enumerate(_as_list(obj.get("h_terms", []), f"{loc}.h_terms")):
         tloc = f"{loc}.h_terms[{i}]"
@@ -188,6 +190,8 @@ def _parse_corner(obj, loc: str) -> CornerSpec:
     g0 = _parse_series(_need(obj, "g0", loc), f"{loc}.g0")
     g1 = _parse_series(_need(obj, "g1", loc), f"{loc}.g1")
     eps = _as_real(_need(obj, "eps", loc), f"{loc}.eps")
+    if eps <= 0:
+        raise SchemaError("eps must be positive", f"{loc}.eps")
     with _at(loc, SchemaError):
         return CornerSpec(psi, chi, theta, g0, g1, eps)
 

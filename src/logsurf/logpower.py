@@ -27,7 +27,7 @@ import numpy as np
 from . import config
 from .errors import InvalidGerm, NoSupport, OutOfRadius
 from .germs import sampled_h_sup
-from .series import PowerSeries, _nonzero_len, binom_pow, log1p_series, ps_add, ps_eval
+from .series import PowerSeries, _nonzero_len, _product, binom_pow, log1p_series, ps_add, ps_eval
 from .surface import LPoint, cpow, cpow_many, log_many, logmap, project, valid_many
 
 Exponent = Fraction | float
@@ -168,7 +168,8 @@ def mul_lp(g1: LogPowerSeries, g2: LogPowerSeries) -> LogPowerSeries:
     out = []
     for a1, p1 in g1.terms:
         for a2, p2 in g2.terms:
-            prod = np.convolve(np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex))
+            p1_arr, p2_arr = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
+            prod = _product(p1_arr, p2_arr, len(p1_arr) + len(p2_arr) - 1)
             out.append((a1 + a2, tuple(prod.tolist())))
     return log_power_series(out)
 
@@ -277,7 +278,7 @@ def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGe
         # log_powers[j] = (log(a(1+h)))**j truncated
         log_powers = [np.ones(1, dtype=complex)]
         for _ in range(m_top):
-            log_powers.append(np.convolve(log_powers[-1], log_factor)[: order + 1])
+            log_powers.append(_product(log_powers[-1], log_factor, order + 1))
         for m, c_m in enumerate(poly):
             if c_m == 0:
                 continue
@@ -285,7 +286,7 @@ def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGe
                 canonical = (
                     float(phi.k) ** ell
                     * math.comb(m, ell)
-                    * np.convolve(base, log_powers[m - ell])[: order + 1]
+                    * _product(base, log_powers[m - ell], order + 1)
                 )
                 observed = sampled_h_sup(canonical, phi.radius)
                 bound = 2.0 ** (m + alpha_f) * (arg_a + 3.0) ** m

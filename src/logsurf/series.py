@@ -18,9 +18,13 @@ the nonzero length of the inputs: ps_compose and compose_germ stop at
 the last nonzero coefficient of the outer series, binom_pow returns 1
 at once for h = 0, reversion inverts a linear series with one product,
 and compose_germ composes with a ray (h = 0) through copies.  So rays
-and short series cost a few calls at any N.  Outputs keep their
-lengths, and every np.convolve still made keeps its operand lengths,
-so the floats are those of the full loops.  binom_pow with alpha = 1
+and short series cost a few calls at any N.  Every truncated product
+is one _product call: the call np.convolve makes into numpy's C
+correlate, after np.convolve's own checks and operand swap, so its
+floats are np.convolve's and only the Python wrapper is skipped.
+Outputs keep their lengths, and every product still made keeps its
+operand lengths, so the floats are those of the full loops, which
+call np.convolve.  binom_pow with alpha = 1
 skips its one product, whose floats are known: 1 + h in closed form.
 Around the numpy calls the kernels keep only scalar work that sets a
 float, each in a form with the same floats: compose_germ takes each
@@ -54,6 +58,8 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from numpy._core.multiarray import correlate
 
 from . import config
 from .errors import InvalidGerm, OutOfRadius
@@ -213,11 +219,29 @@ def ps_scale(c: complex, f: Sequence[complex]) -> tuple:
     return tuple((c * np.asarray(f, dtype=complex)).tolist())
 
 
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The first n entries of the full np.convolve of 1-d complex arrays.
+
+    It raises np.convolve's errors for an empty operand, swaps the
+    operands when b is longer, as np.convolve does, and then makes
+    np.convolve's own call: numpy's C correlate of a with b reversed, in
+    full mode.  So every float is np.convolve's; only its Python wrapper
+    is skipped.
+    """
+    len_a, len_b = len(a), len(b)
+    if len_a == 0:
+        raise ValueError("a cannot be empty")
+    if len_b == 0:
+        raise ValueError("v cannot be empty")
+    if len_b > len_a:
+        a, b = b, a
+    return correlate(a, b[::-1], 2)[:n]
+
+
 def ps_mul(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> tuple:
     if order is None:
         order = config.get_trunc_order()
-    prod = np.convolve(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex))
-    return tuple(prod[: order + 1].tolist())
+    return tuple(_product(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), order + 1).tolist())
 
 
 def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> tuple:
@@ -242,7 +266,7 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
         top = len(f)
     acc = np.zeros(min(1 + (len(f) - top) * (len(g_arr) - 1), order + 1), dtype=complex)
     for c in reversed(np.asarray(f[:top], dtype=complex).tolist()):
-        acc = np.convolve(acc, g_arr)[: order + 1]
+        acc = _product(acc, g_arr, order + 1)
         acc[0] += c
     return tuple(acc.tolist())
 
@@ -276,7 +300,7 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     alpha = 1 with every coefficient up to the order finite returns 1
     followed by c + 0j for each coefficient c of h, padded to N + 1, and
     makes no product.  These are the sum's floats: its one product is
-    h times 1 + 0j, twice (in np.convolve and by C(1, 1) = 1 + 0j), and
+    h times 1 + 0j, twice (in the product and by C(1, 1) = 1 + 0j), and
     c.real * 1 - c.imag * 0 and c.real * 0 + c.imag * 1 are c's parts up
     to the sign of a zero; adding to the zero accumulator turns a -0.0
     into +0.0, as + 0j does.  An inf or nan coefficient takes the
@@ -299,7 +323,7 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     for b in itertools.islice(_binomials(alpha), 1, order + 1):
         if b == 0:
             break
-        pw = np.convolve(pw, h_arr)[: order + 1]
+        pw = _product(pw, h_arr, order + 1)
         if not pw.any():
             break
         acc[: len(pw)] += b * pw
@@ -316,7 +340,7 @@ def log1p_series(h: Sequence[complex], order: int | None = None) -> tuple:
     acc = np.zeros(order + 1, dtype=complex)
     pw = np.ones(1, dtype=complex)
     for j in range(1, order + 1):
-        pw = np.convolve(pw, h_arr)[: order + 1]
+        pw = _product(pw, h_arr, order + 1)
         if not pw.any():
             break
         acc[: len(pw)] += ((-1) ** (j + 1) / j) * pw
@@ -354,7 +378,7 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     diagonal = []
     vn = np.ones(1, dtype=complex)
     for n in range(1, top):
-        vn = np.convolve(vn, v)[:order]
+        vn = _product(vn, v, order)
         diagonal.append(vn[n - 1])
     g = np.zeros(order + 1, dtype=complex)
     g[1:top] = np.array(diagonal, dtype=complex) / np.arange(1, top)
@@ -529,7 +553,7 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
     if not phi.h.trimmed:
         # u = 1 makes each block an exact copy.  Any other u keeps its
         # trailing zeros: a shorter factor would change the length of
-        # np.convolve's inner sums, and with it their rounding.
+        # the product's inner sums, and with it their rounding.
         unit = unit[:1]
     lg = complex(math.log(phi.a.r), phi.a.phi)
     terms = g.base.trimmed[: order // phi.k + 1]
@@ -539,7 +563,7 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
         start = n * phi.k
         size = (order - start) // d + 1
         if n > 0:
-            block = np.convolve(block[:size], unit[:size])[:size]
+            block = _product(block[:size], unit[:size], size)
         if c != 0:
             weight = c * (cmath.exp((n / d) * lg) if n else 1 + 0j)
             full = block

@@ -137,6 +137,19 @@ def test_schema_error_locations(tmp_path):
         run(off_lattice, tmp_path / "o4")
     assert exc.value.location == "$.corner.g0.terms[0]"
 
+    # a corner field out of range is named itself, not its parent object
+    for field, value in (("eps", 0.0), ("eps", -1.0), ("psi.radius", 0.0), ("chi.radius", -1.0),
+                         ("chi.k", 0), ("psi.k", 0)):
+        obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+        *parents, key = field.split(".")
+        target = obj["corner"]
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        with pytest.raises(SchemaError) as exc:
+            run(_write(tmp_path, "corner_field.json", obj), tmp_path / "o5")
+        assert exc.value.location == f"$.corner.{field}"
+
 
 def test_schema_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json", {"scenario": "bogus"})

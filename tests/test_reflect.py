@@ -58,7 +58,7 @@ from logsurf import (
     wedge_solve,
 )
 
-from logsurf import cli, germs, reflect
+from logsurf import cli, germs, reflect, series
 from logsurf.germs import s_series
 from logsurf.series import compose_germ, ps_compose
 from logsurf.surface import raising
@@ -179,14 +179,14 @@ def test_tower_frozen_table():
 
 
 def test_straight_tower_cost_is_flat_in_the_order(monkeypatch):
-    convolve = np.convolve
+    product = series._product
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return convolve(*args, **kwargs)
+        return product(*args, **kwargs)
 
-    monkeypatch.setattr(np, "convolve", counting)
+    monkeypatch.setattr(series, "_product", counting)
     counts, radii = {}, {}
     for order in (16, 128):
         calls.clear()
@@ -200,6 +200,7 @@ def test_straight_tower_cost_is_flat_in_the_order(monkeypatch):
         assert all(st.phi_inv.radius == st.phi.radius for st in states)
         radii[order] = [g.radius for g in germs]
     assert counts[16] == counts[128]
+    assert counts[16] > 0  # the counter sees the products
     assert radii[16] == radii[128]
 
 
@@ -361,13 +362,13 @@ def curved_oracle_tower(order: int):
 def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     # Every level composes with the identity psi in closed form, binom_pow
     # makes (1 + h)**1 in closed form, and the majorant certifies every
-    # inverse: without these shortcuts the tower made 1,158 np.convolve
-    # and 8 sampled_h_sup calls here, and 927 np.convolve calls without
+    # inverse: without these shortcuts the tower made 1,158 truncated
+    # products and 8 sampled_h_sup calls here, and 927 products without
     # the binom_pow one.  The top level makes its h (an omega and a
     # compose_germ) and its inverse only when they are read: 98 of the
-    # 905 np.convolve calls of a tower read in full.
+    # 905 products of a tower read in full.
     corner, _, _ = curved_oracle_corner()
-    calls = {"np.convolve": 0, "sampled_h_sup": 0}
+    calls = {"_product": 0, "sampled_h_sup": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -375,14 +376,14 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np, "convolve", counted("np.convolve", np.convolve))
+    monkeypatch.setattr(series, "_product", counted("_product", series._product))
     monkeypatch.setattr(germs, "sampled_h_sup", counted("sampled_h_sup", germs.sampled_h_sup))
     with trunc_order(32):
         states = tower(corner, 8)
-        assert calls == {"np.convolve": 807, "sampled_h_sup": 0}
+        assert calls == {"_product": 807, "sampled_h_sup": 0}
         for st in states:
             st.h, st.phi_inv
-    assert calls == {"np.convolve": 905, "sampled_h_sup": 0}
+    assert calls == {"_product": 905, "sampled_h_sup": 0}
 
 
 def _windows(states):

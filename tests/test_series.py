@@ -329,9 +329,9 @@ def test_binom_pow_integer_exponent_makes_one_product_per_power(alpha, products)
     # the sum before an unused h**(k + 1) is made; (1 + h)**1 of a finite
     # h is h in closed form, with no product at all
     h = (0j, 0.5, 0.25j)
-    with mock.patch.object(np, "convolve", wraps=np.convolve) as convolve:
+    with mock.patch.object(series, "_product", wraps=series._product) as product:
         got = binom_pow(h, alpha, order=16)
-    assert convolve.call_count == products
+    assert product.call_count == products
     _same_bits(got, binom_pow_full(h, alpha, 16))
 
 
@@ -395,6 +395,52 @@ def _kernel_outcome(call):
     if isinstance(got, PuiseuxSeries):
         return got.d, got.radius, bits(*got.base.coeffs)
     return bits(*got)
+
+
+_PRODUCT_ENTRIES = (
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+    | SIGNED_ZEROS
+    | _NON_FINITE
+)
+
+
+@st.composite
+def _product_operands(draw):
+    """Two operands of up to 70 entries, in either order, often of equal
+    length; an empty one makes np.convolve raise."""
+    a = draw(st.lists(_PRODUCT_ENTRIES, max_size=70)
+             | st.builds(_dense_head, st.integers(0, 2**32 - 1), st.integers(1, 70)))
+    size = len(a) if draw(st.booleans()) else draw(st.integers(0, 70))
+    b = draw(st.lists(_PRODUCT_ENTRIES, min_size=size, max_size=size))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(_bitwise, max_examples=300)
+@example(operands=([], [1j]))
+@example(operands=([1j], []))
+@example(operands=([], []))
+@given(operands=_product_operands())
+def test_product_is_np_convolve_bit_for_bit(operands):
+    a, b = (np.array(x, dtype=complex) for x in operands)
+    with np.errstate(all="ignore"):
+        try:
+            full = np.convolve(a, b)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                series._product(a, b, 1)
+            return
+        for n in range(1, len(full) + 1):
+            assert bits(*series._product(a, b, n)) == bits(*full[:n])
+
+
+def test_product_calls_the_correlate_np_convolve_calls():
+    from numpy._core import numeric
+
+    assert series.correlate is numeric.multiarray.correlate
+    a, b = np.array([1, 2j, 3]), np.array([0.5, -1j])
+    with mock.patch.object(numeric.multiarray, "correlate", wraps=series.correlate) as correlate:
+        np.convolve(a, b)
+    assert correlate.call_count == 1
 
 
 @settings(_bitwise, max_examples=300)
