@@ -11,8 +11,9 @@ angles x 6, fewer when the scales underflow), the median and quartiles
 of the time over ``--repeats`` runs after one warm-up, whether the
 certificate's windows passed, and a sha256 over the repr of its floats
 ``(A, step_bounds, window_rows, ok)``.  The logsurf package is imported
-from ``<root>/src``, so two trees that have ``cli._expansion_setup`` are
-timed, and their certificates compared, with one copy of this script:
+from ``<root>/src``, so two trees whose ``cli._expansion_setup`` takes the
+order are timed, and their certificates compared, with one copy of this
+script:
 
     python scripts/cert_density.py --root base
     python scripts/cert_density.py
@@ -49,28 +50,27 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
-    from logsurf import certify_expansion, cli, config
+    from logsurf import certify_expansion, cli
 
     obj = json.loads((root / "scenarios" / args.scenario).read_text())
     order = cli._trunc_order(obj)
-    with config.trunc_order(order):
-        states, base, gamma, R, _ = cli._expansion_setup(obj)
-        windows = sum(st.upper > st.lower for st in states)
-        print(f"{args.scenario}: {len(states)} levels, order {order}, tree {root}")
-        print(f"{'angles':>6} {'radii':>5} {'pass 1':>6} {'pass 2':>6} "
-              f"{'median ms':>9} {'q1 ms':>7} {'q3 ms':>7}  ok    sha256")
-        for angles, radii in DENSITIES:
-            times = []
-            for _ in range(args.repeats + 1):
-                start = time.perf_counter()
-                cert = certify_expansion(states, base, gamma, R, angles, radii)
-                times.append((time.perf_counter() - start) * 1e3)
-            runs = times[1:]  # one run is its own median and quartiles
-            q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
-            floats = repr((cert.A, cert.step_bounds, cert.window_rows, cert.ok))
-            print(f"{angles:6d} {radii:5d} {windows * angles * radii:6d} "
-                  f"{windows * angles * 6:6d} {median:9.2f} {q1:7.2f} {q3:7.2f}  {cert.ok!s:5} "
-                  f"{hashlib.sha256(floats.encode()).hexdigest()}")
+    states, base, gamma, R, _ = cli._expansion_setup(obj, order)
+    windows = sum(st.upper > st.lower for st in states)
+    print(f"{args.scenario}: {len(states)} levels, order {order}, tree {root}")
+    print(f"{'angles':>6} {'radii':>5} {'pass 1':>6} {'pass 2':>6} "
+          f"{'median ms':>9} {'q1 ms':>7} {'q3 ms':>7}  ok    sha256")
+    for angles, radii in DENSITIES:
+        times = []
+        for _ in range(args.repeats + 1):
+            start = time.perf_counter()
+            cert = certify_expansion(states, base, gamma, R, angles, radii)
+            times.append((time.perf_counter() - start) * 1e3)
+        runs = times[1:]  # one run is its own median and quartiles
+        q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+        floats = repr((cert.A, cert.step_bounds, cert.window_rows, cert.ok))
+        print(f"{angles:6d} {radii:5d} {windows * angles * radii:6d} "
+              f"{windows * angles * 6:6d} {median:9.2f} {q1:7.2f} {q3:7.2f}  {cert.ok!s:5} "
+              f"{hashlib.sha256(floats.encode()).hexdigest()}")
     return 0
 
 

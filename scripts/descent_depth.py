@@ -16,8 +16,10 @@ extend_eval descends k - 1 reflections before it reaches the base.  It
 times one extend_eval call per point and prints one row per window: the
 order, the level, the depth, the number of points, and the median and
 quartiles of the time per point over ``--repeats`` passes after one
-warm-up.  The logsurf package is imported from ``<root>/src``, so two trees
-are timed with one copy of this script:
+warm-up.  The order is passed to ``tower`` and ``cli._parse_corner``.  The
+logsurf package is imported from ``<root>/src``, so two trees whose
+``tower`` and ``cli._parse_corner`` take the order are timed with one copy
+of this script:
 
     python scripts/descent_depth.py --root base
     python scripts/descent_depth.py
@@ -86,7 +88,7 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
-    from logsurf import LPoint, cli, config, extend_eval, membership, tower
+    from logsurf import LPoint, cli, extend_eval, membership, tower
 
     if args.curved:
         label = "curved_corner seed 0"
@@ -97,13 +99,12 @@ def main(argv=None) -> int:
     print(f"{'order':>5} {'level':>5} {'depth':>5} {'points':>6} "
           f"{'median us':>9} {'q1 us':>7} {'q3 us':>7}")
     for order in ORDERS:
-        with config.trunc_order(order):
-            if args.curved:
-                corner, base = curved_corner(np.random.default_rng([0, 5]))
-            else:
-                corner = cli._parse_corner(obj["corner"], "$.corner")
-                base, _ = cli._straight_wedge_base(corner, "$.corner")
-            states = tower(corner, LEVELS)
+        if args.curved:
+            corner, base = curved_corner(np.random.default_rng([0, 5]))
+        else:
+            corner = cli._parse_corner(obj["corner"], "$.corner", order)
+            base, _ = cli._straight_wedge_base(corner, "$.corner")
+        states = tower(corner, LEVELS, order)
         for level, points in window_points(states, membership, LPoint):
             times = []
             for _ in range(args.repeats + 1):

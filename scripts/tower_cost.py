@@ -5,7 +5,7 @@ The straight corner is ``<root>/scenarios/reflect_wedge.json``'s, built as
 is the manufactured corner of ``scenario_digests.curved_corner`` at seed 0,
 the one the ``curved_tower`` digests are taken over.  For each truncation
 order N in 16, 32, 64 and 128 and each depth in 3, 5 and 8 the script builds
-``tower(corner, depth)`` once untimed, counting its truncated products
+``tower(corner, depth, N)`` once untimed, counting its truncated products
 (``series._product``; ``np.convolve`` in a tree that predates it),
 ``np.dot`` (the v recurrence of ``series.reversion``) and
 ``germs.sampled_h_sup`` calls, then reads every level's ``h`` and
@@ -16,7 +16,8 @@ product/dot/sampled, twice: "built" for the build alone, and "+ read" for
 the build and every level read, which adds the top level's data and
 inverse, made on first read.  The product and dot counts are every kernel
 call a tower makes.  The logsurf package is imported from ``<root>/src``, so
-two trees are timed with one copy of this script:
+two trees whose ``tower`` and ``cli._parse_corner`` take the order are
+timed with one copy of this script:
 
     python scripts/tower_cost.py --root base
     python scripts/tower_cost.py
@@ -41,9 +42,9 @@ ORDERS = (16, 32, 64, 128)
 DEPTHS = (3, 5, 8)
 
 
-def counted_build(tower, germs, series, corner, depth) -> tuple[str, str]:
+def counted_build(tower, germs, series, corner, depth, order) -> tuple[str, str]:
     """The truncated product, np.dot and sampled_h_sup calls of one
-    tower(corner, depth), as "product/dot/sampled": after the build, and
+    tower(corner, depth, order), as "product/dot/sampled": after the build, and
     after every level's h and phi_inv is read as well."""
     calls = {"product": 0, "dot": 0, "sampled": 0}
     # a tree without series._product makes its products with np.convolve
@@ -60,7 +61,7 @@ def counted_build(tower, germs, series, corner, depth) -> tuple[str, str]:
     np.dot, germs.sampled_h_sup = counting("dot", dot), counting("sampled", sampled)
     counts = lambda: "/".join(str(calls[kind]) for kind in ("product", "dot", "sampled"))
     try:
-        states = tower(corner, depth)
+        states = tower(corner, depth, order)
         built = counts()
         for st in states:
             st.h, st.phi_inv
@@ -84,7 +85,7 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 1")
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
-    from logsurf import cli, config, germs, series, tower
+    from logsurf import cli, germs, series, tower
 
     obj = json.loads((root / "scenarios" / "reflect_wedge.json").read_text())
     print(f"tower cost, tree {root}")
@@ -92,22 +93,21 @@ def main(argv=None) -> int:
           f"{'built':>12} {'+ read':>12}   (product/dot/sampled calls)")
     for name in ("straight", "curved"):
         for order in ORDERS:
-            with config.trunc_order(order):
-                if name == "straight":
-                    corner = cli._parse_corner(obj["corner"], "$.corner")
-                else:
-                    corner, _ = curved_corner(np.random.default_rng([0, 5]))
-                for depth in DEPTHS:
-                    built, read = counted_build(tower, germs, series, corner, depth)
-                    times = []
-                    for _ in range(args.repeats):
-                        start = time.perf_counter()
-                        tower(corner, depth)
-                        times.append((time.perf_counter() - start) * 1e3)
-                    # one build is its own median and quartiles
-                    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
-                    print(f"{name:>8} {order:5d} {depth:5d} {median:9.2f} {q1:7.2f} {q3:7.2f} "
-                          f"{built:>12} {read:>12}")
+            if name == "straight":
+                corner = cli._parse_corner(obj["corner"], "$.corner", order)
+            else:
+                corner, _ = curved_corner(np.random.default_rng([0, 5]))
+            for depth in DEPTHS:
+                built, read = counted_build(tower, germs, series, corner, depth, order)
+                times = []
+                for _ in range(args.repeats):
+                    start = time.perf_counter()
+                    tower(corner, depth, order)
+                    times.append((time.perf_counter() - start) * 1e3)
+                # one build is its own median and quartiles
+                q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+                print(f"{name:>8} {order:5d} {depth:5d} {median:9.2f} {q1:7.2f} {q3:7.2f} "
+                      f"{built:>12} {read:>12}")
     return 0
 
 

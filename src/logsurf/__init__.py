@@ -112,7 +112,6 @@ from .surface import (
     QuadraticDomain,
     cpow,
     cpow_many,
-    from_complex,
     logmap,
     mul,
     nudge,

@@ -138,12 +138,12 @@ def _parse_theta(obj, loc: str):
             return RationalPi(p, q)
     if kind == "irrational":
         value = _as_real(_need(obj, "value", loc), f"{loc}.value")
-        with _at(loc, SchemaError):
+        with _at(f"{loc}.value", SchemaError):
             return IrrationalAngle(value)
     raise SchemaError(f"unknown angle kind {kind!r}", f"{loc}.kind")
 
 
-def _parse_series(obj, loc: str) -> PuiseuxSeries:
+def _parse_series(obj, loc: str, order: int) -> PuiseuxSeries:
     d = _as_int(_need(obj, "d", loc), f"{loc}.d", 1)
     radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius")
     if radius <= 0:
@@ -155,8 +155,10 @@ def _parse_series(obj, loc: str) -> PuiseuxSeries:
         den = _as_int(_need(term, "den", tloc), f"{tloc}.den", 1)
         re = _as_real(_need(term, "re", tloc), f"{tloc}.re")
         im = _as_real(term.get("im", 0.0), f"{tloc}.im")
+        if im != 0:
+            raise SchemaError("boundary data must be real", f"{tloc}.im")
         n, off_lattice = divmod(num * d, den)
-        if off_lattice or n > config.get_trunc_order():
+        if off_lattice or n > order:
             raise SchemaError(
                 f"exponent {num}/{den} is not on the 1/{d} lattice up to the truncation order", tloc
             )
@@ -165,8 +167,10 @@ def _parse_series(obj, loc: str) -> PuiseuxSeries:
         return puiseux_from_terms(terms, radius, d)
 
 
-def _parse_germ(obj, loc: str) -> Germ:
+def _parse_germ(obj, loc: str, order: int) -> Germ:
     a_r = _as_real(_need(obj, "a_r", loc), f"{loc}.a_r")
+    if a_r <= 0:
+        raise SchemaError("a_r must be positive", f"{loc}.a_r")
     a_phi = _as_real(_need(obj, "a_phi", loc), f"{loc}.a_phi")
     k = _as_int(_need(obj, "k", loc), f"{loc}.k", 1)  # a corner's curves have k >= 1
     radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius")
@@ -175,7 +179,7 @@ def _parse_germ(obj, loc: str) -> Germ:
     terms = []
     for i, term in enumerate(_as_list(obj.get("h_terms", []), f"{loc}.h_terms")):
         tloc = f"{loc}.h_terms[{i}]"
-        deg = _as_int(_need(term, "deg", tloc), f"{tloc}.deg", 1, config.get_trunc_order())
+        deg = _as_int(_need(term, "deg", tloc), f"{tloc}.deg", 1, order)
         re = _as_real(_need(term, "re", tloc), f"{tloc}.re")
         im = _as_real(term.get("im", 0.0), f"{tloc}.im")
         terms.append((deg, complex(re, im)))
@@ -183,12 +187,12 @@ def _parse_germ(obj, loc: str) -> Germ:
         return make_germ(LPoint(a_r, a_phi), k, dense_coeffs(terms), radius)
 
 
-def _parse_corner(obj, loc: str) -> CornerSpec:
-    psi = _parse_germ(_need(obj, "psi", loc), f"{loc}.psi")
-    chi = _parse_germ(_need(obj, "chi", loc), f"{loc}.chi")
+def _parse_corner(obj, loc: str, order: int) -> CornerSpec:
+    psi = _parse_germ(_need(obj, "psi", loc), f"{loc}.psi", order)
+    chi = _parse_germ(_need(obj, "chi", loc), f"{loc}.chi", order)
     theta = _parse_theta(_need(obj, "theta", loc), f"{loc}.theta")
-    g0 = _parse_series(_need(obj, "g0", loc), f"{loc}.g0")
-    g1 = _parse_series(_need(obj, "g1", loc), f"{loc}.g1")
+    g0 = _parse_series(_need(obj, "g0", loc), f"{loc}.g0", order)
+    g1 = _parse_series(_need(obj, "g1", loc), f"{loc}.g1", order)
     eps = _as_real(_need(obj, "eps", loc), f"{loc}.eps")
     if eps <= 0:
         raise SchemaError("eps must be positive", f"{loc}.eps")
@@ -304,7 +308,7 @@ def _data_eval(edge, t: float) -> float:
     return sum(c * t ** float(b) for b, c in edge)
 
 
-def _run_wedge(obj, rng):
+def _run_wedge(obj, rng, order):
     theta = _parse_theta(_need(obj, "theta", "$.theta"), "$.theta")
     edge0 = _parse_edge(_need(obj, "edge0", "$.edge0"), "$.edge0")
     edge1 = _parse_edge(_need(obj, "edge1", "$.edge1"), "$.edge1")
@@ -398,8 +402,8 @@ def _level_scale(k: int, loc: str) -> float:
 _DEEPEST_LEVEL = 155  # the last level whose radius scale 100**(k - 1) is a float
 
 
-def _tower(corner, steps):
-    """tower(corner, steps); a level radius that underflows is a SchemaError.
+def _tower(corner, steps, order):
+    """tower(corner, steps, order); a level radius that underflows is a SchemaError.
 
     Within _DEEPEST_LEVEL levels a radius underflows only from a small s_1,
     so the error names the first corner field equal to s_1: eps, then the
@@ -407,11 +411,11 @@ def _tower(corner, steps):
     transported by a curve.  Past that depth it is at $.steps.
     """
     try:
-        return tower(corner, steps)
+        return tower(corner, steps, order)
     except WindowEmpty as exc:
         loc = "$.steps"
         if steps <= _DEEPEST_LEVEL:
-            s1 = init_state(corner).s
+            s1 = init_state(corner, order).s
             fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
                       ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
                       ("g1.radius", corner.g1.radius))
@@ -419,8 +423,8 @@ def _tower(corner, steps):
         raise SchemaError(str(exc), loc) from None
 
 
-def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
-    states = _tower(corner, steps)
+def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):
+    states = _tower(corner, steps, order)
     s1, r1 = states[0].s, states[0].r
     theta, alpha = states[0].theta, states[0].alpha
 
@@ -475,20 +479,20 @@ def _reflect_checks(corner, base, steps, rng, n_oracle, suffix=""):
     return states, checks
 
 
-def _run_reflect(obj, rng):
-    corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
+def _run_reflect(obj, rng, order):
+    corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
     steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 2)
     n_oracle = _as_int(obj.get("oracle_points", 100), "$.oracle_points", 1, MAX_COUNT)
     negative = _as_bool(obj.get("negative", False), "$.negative")
     base, _ = _straight_wedge_base(corner, "$.corner")
     with _at("$.corner"):
-        states, checks = _reflect_checks(corner, base, steps, rng, n_oracle)
+        states, checks = _reflect_checks(corner, base, steps, order, rng, n_oracle)
 
     if negative:
         mirror = conjugate_corner(corner)
         mbase = conjugate_evaluator(base)
         with _at("$.negative"):
-            _, mchecks = _reflect_checks(mirror, mbase, steps, rng, n_oracle, "_mirror")
+            _, mchecks = _reflect_checks(mirror, mbase, steps, order, rng, n_oracle, "_mirror")
         checks.extend(mchecks)
 
     state_rows = [
@@ -512,9 +516,9 @@ def _run_reflect(obj, rng):
     return checks, constants, tables
 
 
-def _expansion_setup(obj):
-    """An expansion_compare file's (states, base, gamma, R, expect_ok) at the order in force."""
-    corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
+def _expansion_setup(obj, order):
+    """An expansion_compare file's (states, base, gamma, R, expect_ok) at the given order."""
+    corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
     steps = _as_int(obj.get("steps", 5), "$.steps", 3)
     R = _as_real(_need(obj, "R", "$.R"), "$.R")
     if not R >= 0:
@@ -533,12 +537,12 @@ def _expansion_setup(obj):
             [(alpha, poly[:1]) for alpha, poly in gamma.terms]
         )
     with _at("$"):
-        states = _tower(corner, steps)
+        states = _tower(corner, steps, order)
     return states, base, gamma, R, expect_ok
 
 
-def _run_expansion_compare(obj, rng):
-    states, base, gamma, R, expect_ok = _expansion_setup(obj)
+def _run_expansion_compare(obj, rng, order):
+    states, base, gamma, R, expect_ok = _expansion_setup(obj, order)
     with _at("$"):
         cert = certify_expansion(states, base, gamma, R)
 
@@ -568,7 +572,7 @@ def _run_expansion_compare(obj, rng):
     return checks, constants, tables
 
 
-def _run_poisson(obj, rng):
+def _run_poisson(obj, rng, order):
     data = _need(obj, "data", "$.data")
     kind = _need(data, "kind", "$.data")
     nodes = _as_int(obj.get("nodes", 512), "$.nodes", 16, MAX_COUNT)
@@ -629,7 +633,7 @@ def _run_poisson(obj, rng):
     return checks, {"nodes": float(nodes)}, tables
 
 
-def _run_green(obj, rng):
+def _run_green(obj, rng, order):
     y = _parse_disc_point(_need(obj, "y", "$.y"), "$.y", "the pole")
     nodes = _as_int(obj.get("nodes", 1024), "$.nodes", 16, MAX_COUNT)
     solve = unit_disk_solver(nodes)
@@ -660,15 +664,15 @@ def _run_green(obj, rng):
     return checks, {"nodes": float(nodes)}, tables
 
 
-def _run_envelope(obj, rng):
-    corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner")
+def _run_envelope(obj, rng, order):
+    corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
     steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3)
     phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max")
     if not phi_max >= 1.0:
         raise SchemaError("phi_max must be at least 1", "$.phi_max")
     samples = _as_int(obj.get("samples", 64), "$.samples", 2, MAX_COUNT)
     with _at("$"):
-        states = _tower(corner, steps)
+        states = _tower(corner, steps, order)
         theta, s1 = states[0].theta, states[0].s
         _level_scale(envelope_level(theta, phi_max), "$.phi_max")  # the deepest level envelope reads
         env = envelope(states, phi_max)
@@ -704,7 +708,8 @@ _RUNNERS = {
 # ----------------------------------------------------------------------
 
 def _trunc_order(obj: dict, override: int | None = None) -> int:
-    """A run's truncation order: override, else the file's trunc_order, else the order in force."""
+    """A run's truncation order: override, else the file's trunc_order, else
+    the default of logsurf.config."""
     order = obj.get("trunc_order") if override is None else override
     return config.get_trunc_order() if order is None else _as_int(
         order, "$.trunc_order", 1, MAX_TRUNC_ORDER)
@@ -740,8 +745,8 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
     eff_order = _trunc_order(obj, trunc_order)
     rng = np.random.default_rng(eff_seed)
 
-    with config.trunc_order(eff_order), _at("$"):
-        checks, constants, tables = _RUNNERS[kind](obj, rng)
+    with _at("$"):
+        checks, constants, tables = _RUNNERS[kind](obj, rng, eff_order)
 
     payload = {
         "scenario": obj,
@@ -783,7 +788,7 @@ def main(argv=None) -> int:
     runp.add_argument("--batch", metavar="DIR", help="run every *.json file under DIR")
     runp.add_argument("--out", default="out", help="output directory (default: out)")
     runp.add_argument("--trunc-order", type=int, default=None,
-                      help=f"global series truncation order (at most {MAX_TRUNC_ORDER})")
+                      help=f"the run's series truncation order (at most {MAX_TRUNC_ORDER})")
     runp.add_argument("--seed", type=int, default=None,
                       help="override the scenario sampling seed")
     args = parser.parse_args(argv)

@@ -1,8 +1,9 @@
-"""Per-run configuration.
+"""The default truncation order.
 
-The only global knob is the truncation order used by series-producing
-operations.  It is process-wide state set once per run (the CLI sets it
-from --trunc-order); individual operations never mutate it.
+Every series-producing operation takes its truncation order as an
+`order` argument, and a tower keeps the one it was built at.  The
+process-wide order here is only the default for a caller that passes
+none; the library never sets it (a CLI run passes its order down).
 """
 
 from __future__ import annotations
@@ -16,13 +17,18 @@ _trunc_order = DEFAULT_TRUNC_ORDER
 
 
 def get_trunc_order() -> int:
-    """Return the current global truncation order (degree of the last kept coefficient)."""
+    """Return the default truncation order (degree of the last kept coefficient)."""
     return _trunc_order
+
+
+def order_or_default(order: int | None) -> int:
+    """order, or the default truncation order when order is None."""
+    return get_trunc_order() if order is None else order
 
 
 @contextmanager
 def trunc_order(n: int):
-    """Temporarily run with truncation order n (used by tests and the CLI)."""
+    """Temporarily make n the default truncation order."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"truncation order must be a positive integer, got {n!r}")
     global _trunc_order

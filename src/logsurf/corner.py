@@ -329,7 +329,7 @@ class NormalizedCorner:
     record: TransformRecord
 
 
-def normalize(spec: CornerSpec) -> NormalizedCorner:
+def normalize(spec: CornerSpec, order: int | None = None) -> NormalizedCorner:
     """Normalize a corner to the model form: psi the identity ray, chi a
     k = 1 germ, without changing the solved function.
 
@@ -351,28 +351,28 @@ def normalize(spec: CornerSpec) -> NormalizedCorner:
     eps1 = spec.eps
     stages = []
     if chi.k % m != 0:
-        chi = compose(chi, power_germ(m))
-        g1 = param_power(g1, m)
+        chi = compose(chi, power_germ(m), order)
+        g1 = param_power(g1, m, order)
         eps1 = spec.eps ** (1.0 / m)
 
-    psi1 = root_pullback(spec.psi, m)
-    chi1 = root_pullback(chi, m)
+    psi1 = root_pullback(spec.psi, m, order)
+    chi1 = root_pullback(chi, m, order)
     if m > 1:
         stages.append(("root", m))
 
     if is_identity(psi1):
         chi2 = chi1
     else:
-        psi1_inv = invert(psi1)
-        chi2 = compose(psi1_inv, chi1)
+        psi1_inv = invert(psi1, order)
+        chi2 = compose(psi1_inv, chi1, order)
         stages.append(("germ", psi1_inv, psi1))
 
     n3 = chi2.k
-    chi3 = root_pullback(chi2, n3)
+    chi3 = root_pullback(chi2, n3, order)
     g0 = spec.g0
     if n3 > 1:
         stages.append(("root", n3))
-        g0 = param_power(g0, n3)
+        g0 = param_power(g0, n3, order)
         eps0 = spec.eps ** (1.0 / n3)
 
     theta3 = scale_angle(spec.theta, m * n3)

@@ -185,7 +185,7 @@ def is_ray(phi: Germ) -> bool:
     return not phi.h.trimmed
 
 
-def root_pullback(phi: Germ, m: int) -> Germ:
+def root_pullback(phi: Germ, m: int, order: int | None = None) -> Germ:
     """The germ of p_(1/m) o phi, defined when m divides k(phi).
 
     Data laws: a -> a**(1/m) on the surface, k -> k/m, and
@@ -201,7 +201,7 @@ def root_pullback(phi: Germ, m: int) -> Germ:
     if m == 1:
         return phi
     a = power(1.0 / m, phi.a)
-    h_new = list(binom_pow(phi.h.coeffs, 1.0 / m))
+    h_new = list(binom_pow(phi.h.coeffs, 1.0 / m, order))
     h_new[0] = 0.0
     r = _shrink_to_bound(tuple(h_new), phi.radius)
     return Germ(a, phi.k // m, PowerSeries(tuple(h_new)), r)
@@ -261,7 +261,7 @@ def apply_germ_many(g: Germ, r: np.ndarray, phi: np.ndarray) -> tuple:
     return out_r, out_phi, (r < g.radius) & valid_many(out_r, out_phi)
 
 
-def compose(phi: Germ, psi: Germ) -> Germ:
+def compose(phi: Germ, psi: Germ, order: int | None = None) -> Germ:
     """The germ of phi after psi.
 
     Data laws: a = a(phi) * a(psi)**k(phi) on the surface,
@@ -279,23 +279,23 @@ def compose(phi: Germ, psi: Germ) -> Germ:
     """
     if psi.k == 0:
         raise InvalidGerm("inner germ must have k >= 1")
+    order = config.order_or_default(order)
     a = mul(phi.a, power(float(phi.k), psi.a))
     k = phi.k * psi.k
     radius = 0.1 * min(phi.radius, psi.radius) / max(1.0, psi.a.r)
     if is_identity(psi) and all(map(cmath.isfinite, phi.h.coeffs)):
-        order = config.get_trunc_order()
         h_new = [0j] + [c + 0j for c in phi.h.coeffs[1 : order + 1]]
         h_new += [0j] * (order + 1 - len(h_new))
     else:
-        factor1 = binom_pow(psi.h.coeffs, float(phi.k))
-        factor2 = list(ps_compose(phi.h.coeffs, s_series(psi)))
+        factor1 = binom_pow(psi.h.coeffs, float(phi.k), order)
+        factor2 = list(ps_compose(phi.h.coeffs, s_series(psi), order))
         factor2[0] += 1.0
-        h_new = list(ps_mul(factor1, factor2))
+        h_new = list(ps_mul(factor1, factor2, order))
         h_new[0] = 0.0
     return Germ(a, k, PowerSeries(tuple(h_new)), radius)
 
 
-def invert(phi: Germ) -> Germ:
+def invert(phi: Germ, order: int | None = None) -> Germ:
     """Group inverse for k = 1 germs, by Lagrange inversion of the shadow.
 
     series.reversion inverts the plane shadow f = s_series(phi).  The
@@ -307,7 +307,7 @@ def invert(phi: Germ) -> Germ:
     if phi.k != 1:
         raise NotInvertible("only k = 1 germs are invertible")
     b = LPoint(1.0 / phi.a.r, -phi.a.phi)
-    g = reversion(s_series(phi))
+    g = reversion(s_series(phi), order)
     a1 = project(phi.a)
     h_tilde = (0.0 + 0.0j,) + tuple(c * a1 for c in g[2:])
     r = _shrink_to_bound(h_tilde, phi.radius)

@@ -247,7 +247,7 @@ class BoundCertificate:
     ok: bool
 
 
-def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGermImage, BoundCertificate]:
+def compose_germ_lp(g: LogPowerSeries, phi, order: int | None = None) -> tuple[LogPowerSeries | LogPowerGermImage, BoundCertificate]:
     """Substitute a germ: each z**a (log z)**m becomes z**(k a) * sum g_l(z) (log z)**l.
 
     The coefficient series follow the product-rule expansion
@@ -259,7 +259,7 @@ def compose_germ_lp(g: LogPowerSeries, phi) -> tuple[LogPowerSeries | LogPowerGe
     """
     if phi.k == 0:
         raise InvalidGerm("substitution needs a germ with k >= 1")
-    order = config.get_trunc_order()
+    order = config.order_or_default(order)
     log_factor = list(log1p_series(phi.h.coeffs, order=order))
     log_factor[0] += logmap(phi.a)
     log_factor = np.asarray(log_factor, dtype=complex)

@@ -11,11 +11,12 @@ each step reflects the current domain across the current image curve:
 where h_k is the boundary data transported to the k-th curve.  Radii
 follow the printed recursion r_{k+1} = r_k / 100, s_{k+1} = s_k / 100
 and the transported data is valid on radius s_k / 4; these values are
-set by the recursion, never re-estimated.  step builds phi_{k+1}; the
-data h_{k+1} and the inverse phi_{k+1}^{-1} are made on first read, at
-the truncation order the level was built at.  Only the next step and a
-descent from above level k + 1 read them, so the top level of a tower
-that no one reads past never makes its own.  The union of the rotated
+set by the recursion, never re-estimated.  A tower has one truncation
+order, given to tower (the default of logsurf.config when none is), and
+every level builds at it: step builds phi_{k+1}, and the data h_{k+1}
+and the inverse phi_{k+1}^{-1} are made on first read.  Only the next
+step and a descent from above level k + 1 read them, so the top level
+of a tower that no one reads past never makes its own.  The union of the rotated
 sectors reached after k steps covers arguments up to 2**(k-1) * theta
 (minus a fixed pi/2 haircut for curvature), which is what makes the
 extension reach every quadratic domain.
@@ -80,13 +81,13 @@ class ReflectionState:
     written as a function of z, and r, s the printed domain radii.  The
     germ radii of phi and its inverse may be smaller than r for curved
     corners; they gate evaluation, while r and s drive the covering
-    windows.  order is the truncation order in force when the level was
-    built, and phi is made at it.  h and phi_inv = invert(phi) are made
-    on first read, at that order, and kept: h from the level below (its
-    phi, phi_inv and h, and omega = phi o tau_conj(phi^{-1}), which no
-    level keeps), or given by init_state at level 1.  The window edges
-    are made on first read too: `lower` is alpha, plus pi/2 when psi is
-    curved, and `upper` is arg a(phi), minus pi/2 when phi is curved.
+    windows.  order is the tower's truncation order: phi is made at it,
+    and h and phi_inv = invert(phi) on first read, whatever the default
+    order then is, and kept: h from the level below (its phi, phi_inv
+    and h, and omega = phi o tau_conj(phi^{-1}), which no level keeps),
+    or given by init_state at level 1.  The window edges are made on
+    first read too: `lower` is alpha, plus pi/2 when psi is curved, and
+    `upper` is arg a(phi), minus pi/2 when phi is curved.
     """
 
     k: int
@@ -104,24 +105,22 @@ class ReflectionState:
 
     @cached_property
     def phi_inv(self) -> Germ:
-        with config.trunc_order(self.order):
-            return invert(self.phi)
+        return invert(self.phi, self.order)
 
     @cached_property
     def h(self) -> PuiseuxSeries:
         """h_k = -conj_tau((h0 - h_{k-1}) o omega_{k-1}) + h_{k-1} with
         omega_{k-1} = phi_{k-1} o tau_conj(phi_{k-1}^{-1}), valid on radius
         s_{k-1} / 4."""
-        below = self.below
-        with config.trunc_order(self.order):
-            omega = compose(below.phi, tau_conj(below.phi_inv))
-            reflected = conj_tau(compose_germ(sub(self.h0, below.h), omega))
-            h_sum = add(scale(-1.0, reflected), below.h)
-            return puiseux(h_sum.base.coeffs, below.s / 4.0, h_sum.d)
+        below, order = self.below, self.order
+        omega = compose(below.phi, tau_conj(below.phi_inv), order)
+        reflected = conj_tau(compose_germ(sub(self.h0, below.h, order), omega, order))
+        h_sum = add(scale(-1.0, reflected), below.h, order)
+        return puiseux(h_sum.base.coeffs, below.s / 4.0, h_sum.d)
 
 
-def init_state(corner: CornerSpec) -> ReflectionState:
-    """Check normalization and build the level-1 state.
+def init_state(corner: CornerSpec, order: int | None = None) -> ReflectionState:
+    """Check normalization and build the level-1 state at the given order.
 
     Preconditions: both curves have k = 1 and unit-modulus tangent
     coefficient, the first tangent argument is below the second, and
@@ -143,12 +142,13 @@ def init_state(corner: CornerSpec) -> ReflectionState:
         raise NotNormalized("the first tangent argument must precede the second")
     if abs((beta - alpha) - theta) > 1e-9:
         raise NotNormalized("the declared opening does not match the tangents")
-    h0 = corner.g0 if is_identity(psi) else compose_germ(corner.g0, invert(psi))
-    chi_inv = invert(chi)
-    h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, chi_inv)
+    order = config.order_or_default(order)
+    h0 = corner.g0 if is_identity(psi) else compose_germ(corner.g0, invert(psi, order), order)
+    chi_inv = invert(chi, order)
+    h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, chi_inv, order)
     r1 = min(psi.radius, chi.radius)
     s1 = min(r1, corner.eps, h0.radius, h1.radius)
-    state = ReflectionState(1, r1, s1, chi, psi, h0, alpha, theta, config.get_trunc_order())
+    state = ReflectionState(1, r1, s1, chi, psi, h0, alpha, theta, order)
     vars(state).update(h=h1, phi_inv=chi_inv)  # the cached_property values
     return state
 
@@ -156,26 +156,26 @@ def init_state(corner: CornerSpec) -> ReflectionState:
 def step(state: ReflectionState) -> ReflectionState:
     """One reflection: double the sector.
 
-    The next curve is phi o tau_conj(phi^{-1} o psi), built at the
-    truncation order in force; the next level makes its data h_{k+1} and
-    inverse on first read, at that order.  step first reads the level's
-    own h and phi_inv, so the next level's reads go one level deep, and a
-    tower raises in the order of the transport: the errors of h_k, of
-    phi_k^{-1}, then WindowEmpty when s_{k+1} = s_k / 100 underflows to
-    0.0, then those of phi_{k+1}.
+    The next curve is phi o tau_conj(phi^{-1} o psi), built at
+    state.order, whatever the default order is; the next level keeps that
+    order and makes its data h_{k+1} and inverse on first read, at it.
+    step first reads the level's own h and phi_inv, so the next level's
+    reads go one level deep, and a tower raises in the order of the
+    transport: the errors of h_k, of phi_k^{-1}, then WindowEmpty when
+    s_{k+1} = s_k / 100 underflows to 0.0, then those of phi_{k+1}.
     """
     state.h, state.phi_inv  # made now, if not yet read
     if not state.s / 100.0 > 0.0:
         raise WindowEmpty(f"level {state.k + 1}'s radius s_{state.k + 1} = s_{state.k} / 100 "
                           f"underflows to 0.0")
-    inner = compose(state.phi_inv, state.psi)
-    phi_next = compose(state.phi, tau_conj(inner))
+    inner = compose(state.phi_inv, state.psi, state.order)
+    phi_next = compose(state.phi, tau_conj(inner), state.order)
     return ReflectionState(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, state.psi,
-                           state.h0, state.alpha, state.theta, config.get_trunc_order(), state)
+                           state.h0, state.alpha, state.theta, state.order, state)
 
 
-def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
-    """The first `steps` levels of the reflection tower.
+def tower(corner: CornerSpec, steps: int, order: int | None = None) -> list[ReflectionState]:
+    """The first `steps` levels of the reflection tower, at the given order.
 
     Levels 1 to steps - 1 are built with their data and inverses; the top
     level makes its h and phi_inv when they are first read (no descent
@@ -183,7 +183,7 @@ def tower(corner: CornerSpec, steps: int) -> list[ReflectionState]:
     """
     if steps < 1:
         raise ValueError("need at least one level")
-    states = [init_state(corner)]
+    states = [init_state(corner, order)]
     while len(states) < steps:
         states.append(step(states[-1]))
     return states

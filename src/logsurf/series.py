@@ -11,8 +11,9 @@ LogPowerGermImage whose terms are.
 All radius claims propagate by fixed printed formulas, never by numeric
 estimation; evaluate raises OutOfRadius at or past the radius, as
 apply_germ and evaluate_image do at theirs.
-Coefficients are complex floats, truncated at the global order N from
-logsurf.config.  binom_pow, reversion (by Lagrange inversion) and
+Coefficients are complex floats, truncated at the order N that each
+operation takes as its `order` argument, the default of logsurf.config
+when it is None.  binom_pow, reversion (by Lagrange inversion) and
 compose_germ each make O(N) numpy calls at most.  The work scales with
 the nonzero length of the inputs: ps_compose and compose_germ stop at
 the last nonzero coefficient of the outer series, binom_pow returns 1
@@ -239,8 +240,7 @@ def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 
 def ps_mul(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> tuple:
-    if order is None:
-        order = config.get_trunc_order()
+    order = config.order_or_default(order)
     return tuple(_product(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), order + 1).tolist())
 
 
@@ -256,8 +256,7 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     full scheme's.  An f with no nonzero coefficient makes no product at
     all, so it runs the full scheme when g has an inf or nan.
     """
-    if order is None:
-        order = config.get_trunc_order()
+    order = config.order_or_default(order)
     g_arr = np.asarray(g, dtype=complex)
     if len(g_arr) and g_arr[0] != 0:
         raise ValueError("inner series must have zero constant term")
@@ -306,8 +305,7 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     into +0.0, as + 0j does.  An inf or nan coefficient takes the
     product, where the zero parts meet it and make nan.
     """
-    if order is None:
-        order = config.get_trunc_order()
+    order = config.order_or_default(order)
     h_arr = np.asarray(h, dtype=complex)
     if len(h_arr) and h_arr[0] != 0:
         raise ValueError("binomial base must be 1 + (series without constant term)")
@@ -332,8 +330,7 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
 
 def log1p_series(h: Sequence[complex], order: int | None = None) -> tuple:
     """Coefficients of log(1 + h(w)) (principal branch); h(0) = 0."""
-    if order is None:
-        order = config.get_trunc_order()
+    order = config.order_or_default(order)
     h_arr = np.asarray(h, dtype=complex)
     if len(h_arr) and h_arr[0] != 0:
         raise ValueError("log1p base must be 1 + (series without constant term)")
@@ -362,8 +359,7 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     cast to complex128, as the scalar vn[n - 1] / n does, so every g_n
     is the same float.
     """
-    if order is None:
-        order = config.get_trunc_order()
+    order = config.order_or_default(order)
     f_arr = _spread(f, 1, order)
     if f_arr[0] != 0:
         raise ValueError("reversion needs zero constant term")
@@ -480,16 +476,16 @@ def _spread(coeffs: Sequence[complex], stride: int, order: int) -> np.ndarray:
     return arr
 
 
-def _common_base(g1: PuiseuxSeries, g2: PuiseuxSeries) -> tuple[int, np.ndarray, np.ndarray]:
+def _common_base(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int) -> tuple[int, np.ndarray, np.ndarray]:
     L = lcm(g1.d, g2.d)
-    order = config.get_trunc_order()
     a1, a2 = (_spread(g.base.coeffs, L // g.d, order) for g in (g1, g2))
     return L, a1, a2
 
 
-def add(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
+def add(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> PuiseuxSeries:
     """Sum after rescaling to the common denominator lcm(d1, d2)."""
-    L, a1, a2 = _common_base(g1, g2)
+    order = config.order_or_default(order)
+    L, a1, a2 = _common_base(g1, g2, order)
     return puiseux((a1 + a2).tolist(), min(g1.radius, g2.radius), L)
 
 
@@ -497,17 +493,18 @@ def scale(c: complex, g: PuiseuxSeries) -> PuiseuxSeries:
     return PuiseuxSeries(g.d, PowerSeries(ps_scale(c, g.base.coeffs)), g.radius)
 
 
-def sub(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
-    return add(g1, scale(-1.0, g2))
+def sub(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> PuiseuxSeries:
+    return add(g1, scale(-1.0, g2), order)
 
 
-def mul_series(g1: PuiseuxSeries, g2: PuiseuxSeries) -> PuiseuxSeries:
+def mul_series(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> PuiseuxSeries:
     """Product after rescaling to the common denominator lcm(d1, d2)."""
-    L, a1, a2 = _common_base(g1, g2)
-    return puiseux(ps_mul(a1, a2), min(g1.radius, g2.radius), L)
+    order = config.order_or_default(order)
+    L, a1, a2 = _common_base(g1, g2, order)
+    return puiseux(ps_mul(a1, a2, order), min(g1.radius, g2.radius), L)
 
 
-def param_power(g: PuiseuxSeries, m: int) -> PuiseuxSeries:
+def param_power(g: PuiseuxSeries, m: int, order: int | None = None) -> PuiseuxSeries:
     """Precompose with the power map: t**(n/d) becomes t**(m*n/d).
 
     Used by corner normalization when a boundary parameter is rescaled
@@ -518,11 +515,11 @@ def param_power(g: PuiseuxSeries, m: int) -> PuiseuxSeries:
         raise ValueError(f"parameter power must be a positive integer, got {m!r}")
     if m == 1:
         return g
-    arr = _spread(g.base.coeffs, m, config.get_trunc_order())
+    arr = _spread(g.base.coeffs, m, config.order_or_default(order))
     return puiseux(arr.tolist(), g.radius ** (1.0 / m), g.d)
 
 
-def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
+def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> PuiseuxSeries:
     """Compose a Puiseux series with a germ: z -> g(phi(z)).
 
     Term n becomes c_n a**(n/d) z**(nk/d) u**n with u = (1 + h)**(1/d);
@@ -546,7 +543,7 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
     """
     if phi.k == 0:
         raise InvalidGerm("composition needs a germ with k >= 1")
-    order = config.get_trunc_order()
+    order = config.order_or_default(order)
     d = g.d
     s = min(phi.radius, (g.radius / (2.0 * phi.a.r)) ** (1.0 / phi.k))
     unit = np.asarray(binom_pow(phi.h.coeffs, 1.0 / d, order=order // d), dtype=complex)
@@ -572,8 +569,3 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ") -> PuiseuxSeries:
             np.multiply(weight, full, out=rows[n + 1, start : start + d * len(full) : d])
     return puiseux(np.add.reduce(rows, axis=0).tolist(), s, d)
 
-
-def coefficients_close(g1: PuiseuxSeries, g2: PuiseuxSeries, tol: float) -> bool:
-    """Compare coefficient lists after rescaling to a common denominator."""
-    _, a1, a2 = _common_base(g1, g2)
-    return bool(np.max(np.abs(a1 - a2)) <= tol)

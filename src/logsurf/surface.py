@@ -193,13 +193,6 @@ def project(z: LPoint) -> complex:
     return cmath.rect(z.r, z.phi)
 
 
-def from_complex(w: complex) -> LPoint:
-    """Lift a nonzero complex number to the principal sheet (phi in (-pi, pi])."""
-    if w == 0:
-        raise ValueError("cannot lift zero to the surface")
-    return LPoint(abs(w), cmath.phase(w))
-
-
 def nudge(z: LPoint, delta: complex) -> LPoint:
     """Move z by the complex offset delta without changing sheets.
 

@@ -109,6 +109,22 @@ def test_trunc_order_recorded(tmp_path):
     assert pb["provenance"]["trunc_order"] == 12
 
 
+def test_run_passes_its_order_down(tmp_path, monkeypatch):
+    # a run never sets the global order, and reads it once at most: as the
+    # default of a file that names no order, before any series is built
+    def refuse(n):
+        raise AssertionError(f"a run set the global order to {n}")
+
+    reads = []
+    monkeypatch.setattr(cli.config, "trunc_order", refuse)
+    monkeypatch.setattr(cli.config, "get_trunc_order", lambda: reads.append(1) or 32)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        for order in (None, 16):
+            reads.clear()
+            assert run(path, tmp_path / path.stem, trunc_order=order).passed, path.name
+            assert len(reads) <= (order is None)
+
+
 def test_schema_error_locations(tmp_path):
     missing = _write(tmp_path, "missing.json", {"scenario": "reflect", "steps": 3})
     with pytest.raises(SchemaError) as exc:
@@ -149,6 +165,21 @@ def test_schema_error_locations(tmp_path):
         with pytest.raises(SchemaError) as exc:
             run(_write(tmp_path, "corner_field.json", obj), tmp_path / "o5")
         assert exc.value.location == f"$.corner.{field}"
+
+    # the checks of LPoint, IrrationalAngle and CornerSpec, made by the parser
+    # at the field: a tangent modulus, an irrational opening, a data term's im
+    for field, value in (("psi.a_r", 0.0), ("chi.a_r", -1.0), ("theta.value", 0.0),
+                         ("g0.terms.0.im", 1.0), ("g1.terms.0.im", -0.5)):
+        obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+        obj["corner"]["g1"]["terms"] = [{"num": 1, "den": 1, "re": 0.0}]
+        *parents, key = field.split(".")
+        target = obj["corner"]
+        for parent in parents:
+            target = target[int(parent) if parent.isdigit() else parent]
+        target[key] = value
+        with pytest.raises(SchemaError) as exc:
+            run(_write(tmp_path, "corner_field.json", obj), tmp_path / "o6")
+        assert exc.value.location == "$.corner." + field.replace(".0.", "[0].")
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

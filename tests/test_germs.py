@@ -348,8 +348,9 @@ def test_compose_with_the_identity_is_the_full_product_bit_for_bit(
     phi = Germ(LPoint(a_r, a_phi), k, PowerSeries((head, *h)), radii[0])
     psi = Germ(LPoint(1.0, identity_phi), 1, PowerSeries(tuple(identity_h)), radii[1])
     assert is_identity(psi)
+    got = compose(phi, psi, order)
     with config.trunc_order(order):
-        got, want = compose(phi, psi), compose_full(phi, psi)
+        want = compose_full(phi, psi)
     assert got.k == want.k
     assert bits(got.a.r, got.a.phi, got.radius) == bits(want.a.r, want.a.phi, want.radius)
     assert bits(*got.h.coeffs) == bits(*want.h.coeffs)

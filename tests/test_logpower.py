@@ -25,6 +25,7 @@ from logsurf import (
     apply_germ,
     identity_germ,
     rotation_germ,
+    trunc_order,
 )
 from logsurf.logpower import (
     LogPowerSeries,
@@ -200,6 +201,15 @@ def test_compose_germ_lp_matches_pointwise(rng):
             z = LPoint(image.radius * 0.05 * (rng.random() + 1e-9), rng.uniform(-2.0, 2.0))
             want = evaluate(g, apply_germ(phi, z))
             assert evaluate_image(image, z) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_compose_germ_lp_takes_its_order(rng):
+    g = log_power_series([(0.5, (1.0,)), (1.0, (0.0, 1.0))])
+    phi = make_star_germ(rng, radius=0.9, unit=True)
+    with trunc_order(8):
+        image, cert = compose_germ_lp(g, phi)
+    assert compose_germ_lp(g, phi, 8) == (image, cert)
+    assert {len(c.coeffs) for _, terms in image.terms for c in terms} == {9}
 
 
 def test_certificate_not_applicable_off_the_unit_circle(rng):

@@ -129,7 +129,7 @@ def test_init_state_inverts_a_curved_chi_once(monkeypatch):
     chi = make_germ(LPoint(1.0, 1.0), 1, (0.0, 0.1), 1.0)
     corner = CornerSpec(identity_germ(), chi, IrrationalAngle(1.0), _data_t(), _zero_data(), 1.0)
     inverted = []
-    monkeypatch.setattr(reflect, "invert", lambda g: inverted.append(g) or invert(g))
+    monkeypatch.setattr(reflect, "invert", lambda g, *args: inverted.append(g) or invert(g, *args))
     state = init_state(corner)
     assert inverted == [chi]
     assert state.phi_inv == invert(chi)
@@ -161,6 +161,39 @@ def test_tower_keeps_the_order_it_was_built_at():
             elif isinstance(value, PuiseuxSeries):
                 sizes.append(len(value.base.coeffs))
     assert max(sizes) == 17
+
+
+def _curved_corner() -> CornerSpec:
+    chi = make_germ(LPoint(1.0, 1.0), 1, (0.0, 0.1), 1.0)
+    return CornerSpec(identity_germ(), chi, IrrationalAngle(1.0), _data_t(), _zero_data(), 1.0)
+
+
+def _level_bits(st) -> tuple:
+    """The order and every float of a level's phi, h and phi_inv."""
+    germ = lambda g: (bits(*g.h.coeffs), g.a, g.k, g.radius)
+    return st.order, germ(st.phi), bits(*st.h.base.coeffs), st.h.d, st.h.radius, germ(st.phi_inv)
+
+
+def test_tower_order_argument_matches_the_order_block():
+    # outside any order block, tower(corner, n, order) is tower(corner, n)
+    # inside trunc_order(order), bit for bit, read under another order
+    corner = _curved_corner()
+    given = tower(corner, 5, order=16)
+    with trunc_order(16):
+        ambient = tower(corner, 5)
+    with trunc_order(32):
+        assert [_level_bits(st) for st in given] == [_level_bits(st) for st in ambient]
+    assert {len(st.h.base.coeffs) for st in given} == {17}
+
+
+def test_step_builds_at_the_state_order():
+    corner = _curved_corner()
+    states = tower(corner, 2, order=16)
+    with trunc_order(24):
+        top = reflect.step(states[-1])
+    assert top.order == 16
+    assert len(top.phi.h.coeffs) == 17
+    assert _level_bits(top) == _level_bits(tower(corner, 3, order=16)[-1])
 
 
 def test_tower_frozen_table():
@@ -437,6 +470,10 @@ def test_a_normalized_corner_extends_its_original_solution(psi, chi, theta, stag
     spec = CornerSpec(psi, chi, IrrationalAngle(theta), data(psi), data(chi), 1.0)
     norm = normalize(spec)
     assert norm == normalize(spec)
+    with trunc_order(16):
+        at_16 = normalize(spec)
+    assert normalize(spec, 16) == at_16
+    assert at_16 != norm
     assert [s if s[0] == "root" else s[0] for s in norm.record.stages] == stages
     poly = np.polynomial.Polynomial(F)
     f = lambda z: complex(poly(project(norm.record.backward(z))))

@@ -15,7 +15,6 @@ from logsurf import (
     QuadraticDomain,
     cpow,
     cpow_many,
-    from_complex,
     logmap,
     mul,
     nudge,
@@ -84,13 +83,6 @@ def test_on_surface_is_lpoints_rule_for_any_type(r, phi):
         assert not expected
     else:
         assert expected
-
-
-def test_project_and_from_complex_round_trip():
-    w = complex(-1.2, 0.7)
-    z = from_complex(w)
-    assert project(z) == pytest.approx(w, rel=1e-15)
-    assert -math.pi < z.phi <= math.pi
 
 
 def test_logmap_tracks_the_sheet():
