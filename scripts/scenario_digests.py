@@ -7,7 +7,10 @@ wrote.  Each ``curved_tower seed=s order=N`` key, for s in {0, 1, 2} and
 N in {16, 32, 64}, digests the exact floats of an 8-level tower over a
 seeded manufactured curved corner: every germ's coefficients, arguments
 and radii, every level's data series and radii, and 64 ``extend_eval``
-values dealt over its windows.  That tower is built from public
+values dealt over its windows.  Each ``straight_tower alpha=a order=N`` key,
+for a in {0, 0.4} and N in {16, 32, 64}, digests the same floats of an
+8-level tower over a wedge whose sides are rays at a and a + 1, every
+level's data and inverse read.  Both towers are built from public
 constructors only.  The logsurf package is imported from ``<root>/src``,
 so two trees can be compared with one copy of this script:
 
@@ -33,9 +36,10 @@ import numpy as np
 SEEDS = (None, 1, 7)
 ORDERS = (None, 16, 48)
 CURVED_SEEDS = (0, 1, 2)
-CURVED_ORDERS = (16, 32, 64)
-CURVED_LEVELS = 8
+TOWER_ORDERS = (16, 32, 64)
+TOWER_LEVELS = 8
 CURVED_POINTS = 64
+STRAIGHT_ALPHAS = (0.0, 0.4)
 
 
 def digest_outputs(out: Path) -> str:
@@ -110,6 +114,27 @@ def curved_corner(rng):
     return corner, ls.HarmonicEvaluator(lambda z: f(z).real, f)
 
 
+def _putter(digest):
+    """put(*values): feed the float hex of each value, both parts of a
+    complex, so that the sign of a zero counts, to the digest."""
+    def put(*values):
+        for v in values:
+            for x in (v.real, v.imag) if isinstance(v, complex) else (v,):
+                digest.update(float(x).hex().encode() + b" ")
+    return put
+
+
+def _put_levels(put, states):
+    """Every level's r, s, data h and germs phi, phi_inv and omega, each read."""
+    import logsurf as ls
+
+    for st in states:
+        # the radius of h in z, then in w = z**(1/d)
+        put(st.r, st.s, st.h.radius, st.h.radius ** (1.0 / st.h.d), *st.h.base.coeffs)
+        for germ in (st.phi, st.phi_inv, ls.compose(st.phi, ls.tau_conj(st.phi_inv))):
+            put(germ.a.r, germ.a.phi, germ.radius, *germ.h.coeffs)
+
+
 def curved_tower_digest(seed: int, order: int) -> str:
     """sha256 over the float hex of a manufactured curved tower and its extension.
 
@@ -120,20 +145,11 @@ def curved_tower_digest(seed: int, order: int) -> str:
 
     rng = np.random.default_rng([seed, 5])
     digest = hashlib.sha256()
-
-    def put(*values):
-        for v in values:
-            for x in (v.real, v.imag) if isinstance(v, complex) else (v,):
-                digest.update(float(x).hex().encode() + b" ")
-
+    put = _putter(digest)
     with ls.trunc_order(order):
         corner, base = curved_corner(rng)
-        states = ls.tower(corner, CURVED_LEVELS)
-        for st in states:
-            # the radius of h in z, then in w = z**(1/d)
-            put(st.r, st.s, st.h.radius, st.h.radius ** (1.0 / st.h.d), *st.h.base.coeffs)
-            for germ in (st.phi, st.phi_inv, ls.compose(st.phi, ls.tau_conj(st.phi_inv))):
-                put(germ.a.r, germ.a.phi, germ.radius, *germ.h.coeffs)
+        states = ls.tower(corner, TOWER_LEVELS)
+        _put_levels(put, states)
         lo = states[0].lower
         windows = []
         for st in states:
@@ -152,7 +168,37 @@ def curved_digests() -> dict:
     return {
         f"curved_tower seed={seed} order={order}": curved_tower_digest(seed, order)
         for seed in CURVED_SEEDS
-        for order in CURVED_ORDERS
+        for order in TOWER_ORDERS
+    }
+
+
+def straight_tower_digest(alpha: float, order: int) -> str:
+    """sha256 over the float hex of an 8-level straight tower, every level read.
+
+    The corner is a wedge of opening 1 between the rays at alpha and
+    alpha + 1, rotation germs both, with data t + t**2/2 on the first and
+    t**(1/2)/4 - t**(3/2)/5 on the second, so the data have d = 2.  Every
+    germ of the tower is a ray; at alpha != 0 the first ray is no identity,
+    and init_state inverts it.
+    """
+    import logsurf as ls
+
+    digest = hashlib.sha256()
+    put = _putter(digest)
+    g0 = ls.puiseux([0.0, 1.0, 0.5], 2.0)
+    g1 = ls.puiseux([0.0, 0.25, 0.0, -0.2], 2.0, 2)
+    corner = ls.CornerSpec(ls.rotation_germ(alpha), ls.rotation_germ(alpha + 1.0),
+                           ls.IrrationalAngle(1.0), g0, g1, 1.0)
+    with ls.trunc_order(order):
+        _put_levels(put, ls.tower(corner, TOWER_LEVELS))
+    return digest.hexdigest()
+
+
+def straight_digests() -> dict:
+    return {
+        f"straight_tower alpha={alpha:g} order={order}": straight_tower_digest(alpha, order)
+        for alpha in STRAIGHT_ALPHAS
+        for order in TOWER_ORDERS
     }
 
 
@@ -170,7 +216,8 @@ def main(argv=None) -> int:
 
     if not Path(logsurf.__file__).resolve().is_relative_to(root / "src"):
         raise SystemExit(f"imported logsurf from {logsurf.__file__}, not from {root / 'src'}")
-    json.dump(scenario_digests(root) | curved_digests(), sys.stdout, indent=1, sort_keys=True)
+    json.dump(scenario_digests(root) | curved_digests() | straight_digests(), sys.stdout, indent=1,
+              sort_keys=True)
     print()
     return 0
 

@@ -674,7 +674,12 @@ def _run_envelope(obj, rng, order):
     with _at("$"):
         states = _tower(corner, steps, order)
         theta, s1 = states[0].theta, states[0].s
-        _level_scale(envelope_level(theta, phi_max), "$.phi_max")  # the deepest level envelope reads
+        try:
+            deepest = envelope_level(theta, phi_max)  # the deepest level envelope reads
+        except OverflowError:  # level 1025's reach 2**1024 * theta - pi/2 has no float
+            raise SchemaError(f"phi_max = {phi_max:.3e} needs a level past 1024, whose radius scale "
+                              f"100**1024 or more overflows a float", "$.phi_max") from None
+        _level_scale(deepest, "$.phi_max")
         env = envelope(states, phi_max)
 
     violations = 0

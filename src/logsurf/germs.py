@@ -15,15 +15,20 @@ estimated improvement, so radius recursions stay bit-for-bit
 reproducible.  The factory make_germ verifies the smallness of h by
 circle sampling and shrinks the radius by halving until the sampled
 bound holds; algebraic operations construct directly from the printed
-formulas.  Two exact shortcuts skip work whose outcome is known:
-a radius whose coefficient majorant M(r) = sum |c_n| r**n is at most
-1/2 less a margin for rounding is accepted without sampling (the sampled
-bound holds there, so the radius is the one halving would certify), and
-compose with an identity inner germ copies h in closed form, with the
-floats of the full series products.  apply_germ_polar is apply_germ on
-the floats (r, phi) of a point, and apply_germ wraps it in an LPoint;
-apply_germ_many is apply_germ on float64 arrays, with its floats, for
-k = 1 germs.
+formulas.  Exact shortcuts skip work whose outcome is known, each with
+every float, zero sign, length and exception of the work it skips, at
+every integer order:
+* a radius whose coefficient majorant M(r) = sum |c_n| r**n is at most
+  1/2 less a margin for rounding is accepted without sampling (the
+  sampled bound holds there, so the radius is the one halving would
+  certify);
+* compose with an identity inner germ copies h in closed form;
+* compose of two rays (h = 0, every germ of a straight tower) gives
+  h = 0 in closed form, and invert of a ray gives its inverse's zeros,
+  with the radius kept, without a series product or a reversion.
+apply_germ_polar is apply_germ on the floats (r, phi) of a point, and
+apply_germ wraps it in an LPoint; apply_germ_many is apply_germ on
+float64 arrays, with its floats, for k = 1 germs.
 """
 
 from __future__ import annotations
@@ -269,6 +274,14 @@ def compose(phi: Germ, psi: Germ, order: int | None = None) -> Germ:
     1 + h = (1 + h(psi))**k(phi) * (1 + h(phi) o s(psi)).
     The radius is the printed (1/10)*min(r(phi), r(psi))/max(1, |a(psi)|).
 
+    Two rays (h = 0 in both) give h = N + 1 zeros, each 0j, at an order
+    N >= 0.  These are the floats of the products above: binom_pow of a
+    zero h is 1 followed by np.zeros, ps_compose of a zero h(phi) makes
+    no product (s(psi) is finite, as a finite a(psi) times 1 and zeros)
+    and returns np.zeros, so the one product multiplies +0s and 1s into
+    +0s, after which h[0] = 0.0 becomes 0j.  The signs of the zeros in
+    either h do not reach them.
+
     An identity psi with finite h(phi) gives h in closed form: h(phi)'s
     coefficients 1..N, each plus 0j, after a zero and padded with zeros
     to N + 1 entries, N the truncation order.  These are the floats of
@@ -276,6 +289,9 @@ def compose(phi: Germ, psi: Germ, order: int | None = None) -> Germ:
     summed with zero products; the + 0j turns a -0.0 part into the +0.0
     those sums give.  An inf or nan coefficient takes the products,
     which spread nan through the zero products.
+
+    a, k and the radius are made first on every path, so their errors
+    come first, and the Germ checks the radius last.
     """
     if psi.k == 0:
         raise InvalidGerm("inner germ must have k >= 1")
@@ -283,7 +299,9 @@ def compose(phi: Germ, psi: Germ, order: int | None = None) -> Germ:
     a = mul(phi.a, power(float(phi.k), psi.a))
     k = phi.k * psi.k
     radius = 0.1 * min(phi.radius, psi.radius) / max(1.0, psi.a.r)
-    if is_identity(psi) and all(map(cmath.isfinite, phi.h.coeffs)):
+    if is_ray(phi) and is_ray(psi) and order >= 0:
+        h_new = (0j,) * (order + 1)
+    elif is_identity(psi) and all(map(cmath.isfinite, phi.h.coeffs)):
         h_new = [0j] + [c + 0j for c in phi.h.coeffs[1 : order + 1]]
         h_new += [0j] * (order + 1 - len(h_new))
     else:
@@ -303,12 +321,24 @@ def invert(phi: Germ, order: int | None = None) -> Germ:
     is the surface point b with a * b = (1, 0).  The radius starts at
     r(phi) and halves until the sampled bound on h~ holds, so germs with
     h = 0 keep their radius exactly.
+
+    A ray (h = 0) at an order N >= 1 gives h~ in closed form: 0j, then
+    N - 1 copies of 0j * a1, a1 = project(a), with r(phi) kept.  These
+    are the floats of the reversion: b is made first, so an invalid b
+    raises as before; a1 is finite and nonzero for a valid b, so the
+    shadow's tail a1 * 0 is zero and reversion computes g_1 alone, with
+    g_2 .. g_N left as np.zeros' +0s, and h~ is those +0s times a1, in
+    that operand order, which sets the signs of its zeros.  A zero h~
+    has majorant 0, so _shrink_to_bound keeps the radius.
     """
     if phi.k != 1:
         raise NotInvertible("only k = 1 germs are invertible")
     b = LPoint(1.0 / phi.a.r, -phi.a.phi)
-    g = reversion(s_series(phi), order)
+    order = config.order_or_default(order)
     a1 = project(phi.a)
+    if is_ray(phi) and order >= 1:
+        return Germ(b, 1, PowerSeries((0j,) + (0j * a1,) * (order - 1)), phi.radius)
+    g = reversion(s_series(phi), order)
     h_tilde = (0.0 + 0.0j,) + tuple(c * a1 for c in g[2:])
     r = _shrink_to_bound(h_tilde, phi.radius)
     return Germ(b, 1, PowerSeries(h_tilde), r)

@@ -18,8 +18,9 @@ compose_germ each make O(N) numpy calls at most.  The work scales with
 the nonzero length of the inputs: ps_compose and compose_germ stop at
 the last nonzero coefficient of the outer series, binom_pow returns 1
 at once for h = 0, reversion inverts a linear series with one product,
-and compose_germ composes with a ray (h = 0) through copies.  So rays
-and short series cost a few calls at any N.  Every truncated product
+and compose_germ composes with a ray (h = 0) through copies of a unit
+block, made without binom_pow.  So rays and short series cost a few
+calls at any N.  Every truncated product
 is one _product call: the call np.convolve makes into numpy's C
 correlate, after np.convolve's own checks and operand swap, so its
 floats are np.convolve's and only the Python wrapper is skipped.
@@ -109,7 +110,10 @@ class PowerSeries:
 
 
 def _nonzero_len(coeffs: Sequence[complex]) -> int:
-    """Length up to the last nonzero coefficient, scanning only the trailing zeros."""
+    """Length up to the last nonzero coefficient, scanning only the
+    trailing zeros; 0 at once when no coefficient is nonzero (a ray's h)."""
+    if not any(coeffs):
+        return 0
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
@@ -527,7 +531,10 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> Pui
     denominator d is preserved.  The radius is the printed value
     s = min(r(phi), (g.radius / (2|a(phi)|)) ** (1/k(phi))).  Requires
     k(phi) >= 1.  The loop stops at the last nonzero coefficient of g, and
-    a ray (h = 0) has u = 1, so its blocks are copies.
+    a ray (h = 0) has u = 1, so its blocks are copies.  At an order N >= 0
+    a ray's u is np.ones(1), made without binom_pow: binom_pow of a zero
+    h is that 1 followed by zeros, of which the blocks would read only
+    the 1.
 
     The weight c_n a**(n/d) is c_n times cmath.exp((n/d) * lg), with
     lg = complex(log |a|, arg a) formed once: the expression cpow_polar
@@ -546,12 +553,13 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> Pui
     order = config.order_or_default(order)
     d = g.d
     s = min(phi.radius, (g.radius / (2.0 * phi.a.r)) ** (1.0 / phi.k))
-    unit = np.asarray(binom_pow(phi.h.coeffs, 1.0 / d, order=order // d), dtype=complex)
-    if not phi.h.trimmed:
-        # u = 1 makes each block an exact copy.  Any other u keeps its
-        # trailing zeros: a shorter factor would change the length of
-        # the product's inner sums, and with it their rounding.
-        unit = unit[:1]
+    if phi.h.trimmed or order < 0:
+        # Any u but 1 keeps its trailing zeros: a shorter factor would
+        # change the length of the product's inner sums, and with it
+        # their rounding.
+        unit = np.asarray(binom_pow(phi.h.coeffs, 1.0 / d, order=order // d), dtype=complex)
+    else:
+        unit = np.ones(1, dtype=complex)  # u = 1 makes each block an exact copy
     lg = complex(math.log(phi.a.r), phi.a.phi)
     terms = g.base.trimmed[: order // phi.k + 1]
     rows = np.zeros((len(terms) + 1, order + 1), dtype=complex)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from logsurf import Germ, LPoint, config, cpow, logmap, make_germ, mul, power, project, puiseux
+from logsurf import (Germ, LPoint, NotInvertible, config, cpow, logmap, make_germ, mul, power, project,
+                     puiseux)
 from logsurf.germs import s_series, sampled_h_sup
-from logsurf.series import PowerSeries
+from logsurf.series import PowerSeries, reversion
 
 
 def make_star_germ(rng, radius=1.0, degree=6, scale=0.25, unit=False, k=1):
@@ -183,6 +184,20 @@ def reversion_full(f, order: int) -> tuple:
         vn = np.convolve(vn, v)[:order]
         g[n] = vn[n - 1] / n
     return tuple(g.tolist())
+
+
+def invert_full(phi):
+    """Reference invert: series.reversion of the shadow whatever h is, and
+    the radius halved by sampling alone.  Not reversion_full: for a linear
+    shadow with 1 / |a| past about 1e154, its powers of v overflow and put
+    nan where reversion computes only g_1."""
+    if phi.k != 1:
+        raise NotInvertible("only k = 1 germs are invertible")
+    b = LPoint(1.0 / phi.a.r, -phi.a.phi)
+    g = reversion(s_series(phi), config.get_trunc_order())
+    a1 = project(phi.a)
+    h_tilde = (0j,) + tuple(c * a1 for c in g[2:])
+    return Germ(b, 1, PowerSeries(h_tilde), shrink_by_sampling(h_tilde, phi.radius))
 
 
 def compose_germ_full(g, phi):

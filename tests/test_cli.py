@@ -330,6 +330,9 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         # pi * p / q has no float
         ("wedge_right_angle", ("theta", "q"), 10**400, "$.theta"),
         ("expansion_negative", ("corner", "theta", "q"), 10**400, "$.corner.theta"),
+        # at theta = 1, level 1025's reach 2**1024 - pi/2 has no float
+        ("envelope_wedge", ("phi_max",), 9e307, "$.phi_max"),
+        ("envelope_wedge", ("phi_max",), 1e308, "$.phi_max"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -361,6 +364,10 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
         # at theta = 1 the window of x = 1e47 is level 158's; 1e46 passes
         ("envelope_wedge", "phi_max", 1e47,
          "$.phi_max: level 158's radius scale 100**157 overflows a float"),
+        # past level 1024 the level's reach has no float either
+        ("envelope_wedge", "phi_max", 1e308,
+         "$.phi_max: phi_max = 1.000e+308 needs a level past 1024, whose radius scale 100**1024 or "
+         "more overflows a float"),
         # past the scale, a deeper tower's radius s_k underflows as it is built
         ("reflect_wedge", "steps", 200, "$.steps: level 163's radius s_163 = s_162 / 100 underflows to 0.0"),
     ],

@@ -13,6 +13,7 @@ from conftest import (
     apply_germ_composed,
     bits,
     compose_full,
+    invert_full,
     make_star_germ,
     outcome,
     ps_eval_loop,
@@ -354,6 +355,68 @@ def test_compose_with_the_identity_is_the_full_product_bit_for_bit(
     assert got.k == want.k
     assert bits(got.a.r, got.a.phi, got.radius) == bits(want.a.r, want.a.phi, want.radius)
     assert bits(*got.h.coeffs) == bits(*want.h.coeffs)
+
+
+def _germ_outcome(call, *args) -> tuple:
+    """k, the length of h and the float hex of a, the radius and every
+    coefficient of h of the germ call(*args), or the type and message of
+    the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            g = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.k, len(g.h.coeffs), bits(g.a.r, g.a.phi, g.radius, *g.h.coeffs)
+
+
+# |a| near the float limits, where b = 1/|a| or a**k leaves the float range
+_RAY_A_R = st.floats(0.1, 10.0) | st.sampled_from([5e-324, 1e-308, 5.6e-309, 1e300, 1.7976931348623157e308])
+# a on several sheets, every quadrant of each
+_RAY_A_PHI = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2])
+# 5e-324 times 0.1 underflows the composed radius to 0.0
+_RAY_RADII = st.sampled_from([5e-324, 1e-300, 1e-3, 1.0, 1e12])
+
+
+def _ray(a_r, a_phi, k, zeros, radius):
+    """The germ a * z**k with an h of signed zeros."""
+    return Germ(LPoint(a_r, a_phi), k, PowerSeries(tuple(zeros)), radius)
+
+
+_RAY = st.builds(_ray, _RAY_A_R, _RAY_A_PHI, st.integers(1, 3),
+                 st.lists(SIGNED_ZEROS, min_size=1, max_size=70), _RAY_RADII)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@example(order=1, phi_k=0, phi=identity_germ(), psi=identity_germ())
+@example(order=32, phi_k=1, phi=_ray(1.0, 0.5, 1, [0j], 5e-324), psi=_ray(10.0, -1.0, 1, [0j], 1.0))
+@example(order=64, phi_k=3, phi=_ray(2.0, 0.5, 1, [0j], 1.0),
+         psi=_ray(1.7976931348623157e308, 1.0, 1, [0j], 1.0))
+@given(
+    order=st.integers(1, 64),
+    phi_k=st.integers(0, 3),
+    phi=_RAY | st.just(identity_germ()),
+    psi=_RAY | st.just(identity_germ()),
+)
+def test_compose_of_two_rays_is_the_full_product_bit_for_bit(order, phi_k, phi, psi):
+    # h of either ray is drawn shorter and longer than order + 1, with
+    # signed zeros; the closed form must give the products' floats, and
+    # a radius that underflows or an a**k that overflows raises as they do
+    phi = Germ(phi.a, phi_k, phi.h, phi.radius)
+    got = _germ_outcome(compose, phi, psi, order)
+    with config.trunc_order(order):
+        assert got == _germ_outcome(compose_full, phi, psi)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@example(order=1, phi=identity_germ())
+@example(order=16, phi=_ray(5e-324, 1.0, 1, [0j], 1.0))  # 1 / |a| overflows: b raises
+@example(order=16, phi=_ray(1.7976931348623157e308, -2.5, 1, [complex(-0.0, -0.0)], 1.0))
+@given(order=st.integers(1, 64), phi=_RAY.map(lambda g: Germ(g.a, 1, g.h, g.radius)))
+def test_invert_of_a_ray_is_the_reversion_bit_for_bit(order, phi):
+    # the zeros of h~ carry the signs of 0j * a1, a1 = project(a)
+    got = _germ_outcome(invert, phi, order)
+    with config.trunc_order(order):
+        assert got == _germ_outcome(invert_full, phi)
 
 
 def _scaled(weights, radius, total):

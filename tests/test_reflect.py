@@ -232,7 +232,11 @@ def test_straight_tower_cost_is_flat_in_the_order(monkeypatch):
         assert not any(g.h.trimmed for g in germs)
         assert all(st.phi_inv.radius == st.phi.radius for st in states)
         radii[order] = [g.radius for g in germs]
-    assert counts[16] == counts[128]
+    # compose and invert of rays make no product, and compose_germ makes
+    # one per coefficient of the data past the constant: one for each
+    # transport of h_2 .. h_4, whose data is linear (14 products in all
+    # before rays took closed forms)
+    assert counts == {16: 3, 128: 3}
     assert counts[16] > 0  # the counter sees the products
     assert radii[16] == radii[128]
 
