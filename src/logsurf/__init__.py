@@ -35,7 +35,6 @@ from .errors import (
     InsufficientSteps,
     InvalidGerm,
     LogSurfError,
-    NoSupport,
     NotInvertible,
     NotNormalized,
     OutOfRadius,
@@ -71,8 +70,6 @@ from .logpower import (
     is_log_free,
     log_power_series,
     monomial,
-    mul_lp,
-    nu,
     support,
     truncate,
 )
@@ -98,7 +95,6 @@ from .series import (
     compose_germ,
     conj_tau,
     evaluate,
-    mul_series,
     param_power,
     puiseux,
     puiseux_from_terms,

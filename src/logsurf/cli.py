@@ -55,6 +55,7 @@ from .reflect import (
     conjugate_evaluator,
     envelope,
     envelope_level,
+    exponent_window,
     extend_eval_many,
     init_state,
     membership,
@@ -328,20 +329,31 @@ def _run_wedge(obj, rng, order):
         raise SchemaError("r_max must exceed r_min", "$.grid.r_max")
 
     worst_lap = 0.0
-    for r in np.geomspace(0.5, 1.0, 6):
-        for phi in np.linspace(tv * 0.1, tv * 0.9, 6):
-            z = LPoint(float(r), float(phi))
-            lap = fd_laplacian(evaluator.u, z, 1e-3)
-            worst_lap = worst(worst_lap, abs(lap) / (1.0 + abs(evaluator.u(z))))
+    try:
+        for r in np.geomspace(0.5, 1.0, 6):
+            for phi in np.linspace(tv * 0.1, tv * 0.9, 6):
+                z = LPoint(float(r), float(phi))
+                lap = fd_laplacian(evaluator.u, z, 1e-3)
+                worst_lap = worst(worst_lap, abs(lap) / (1.0 + abs(evaluator.u(z))))
+    except OverflowError:
+        # past |z| = 1, r**beta overflows first for the largest exponent
+        _, side, i = max((float(b), side, i) for side, edge in enumerate((problem.edge0, problem.edge1))
+                         for i, (b, c) in enumerate(edge) if c)
+        raise SchemaError("z**beta overflows a float at the harmonicity stencil, just past |z| = 1",
+                          f"$.edge{side}[{i}]") from None
 
     # One pass over the grid, phi-major, f before u at each point; its
     # first and last rows lie on the edges 0 and theta.
     ts = np.linspace(grid["r_min"], grid["r_max"], grid["r_n"])
     phis = np.linspace(0.0, tv, grid["phi_n"])
     points = [LPoint(float(r), float(phi)) for phi in phis for r in ts]
-    fu = [(evaluator.f(z), evaluator.u(z)) for z in points]
-    b0 = worst(*(abs(u - _data_eval(problem.edge0, t)) for t, (_, u) in zip(ts, fu)))
-    b1 = worst(*(abs(u - _data_eval(problem.edge1, t)) for t, (_, u) in zip(ts, fu[-len(ts):])))
+    try:
+        fu = [(evaluator.f(z), evaluator.u(z)) for z in points]
+        b0 = worst(*(abs(u - _data_eval(problem.edge0, t)) for t, (_, u) in zip(ts, fu)))
+        b1 = worst(*(abs(u - _data_eval(problem.edge1, t)) for t, (_, u) in zip(ts, fu[-len(ts):])))
+    except OverflowError:
+        raise SchemaError(f"the solution overflows a float on the grid, at r up to {grid['r_max']!r}",
+                          "$.grid.r_max") from None
     worst_re = worst(0.0, *(abs(u - f.real) / (1.0 + abs(f)) for f, u in fu))
 
     has_resonance = any(
@@ -536,6 +548,8 @@ def _expansion_setup(obj, order):
         gamma = log_power_series(
             [(alpha, poly[:1]) for alpha, poly in gamma.terms]
         )
+    with _at("$.R", SchemaError):
+        exponent_window(gamma, R)
     with _at("$"):
         states = _tower(corner, steps, order)
     return states, base, gamma, R, expect_ok

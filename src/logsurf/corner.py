@@ -175,19 +175,24 @@ class WedgeProblem:
 class HarmonicEvaluator:
     """A harmonic function u on a sector and its holomorphic completion f.
 
-    u maps surface points to reals; f, when present, maps surface points
-    to complex values with Re f = u.  f_many, when present, is f at many
-    points at once: it maps float64 arrays r, phi to (re, im, ok), where
-    re[i] + i*im[i] is complex(f(LPoint(r[i], phi[i]))) bit for bit
-    wherever ok[i] is True, and ok[i] is False wherever that call would
-    raise (or the batch leaves the point to f); without it, extend_eval_many
-    takes extend_eval at each point.  An evaluator carries nothing else:
-    the sector and the data it solves live with the caller.
+    u maps surface points to reals; f maps surface points to complex
+    values with Re f = u, and is required: construction raises ValueError
+    when f is None.  f_many, when present, is f at many points at once: it
+    maps float64 arrays r, phi to (re, im, ok), where re[i] + i*im[i] is
+    complex(f(LPoint(r[i], phi[i]))) bit for bit wherever ok[i] is True,
+    and ok[i] is False wherever that call would raise (or the batch leaves
+    the point to f); without it, extend_eval_many takes extend_eval at
+    each point.  An evaluator carries nothing else: the sector and the
+    data it solves live with the caller.
     """
 
     u: Callable[[LPoint], float]
-    f: Callable[[LPoint], complex] | None = None
+    f: Callable[[LPoint], complex]
     f_many: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+
+    def __post_init__(self):
+        if self.f is None:
+            raise ValueError("the base evaluator must provide a holomorphic completion")
 
 
 def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSeries]:

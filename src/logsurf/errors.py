@@ -23,10 +23,6 @@ class NotInvertible(LogSurfError):
     """Inversion requested for a germ outside the k = 1 group."""
 
 
-class NoSupport(LogSurfError):
-    """The zero series has no least exponent."""
-
-
 class UndecidableAngle(LogSurfError):
     """A raw floating angle cannot decide rationality; declare it."""
 

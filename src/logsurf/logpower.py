@@ -7,8 +7,8 @@ otherwise; the two kinds compare and merge exactly, since ints and
 floats are exact rationals.
 
 The module provides evaluation at one surface point (evaluate) or at
-many, as float64 arrays with the same floats (evaluate_many), ring
-operations, truncation by exponent cutoff, the two composition rules
+many, as float64 arrays with the same floats (evaluate_many), its
+support, truncation by exponent cutoff, the two composition rules
 (with power maps and with germs), and the sampled coefficient-bound
 certificate for the germ rule.
 """
@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from . import config
-from .errors import InvalidGerm, NoSupport, OutOfRadius
+from .errors import InvalidGerm, OutOfRadius
 from .germs import sampled_h_sup
 from .series import PowerSeries, _nonzero_len, _product, binom_pow, log1p_series, ps_add, ps_eval
 from .surface import LPoint, cpow, cpow_many, log_many, logmap, project, valid_many
@@ -88,9 +88,6 @@ def log_power_series(terms: Iterable[tuple]) -> LogPowerSeries:
     return LogPowerSeries(tuple(out))
 
 
-ZERO_LP = LogPowerSeries(())
-
-
 def monomial(alpha, log_degree: int = 0, coeff: complex = 1.0) -> LogPowerSeries:
     """The single term coeff * z**alpha * (log z)**log_degree."""
     poly = (0j,) * log_degree + (complex(coeff),)
@@ -144,34 +141,8 @@ def evaluate_many(g: LogPowerSeries, r, phi) -> tuple[np.ndarray, np.ndarray, np
     return total_r, total_i, ok
 
 
-def nu(g: LogPowerSeries) -> Exponent:
-    """The least exponent of the support; the zero series has none."""
-    if not g.terms:
-        raise NoSupport("the zero series has no least exponent")
-    return g.terms[0][0]
-
-
 def support(g: LogPowerSeries) -> tuple:
     return tuple(alpha for alpha, _ in g.terms)
-
-
-def add(g1: LogPowerSeries, g2: LogPowerSeries) -> LogPowerSeries:
-    return log_power_series(list(g1.terms) + list(g2.terms))
-
-
-def scale(c: complex, g: LogPowerSeries) -> LogPowerSeries:
-    return log_power_series([(alpha, tuple(c * x for x in poly)) for alpha, poly in g.terms])
-
-
-def mul_lp(g1: LogPowerSeries, g2: LogPowerSeries) -> LogPowerSeries:
-    """Product: exponents add, lambda-polynomials multiply."""
-    out = []
-    for a1, p1 in g1.terms:
-        for a2, p2 in g2.terms:
-            p1_arr, p2_arr = np.asarray(p1, dtype=complex), np.asarray(p2, dtype=complex)
-            prod = _product(p1_arr, p2_arr, len(p1_arr) + len(p2_arr) - 1)
-            out.append((a1 + a2, tuple(prod.tolist())))
-    return log_power_series(out)
 
 
 def truncate(g: LogPowerSeries, R) -> LogPowerSeries:
@@ -322,7 +293,3 @@ def evaluate_image(img: LogPowerGermImage, z: LPoint) -> complex:
             inner += ps_eval(ps, w) * lam_pow
         total += cpow(float(alpha), z) * inner
     return total
-
-
-def image_is_log_free(img: LogPowerGermImage) -> bool:
-    return all(len(series_list) <= 1 for _, series_list in img.terms)

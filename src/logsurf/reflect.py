@@ -218,8 +218,8 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     """Evaluate the extended holomorphic completion at z.
 
     Descends through reflections until the point lands in the original
-    corner, evaluates the base completion there, then unwinds
-    f_{j+1}(z) = -conj((f_j - h_j)(w)) + h_j(z).  Raises
+    corner, evaluates base.f there (required, checked at construction),
+    then unwinds f_{j+1}(z) = -conj((f_j - h_j)(w)) + h_j(z).  Raises
     OutsideExtension when no materialized window contains z.
 
     The descent and the unwinding carry each point as its floats (r, phi):
@@ -230,8 +230,6 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     those of apply_germ and evaluate on LPoints.  The one LPoint built is
     the landing point given to base.f (z itself when z is in the corner).
     """
-    if base.f is None:
-        raise ValueError("the base evaluator must provide a holomorphic completion")
     level = membership(states, z)
     if level is None:
         raise OutsideExtension(
@@ -263,7 +261,8 @@ def extend_eval_many(
     Returns one entry per point: the complex value that
     extend_eval(states, base, LPoint(r[i], phi[i])) returns, bit for bit,
     or the exception that the call raises, with its type and message
-    (an invalid point raises from LPoint).
+    (an invalid point raises from LPoint).  base.f is required and
+    checked at construction.
 
     A base without a batch completion (say, one built from lambdas) sends
     every point through extend_eval, in one fallback_many call.  With
@@ -276,8 +275,6 @@ def extend_eval_many(
     drops goes through extend_eval by fallback_many, which gives its
     value or its exception.
     """
-    if base.f is None:
-        raise ValueError("the base evaluator must provide a holomorphic completion")
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     scalar = lambda z: extend_eval(states, base, z)
@@ -340,7 +337,7 @@ def conjugate_evaluator(base: HarmonicEvaluator) -> HarmonicEvaluator:
     A batch completion is carried the same way, phi -> -phi and the
     imaginary part negated; both maps are exact.
     """
-    f = None if base.f is None else lambda z: complex(base.f(tau(z))).conjugate()
+    f = lambda z: complex(base.f(tau(z))).conjugate()
     f_many = None
     if base.f_many is not None:
         def f_many(r, phi):
@@ -353,7 +350,7 @@ def rotate_evaluator(base: HarmonicEvaluator, angle: float) -> HarmonicEvaluator
     """Transport an evaluator by the rotation (r, phi) -> (r, phi - angle):
     u -> u o rot, f -> f o rot, and a batch completion at phi - angle."""
     rot = lambda z: LPoint(z.r, z.phi - angle)
-    f = None if base.f is None else lambda z: base.f(rot(z))
+    f = lambda z: base.f(rot(z))
     f_many = None if base.f_many is None else lambda r, phi: base.f_many(r, phi - angle)
     return HarmonicEvaluator(lambda z: base.u(rot(z)), f, f_many)
 
@@ -475,8 +472,19 @@ def _next_exponent_bound(gamma: LogPowerSeries, R: float) -> float:
             best = min(best, a)
             continue
         best = min(best, a + math.floor(R - a) + 1.0)
-    best = min(best, (math.floor(R * d) + 1.0) / d)
+    if math.isfinite(R * d):  # past the float range the lattice adds no point beyond R
+        best = min(best, (math.floor(R * d) + 1.0) / d)
     return best
+
+
+def exponent_window(gamma: LogPowerSeries, R: float) -> tuple[float, float]:
+    """certify_expansion's (R', S); a ValueError unless R < S < R' as floats."""
+    bound = _next_exponent_bound(gamma, R)
+    R_prime = R + 0.5 * (bound - R)
+    S = max(0.5 * (R + R_prime), R_prime - 1.0)
+    if not R < S < R_prime:
+        raise ValueError(f"no float S lies between R = {R!r} and the next lattice exponent {bound!r}")
+    return R_prime, S
 
 
 def _window_points(states, idx: int, count: int, radii: np.ndarray) -> tuple:
@@ -542,25 +550,21 @@ def certify_expansion(
 ) -> ExtensionCertificate:
     """Sample the printed growth certificate for f - gamma.
 
-    R' sits halfway between R and the next exponent the expansion
-    lattice allows, S between R and R'.  C_k is the sampled supremum of
-    |f - gamma| / |z|**R' over the level-k window (minus a fixed
-    relative noise floor), A is chosen so C_k <= A**k and so the scale
-    t_k = A**(-k / (R' - S)) stays below s_k; the window check then
-    verifies |f - gamma| <= |z|**S for t_{k+1} <= |z| <= t_k.  Both
-    folds use worst, so a nan sample makes its C_k nan and fails its
-    window.  Raises WindowEmpty when the scales underflow before the last
-    level.  Each of the two passes evaluates f at all of its samples, over
-    every window, in one extend_eval_many call, and gamma in one
-    logpower.evaluate_many call, so every value is that of extend_eval
-    and evaluate at the sample; each window is then folded sample by
-    sample (_window_worst), and a failing sample raises its exception.
+    R' sits halfway between R and the next exponent the expansion lattice
+    allows, S between R and R' (exponent_window).  C_k is the sampled
+    supremum of |f - gamma| / |z|**R' over the level-k window (minus a
+    fixed relative noise floor), A is chosen so C_k <= A**k and so the
+    scale t_k = A**(-k / (R' - S)) stays below s_k; the window check then
+    verifies |f - gamma| <= |z|**S for t_{k+1} <= |z| <= t_k.  Both folds
+    use worst, so a nan sample makes its C_k nan and fails its window.
+    Raises WindowEmpty when the scales underflow before the last level.
+    Each of the two passes evaluates f at all of its samples, over every
+    window, in one extend_eval_many call, and gamma in one
+    logpower.evaluate_many call, so every value is that of extend_eval and
+    evaluate at the sample; each window is then folded sample by sample
+    (_window_worst), and a failing sample raises its exception.
     """
-    bound = _next_exponent_bound(gamma, R)
-    if not bound > R:
-        raise ValueError("the expansion lattice admits no exponent beyond R")
-    R_prime = R + 0.5 * (bound - R)
-    S = max(0.5 * (R + R_prime), R_prime - 1.0)
+    R_prime, S = exponent_window(gamma, R)
 
     grids = [
         (idx, np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples))

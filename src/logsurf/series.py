@@ -26,7 +26,8 @@ correlate, after np.convolve's own checks and operand swap, so its
 floats are np.convolve's and only the Python wrapper is skipped.
 Outputs keep their lengths, and every product still made keeps its
 operand lengths, so the floats are those of the full loops, which
-call np.convolve.  binom_pow with alpha = 1
+call np.convolve; reversion's linear shortcut gives exact zeros where
+the full loop has nan (see there).  binom_pow with alpha = 1
 skips its one product, whose floats are known: 1 + h in closed form.
 Around the numpy calls the kernels keep only scalar work that sets a
 float, each in a form with the same floats: compose_germ takes each
@@ -354,7 +355,10 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     Returns g with f(g(w)) = w up to the truncation order, by Lagrange
     inversion: g_n = [w**(n-1)] v**n / n with v = w / f(w).  A linear f
     has the constant v = 1 / f_1, whose powers never reach w**(n-1) past
-    n = 1, so only g_1 is computed; otherwise the work is O(N) products.
+    n = 1, so only g_1 is computed and g_2, g_3, ... are the zeros of the
+    exact inverse w / f_1.  The full loop forms every power of v: once
+    1 / f_1**2 overflows (|f_1| below about 7.5e-155) it meets 0 * inf
+    and has nan from g_3 on.  Otherwise the work is O(N) products.
 
     The v recurrence reads f_1 and the tail f_2, f_3, ... from one scalar
     and one view made before its loop, so each np.dot sees the slices it
@@ -480,16 +484,11 @@ def _spread(coeffs: Sequence[complex], stride: int, order: int) -> np.ndarray:
     return arr
 
 
-def _common_base(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int) -> tuple[int, np.ndarray, np.ndarray]:
-    L = lcm(g1.d, g2.d)
-    a1, a2 = (_spread(g.base.coeffs, L // g.d, order) for g in (g1, g2))
-    return L, a1, a2
-
-
 def add(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> PuiseuxSeries:
     """Sum after rescaling to the common denominator lcm(d1, d2)."""
     order = config.order_or_default(order)
-    L, a1, a2 = _common_base(g1, g2, order)
+    L = lcm(g1.d, g2.d)
+    a1, a2 = (_spread(g.base.coeffs, L // g.d, order) for g in (g1, g2))
     return puiseux((a1 + a2).tolist(), min(g1.radius, g2.radius), L)
 
 
@@ -499,13 +498,6 @@ def scale(c: complex, g: PuiseuxSeries) -> PuiseuxSeries:
 
 def sub(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> PuiseuxSeries:
     return add(g1, scale(-1.0, g2), order)
-
-
-def mul_series(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> PuiseuxSeries:
-    """Product after rescaling to the common denominator lcm(d1, d2)."""
-    order = config.order_or_default(order)
-    L, a1, a2 = _common_base(g1, g2, order)
-    return puiseux(ps_mul(a1, a2, order), min(g1.radius, g2.radius), L)
 
 
 def param_power(g: PuiseuxSeries, m: int, order: int | None = None) -> PuiseuxSeries:

@@ -283,7 +283,7 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
     "name, path, value, loc",
     [
         ("wedge_right_angle", ("grid", "r_min"), 0, "$.grid.r_min"),
-        ("wedge_right_angle", ("grid", "r_max"), 1e308, "$"),
+        ("wedge_right_angle", ("grid", "r_max"), 1e308, "$.grid.r_max"),
         # s_k = s_1 / 100**(k - 1) underflows to 0.0 at level 163
         ("reflect_wedge", ("steps",), 200, "$.steps"),
         ("envelope_wedge", ("phi_max",), -5, "$.phi_max"),
@@ -333,6 +333,12 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         # at theta = 1, level 1025's reach 2**1024 - pi/2 has no float
         ("envelope_wedge", ("phi_max",), 9e307, "$.phi_max"),
         ("envelope_wedge", ("phi_max",), 1e308, "$.phi_max"),
+        # z**beta overflows past |z| = 1: on the grid, or at the harmonicity stencil
+        ("wedge_irrational", ("grid", "r_max"), 1e308, "$.grid.r_max"),
+        ("wedge_irrational", ("edge0", 0), {"beta_real": 1e300, "coeff": 1.0}, "$.edge0[0]"),
+        ("wedge_irrational", ("edge0", 0, "beta_num"), 10**20, "$.edge0[0]"),
+        # floats hold no exponent between R = 1e308 and the next one, R + 1
+        ("expansion_sanity", ("R",), 1e308, "$.R"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -354,6 +360,8 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
     err = capsys.readouterr().err
     assert f"error (mutated.json): {loc}: " in err
     assert "Traceback" not in err
+    # nor a raw message of float arithmetic
+    assert "math range error" not in err and "Numerical result out of range" not in err
 
 
 @pytest.mark.parametrize(
@@ -395,16 +403,17 @@ def test_a_trig_order_whose_angle_overflows_names_its_term(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edge0, r_max, message",
     [
-        ([{"beta_real": 1e300, "coeff": 1.0}], 2, "$: (34, 'Numerical result out of range')"),
-        ([{"beta_real": 400, "coeff": 1.0}], 1e3, "$: math range error"),
-        (None, 1e308, "$: math range error"),
+        ([{"beta_real": 1e300, "coeff": 1.0}], 2,
+         "$.edge0[0]: z**beta overflows a float at the harmonicity stencil, just past |z| = 1"),
+        ([{"beta_real": 400, "coeff": 1.0}], 1e3,
+         "$.grid.r_max: the solution overflows a float on the grid, at r up to 1000.0"),
+        (None, 1e308, "$.grid.r_max: the solution overflows a float on the grid, at r up to 1e+308"),
     ],
+    ids=["stencil_before_grid", "grid_r_max_1e3", "grid_r_max_1e308"],
 )
 def test_failing_wedge_reports_its_first_failing_evaluation(tmp_path, capsys, edge0, r_max, message):
-    # The harmonicity loop runs before the grid pass, and the pass takes f
-    # before u at each point.  u's float power overflows as (34, ...), f's
-    # complex exponential as "math range error", so either order changed
-    # would change these messages.
+    # The harmonicity loop runs before the grid pass, so a term that
+    # overflows at its stencil is named even where the grid overflows too.
     obj = json.loads((SCENARIOS / "wedge_irrational.json").read_text())
     if edge0 is not None:
         obj["edge0"] = edge0

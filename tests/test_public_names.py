@@ -1,0 +1,55 @@
+"""Every public name of logsurf has a caller outside the tests, or a roadmap item.
+
+The exports are the names that src/logsurf/__init__.py imports from the
+package's modules.  A caller is any use of the name, as an identifier or
+an attribute, in another module of the package, a script or the
+benchmark harness.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exports that nothing calls yet, each with the ROADMAP item that gives it
+# a caller.
+AWAITING_A_CALLER = {
+    "normalize": "open items 2 and 3: curved and lens corners through the CLI",
+    "compose_germ_lp": "open items 4 and 5: resonant orders and gamma in the normalized chart",
+    "compose_pow": "open items 4 and 5: gamma carried through a root stage",
+    "arg_shift_bound": "open item 5: the curved envelope's pi/2 haircut",
+    "sqd_contains": "open item 5: membership in the quadratic domain",
+    "tail_bound": "open item 6: the per-level tail estimate",
+    "wasow_exponents": "open item 7: the sector's exponent lattice",
+    "poisson_disk": "aim 1: an evaluator measured layer by layer",
+    "monomial": "open item 4: the solver's z**beta log z term at a resonant order",
+}
+
+
+def _exports() -> set:
+    tree = ast.parse((ROOT / "src" / "logsurf" / "__init__.py").read_text())
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def _callers() -> set:
+    paths = [p for p in (ROOT / "src" / "logsurf").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller_or_a_roadmap_item():
+    exports, callers = _exports(), _callers()
+    assert sorted(exports - callers - AWAITING_A_CALLER.keys()) == []
+    # a name that has found a caller, or left the package, leaves the list
+    assert sorted(AWAITING_A_CALLER.keys() - (exports - callers)) == []

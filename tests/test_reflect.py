@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -837,8 +838,8 @@ def test_extension_outside_raises():
     base = unit_wedge_base()
     with pytest.raises(OutsideExtension):
         extend_eval(states, base, LPoint(0.5, -0.1))
-    with pytest.raises(ValueError):
-        extend_eval(states, HarmonicEvaluator(base.u, None), LPoint(0.5, 0.5))
+    with pytest.raises(ValueError, match="must provide a holomorphic completion"):
+        HarmonicEvaluator(base.u, None)
 
 
 # ----------------------------------------------------------------------
@@ -1016,3 +1017,12 @@ def test_certificate_below_leading_exponent():
     assert cert.ok
     assert cert.R_prime == pytest.approx(0.75, rel=1e-12)
     assert cert.S == pytest.approx(0.625, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, R", [(Fraction(1, 2), 1e308), (1, 2.0 ** 52)])
+def test_exponent_window_refuses_an_R_that_floats_cannot_separate(alpha, R):
+    # R * 2 overflows past the float range; at 2**52 the window's midpoint
+    # R + 0.5 rounds back to R, so R' - S would be 0
+    gamma = log_power_series([(alpha, (1.0,))])
+    with pytest.raises(ValueError, match="no float S lies between R"):
+        reflect.exponent_window(gamma, R)

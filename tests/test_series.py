@@ -34,7 +34,6 @@ from logsurf.series import (
     evaluate,
     evaluate_many,
     log1p_series,
-    mul_series,
     param_power,
     ps_add,
     ps_compose,
@@ -483,6 +482,13 @@ def test_reversion_is_the_full_inversion_bit_for_bit(f1_mod, f1_arg, rest, order
     _same_bits(reversion(f, order=order), reversion_full(f, order))
 
 
+def test_a_linear_reversion_keeps_exact_zeros_where_the_full_loop_overflows():
+    # w / f_1 is the exact inverse of f_1 w; the full loop's v**2 = 1e400
+    # overflows and puts 0 * inf, so nan, from g_3 on
+    _same_bits(reversion((0j, 1e-200), order=8), (0j, 1e200 + 0j, *[0j] * 7))
+    assert cmath.isnan(reversion_full((0j, 1e-200), 8)[3])
+
+
 @settings(_bitwise, max_examples=300)
 @example(coeffs=[0j, 1.0, 0j, 0j], h=[0j] * 9, d=2, k=1, a_r=1.0, a_phi=1.0, order=16)
 @example(coeffs=[1.0, 1.0, 1.0], h=[], d=1, k=1, a_r=1e300, a_phi=0.5, order=8)
@@ -626,19 +632,14 @@ def test_mixed_denominator_arithmetic(d1, d2, c1, c2, order, z):
     g1, g2 = puiseux(c1, 0.9, d1), puiseux(c2, 0.9, d2)
     with config.trunc_order(order):
         s = add(g1, g2)
-        p = mul_series(g1, g2)
-    assert (add(g1, g2, order), mul_series(g1, g2, order)) == (s, p)
+    assert add(g1, g2, order) == s
     L = math.lcm(d1, d2)
-    assert s.d == p.d == L
-    # Operands keep the terms with exponent <= order / L, the product too.
+    assert s.d == L
+    # Operands keep the terms with exponent <= order / L.
     t1 = [(n * (L // d1), c) for n, c in enumerate(c1) if n * (L // d1) <= order]
     t2 = [(n * (L // d2), c) for n, c in enumerate(c2) if n * (L // d2) <= order]
     want_s, mass_s = _lattice_value(t1 + t2, L, z)
-    want_p, mass_p = _lattice_value(
-        [(i + j, a * b) for i, a in t1 for j, b in t2 if i + j <= order], L, z
-    )
     assert abs(evaluate(s, z) - want_s) <= 1e-12 * mass_s + 1e-15
-    assert abs(evaluate(p, z) - want_p) <= 1e-12 * mass_p + 1e-15
     v1 = evaluate(g1, z)
     assert evaluate(sub(g1, g1), z) == 0.0
     assert evaluate(scale(3.0, g1), z) == pytest.approx(3.0 * v1, rel=1e-13)
