@@ -40,6 +40,7 @@ from .errors import (
     OutOfRadius,
     OutsideExtension,
     PoleCoincidence,
+    PowerUnderflow,
     ResonanceUndeclared,
     SchemaError,
     ScenarioError,

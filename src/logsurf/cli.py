@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +35,7 @@ from .config import MAX_TRUNC_ORDER
 from .corner import (
     CornerSpec,
     IrrationalAngle,
+    NodeData,
     RationalPi,
     WedgeProblem,
     angle_value,
@@ -46,7 +47,7 @@ from .corner import (
     unit_disk_solver,
     wedge_solve,
 )
-from .errors import DegenerateTerm, LogSurfError, SchemaError, ScenarioError, WindowEmpty
+from .errors import DegenerateTerm, LogSurfError, PowerUnderflow, SchemaError, ScenarioError, WindowEmpty
 from .germs import Germ, apply_germ, is_ray, make_germ
 from .logpower import is_log_free, log_power_series, truncate
 from .reflect import (
@@ -55,16 +56,17 @@ from .reflect import (
     conjugate_evaluator,
     envelope,
     envelope_level,
+    envelope_levels,
     exponent_window,
     extend_eval_many,
     init_state,
-    membership,
+    membership_many,
     rotate_evaluator,
     tower,
     worst,
 )
 from .series import PuiseuxSeries, dense_coeffs, evaluate as series_evaluate, puiseux_from_terms
-from .surface import LPoint, fallback_many, raising
+from .surface import LPoint, fallback_many, raising, valid_many
 
 from . import __version__
 
@@ -435,7 +437,38 @@ def _tower(corner, steps, order):
         raise SchemaError(str(exc), loc) from None
 
 
+def _oracle_points(states, rng, n_oracle):
+    """(|z|, arg z) arrays of n_oracle draws of an angle in the top window, each followed,
+    when the angle's probe point has a level, by a radius in that level's window.  One
+    rng.random call draws them all; the generator ends, and an invalid point raises,
+    as n_oracle scalar rounds would (tests/test_cli.py's _scalar_oracle)."""
+    top = states[-1]
+    pad = (top.upper - top.lower) * 1e-3
+    saved = rng.bit_generator.state
+    u = rng.random(2 * n_oracle)
+    ang = top.lower + pad + (top.upper - top.lower - 2 * pad) * u
+    probe = np.full(len(u), top.s * 0.1)
+    level = membership_many(states, probe, ang)
+    s_lev = np.array([0.0] + [st.s for st in states])[level]
+    radius = s_lev * 0.5 * np.roll(u, -1) + s_lev * 1e-6  # no angle takes the last draw
+    point = np.where(level > 0, radius, probe)  # the radius each draw's LPoint checks
+    inside, valid = level.tolist(), valid_many(point, ang).tolist()
+    picks, j = [], 0
+    for _ in range(n_oracle):
+        i, j = j, j + (2 if inside[j] else 1)
+        if not valid[i]:
+            break
+        if inside[i]:
+            picks.append(i)
+    rng.bit_generator.state = saved
+    rng.random(j)
+    if not valid[i]:
+        LPoint(float(point[i]), float(ang[i]))  # raises
+    return radius[picks], ang[picks]
+
+
 def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):
+    """One tower's checks; its boundary and oracle points take one extend_eval_many call."""
     states = _tower(corner, steps, order)
     s1, r1 = states[0].s, states[0].r
     theta, alpha = states[0].theta, states[0].alpha
@@ -459,23 +492,12 @@ def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):
         edge += [(st, apply_germ(st.phi, LPoint(float(t), 0.0)))
                  for t in np.geomspace(t_cap * 1e-2, t_cap, 5)]
 
-    lower, upper = states[-1].lower, states[-1].upper
-    pad = (upper - lower) * 1e-3
-    oracle = []
-    for _ in range(n_oracle):
-        ang = lower + pad + (upper - lower - 2 * pad) * rng.random()
-        lev = membership(states, LPoint(states[-1].s * 0.1, ang))
-        if lev is None:
-            continue
-        s_lev = states[lev - 1].s
-        oracle.append(LPoint(s_lev * 0.5 * rng.random() + s_lev * 1e-6, ang))
+    r, phi = _oracle_points(states, rng, n_oracle)
     # the boundary points, then the oracle points, in one batch
-    points = [z for _, z in edge] + oracle
-    values = extend_eval_many(states, base, [z.r for z in points], [z.phi for z in points])
+    values = extend_eval_many(states, base, [z.r for _, z in edge] + r.tolist(),
+                              [z.phi for _, z in edge] + phi.tolist())
     boundary_err = worst(0.0, *(abs(fv.real - series_evaluate(st.h, z).real)
                                 for (st, z), fv in zip(edge, raising(values[:len(edge)]))))
-    r = np.array([z.r for z in oracle], dtype=float)
-    phi = np.array([z.phi for z in oracle], dtype=float)
     refs = fallback_many(base.f, r, phi, *base.f_many(r, phi))
     oracle_err = worst(0.0, *(abs(fv - ref) / (1.0 + abs(ref))
                               for fv, ref in zip(raising(values[len(edge):]), raising(refs))))
@@ -558,7 +580,10 @@ def _expansion_setup(obj, order):
 def _run_expansion_compare(obj, rng, order):
     states, base, gamma, R, expect_ok = _expansion_setup(obj, order)
     with _at("$"):
-        cert = certify_expansion(states, base, gamma, R)
+        try:
+            cert = certify_expansion(states, base, gamma, R)
+        except PowerUnderflow as exc:
+            raise SchemaError(f"{exc}; a smaller R avoids it, as do fewer steps", "$.R") from None
 
     # C_k and the window ratios are nonnegative, so a leading 0.0 is max()'s default.
     cascade = worst(0.0, *(ck / ak for _, ck, ak, _ in cert.step_bounds if ak > 0))
@@ -586,7 +611,20 @@ def _run_expansion_compare(obj, rng, order):
     return checks, constants, tables
 
 
+def _trig_values(terms, eta: np.ndarray, r: float = 1.0) -> np.ndarray:
+    """The sum of r**n * (a * cos(n * phi) + b * sin(n * phi)) over the terms at each eta, phi = arg eta,
+    bit for bit a Python loop's: math's atan2, cos and sin per element, and float(n) * phi."""
+    phi = np.array(list(map(math.atan2, eta.imag.tolist(), eta.real.tolist())))
+    total = np.zeros(len(phi))
+    for n, a, b in terms:
+        nphi = (float(n) * phi).tolist()
+        cos, sin = np.array(list(map(math.cos, nphi))), np.array(list(map(math.sin, nphi)))
+        total = total + r ** float(n) * (a * cos + b * sin)
+    return total
+
+
 def _run_poisson(obj, rng, order):
+    """The Poisson integral at each point against its closed form; one solve, on NodeData."""
     data = _need(obj, "data", "$.data")
     kind = _need(data, "kind", "$.data")
     nodes = _as_int(obj.get("nodes", 512), "$.nodes", 16, MAX_COUNT)
@@ -595,11 +633,11 @@ def _run_poisson(obj, rng, order):
         raise SchemaError("expected at least one point", "$.points")
     if kind == "constant":
         value = _as_real(_need(data, "value", "$.data"), "$.data.value")
-        h = lambda eta: value
+        h = NodeData(lambda eta: np.full(len(eta), value))
         ref = lambda xi: value
         tol = 1e-10
     elif kind == "re":
-        h = lambda eta: eta.real
+        h = NodeData(lambda eta: eta.real)
         ref = lambda xi: xi.real
         tol = 1e-6
     elif kind == "trig":
@@ -613,18 +651,8 @@ def _run_poisson(obj, rng, order):
             a = _as_real(t.get("cos", 0.0), f"{tloc}.cos")
             b = _as_real(t.get("sin", 0.0), f"{tloc}.sin")
             terms.append((n, a, b))
-        def h(eta):
-            phi = math.atan2(eta.imag, eta.real)
-            return sum(a * math.cos(n * phi) + b * math.sin(n * phi) for n, a, b in terms)
-
-        def ref(xi):
-            r = abs(xi)
-            phi = math.atan2(xi.imag, xi.real)
-            return sum(
-                r ** n * (a * math.cos(n * phi) + b * math.sin(n * phi))
-                for n, a, b in terms
-            )
-
+        h = NodeData(lambda eta: _trig_values(terms, eta))  # r**n = 1.0 on the circle
+        ref = lambda xi: float(_trig_values(terms, np.array([xi]), abs(xi))[0])
         tol = 1e-6
     else:
         raise SchemaError(f"unknown data kind {kind!r}", "$.data.kind")
@@ -679,6 +707,7 @@ def _run_green(obj, rng, order):
 
 
 def _run_envelope(obj, rng, order):
+    """The envelope's domain against the windows at samples of x, leveled in one sweep."""
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
     steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3)
     phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max")
@@ -697,8 +726,9 @@ def _run_envelope(obj, rng, order):
         env = envelope(states, phi_max)
 
     violations = 0
-    for x in np.geomspace(1.0, phi_max, samples):
-        window_radius = s1 / 100.0 ** (envelope_level(theta, x) - 1)
+    xs = np.geomspace(1.0, phi_max, samples).tolist()
+    for x, lev in zip(xs, envelope_levels(theta, xs)):
+        window_radius = s1 / 100.0 ** (lev - 1)
         envelope_radius = env.domain.c * math.exp(-env.domain.C * math.sqrt(x))
         if envelope_radius > window_radius:
             violations += 1
@@ -769,7 +799,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
 
     payload = {
         "scenario": obj,
-        "checks": [asdict(c) for c in sorted(checks, key=lambda c: c.name)],
+        "checks": [dict(vars(c)) for c in sorted(checks, key=lambda c: c.name)],
         "constants": {k: float(v) for k, v in sorted(constants.items())},
         "passed": all(c.passed for c in checks),
         "tables": sorted(tables),

@@ -61,6 +61,10 @@ class WindowEmpty(LogSurfError):
     before the last step."""
 
 
+class PowerUnderflow(WindowEmpty):
+    """A certificate power |z|**R' or |z|**S underflowed to 0.0 at a sample."""
+
+
 class SchemaError(LogSurfError):
     """A scenario file does not match the expected schema."""
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Sequence
 
@@ -43,6 +43,7 @@ from .errors import (
     InsufficientSteps,
     NotNormalized,
     OutsideExtension,
+    PowerUnderflow,
     WindowEmpty,
 )
 from .germs import (
@@ -369,10 +370,19 @@ def envelope_level(theta: float, x: float) -> int:
     The level-k window covers x < 2**(k-1) * theta - pi/2, the printed
     reach that holds for curved corners as well as straight ones.
     """
-    k = 1
-    while _reach(theta, k) <= x:
-        k += 1
-    return k
+    return envelope_levels(theta, [x])[0]
+
+
+def envelope_levels(theta: float, xs) -> list[int]:
+    """envelope_level at each x of the list xs, in one sweep: the reach grows with k,
+    so a search starts at the level of the x before, or at 1 when x is below it (or nan)."""
+    levels, k = [], 1
+    for prev, x in zip([math.inf, *xs], xs):
+        k = k if x >= prev else 1
+        while _reach(theta, k) <= x:
+            k += 1
+        levels.append(k)
+    return levels
 
 
 @dataclass(frozen=True)
@@ -557,7 +567,8 @@ def certify_expansion(
     scale t_k = A**(-k / (R' - S)) stays below s_k; the window check then
     verifies |f - gamma| <= |z|**S for t_{k+1} <= |z| <= t_k.  Both folds
     use worst, so a nan sample makes its C_k nan and fails its window.
-    Raises WindowEmpty when the scales underflow before the last level.
+    Raises WindowEmpty when the scales underflow before the last level, and
+    PowerUnderflow when |z|**R' or |z|**S does at a sample (a smaller R avoids it).
     Each of the two passes evaluates f at all of its samples, over every
     window, in one extend_eval_many call, and gamma in one
     logpower.evaluate_many call, so every value is that of extend_eval and
@@ -572,12 +583,14 @@ def certify_expansion(
     ]
     # the residual err - floor * size over |z|**R', or 0.0 where it is
     # <= 0; a nan residual is not <= 0, so it reaches the fold and C_k is nan
-    def excess(r, err, size):
+    def excess(k, r, err, size):
         e = err - _NOISE_FLOOR * size
+        if not e <= 0 and r ** R_prime == 0.0:
+            raise PowerUnderflow(f"|z|**R' underflows to 0.0 at level {k}: |z| = {r}, R' = {R_prime}")
         return 0.0 if e <= 0 else e / r ** R_prime
 
-    c_values = [_window_worst(samples, excess)
-                for samples in _cert_samples(states, base, gamma, angle_samples, grids)]
+    c_values = [_window_worst(samples, partial(excess, k))
+                for k, samples in enumerate(_cert_samples(states, base, gamma, angle_samples, grids), 1)]
 
     denom = R_prime - S
     A = 1.0001
@@ -600,8 +613,11 @@ def certify_expansion(
     for idx, st in enumerate(states):
         t_hi, t_lo = scales[st.k - 1], scales[st.k]
         lo_r = max(t_lo, t_hi * 1e-3)
-        if t_hi < 1e-300 or t_lo == 0.0 or lo_r ** S == 0.0:
+        if t_hi < 1e-300 or t_lo == 0.0:
             empty = WindowEmpty(f"certificate scales underflow at level {st.k}: t = {t_hi}")
+            break
+        if lo_r ** S == 0.0:
+            empty = PowerUnderflow(f"|z|**S underflows to 0.0 at level {st.k}: |z| = {lo_r}, S = {S}")
             break
         grids.append((idx, np.geomspace(lo_r, t_hi, 6)))
     window_rows = []

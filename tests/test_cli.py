@@ -15,9 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsurf import SchemaError, get_trunc_order
-from logsurf import cli
+from logsurf import SchemaError, apply_germ, extend_eval, get_trunc_order
+from logsurf import cli, reflect
 from logsurf.cli import main, run
+from logsurf.reflect import worst
+from logsurf.series import evaluate as series_evaluate
+from logsurf.surface import LPoint
+
+from conftest import bits
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -339,6 +344,12 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("wedge_irrational", ("edge0", 0, "beta_num"), 10**20, "$.edge0[0]"),
         # floats hold no exponent between R = 1e308 and the next one, R + 1
         ("expansion_sanity", ("R",), 1e308, "$.R"),
+        # the window check's |z|**S underflows at a sampled radius
+        ("expansion_sanity", ("R",), 100, "$.R"),
+        ("expansion_sanity", ("R",), 1000, "$.R"),
+        ("expansion_sanity", ("R",), 1e6, "$.R"),
+        # a deep window's |z|**R' underflows where C_k divides by it
+        ("expansion_sanity", ("steps",), 60, "$.R"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -362,6 +373,25 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
     assert "Traceback" not in err
     # nor a raw message of float arithmetic
     assert "math range error" not in err and "Numerical result out of range" not in err
+    assert "division by zero" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("R", 100, "$.R: |z|**S underflows to 0.0 at level 2: |z| = 1.575364725297846e-05, S = 100.25; "
+                   "a smaller R avoids it, as do fewer steps"),
+        ("steps", 60, "$.R: |z|**R' underflows to 0.0 at level 59: |z| = 1.0000000000000006e-118, "
+                      "R' = 2.75; a smaller R avoids it, as do fewer steps"),
+    ],
+    ids=["R_100", "steps_60"],
+)
+def test_a_certificate_power_that_underflows_names_R(tmp_path, capsys, key, value, message):
+    obj = json.loads((SCENARIOS / "expansion_sanity.json").read_text())
+    obj[key] = value
+    rc = main(["run", str(_write(tmp_path, "mutated.json", obj)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error (mutated.json): {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -473,6 +503,162 @@ def test_reflect_runner_makes_one_batch_per_tower_and_one_for_the_grid(tmp_path)
     with mock.patch.object(cli, "extend_eval_many", wraps=cli.extend_eval_many) as batch:
         assert run(SCENARIOS / "reflect_wedge.json", tmp_path).passed
     assert batch.call_count == 3
+
+
+def test_reflect_runner_makes_no_scalar_membership_call(tmp_path):
+    # the oracle angles take membership_many (200 scalar calls before);
+    # membership is patched whether or not cli imports it
+    with mock.patch.object(cli, "membership", wraps=reflect.membership, create=True) as member, \
+            mock.patch.object(cli, "apply_germ", wraps=cli.apply_germ) as germ:
+        assert run(SCENARIOS / "reflect_wedge.json", tmp_path).passed
+    # two towers, two levels below the top, five boundary images each
+    assert (member.call_count, germ.call_count) == (0, 2 * 2 * 5)
+
+
+def _scalar_oracle(states, rng, n_oracle):
+    """The oracle points of the scalar loop that cli._oracle_points replaces."""
+    lower, upper = states[-1].lower, states[-1].upper
+    pad = (upper - lower) * 1e-3
+    r, phi = [], []
+    for _ in range(n_oracle):
+        ang = lower + pad + (upper - lower - 2 * pad) * rng.random()
+        lev = reflect.membership(states, LPoint(states[-1].s * 0.1, ang))
+        if lev is None:
+            continue
+        s_lev = states[lev - 1].s
+        z = LPoint(s_lev * 0.5 * rng.random() + s_lev * 1e-6, ang)
+        r.append(z.r)
+        phi.append(z.phi)
+    return r, phi
+
+
+def _reflect_states(mirror=False, **changes):
+    """reflect_wedge's tower (3 levels), its corner changed by changes[field] = {key: value}."""
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+    for field, values in changes.items():
+        target = obj["corner"] if field == "corner" else obj["corner"][field]
+        target.update(values)
+    corner = cli._parse_corner(obj["corner"], "$.corner", 32)
+    return cli._tower(reflect.conjugate_corner(corner) if mirror else corner, obj["steps"], 32)
+
+
+def _oracle_outcome(draw, states, seed):
+    """The points draw(states, rng, 100) gives as float hex, or its
+    exception's type and message; then the generator's state."""
+    rng = np.random.default_rng(seed)
+    try:
+        r, phi = draw(states, rng, 100)
+        result = (bits(*r), bits(*phi))
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    return result, rng.bit_generator.state
+
+
+# The top window of this tower spans 4 ulps of its lower edge 1e6, so
+# lower + pad == lower, and a draw whose angle rounds to lower is in no window.
+NARROW = {"psi": {"a_phi": 1e6}, "chi": {"a_phi": 1e6 + 2e-10},
+          "theta": {"value": (1e6 + 2e-10) - 1e6}}
+
+
+@pytest.mark.parametrize("seed", [7, 0, 1])
+@pytest.mark.parametrize(
+    "mirror, changes",
+    [(False, {}), (True, {}), (False, NARROW)],
+    ids=["reflect_wedge", "reflect_wedge_mirror", "narrow_top_window"],
+)
+def test_oracle_draw_is_the_scalar_loop(mirror, changes, seed):
+    states = _reflect_states(mirror, **changes)
+    got = _oracle_outcome(cli._oracle_points, states, seed)
+    assert got == _oracle_outcome(_scalar_oracle, states, seed)
+    if changes:  # some draws land in no window, so fewer than 100 points are drawn
+        assert 0 < len(got[0][0]) // 2 < 100
+
+
+@pytest.mark.parametrize(
+    "eps, seed",
+    [
+        # s_3 = 1e-322: a radius s_3 * 0.5 * u + s_3 * 1e-6 rounds to 0.0
+        (1e-318, 0),
+        # s_3 = 5e-324: the first probe radius s_3 * 0.1 is 0.0
+        (5e-320, 7),
+    ],
+)
+def test_oracle_draw_raises_lpoints_exception_where_the_scalar_loop_does(eps, seed):
+    states = _reflect_states(corner={"eps": eps})
+    got = _oracle_outcome(cli._oracle_points, states, seed)
+    assert got[0] == (ValueError, "modulus must be a finite positive real, got 0.0")
+    assert got == _oracle_outcome(_scalar_oracle, states, seed)
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["reflect_wedge", "reflect_wedge_mirror"])
+def test_reflect_checks_fold_the_scalar_values(mirror):
+    # boundary_data and oracle_match are the scalar loop's folds, bit for bit:
+    # apply_germ images, extend_eval values, h_k by evaluate, base.f references
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+    corner = cli._parse_corner(obj["corner"], "$.corner", 32)
+    base, _ = cli._straight_wedge_base(corner, "$.corner")
+    if mirror:
+        corner, base = reflect.conjugate_corner(corner), reflect.conjugate_evaluator(base)
+    states, checks = cli._reflect_checks(corner, base, 3, 32, np.random.default_rng(7), 100)
+    edge = [(st, apply_germ(st.phi, LPoint(float(t), 0.0))) for st in states[:-1]
+            for t in np.geomspace(min(states[st.k].s, st.phi.radius) * 0.5e-2,
+                                  min(states[st.k].s, st.phi.radius) * 0.5, 5)]
+    boundary = worst(0.0, *(abs(extend_eval(states, base, z).real - series_evaluate(st.h, z).real)
+                            for st, z in edge))
+    r, phi = _scalar_oracle(states, np.random.default_rng(7), 100)
+    oracle = worst(0.0, *(abs(extend_eval(states, base, z) - base.f(z)) / (1.0 + abs(base.f(z)))
+                          for z in map(LPoint, r, phi)))
+    observed = {c.name: c.observed for c in checks}
+    assert bits(observed["boundary_data"], observed["oracle_match"]) == bits(boundary, oracle)
+
+
+def test_envelope_runner_sweeps_its_sample_levels(tmp_path):
+    # one envelope_level call, for the deepest level; the samples take one sweep
+    with mock.patch.object(cli, "envelope_level", wraps=cli.envelope_level) as level:
+        assert run(SCENARIOS / "envelope_wedge.json", tmp_path).passed
+    assert level.call_count == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [None, {"kind": "constant", "value": 2.5}, {"kind": "re"}],
+    ids=["trig", "constant", "re"],
+)
+def test_poisson_solve_takes_node_data(tmp_path, monkeypatch, data):
+    received = []
+    solver = cli.unit_disk_solver
+
+    def recording(nodes):
+        solve = solver(nodes)
+        return lambda h: received.append(type(h)) or solve(h)
+
+    monkeypatch.setattr(cli, "unit_disk_solver", recording)
+    obj = json.loads((SCENARIOS / "poisson_disk.json").read_text())
+    if data is not None:
+        obj["data"] = data
+    assert run(_write(tmp_path, "poisson.json", obj), tmp_path / "o").passed
+    assert received == [cli.NodeData]
+
+
+_coefficient = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    terms=st.lists(st.tuples(st.integers(0, 10**300), _coefficient, _coefficient), max_size=4),
+    nodes=st.integers(16, 2048),
+    xi=st.complex_numbers(max_magnitude=0.999),
+)
+def test_trig_node_data_is_the_per_node_sum(terms, nodes, xi):
+    # n * pi is finite for n up to 1e300, as the runner requires; the
+    # reference at a point xi of the disc is the same sum times |xi|**n
+    eta = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    want = [float(sum(a * math.cos(n * phi) + b * math.sin(n * phi) for n, a, b in terms))
+            for phi in (math.atan2(e.imag, e.real) for e in eta.tolist())]
+    assert bits(*cli._trig_values(terms, eta).tolist()) == bits(*want)
+    r, phi = abs(xi), math.atan2(xi.imag, xi.real)
+    ref = sum(r ** n * (a * math.cos(n * phi) + b * math.sin(n * phi)) for n, a, b in terms)
+    assert bits(*cli._trig_values(terms, np.array([xi]), r).tolist()) == bits(ref)
 
 
 def test_disc_runners_solve_once_per_data(tmp_path, monkeypatch):
@@ -652,6 +838,20 @@ def test_summary_structure(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["r", "phi", "u", "re_f", "im_f", "status"]
     assert all(row[5] == "ok" for row in rows[1:])
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_summary_bytes_are_the_sorted_indented_dump(tmp_path, path):
+    run(path, tmp_path)
+    text = (tmp_path / "summary.json").read_bytes().decode()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_outside_grid_rows_have_empty_value_cells(tmp_path):
+    run(SCENARIOS / "reflect_wedge.json", tmp_path)
+    data = (tmp_path / "extension_grid.csv").read_bytes()
+    assert b"\n0.010238362555396089,1.3346666666666667,,,,outside\n" in data
+    assert data.startswith(b"r,phi,u,re_f,im_f,status\n") and b"\r" not in data
 
 
 def test_reflect_grid_marks_outside_points(tmp_path):

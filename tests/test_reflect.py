@@ -873,6 +873,28 @@ def test_envelope_containments():
         assert env.domain.c * math.exp(-env.domain.C * math.sqrt(x)) <= depth * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize(
+    "xs",
+    [
+        np.geomspace(1.0, 1e4, 200).tolist(),
+        # a descent or a nan restarts the search at level 1; a repeat
+        # continues from the level before
+        [3.0, 1.0, 1e3, 2.0, 2.0, 50.0, math.nan, 7.0, 1e4, 0.5, 1.0],
+        [],
+    ],
+    ids=["ascending", "not_ascending", "empty"],
+)
+@pytest.mark.parametrize("theta", [1.0, 0.3, math.pi / 2])
+def test_envelope_levels_equal_envelope_level_at_every_sample(theta, xs):
+    want = []
+    for x in xs:
+        lev = 1
+        while 2.0 ** (lev - 1) * theta - math.pi / 2 <= x:
+            lev += 1
+        want.append(lev)
+    assert reflect.envelope_levels(theta, xs) == [reflect.envelope_level(theta, x) for x in xs] == want
+
+
 # ----------------------------------------------------------------------
 # expansion certificates
 # ----------------------------------------------------------------------
