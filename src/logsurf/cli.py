@@ -12,7 +12,8 @@ of range, is such an error: it never escapes as a traceback.  Every
 number must be finite.  Counts, coefficient indices and the truncation
 order (at most MAX_TRUNC_ORDER = 1024, from the file or --trunc-order)
 are bounded, so no file asks for unbounded work.  Flags are json
-booleans.  A check whose error is nan fails.
+booleans.  A check whose error is nan fails.  The reflect runner's checks on
+the boundary data and the oracle fold the levels of reflect.tower_errors.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .corner import (
     wedge_solve,
 )
 from .errors import DegenerateTerm, LogSurfError, PowerUnderflow, SchemaError, ScenarioError, WindowEmpty
-from .germs import Germ, apply_germ, is_ray, make_germ
+from .germs import Germ, is_ray, make_germ
 from .logpower import is_log_free, log_power_series, truncate
 from .reflect import (
     certify_expansion,
@@ -60,13 +61,13 @@ from .reflect import (
     exponent_window,
     extend_eval_many,
     init_state,
-    membership_many,
     rotate_evaluator,
     tower,
+    tower_errors,
     worst,
 )
-from .series import PuiseuxSeries, dense_coeffs, evaluate as series_evaluate, puiseux_from_terms
-from .surface import LPoint, fallback_many, raising, valid_many
+from .series import PuiseuxSeries, dense_coeffs, puiseux_from_terms
+from .surface import LPoint
 
 from . import __version__
 
@@ -417,65 +418,34 @@ _DEEPEST_LEVEL = 155  # the last level whose radius scale 100**(k - 1) is a floa
 
 
 def _tower(corner, steps, order):
-    """tower(corner, steps, order); a level radius that underflows is a SchemaError.
+    """tower(corner, steps, order), its errors at $.corner; an underflowing radius is a SchemaError.
 
     Within _DEEPEST_LEVEL levels a radius underflows only from a small s_1,
     so the error names the first corner field equal to s_1: eps, then the
     psi, chi, g0 and g1 radii, or $.corner itself when s_1 is a radius
     transported by a curve.  Past that depth it is at $.steps.
     """
-    try:
-        return tower(corner, steps, order)
-    except WindowEmpty as exc:
-        loc = "$.steps"
-        if steps <= _DEEPEST_LEVEL:
-            s1 = init_state(corner, order).s
-            fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
-                      ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
-                      ("g1.radius", corner.g1.radius))
-            loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
-        raise SchemaError(str(exc), loc) from None
-
-
-def _oracle_points(states, rng, n_oracle):
-    """(|z|, arg z) arrays of n_oracle draws of an angle in the top window, each followed,
-    when the angle's probe point has a level, by a radius in that level's window.  One
-    rng.random call draws them all; the generator ends, and an invalid point raises,
-    as n_oracle scalar rounds would (tests/test_cli.py's _scalar_oracle)."""
-    top = states[-1]
-    pad = (top.upper - top.lower) * 1e-3
-    saved = rng.bit_generator.state
-    u = rng.random(2 * n_oracle)
-    ang = top.lower + pad + (top.upper - top.lower - 2 * pad) * u
-    probe = np.full(len(u), top.s * 0.1)
-    level = membership_many(states, probe, ang)
-    s_lev = np.array([0.0] + [st.s for st in states])[level]
-    radius = s_lev * 0.5 * np.roll(u, -1) + s_lev * 1e-6  # no angle takes the last draw
-    point = np.where(level > 0, radius, probe)  # the radius each draw's LPoint checks
-    inside, valid = level.tolist(), valid_many(point, ang).tolist()
-    picks, j = [], 0
-    for _ in range(n_oracle):
-        i, j = j, j + (2 if inside[j] else 1)
-        if not valid[i]:
-            break
-        if inside[i]:
-            picks.append(i)
-    rng.bit_generator.state = saved
-    rng.random(j)
-    if not valid[i]:
-        LPoint(float(point[i]), float(ang[i]))  # raises
-    return radius[picks], ang[picks]
+    with _at("$.corner"):
+        try:
+            return tower(corner, steps, order)
+        except WindowEmpty as exc:
+            loc = "$.steps"
+            if steps <= _DEEPEST_LEVEL:
+                s1 = init_state(corner, order).s
+                fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
+                          ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
+                          ("g1.radius", corner.g1.radius))
+                loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
+            raise SchemaError(str(exc), loc) from None
 
 
 def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):
-    """One tower's checks; its boundary and oracle points take one extend_eval_many call."""
+    """One tower's checks: four from its levels' fields, and the worst level of each tower_errors row."""
     states = _tower(corner, steps, order)
     s1, r1 = states[0].s, states[0].r
     theta, alpha = states[0].theta, states[0].alpha
 
-    drift = 0.0
-    angle_err = 0.0
-    mod_err = 0.0
+    drift = angle_err = mod_err = 0.0
     # h0, h_1 and the sums of the transport have denominators dividing d_top
     d_top = math.lcm(states[0].h0.d, states[0].h.d)
     d_stable = True
@@ -486,29 +456,14 @@ def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):
         mod_err = worst(mod_err, abs(st.phi.a.r - 1.0))
         d_stable = d_stable and d_top % st.h.d == 0
 
-    edge = []
-    for st in states[:-1]:
-        t_cap = min(states[st.k].s, st.phi.radius) * 0.5
-        edge += [(st, apply_germ(st.phi, LPoint(float(t), 0.0)))
-                 for t in np.geomspace(t_cap * 1e-2, t_cap, 5)]
-
-    r, phi = _oracle_points(states, rng, n_oracle)
-    # the boundary points, then the oracle points, in one batch
-    values = extend_eval_many(states, base, [z.r for _, z in edge] + r.tolist(),
-                              [z.phi for _, z in edge] + phi.tolist())
-    boundary_err = worst(0.0, *(abs(fv.real - series_evaluate(st.h, z).real)
-                                for (st, z), fv in zip(edge, raising(values[:len(edge)]))))
-    refs = fallback_many(base.f, r, phi, *base.f_many(r, phi))
-    oracle_err = worst(0.0, *(abs(fv - ref) / (1.0 + abs(ref))
-                              for fv, ref in zip(raising(values[len(edge):]), raising(refs))))
-
+    boundary, oracle = tower_errors(states, base, rng, n_oracle)
     checks = [
         _check_max(f"radius_recursion{suffix}", drift, 1e-12),
         _check_max(f"angle_doubling{suffix}", angle_err, 1e-10),
         _check_max(f"unit_modulus{suffix}", mod_err, 1e-10),
         _check_flag(f"denominator_stable{suffix}", d_stable),
-        _check_max(f"boundary_data{suffix}", boundary_err, 1e-8),
-        _check_max(f"oracle_match{suffix}", oracle_err, 1e-8),
+        _check_max(f"boundary_data{suffix}", worst(0.0, *boundary), 1e-8),
+        _check_max(f"oracle_match{suffix}", worst(0.0, *oracle), 1e-8),
     ]
     return states, checks
 
@@ -572,9 +527,7 @@ def _expansion_setup(obj, order):
         )
     with _at("$.R", SchemaError):
         exponent_window(gamma, R)
-    with _at("$"):
-        states = _tower(corner, steps, order)
-    return states, base, gamma, R, expect_ok
+    return _tower(corner, steps, order), base, gamma, R, expect_ok
 
 
 def _run_expansion_compare(obj, rng, order):
@@ -714,8 +667,8 @@ def _run_envelope(obj, rng, order):
     if not phi_max >= 1.0:
         raise SchemaError("phi_max must be at least 1", "$.phi_max")
     samples = _as_int(obj.get("samples", 64), "$.samples", 2, MAX_COUNT)
+    states = _tower(corner, steps, order)
     with _at("$"):
-        states = _tower(corner, steps, order)
         theta, s1 = states[0].theta, states[0].s
         try:
             deepest = envelope_level(theta, phi_max)  # the deepest level envelope reads

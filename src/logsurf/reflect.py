@@ -24,6 +24,8 @@ extension reach every quadratic domain.
 extend_eval evaluates the extension at one point, carrying it as the
 floats (r, phi) through the descent; extend_eval_many evaluates many
 points on float64 arrays, with extend_eval's floats and exceptions.
+tower_errors checks a tower against its base, level by level: f against
+h_k on each curve phi_k, and against base.f at random points of each window.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .errors import (
 )
 from .germs import (
     Germ,
+    apply_germ,
     apply_germ_many,
     apply_germ_polar,
     compose,
@@ -317,6 +320,59 @@ def extend_eval_many(
             ok[idx[~(good[:m] & good[m:])]] = False
 
     return fallback_many(scalar, r, phi, val_r, val_i, ok)
+
+
+def _oracle_points(states, rng, n_oracle):
+    """(|z|, arg z, level) arrays of n_oracle draws of an angle in the top window, each followed,
+    when the angle's probe point has a level, by a radius in that level's window.  One
+    rng.random call draws them all; the generator ends, and an invalid point raises,
+    as n_oracle scalar rounds would (tests/test_cli.py's _scalar_oracle)."""
+    top = states[-1]
+    pad = (top.upper - top.lower) * 1e-3
+    saved = rng.bit_generator.state
+    u = rng.random(2 * n_oracle)
+    ang = top.lower + pad + (top.upper - top.lower - 2 * pad) * u
+    probe = np.full(len(u), top.s * 0.1)
+    level = membership_many(states, probe, ang)
+    s_lev = np.array([0.0] + [st.s for st in states])[level]
+    radius = s_lev * 0.5 * np.roll(u, -1) + s_lev * 1e-6  # no angle takes the last draw
+    point = np.where(level > 0, radius, probe)  # the radius each draw's LPoint checks
+    inside, valid = level.tolist(), valid_many(point, ang).tolist()
+    picks, j = [], 0
+    for _ in range(n_oracle):
+        i, j = j, j + (2 if inside[j] else 1)
+        if not valid[i]:
+            break
+        if inside[i]:
+            picks.append(i)
+    rng.bit_generator.state = saved
+    rng.random(j)
+    if not valid[i]:
+        LPoint(float(point[i]), float(ang[i]))  # raises
+    return radius[picks], ang[picks], level[picks]
+
+
+def tower_errors(states: Sequence[ReflectionState], base: HarmonicEvaluator, rng, n_oracle: int) -> tuple:
+    """Each level's worst boundary and oracle errors, as two lists: entry k - 1 of the first
+    is max |Re f - Re h_k| at five images phi_k(t), t up to min(s_{k+1}, phi_k's radius) / 2,
+    for each level below the top; of the second, max |f - ref| / (1 + |ref|), ref = base.f,
+    at the _oracle_points in level k's window (0.0 for none; nan if any error is nan).  f is
+    extend_eval's value, all points in one extend_eval_many call, so base needs f_many.
+    The images raise first, then the draw, then each point's f before its h_k or ref."""
+    edge = []
+    for st in states[:-1]:
+        t_cap = min(states[st.k].s, st.phi.radius) * 0.5
+        edge += [(st, apply_germ(st.phi, LPoint(float(t), 0.0))) for t in np.geomspace(t_cap * 1e-2, t_cap, 5)]
+    r, phi, level = _oracle_points(states, rng, n_oracle)
+    values = extend_eval_many(states, base, [z.r for _, z in edge] + r.tolist(),
+                              [z.phi for _, z in edge] + phi.tolist())
+    boundary, oracle = [[0.0] for _ in states[:-1]], [[0.0] for _ in states]
+    for (st, z), fv in zip(edge, raising(values[:len(edge)])):
+        boundary[st.k - 1].append(abs(fv.real - evaluate_polar(st.h, z.r, z.phi).real))
+    refs = fallback_many(base.f, r, phi, *base.f_many(r, phi))
+    for k, fv, ref in zip(level.tolist(), raising(values[len(edge):]), raising(refs)):
+        oracle[k - 1].append(abs(fv - ref) / (1.0 + abs(ref)))
+    return [worst(*row) for row in boundary], [worst(*row) for row in oracle]
 
 
 def conjugate_corner(corner: CornerSpec) -> CornerSpec:

@@ -499,27 +499,32 @@ def test_wedge_runner_evaluates_each_grid_point_once(tmp_path):
 
 def test_reflect_runner_makes_one_batch_per_tower_and_one_for_the_grid(tmp_path):
     # negative: true builds two towers; each sends its boundary and oracle
-    # points through one extend_eval_many call
-    with mock.patch.object(cli, "extend_eval_many", wraps=cli.extend_eval_many) as batch:
+    # points through one extend_eval_many call in reflect.tower_errors
+    with mock.patch.object(reflect, "extend_eval_many", wraps=reflect.extend_eval_many) as batch, \
+            mock.patch.object(cli, "extend_eval_many", batch):
         assert run(SCENARIOS / "reflect_wedge.json", tmp_path).passed
     assert batch.call_count == 3
 
 
-def test_reflect_runner_makes_no_scalar_membership_call(tmp_path):
-    # the oracle angles take membership_many (200 scalar calls before);
-    # membership is patched whether or not cli imports it
-    with mock.patch.object(cli, "membership", wraps=reflect.membership, create=True) as member, \
-            mock.patch.object(cli, "apply_germ", wraps=cli.apply_germ) as germ:
-        assert run(SCENARIOS / "reflect_wedge.json", tmp_path).passed
+def test_reflect_runner_makes_no_scalar_membership_call():
+    # the oracle angles take membership_many (200 scalar calls before); the
+    # extension grid's points in no window still take membership, so the two
+    # towers' checks are counted on their own
+    towers = [_reflect_tower(), _reflect_tower(mirror=True)]
+    rng = np.random.default_rng(7)
+    with mock.patch.object(reflect, "membership", wraps=reflect.membership) as member, \
+            mock.patch.object(reflect, "apply_germ", wraps=reflect.apply_germ) as germ:
+        for states, base in towers:
+            reflect.tower_errors(states, base, rng, 100)
     # two towers, two levels below the top, five boundary images each
     assert (member.call_count, germ.call_count) == (0, 2 * 2 * 5)
 
 
 def _scalar_oracle(states, rng, n_oracle):
-    """The oracle points of the scalar loop that cli._oracle_points replaces."""
+    """The oracle points and their levels, by the scalar loop that reflect._oracle_points replaces."""
     lower, upper = states[-1].lower, states[-1].upper
     pad = (upper - lower) * 1e-3
-    r, phi = [], []
+    r, phi, level = [], [], []
     for _ in range(n_oracle):
         ang = lower + pad + (upper - lower - 2 * pad) * rng.random()
         lev = reflect.membership(states, LPoint(states[-1].s * 0.1, ang))
@@ -529,7 +534,8 @@ def _scalar_oracle(states, rng, n_oracle):
         z = LPoint(s_lev * 0.5 * rng.random() + s_lev * 1e-6, ang)
         r.append(z.r)
         phi.append(z.phi)
-    return r, phi
+        level.append(lev)
+    return r, phi, level
 
 
 def _reflect_states(mirror=False, **changes):
@@ -542,13 +548,20 @@ def _reflect_states(mirror=False, **changes):
     return cli._tower(reflect.conjugate_corner(corner) if mirror else corner, obj["steps"], 32)
 
 
+def _reflect_tower(mirror=False):
+    """reflect_wedge's tower and its base, or the mirror's."""
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+    base, _ = cli._straight_wedge_base(cli._parse_corner(obj["corner"], "$.corner", 32), "$.corner")
+    return _reflect_states(mirror), reflect.conjugate_evaluator(base) if mirror else base
+
+
 def _oracle_outcome(draw, states, seed):
-    """The points draw(states, rng, 100) gives as float hex, or its
-    exception's type and message; then the generator's state."""
+    """The points draw(states, rng, 100) gives as float hex, with their levels,
+    or its exception's type and message; then the generator's state."""
     rng = np.random.default_rng(seed)
     try:
-        r, phi = draw(states, rng, 100)
-        result = (bits(*r), bits(*phi))
+        r, phi, level = draw(states, rng, 100)
+        result = (bits(*r), bits(*phi), [int(k) for k in level])
     except Exception as exc:
         result = (type(exc), str(exc))
     return result, rng.bit_generator.state
@@ -568,7 +581,7 @@ NARROW = {"psi": {"a_phi": 1e6}, "chi": {"a_phi": 1e6 + 2e-10},
 )
 def test_oracle_draw_is_the_scalar_loop(mirror, changes, seed):
     states = _reflect_states(mirror, **changes)
-    got = _oracle_outcome(cli._oracle_points, states, seed)
+    got = _oracle_outcome(reflect._oracle_points, states, seed)
     assert got == _oracle_outcome(_scalar_oracle, states, seed)
     if changes:  # some draws land in no window, so fewer than 100 points are drawn
         assert 0 < len(got[0][0]) // 2 < 100
@@ -585,31 +598,83 @@ def test_oracle_draw_is_the_scalar_loop(mirror, changes, seed):
 )
 def test_oracle_draw_raises_lpoints_exception_where_the_scalar_loop_does(eps, seed):
     states = _reflect_states(corner={"eps": eps})
-    got = _oracle_outcome(cli._oracle_points, states, seed)
+    got = _oracle_outcome(reflect._oracle_points, states, seed)
     assert got[0] == (ValueError, "modulus must be a finite positive real, got 0.0")
     assert got == _oracle_outcome(_scalar_oracle, states, seed)
 
 
+def _scalar_rows(states, base, rng):
+    """tower_errors' two rows by the scalar loop: apply_germ images, extend_eval
+    values, h_k by evaluate, base.f references, each folded into its level's entry."""
+    boundary, oracle = [0.0] * (len(states) - 1), [0.0] * len(states)
+    for st in states[:-1]:
+        t_cap = min(states[st.k].s, st.phi.radius) * 0.5
+        for t in np.geomspace(t_cap * 1e-2, t_cap, 5):
+            z = apply_germ(st.phi, LPoint(float(t), 0.0))
+            err = abs(extend_eval(states, base, z).real - series_evaluate(st.h, z).real)
+            boundary[st.k - 1] = worst(boundary[st.k - 1], err)
+    r, phi, level = _scalar_oracle(states, rng, 100)
+    for z, k in zip(map(LPoint, r, phi), level):
+        err = abs(extend_eval(states, base, z) - base.f(z)) / (1.0 + abs(base.f(z)))
+        oracle[k - 1] = worst(oracle[k - 1], err)
+    return boundary, oracle
+
+
 @pytest.mark.parametrize("mirror", [False, True], ids=["reflect_wedge", "reflect_wedge_mirror"])
-def test_reflect_checks_fold_the_scalar_values(mirror):
-    # boundary_data and oracle_match are the scalar loop's folds, bit for bit:
-    # apply_germ images, extend_eval values, h_k by evaluate, base.f references
-    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
-    corner = cli._parse_corner(obj["corner"], "$.corner", 32)
-    base, _ = cli._straight_wedge_base(corner, "$.corner")
-    if mirror:
-        corner, base = reflect.conjugate_corner(corner), reflect.conjugate_evaluator(base)
-    states, checks = cli._reflect_checks(corner, base, 3, 32, np.random.default_rng(7), 100)
-    edge = [(st, apply_germ(st.phi, LPoint(float(t), 0.0))) for st in states[:-1]
-            for t in np.geomspace(min(states[st.k].s, st.phi.radius) * 0.5e-2,
-                                  min(states[st.k].s, st.phi.radius) * 0.5, 5)]
-    boundary = worst(0.0, *(abs(extend_eval(states, base, z).real - series_evaluate(st.h, z).real)
-                            for st, z in edge))
-    r, phi = _scalar_oracle(states, np.random.default_rng(7), 100)
-    oracle = worst(0.0, *(abs(extend_eval(states, base, z) - base.f(z)) / (1.0 + abs(base.f(z)))
-                          for z in map(LPoint, r, phi)))
-    observed = {c.name: c.observed for c in checks}
-    assert bits(observed["boundary_data"], observed["oracle_match"]) == bits(boundary, oracle)
+def test_reflect_checks_fold_the_scalar_values(tmp_path, mirror):
+    # tower_errors' rows are the scalar loop's, level by level, and fold to the
+    # shipped boundary_data and oracle_match, bit for bit; the mirror tower
+    # draws where the first tower left the generator
+    towers = [_reflect_tower(), _reflect_tower(mirror=True)][:1 + mirror]
+    rng, scalar_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for states, base in towers:
+        rows = reflect.tower_errors(states, base, rng, 100)
+        scalar = _scalar_rows(states, base, scalar_rng)
+    assert [len(row) for row in rows] == [2, 3]
+    assert [bits(*row) for row in rows] == [bits(*row) for row in scalar]
+    observed = {c.name: c.observed for c in run(SCENARIOS / "reflect_wedge.json", tmp_path).checks}
+    suffix = "_mirror" if mirror else ""
+    shipped = observed[f"boundary_data{suffix}"], observed[f"oracle_match{suffix}"]
+    assert bits(*(worst(0.0, *row) for row in rows)) == bits(*shipped)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scaling_the_extension_at_one_level_moves_that_levels_entries_alone(k):
+    # the images of a straight phi_(k-1) lie in window k, so they move with it
+    states, base = _reflect_tower()
+    rows = reflect.tower_errors(states, base, np.random.default_rng(7), 100)
+
+    def scaled(states, base, r, phi):
+        level = reflect.membership_many(states, np.asarray(r), np.asarray(phi))
+        values = extend_eval_many(states, base, r, phi)
+        return [v * (1.0 + 1e-9) if lev == k else v for v, lev in zip(values, level.tolist())]
+
+    extend_eval_many = reflect.extend_eval_many
+    with mock.patch.object(reflect, "extend_eval_many", scaled):
+        moved = reflect.tower_errors(states, base, np.random.default_rng(7), 100)
+    changed = [[i + 1 for i, (a, b) in enumerate(zip(row, new)) if bits(a) != bits(b)]
+               for row, new in zip(rows, moved)]
+    assert changed == [[k - 1] if k > 1 else [], [k]]
+    assert worst(0.0, *moved[1]) <= 1e-8  # oracle_match still passes
+
+
+@pytest.mark.parametrize("name", ["envelope_wedge", "expansion_sanity"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("a_r", 0.5, "boundary tangents must have unit modulus"),
+        ("a_phi", 1.5, "the declared opening does not match the tangents"),
+        ("a_phi", -1.0, "the first tangent argument must precede the second"),
+    ],
+    ids=["unit_modulus", "declared_opening", "must_precede"],
+)
+def test_corner_normalization_errors_are_at_the_corner(tmp_path, capsys, name, field, value, message):
+    # as in the reflect runner, the tower's own errors name $.corner, not $
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    obj["corner"]["chi"][field] = value
+    rc = main(["run", str(_write(tmp_path, "mutated.json", obj)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error (mutated.json): $.corner: {message}\n"
 
 
 def test_envelope_runner_sweeps_its_sample_levels(tmp_path):
