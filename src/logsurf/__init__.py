@@ -41,10 +41,8 @@ from .errors import (
     OutsideExtension,
     PoleCoincidence,
     PowerUnderflow,
-    ResonanceUndeclared,
     SchemaError,
     ScenarioError,
-    UndecidableAngle,
     WindowEmpty,
 )
 from .germs import (

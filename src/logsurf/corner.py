@@ -5,13 +5,15 @@ angle theta, each carrying real boundary data as a fractional power
 series in the curve parameter.  This module provides
 
 * angle descriptors that make the resonance test (is beta * theta an
-  integer multiple of pi) exactly decidable,
+  integer multiple of pi) exactly decidable; every angle is declared
+  RationalPi or IrrationalAngle, and a bare float is refused,
 * the straight-wedge solver with closed-form harmonic solutions and the
   log-power expansion of their holomorphic completions,
 * normalization of a general corner to the model form (first curve a
   ray, second curve a k = 1 germ) by root maps and one germ inverse,
 * the exponent lattice of corner expansions,
-* the Poisson integral and the Green function on the unit disc, and
+* the Poisson integral and the Green function on the unit disc, with
+  boundary data given as one function on the solver's node array, and
 * a five-point finite-difference Laplacian for harmonicity checks.
 """
 
@@ -24,13 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateTerm,
-    InvalidGerm,
-    PoleCoincidence,
-    ResonanceUndeclared,
-    UndecidableAngle,
-)
+from .errors import DegenerateTerm, InvalidGerm, PoleCoincidence
 from .germs import Germ, apply_germ, compose, identity_germ, invert, is_identity, power_germ, root_pullback
 from .logpower import LogPowerSeries, evaluate_many, log_power_series
 from .logpower import evaluate as lp_evaluate
@@ -75,21 +71,17 @@ class IrrationalAngle:
             raise ValueError("the angle must lie in (0, 2*pi]")
 
 
-AngleLike = RationalPi | IrrationalAngle | float
+AngleLike = RationalPi | IrrationalAngle
 
 
 def angle_value(theta: AngleLike) -> float:
-    """The numeric value of an angle descriptor, in (0, 2*pi]."""
+    """The numeric value of an angle descriptor, in (0, 2*pi]; anything else,
+    a bare float included, raises ValueError, as it could not decide resonance."""
     if isinstance(theta, RationalPi):
         return math.pi * theta.p / theta.q
     if isinstance(theta, IrrationalAngle):
         return theta.value
-    if isinstance(theta, (int, float)) and not isinstance(theta, bool):
-        v = float(theta)
-        if not (0.0 < v <= 2.0 * math.pi):
-            raise ValueError("the angle must lie in (0, 2*pi]")
-        return v
-    raise ValueError(f"unsupported angle {theta!r}")
+    raise ValueError(f"angle {theta!r} is not declared; declare it RationalPi or IrrationalAngle")
 
 
 def scale_angle(theta: AngleLike, divisor: int) -> AngleLike:
@@ -98,9 +90,7 @@ def scale_angle(theta: AngleLike, divisor: int) -> AngleLike:
         raise ValueError(f"divisor must be a positive integer, got {divisor!r}")
     if isinstance(theta, RationalPi):
         return RationalPi(theta.p, theta.q * divisor)
-    if isinstance(theta, IrrationalAngle):
-        return IrrationalAngle(theta.value / divisor)
-    return angle_value(theta) / divisor
+    return IrrationalAngle(angle_value(theta) / divisor)
 
 
 def is_resonant(theta: AngleLike, beta) -> bool:
@@ -108,23 +98,17 @@ def is_resonant(theta: AngleLike, beta) -> bool:
 
     Rational-multiple angles decide by exact fraction arithmetic (floats
     convert to the exact rationals they represent); declared irrational
-    angles never resonate for beta > 0.  A bare float angle carries no
-    arithmetic declaration, so the question is undecidable.
+    angles resonate only for beta = 0.  An undeclared angle raises
+    ValueError, as in angle_value.
     """
     if isinstance(beta, bool) or not isinstance(beta, (int, float, Fraction)):
         raise ValueError(f"unsupported exponent {beta!r}")
     if beta < 0:
         raise ValueError(f"exponent must be nonnegative, got {beta!r}")
-    if beta == 0:
-        return True
     if isinstance(theta, RationalPi):
-        ratio = Fraction(beta) * Fraction(theta.p, theta.q)
-        return ratio.denominator == 1
-    if isinstance(theta, IrrationalAngle):
-        return False
-    raise UndecidableAngle(
-        f"angle {theta!r} is a bare float; declare it rational_pi or irrational"
-    )
+        return (Fraction(beta) * Fraction(theta.p, theta.q)).denominator == 1
+    angle_value(theta)  # refuses an undeclared angle
+    return beta == 0
 
 
 def _resonance_order(theta: RationalPi, beta) -> int:
@@ -221,11 +205,7 @@ def wedge_solve(problem: WedgeProblem) -> tuple[HarmonicEvaluator, LogPowerSerie
             if c == 0 or beta == 0:
                 continue
             b = float(beta)
-            try:
-                resonant = is_resonant(problem.theta, beta)
-            except UndecidableAngle as exc:
-                raise ResonanceUndeclared(str(exc)) from exc
-            if not resonant:
+            if not is_resonant(problem.theta, beta):
                 x = b * theta
                 s = math.sin(x) if math.isfinite(x) else math.nan
                 if not (s and math.isfinite(c / s)):
@@ -434,40 +414,31 @@ def _disc_point(xi: complex) -> complex:
 
 def poisson_disk(h: Callable[[complex], float], xi: complex, nodes: int = 512) -> float:
     """The Poisson integral of boundary data h at a point of the open
-    unit disc, by the equispaced trapezoidal rule on the circle."""
-    return unit_disk_solver(nodes)(h)(_disc_point(xi))
-
-
-@dataclass(frozen=True)
-class NodeData:
-    """Boundary data given on the solver's whole node array at once:
-    values(eta) returns the float data at the complex128 nodes eta."""
-
-    values: Callable[[np.ndarray], Sequence[float]]
+    unit disc, by the equispaced trapezoidal rule on the circle; h takes
+    one node at a time, as a Python complex."""
+    return unit_disk_solver(nodes)(lambda eta: [float(h(e)) for e in eta.tolist()])(_disc_point(xi))
 
 
 def unit_disk_solver(nodes: int = 512) -> Callable:
     """A Dirichlet solver for the unit disc: boundary data to evaluator.
 
-    solve(h) evaluates h at the nodes once, passing each node as a
-    Python complex from one list made with the nodes, or, for NodeData,
-    making one values call on the node array; the evaluator it returns
-    forms only the Poisson weights of each point.  poisson_disk is one
-    such solve and one evaluation, and every float, from the nodes and
-    the data values to the weights and their mean, is computed by the
-    same expressions in the same order, so a reused solve and
-    poisson_disk agree bit for bit.
+    solve(values) makes one values call on the node array, the complex128
+    nodes eta, and takes its result as the data, one float per node;
+    any other shape raises ValueError.  The evaluator it returns forms
+    only the Poisson weights of each point.  poisson_disk is one such
+    solve and one evaluation, and every float, from the nodes and the
+    data values to the weights and their mean, is computed by the same
+    expressions in the same order, so a reused solve and poisson_disk
+    agree bit for bit.
     """
     if not (isinstance(nodes, int) and nodes >= 16):
         raise ValueError(f"need at least 16 boundary nodes, got {nodes!r}")
     eta = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    eta_list = eta.tolist()
 
-    def solve(h: Callable[[complex], float] | NodeData) -> Callable[[complex], float]:
-        if isinstance(h, NodeData):
-            vals = np.array(h.values(eta), dtype=float)
-        else:
-            vals = np.array([float(h(e)) for e in eta_list])
+    def solve(values: Callable[[np.ndarray], Sequence[float]]) -> Callable[[complex], float]:
+        vals = np.array(values(eta), dtype=float)
+        if vals.shape != eta.shape:
+            raise ValueError(f"boundary data needs one float per node, {nodes} in all; got shape {vals.shape}")
 
         def u(xi: complex) -> float:
             xi = _disc_point(xi)
@@ -490,7 +461,7 @@ def green_pole(solve: Callable, y: complex) -> Callable[[complex], float]:
     """x -> G(x, y) = log(1/|x - y|) - u(x), where u solves the Dirichlet
     problem with boundary data log(1/|t - y|), once for the pole y.
 
-    The data is NodeData: t - y on the node array, np.hypot of its parts
+    The data is a function on the node array: t - y, np.hypot of its parts
     (Python's abs; numpy's complex abs rounds differently), 1.0 over it
     and math.log per element (numpy's log rounds differently).  When a
     modulus is 0, inf or nan (a pole on a node, an overflow, a nan pole),
@@ -506,7 +477,7 @@ def green_pole(solve: Callable, y: complex) -> Callable[[complex], float]:
             return [math.log(1.0 / abs(t - y)) for t in eta.tolist()]
         return list(map(math.log, (1.0 / size).tolist()))
 
-    u = solve(NodeData(values))
+    u = solve(values)
 
     def green(x: complex) -> float:
         x = _off_pole(x, y)

@@ -23,14 +23,6 @@ class NotInvertible(LogSurfError):
     """Inversion requested for a germ outside the k = 1 group."""
 
 
-class UndecidableAngle(LogSurfError):
-    """A raw floating angle cannot decide rationality; declare it."""
-
-
-class ResonanceUndeclared(LogSurfError):
-    """A wedge solve needed a resonance decision the angle data lacks."""
-
-
 class DegenerateTerm(LogSurfError):
     """A wedge data term whose closed-form solution is not a finite float;
     carries the edge (0 or 1) and the term's index on it."""

@@ -26,6 +26,8 @@ floats (r, phi) through the descent; extend_eval_many evaluates many
 points on float64 arrays, with extend_eval's floats and exceptions.
 tower_errors checks a tower against its base, level by level: f against
 h_k on each curve phi_k, and against base.f at random points of each window.
+envelope_levels is the one home of the reach rule: it gives the covering
+level of every shifted argument, one x or many, in one sweep.
 """
 
 from __future__ import annotations
@@ -420,18 +422,15 @@ def _reach(theta: float, k: int) -> float:
     return 2.0 ** (k - 1) * theta - math.pi / 2
 
 
-def envelope_level(theta: float, x: float) -> int:
-    """The least level whose window covers the shifted argument x = arg z - alpha.
+def envelope_levels(theta: float, xs) -> list[int]:
+    """The least level whose window covers the shifted argument x = arg z - alpha,
+    at each x of the list xs, in one sweep.
 
     The level-k window covers x < 2**(k-1) * theta - pi/2, the printed
-    reach that holds for curved corners as well as straight ones.
+    reach that holds for curved corners as well as straight ones.  The
+    reach grows with k, so a search starts at the level of the x before,
+    or at 1 when x is below it (or nan).
     """
-    return envelope_levels(theta, [x])[0]
-
-
-def envelope_levels(theta: float, xs) -> list[int]:
-    """envelope_level at each x of the list xs, in one sweep: the reach grows with k,
-    so a search starts at the level of the x before, or at 1 when x is below it (or nan)."""
     levels, k = [], 1
     for prev, x in zip([math.inf, *xs], xs):
         k = k if x >= prev else 1
@@ -463,7 +462,7 @@ def envelope(states: Sequence[ReflectionState], phi_max: float = 1e4) -> Envelop
     materialized levels, so K is the supremum of
     (100**(k-1) / s_1) ** (1 / log+ x) over the breakpoints in
     [1, phi_max].  The breakpoints come with their levels from one loop:
-    x = 1 at k0 = envelope_level(theta, 1), then each reach
+    x = 1 at k0 = envelope_levels(theta, [1])[0], then each reach
     x = 2**(k-1) * theta - pi/2 below phi_max, k >= k0, at level k + 1,
     since the reach strictly increases in k (and exceeds 1 from k0 on).
     The returned domain (c, C) = (min(1, s_1), log K) satisfies
@@ -481,7 +480,7 @@ def envelope(states: Sequence[ReflectionState], phi_max: float = 1e4) -> Envelop
 
     K = 1.0 + 1e-6
     rows = []
-    x, lev = 1.0, envelope_level(theta, 1.0)
+    x, lev = 1.0, envelope_levels(theta, [1.0])[0]
     while not rows or x < phi_max:
         window_radius = s1 / 100.0 ** (lev - 1)
         needed = (1.0 / window_radius) ** (1.0 / log_plus(x))

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -431,6 +432,31 @@ def test_a_trig_order_whose_angle_overflows_names_its_term(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, path, rc, err",
+    [
+        ("poisson_disk", ("data", "terms", 1, "cos"), 1, ""),
+        ("reflect_wedge", ("corner", "g0", "terms", 0, "re"), 1, ""),
+        ("expansion_negative", ("corner", "g0", "terms", 0, "re"), 2,
+         "error (mutated.json): $: certificate scales underflow at level 1: t = 0.0\n"),
+    ],
+    ids=["poisson_trig_cos", "reflect_g0", "expansion_g0"],
+)
+def test_an_overflowing_run_prints_no_numpy_warnings(tmp_path, capsys, name, path, rc, err):
+    # the overflow fails a check or exits 2; numpy's RuntimeWarnings stay off stderr
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    leaf = obj
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = 1e308
+    mutated = _write(tmp_path, "mutated.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(mutated), "--out", str(tmp_path / "o")]) == rc
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
     "edge0, r_max, message",
     [
         ([{"beta_real": 1e300, "coeff": 1.0}], 2,
@@ -678,10 +704,12 @@ def test_corner_normalization_errors_are_at_the_corner(tmp_path, capsys, name, f
 
 
 def test_envelope_runner_sweeps_its_sample_levels(tmp_path):
-    # one envelope_level call, for the deepest level; the samples take one sweep
-    with mock.patch.object(cli, "envelope_level", wraps=cli.envelope_level) as level:
+    # the samples take one sweep, and the last, at phi_max, is the deepest level envelope reads
+    obj = json.loads((SCENARIOS / "envelope_wedge.json").read_text())
+    with mock.patch.object(cli, "envelope_levels", wraps=cli.envelope_levels) as levels:
         assert run(SCENARIOS / "envelope_wedge.json", tmp_path).passed
-    assert level.call_count == 1
+    assert levels.call_count == 1
+    assert levels.call_args.args[1][-1] == obj["phi_max"]
 
 
 @pytest.mark.parametrize(
@@ -690,19 +718,20 @@ def test_envelope_runner_sweeps_its_sample_levels(tmp_path):
     ids=["trig", "constant", "re"],
 )
 def test_poisson_solve_takes_node_data(tmp_path, monkeypatch, data):
+    # one solve, which makes one values call, on the whole node array
     received = []
     solver = cli.unit_disk_solver
 
     def recording(nodes):
         solve = solver(nodes)
-        return lambda h: received.append(type(h)) or solve(h)
+        return lambda values: solve(lambda eta: received.append((eta.dtype, eta.shape)) or values(eta))
 
     monkeypatch.setattr(cli, "unit_disk_solver", recording)
     obj = json.loads((SCENARIOS / "poisson_disk.json").read_text())
     if data is not None:
         obj["data"] = data
     assert run(_write(tmp_path, "poisson.json", obj), tmp_path / "o").passed
-    assert received == [cli.NodeData]
+    assert received == [(np.dtype(complex), (obj["nodes"],))]
 
 
 _coefficient = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))

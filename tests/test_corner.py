@@ -14,8 +14,6 @@ from logsurf import (
     LPoint,
     PoleCoincidence,
     RationalPi,
-    ResonanceUndeclared,
-    UndecidableAngle,
     WedgeProblem,
     angle_value,
     apply_germ,
@@ -76,34 +74,35 @@ def test_angle_value():
     assert angle_value(RationalPi(1, 2)) == pytest.approx(math.pi / 2, rel=1e-15)
     assert angle_value(RationalPi(4, 2)) == pytest.approx(2 * math.pi, rel=1e-15)
     assert angle_value(IrrationalAngle(1.3)) == 1.3
-    assert angle_value(1.5) == 1.5
-    with pytest.raises(ValueError):
-        angle_value(0.0)
-    with pytest.raises(ValueError):
-        angle_value(True)
-    with pytest.raises(ValueError):
-        angle_value("half")
+    # a bare float, even one inside (0, 2*pi], is not a declared angle
+    for undeclared in (1.5, 0.0, 1, True, "half"):
+        with pytest.raises(ValueError, match="declare it RationalPi or IrrationalAngle"):
+            angle_value(undeclared)
 
 
 def test_scale_angle_preserves_kind():
     assert scale_angle(RationalPi(1, 2), 3) == RationalPi(1, 6)
     assert scale_angle(IrrationalAngle(1.0), 4) == IrrationalAngle(0.25)
-    assert scale_angle(1.0, 2) == 0.5
+    with pytest.raises(ValueError, match="declare it RationalPi or IrrationalAngle"):
+        scale_angle(1.0, 2)
     with pytest.raises(ValueError):
         scale_angle(RationalPi(1, 2), 0)
 
 
 def test_resonance_decisions():
-    # exponent 0 resonates regardless of the angle declaration
-    assert is_resonant(1.23, 0)
+    # exponent 0 resonates for either declaration
+    assert is_resonant(IrrationalAngle(1.23), 0)
+    assert is_resonant(RationalPi(1, 3), 0)
     assert is_resonant(RationalPi(1, 2), 2)
     assert not is_resonant(RationalPi(1, 2), 3)
     assert is_resonant(RationalPi(1, 2), 4.0)
     assert not is_resonant(RationalPi(1, 2), 0.5)
     assert is_resonant(RationalPi(3, 2), Fraction(2, 3))
     assert not is_resonant(IrrationalAngle(1.0), 7)
-    with pytest.raises(UndecidableAngle):
-        is_resonant(1.5707963, 2)
+    # a bare float angle is refused, whatever the exponent
+    for beta in (2, 0):
+        with pytest.raises(ValueError, match="declare it RationalPi or IrrationalAngle"):
+            is_resonant(1.5707963, beta)
     with pytest.raises(ValueError):
         is_resonant(RationalPi(1, 2), -1)
     with pytest.raises(ValueError):
@@ -115,13 +114,14 @@ def test_resonance_decisions():
 # ----------------------------------------------------------------------
 
 def test_wedge_validation():
+    theta = IrrationalAngle(1.0)
     with pytest.raises(ValueError):
-        WedgeProblem(1.0, ((-1, 1.0),), ())
+        WedgeProblem(theta, ((-1, 1.0),), ())
     with pytest.raises(ValueError):
-        WedgeProblem(1.0, ((1, 1.0 + 2.0j),), ())
+        WedgeProblem(theta, ((1, 1.0 + 2.0j),), ())
     with pytest.raises(ValueError):
-        WedgeProblem(1.0, ((0, 1.0),), ())
-    p = WedgeProblem(1.0, ((0, 2.0), (1, complex(3.0))), ((0, 2.0),))
+        WedgeProblem(theta, ((0, 1.0),), ())
+    p = WedgeProblem(theta, ((0, 2.0), (1, complex(3.0))), ((0, 2.0),))
     assert p.edge0[1] == (1, 3.0)
 
 
@@ -179,11 +179,12 @@ def test_wedge_nonresonant_log_free():
 
 
 def test_wedge_undeclared_angle():
-    problem = WedgeProblem(1.5707963, ((2, 1.0),), ())
-    with pytest.raises(ResonanceUndeclared):
-        wedge_solve(problem)
-    # constant-only data never asks the resonance question
-    ev, _ = wedge_solve(WedgeProblem(1.5707963, ((0, 2.0),), ((0, 2.0),)))
+    # a bare float angle is refused at construction, even with
+    # constant-only data that never asks the resonance question
+    for edge0, edge1 in ((((2, 1.0),), ()), (((0, 2.0),), ((0, 2.0),))):
+        with pytest.raises(ValueError, match="declare it RationalPi or IrrationalAngle"):
+            WedgeProblem(1.5707963, edge0, edge1)
+    ev, _ = wedge_solve(WedgeProblem(IrrationalAngle(1.5707963), ((0, 2.0),), ((0, 2.0),)))
     assert ev.u(LPoint(0.5, 0.7)) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -319,6 +320,17 @@ def test_poisson_validation():
         poisson_disk(lambda t: 1.0, 0.0, nodes=8)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [lambda eta: 2.5, lambda eta: [2.5] * (len(eta) - 1), lambda eta: [[2.5]] * len(eta)],
+    ids=["scalar", "one_short", "column"],
+)
+def test_disc_solve_needs_one_float_per_node(values):
+    # a scalar would broadcast over the nodes; the solve refuses it
+    with pytest.raises(ValueError, match="one float per node"):
+        unit_disk_solver(64)(values)
+
+
 def test_green_matches_closed_form():
     solve = unit_disk_solver(1024)
     y = 0.3 + 0.2j
@@ -348,7 +360,7 @@ def test_reused_disc_solve_is_poisson_disk_bit_for_bit():
         return sum(c * math.cos(n * a) + s * math.sin(n * a) for n, c, s in terms)
 
     nodes = poisson["nodes"]
-    u = unit_disk_solver(nodes)(h)
+    u = unit_disk_solver(nodes)(lambda eta: list(map(h, eta.tolist())))
     for p in poisson["points"]:
         xi = complex(p["re"], p["im"])
         assert u(xi).hex() == poisson_disk(h, xi, nodes).hex()
