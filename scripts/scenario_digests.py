@@ -11,7 +11,10 @@ values dealt over its windows.  Each ``straight_tower alpha=a order=N`` key,
 for a in {0, 0.4} and N in {16, 32, 64}, digests the same floats of an
 8-level tower over a wedge whose sides are rays at a and a + 1, every
 level's data and inverse read.  Both towers are built from public
-constructors only.  The logsurf package is imported from ``<root>/src``,
+constructors only.  Every key runs in one process, so the later runs of a
+corner read the towers that ``cli._tower`` kept from its first: a tree
+with that memo matching one without it shows that warm runs write what
+cold ones do.  The logsurf package is imported from ``<root>/src``,
 so two trees can be compared with one copy of this script:
 
     python scripts/scenario_digests.py --root base > base.json

@@ -6,7 +6,11 @@ in name order, each into a fresh output directory.  One row per file gives
 the median and quartiles of the whole run, then the medians of its two
 parts: the runner (the scenario kind's function in ``cli._RUNNERS``, timed
 by a wrapper put in its place) and the rest (reading and checking the
-file, and writing the report).  The logsurf package is imported from
+file, and writing the report).  The towers that ``cli._tower`` keeps
+for later runs are dropped by ``cli.clear_towers`` before each timed
+run, so a row is what one
+file's ``logsurf run`` costs in a fresh process, whatever files ran
+before it.  The logsurf package is imported from
 ``<root>/src``, so two trees are timed with one copy of this script:
 
     python scripts/scenario_times.py --root base
@@ -68,6 +72,7 @@ def main(argv=None) -> int:
         for n in range(args.repeats + 1):
             for i, path in enumerate(files):
                 runner_s[0] = 0.0
+                getattr(cli, "clear_towers", lambda: None)()  # trees before the tower memo keep none
                 start = time.perf_counter()
                 cli.run(path, Path(tmp) / f"{n}-{i}")
                 elapsed = time.perf_counter() - start

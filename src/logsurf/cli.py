@@ -14,6 +14,8 @@ order (at most MAX_TRUNC_ORDER = 1024, from the file or --trunc-order)
 are bounded, so no file asks for unbounded work.  Flags are json
 booleans.  A check whose error is nan fails.  The reflect runner's checks on
 the boundary data and the oracle fold the levels of reflect.tower_errors.
+_tower, shared by the reflect, envelope and expansion runners, keeps up to four
+towers (~2.5 MiB) for later runs of a corner at an order; clear_towers drops them.
 """
 
 from __future__ import annotations
@@ -314,7 +316,9 @@ def _run_wedge(obj, rng, order):
     theta = _parse_theta(_need(obj, "theta", "$.theta"), "$.theta")
     edge0 = _parse_edge(_need(obj, "edge0", "$.edge0"), "$.edge0")
     edge1 = _parse_edge(_need(obj, "edge1", "$.edge1"), "$.edge1")
-    with _at("$", SchemaError):
+    zero_terms = [f"$.edge{side}[{i}]" for side, edge in enumerate((edge0, edge1))
+                  for i, (beta, _) in enumerate(edge) if beta == 0]
+    with _at(zero_terms[-1] if zero_terms else "$", SchemaError):  # only the constants can disagree
         problem = WedgeProblem(theta, tuple(edge0), tuple(edge1))
     with _at("$"):
         try:
@@ -413,6 +417,9 @@ def _level_scale(k: int, loc: str) -> float:
 
 
 _DEEPEST_LEVEL = 155  # the last level whose radius scale 100**(k - 1) is a float
+_TOWERS = {}  # (repr(corner), order): its levels, the least recently used first
+_MAX_TOWERS, _MAX_KEPT = 4, 2**14  # towers, and levels times order over them: ~2.5 MiB at most
+clear_towers = _TOWERS.clear  # the next run of each corner builds its tower anew
 
 
 def _tower(corner, steps, order):
@@ -422,19 +429,32 @@ def _tower(corner, steps, order):
     so the error names the first corner field equal to s_1: eps, then the
     psi, chi, g0 and g1 radii, or $.corner itself when s_1 is a radius
     transported by a curve.  Past that depth it is at $.steps.
+
+    Up to _MAX_TOWERS towers of _MAX_KEPT levels times order in all are kept, keyed by the
+    corner's repr (every float's digits and zero's sign, which == misses) and the order, the
+    least recently used dropped first; none past _DEEPEST_LEVEL, which reflect refuses.  A level
+    does not depend on deeper ones, so a kept tower of at least `steps` levels gives its first.
     """
-    with _at("$.corner"):
-        try:
-            return tower(corner, steps, order)
-        except WindowEmpty as exc:
-            loc = "$.steps"
-            if steps <= _DEEPEST_LEVEL:
-                s1 = init_state(corner, order).s
-                fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
-                          ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
-                          ("g1.radius", corner.g1.radius))
-                loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
-            raise SchemaError(str(exc), loc) from None
+    key = (repr(corner), order)
+    states = _TOWERS.pop(key, [])
+    if len(states) < steps:
+        with _at("$.corner"):
+            try:
+                states = tower(corner, steps, order)
+            except WindowEmpty as exc:
+                loc = "$.steps"
+                if steps <= _DEEPEST_LEVEL:
+                    s1 = init_state(corner, order).s
+                    fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
+                              ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
+                              ("g1.radius", corner.g1.radius))
+                    loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
+                raise SchemaError(str(exc), loc) from None
+    if steps <= _DEEPEST_LEVEL:
+        _TOWERS[key] = states
+    while len(_TOWERS) > _MAX_TOWERS or sum(len(v) * k[1] for k, v in _TOWERS.items()) > _MAX_KEPT:
+        del _TOWERS[next(iter(_TOWERS))]
+    return states[:steps]
 
 
 def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):

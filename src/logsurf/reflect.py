@@ -277,9 +277,9 @@ def extend_eval_many(
     every point still above that level in one group, through
     germs.apply_germ_many, take their base values from one base.f_many
     call, and unwind the same way through series.evaluate_many, on split
-    real and imaginary float64 arrays.  A point that a twin's ok mask
-    drops goes through extend_eval by fallback_many, which gives its
-    value or its exception.
+    real and imaginary float64 arrays.  A valid point in no window gets
+    extend_eval's OutsideExtension, built here; one that a twin's ok mask
+    drops goes through extend_eval by fallback_many: its value or exception.
     """
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -321,7 +321,12 @@ def extend_eval_many(
             val_i[idx] = (val_i[idx] - e_i[:m]) + e_i[m:]
             ok[idx[~(good[:m] & good[m:])]] = False
 
-    return fallback_many(scalar, r, phi, val_r, val_i, ok)
+    outside = valid_many(r, phi) & (level == 0)
+    values = fallback_many(scalar, r, phi, val_r, val_i, ok | outside)
+    for i in np.flatnonzero(outside).tolist():
+        values[i] = OutsideExtension(
+            f"point (r={float(r[i])}, phi={float(phi[i])}) lies in no materialized window")
+    return values
 
 
 def _oracle_points(states, rng, n_oracle):

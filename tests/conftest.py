@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from logsurf import (Germ, LPoint, NotInvertible, config, cpow, logmap, make_germ, mul, power, project,
+from logsurf import (Germ, LPoint, NotInvertible, cli, config, cpow, logmap, make_germ, mul, power, project,
                      puiseux)
 from logsurf.germs import s_series, sampled_h_sup
 from logsurf.series import PowerSeries, reversion
@@ -237,6 +237,12 @@ def shrink_by_sampling(h_coeffs, radius: float) -> float:
             return r
         r /= 2.0
     raise ValueError("could not certify |h| <= 1/2 by radius halving")
+
+
+@pytest.fixture(autouse=True)
+def empty_tower_memo():
+    """Each test starts with no towers kept by cli._tower, whatever ran before it."""
+    cli.clear_towers()
 
 
 @pytest.fixture

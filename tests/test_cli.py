@@ -70,6 +70,135 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _outputs(out: Path) -> dict:
+    """Every file a run wrote, by name, the summary without its timestamp line."""
+    return {p.name: _strip_timestamp(p.read_text()) if p.name == "summary.json" else p.read_bytes()
+            for p in sorted(out.iterdir())}
+
+
+def _counted_towers(monkeypatch) -> list:
+    """The (steps, order) of each cli.tower call from now on."""
+    calls = []
+    build = cli.tower
+    monkeypatch.setattr(cli, "tower", lambda corner, steps, order: calls.append((steps, order))
+                        or build(corner, steps, order))
+    return calls
+
+
+@pytest.mark.parametrize("order", [None, 16])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_a_warm_run_writes_what_a_cold_one_does(tmp_path, name, order):
+    # the second run reads the towers that the first one kept
+    cold = run(SCENARIOS / f"{name}.json", tmp_path / "cold", trunc_order=order)
+    warm = run(SCENARIOS / f"{name}.json", tmp_path / "warm", trunc_order=order)
+    assert cold.passed and warm.passed
+    assert _outputs(tmp_path / "cold") == _outputs(tmp_path / "warm")
+
+
+def test_a_pass_builds_each_corner_once(tmp_path, monkeypatch):
+    # envelope_wedge, expansion_sanity and reflect_wedge share a corner, so a
+    # first pass builds it, expansion_negative's corner and the mirror
+    calls = _counted_towers(monkeypatch)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        run(path, tmp_path / path.stem)
+    assert len(calls) == 3
+    for path in sorted(SCENARIOS.glob("*.json")):
+        run(path, tmp_path / path.stem)
+    assert len(calls) == 3
+
+
+def test_a_tower_is_kept_per_order(tmp_path, monkeypatch):
+    calls = _counted_towers(monkeypatch)
+    src = SCENARIOS / "envelope_wedge.json"
+    run(src, tmp_path / "a", trunc_order=32)
+    run(src, tmp_path / "b", trunc_order=16)
+    assert calls == [(5, 32), (5, 16)]
+    assert {st.order for states in cli._TOWERS.values() for st in states} == {16, 32}
+
+
+def _corner(a_phi=0.0, eps=1.0):
+    """reflect_wedge.json's corner at order 16, with psi's tangent argument and eps given."""
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())["corner"]
+    obj["psi"]["a_phi"], obj["eps"] = a_phi, eps
+    return cli._parse_corner(obj, "$.corner", 16)
+
+
+def test_corners_equal_up_to_a_zeros_sign_are_kept_apart(monkeypatch):
+    calls = _counted_towers(monkeypatch)
+    plus, minus = _corner(a_phi=0.0), _corner(a_phi=-0.0)
+    assert plus == minus
+    cli._tower(plus, 3, 16)
+    cli._tower(minus, 3, 16)
+    assert len(calls) == 2 and len(cli._TOWERS) == 2
+
+
+def test_the_least_recently_used_tower_is_evicted(monkeypatch):
+    calls = _counted_towers(monkeypatch)
+    corners = [_corner(eps=eps) for eps in (1.0, 0.9, 0.8, 0.7, 0.6)]
+    for corner in corners[:4]:
+        cli._tower(corner, 2, 16)
+    cli._tower(corners[0], 2, 16)  # a hit, now the most recently used
+    cli._tower(corners[4], 2, 16)  # evicts corners[1]
+    assert len(calls) == 5
+    assert list(cli._TOWERS) == [(repr(c), 16) for c in (corners[2], corners[3], corners[0], corners[4])]
+    cli._tower(corners[1], 2, 16)
+    assert len(calls) == 6
+
+
+def test_a_deeper_request_rebuilds_and_a_shallower_one_reads(monkeypatch):
+    calls = _counted_towers(monkeypatch)
+    corner = _corner()
+    three = cli._tower(corner, 3, 16)
+    five = cli._tower(corner, 5, 16)
+    again = cli._tower(corner, 3, 16)
+    assert calls == [(3, 16), (5, 16)]
+    assert again == five[:3] and again is not five and all(a is b for a, b in zip(again, five))
+    assert [st.s for st in three] == [st.s for st in again]
+
+
+def test_a_tower_that_raises_is_not_kept(tmp_path):
+    # s_1 = eps = 1e-320, so s_3 underflows as the tower is built
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+    obj["corner"]["eps"] = 1e-320
+    path = _write(tmp_path, "tiny.json", obj)
+    errors = []
+    for out in ("a", "b"):
+        with pytest.raises(SchemaError) as exc:
+            run(path, tmp_path / out)
+        errors.append((str(exc.value), exc.value.location))
+        assert cli._TOWERS == {}
+    assert errors[0] == errors[1]
+    assert errors[0][1] == "$.corner.eps"
+
+
+def test_a_run_refused_at_steps_keeps_no_tower(tmp_path):
+    # level 156's radius scale overflows: the 157-level tower is built, then refused
+    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
+    obj["steps"] = 157
+    with pytest.raises(SchemaError) as exc:
+        run(_write(tmp_path, "deep.json", obj), tmp_path / "o", trunc_order=16)
+    assert exc.value.location == "$.steps"
+    assert cli._TOWERS == {}
+
+
+def test_the_kept_towers_are_bounded_by_levels_times_order(monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_KEPT", 100)
+    corners = [_corner(eps=eps) for eps in (1.0, 0.9, 0.8)]
+    for corner in corners:
+        cli._tower(corner, 3, 16)  # 48 each: a third one drops the first
+    assert list(cli._TOWERS) == [(repr(c), 16) for c in corners[1:]]
+    cli._tower(corners[0], 7, 16)  # 112 alone: nothing is kept
+    assert cli._TOWERS == {}
+
+
+def test_a_reflect_run_calls_no_scalar_extension(tmp_path):
+    # the batch builds each outside point's OutsideExtension itself
+    with mock.patch.object(reflect, "membership", wraps=reflect.membership) as member, \
+            mock.patch.object(reflect, "extend_eval", wraps=reflect.extend_eval) as scalar:
+        assert run(SCENARIOS / "reflect_wedge.json", tmp_path / "o").passed
+    assert member.call_count == 0 and scalar.call_count == 0
+
+
 def test_seed_precedence(tmp_path):
     src = SCENARIOS / "reflect_wedge.json"
     file_seed = json.loads(src.read_text())["seed"]
@@ -351,6 +480,10 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("expansion_sanity", ("R",), 1e6, "$.R"),
         # a deep window's |z|**R' underflows where C_k divides by it
         ("expansion_sanity", ("steps",), 60, "$.R"),
+        # constants that disagree at the corner: edge1's last beta = 0 term, else edge0's
+        ("wedge_irrational", ("edge1", 0, "beta_num"), 0, "$.edge1[0]"),
+        ("wedge_irrational", ("edge0", 0, "beta_num"), 0, "$.edge0[0]"),
+        ("wedge_right_angle", ("edge0", 0, "beta_num"), 0, "$.edge0[0]"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
