@@ -14,11 +14,15 @@ levels and takes, in every non-empty window (from the previous level's
 ``upper``, within radius s_k), a grid of points whose least level is k, so
 extend_eval descends k - 1 reflections before it reaches the base.  It
 times one extend_eval call per point and prints one row per window: the
-order, the level, the depth, the number of points, and the median and
+order, the level, the depth, the number of points, the median and
 quartiles of the time per point over ``--repeats`` passes after one
-warm-up.  The order is passed to ``tower`` and ``cli._parse_corner``.  The
-logsurf package is imported from ``<root>/src``, so two trees whose
-``tower`` and ``cli._parse_corner`` take the order are timed with one copy
+warm-up, and two counts per point from one more, untimed, pass: the
+``series.ps_eval`` sums (wrapped wherever a logsurf module binds it) and
+the complex powers w**(1/d), as ``cmath.exp`` calls (the straight wedge's
+base adds its own; the curved base adds none).  The order is passed to
+``tower`` and ``cli._parse_corner``.  The logsurf package is imported
+from ``<root>/src``, so two trees whose ``tower`` and
+``cli._parse_corner`` take the order are timed, and counted, with one copy
 of this script:
 
     python scripts/descent_depth.py --root base
@@ -31,6 +35,7 @@ It is a measurement, not a test, and is not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import statistics
 import sys
@@ -69,6 +74,35 @@ def window_points(states, membership, LPoint) -> list:
     return out
 
 
+def counted_pass(extend_eval, states, base, points) -> tuple[float, float]:
+    """The series.ps_eval and cmath.exp calls per point of one extend_eval
+    pass over the points, counted through wrappers put back afterwards."""
+    from logsurf import series
+
+    calls = {"sums": 0, "powers": 0}
+    ps_eval, exp = series.ps_eval, cmath.exp
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    bound = [mod for name, mod in sys.modules.items()
+             if name.startswith("logsurf") and getattr(mod, "ps_eval", None) is ps_eval]
+    for mod in bound:
+        mod.ps_eval = counting("sums", ps_eval)
+    cmath.exp = counting("powers", exp)
+    try:
+        for z in points:
+            extend_eval(states, base, z)
+    finally:
+        for mod in bound:
+            mod.ps_eval = ps_eval
+        cmath.exp = exp
+    return calls["sums"] / len(points), calls["powers"] / len(points)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -97,7 +131,7 @@ def main(argv=None) -> int:
         obj = json.loads((root / "scenarios" / args.scenario).read_text())
     print(f"{label}: {LEVELS} levels, tree {root}")
     print(f"{'order':>5} {'level':>5} {'depth':>5} {'points':>6} "
-          f"{'median us':>9} {'q1 us':>7} {'q3 us':>7}")
+          f"{'median us':>9} {'q1 us':>7} {'q3 us':>7} {'sums/pt':>7} {'pows/pt':>7}")
     for order in ORDERS:
         if args.curved:
             corner, base = curved_corner(np.random.default_rng([0, 5]))
@@ -114,8 +148,9 @@ def main(argv=None) -> int:
                 times.append((time.perf_counter() - start) * 1e6 / len(points))
             runs = times[1:]  # one run is its own median and quartiles
             q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else runs * 3
+            sums, powers = counted_pass(extend_eval, states, base, points)
             print(f"{order:5d} {level:5d} {level - 1:5d} {len(points):6d} "
-                  f"{median:9.2f} {q1:7.2f} {q3:7.2f}")
+                  f"{median:9.2f} {q1:7.2f} {q3:7.2f} {sums:7.2f} {powers:7.2f}")
     return 0
 
 

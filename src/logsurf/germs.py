@@ -235,7 +235,8 @@ def apply_germ_polar(g: Germ, r: float, phi: float) -> tuple[float, float]:
     which lies in (-pi/2, pi/2) because |h| <= 1/2.  The floats are those
     of mul(a, mul(power(k, z), lifted unit)), in its operation order.
     k = 0 needs no case: 0 * phi = -0.0 would only matter if
-    phase(1 + h) were -0.0.
+    phase(1 + h) were -0.0.  reflect.extend_eval writes this map out for
+    its descent: a change here is a change there.
     """
     if r >= g.radius:
         raise OutOfRadius(f"|z| = {r} is not below the germ radius {g.radius}")

@@ -22,8 +22,10 @@ sectors reached after k steps covers arguments up to 2**(k-1) * theta
 extension reach every quadratic domain.
 
 extend_eval evaluates the extension at one point, carrying it as the
-floats (r, phi) through the descent; extend_eval_many evaluates many
-points on float64 arrays, with extend_eval's floats and exceptions.
+floats (r, phi) through the descent, with both germ maps of a level
+written out in its loop, and each point's power z**(1/d) made once in the
+unwinding; extend_eval_many evaluates many points on float64 arrays,
+with extend_eval's floats and exceptions.
 tower_errors checks a tower against its base, level by level: f against
 h_k on each curve phi_k, and against base.f at random points of each window.
 envelope_levels is the one home of the reach rule: it gives the covering
@@ -32,6 +34,7 @@ level of every shifted argument, one x or many, in one sweep.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +49,7 @@ from .corner import CornerSpec, HarmonicEvaluator, angle_value
 from .errors import (
     InsufficientSteps,
     NotNormalized,
+    OutOfRadius,
     OutsideExtension,
     PowerUnderflow,
     WindowEmpty,
@@ -54,7 +58,6 @@ from .germs import (
     Germ,
     apply_germ,
     apply_germ_many,
-    apply_germ_polar,
     compose,
     invert,
     is_identity,
@@ -72,11 +75,12 @@ from .series import (
     conj_tau,
     evaluate_many,
     evaluate_polar,
+    ps_eval,
     puiseux,
     scale,
     sub,
 )
-from .surface import LPoint, QuadraticDomain, fallback_many, on_surface, raising, tau, valid_many
+from .surface import LPoint, QuadraticDomain, fallback_many, raising, tau, valid_many
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,15 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     OutsideExtension when no materialized window contains z.
 
     The descent and the unwinding carry each point as its floats (r, phi):
-    w = phi_j(tau(phi_j^-1(z))) is two apply_germ_polar calls with the sign
-    of the argument flipped between them, and h_j is evaluate_polar.  Each
-    germ image is checked with LPoint's rule, on_surface, and an LPoint is
-    built only to raise its exception, so the floats and exceptions are
-    those of apply_germ and evaluate on LPoints.  The one LPoint built is
-    the landing point given to base.f (z itself when z is in the corner).
+    w = phi_j(tau(phi_j^-1(z))) is apply_germ_polar's formula written out
+    twice, with the sign of the argument flipped between, and each image is
+    checked by on_surface's float test; an LPoint is built only to raise
+    its exception.  h_j is evaluate_polar written out: its radius check,
+    then ps_eval at z**(1/d).  The point w_(j+1) is z_j, so the power made
+    for h_j at z_j is reused for h_(j+1) at w_(j+1) where the two share d.
+    So the floats and exceptions are those of apply_germ and evaluate on
+    LPoints.  The one LPoint built is the landing point given to base.f
+    (z itself when z is in the corner).
     """
     level = membership(states, z)
     if level is None:
@@ -244,18 +251,35 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     stack = []
     r, phi = z.r, z.phi
     for st in reversed(states[: level - 1]):
-        u_r, u_phi = apply_germ_polar(st.phi_inv, r, phi)
-        if not on_surface(u_r, u_phi):
+        g = st.phi_inv
+        if r >= g.radius:
+            raise OutOfRadius(f"|z| = {r} is not below the germ radius {g.radius}")
+        unit = 1.0 + ps_eval(g.h, cmath.rect(r, phi))
+        u_r, u_phi = g.a.r * (r ** g.k * abs(unit)), g.a.phi + (g.k * phi + cmath.phase(unit))
+        if not (0.0 < u_r < math.inf and -math.inf < u_phi < math.inf):
             LPoint(u_r, u_phi)  # raises LPoint's exception
-        w_r, w_phi = apply_germ_polar(st.phi, u_r, -u_phi)
-        if not on_surface(w_r, w_phi):
+        g, u_phi = st.phi, -u_phi  # tau
+        if u_r >= g.radius:
+            raise OutOfRadius(f"|z| = {u_r} is not below the germ radius {g.radius}")
+        unit = 1.0 + ps_eval(g.h, cmath.rect(u_r, u_phi))
+        w_r, w_phi = g.a.r * (u_r ** g.k * abs(unit)), g.a.phi + (g.k * u_phi + cmath.phase(unit))
+        if not (0.0 < w_r < math.inf and -math.inf < w_phi < math.inf):
             LPoint(w_r, w_phi)
         stack.append((st.h, w_r, w_phi, r, phi))
         r, phi = w_r, w_phi
     value = complex(base.f(LPoint(r, phi) if stack else z))
+    d = 0  # the denominator of at_z, z**(1/d) at the level below (none yet)
     for h, w_r, w_phi, z_r, z_phi in reversed(stack):
-        value = (-(value - evaluate_polar(h, w_r, w_phi)).conjugate()
-                 + evaluate_polar(h, z_r, z_phi))
+        if w_r >= h.radius:
+            raise OutOfRadius(f"|z| = {w_r} is not below the asserted radius {h.radius}")
+        # w is the point z of the level below, whose power is at_z
+        at_w = at_z if h.d == d else cmath.exp((1.0 / h.d) * complex(math.log(w_r), w_phi))
+        h_w = ps_eval(h.base, at_w)
+        if z_r >= h.radius:
+            raise OutOfRadius(f"|z| = {z_r} is not below the asserted radius {h.radius}")
+        d = h.d
+        at_z = cmath.exp((1.0 / d) * complex(math.log(z_r), z_phi))
+        value = -(value - h_w).conjugate() + ps_eval(h.base, at_z)
     return value
 
 

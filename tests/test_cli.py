@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsurf import SchemaError, apply_germ, extend_eval, get_trunc_order
+from logsurf import ScenarioError, SchemaError, apply_germ, extend_eval, get_trunc_order
 from logsurf import cli, reflect
 from logsurf.cli import main, run
 from logsurf.reflect import worst
@@ -26,6 +26,7 @@ from logsurf.surface import LPoint
 from conftest import bits
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+RAW_ARITHMETIC = ("math range error", "Numerical result out of range", "division by zero")
 
 
 def _strip_timestamp(text: str) -> str:
@@ -506,8 +507,77 @@ def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path
     assert f"error (mutated.json): {loc}: " in err
     assert "Traceback" not in err
     # nor a raw message of float arithmetic
-    assert "math range error" not in err and "Numerical result out of range" not in err
-    assert "division by zero" not in err
+    assert not any(raw in err for raw in RAW_ARITHMETIC)
+
+
+# Probe J's values: every numeric leaf of every shipped file but `seed` is set to each.
+EDIT_VALUES = (0, -1, 0.5, 1e-320, 1e-200, 1e308, 2**53, 1e6, math.nan, math.inf, -math.inf,
+               -0.0, 5e-324, -1e308)
+
+# The edits whose error is at `$`: the certificate's scales underflow, and they can
+# underflow from s_1, from a sampled C_k or from R, so no one field names them yet.
+AT_ROOT = {
+    *((name, f"$.corner.{field}", 1e-200)
+      for name in ("expansion_negative", "expansion_sanity")
+      for field in ("eps", "psi.radius", "chi.radius", "g0.radius", "g1.radius")),
+    ("expansion_negative", "$.corner.g0.terms[0].re", 1e308),
+    ("expansion_negative", "$.corner.g0.terms[0].re", -1e308),
+}
+
+# The edits whose error names another field of the relation that fails: r_max
+# over r_min, an edge term's sin(beta * theta), a term's exponent on the 1/d
+# lattice, and a certificate power that a smaller R avoids.
+AT_ANOTHER_FIELD = {
+    *((name, "$.grid.r_min", value, "$.grid.r_max")
+      for name in ("wedge_irrational", "wedge_right_angle") for value in (1e308, 2**53, 1e6)),
+    *(("wedge_irrational", "$.theta.value", value, "$.edge0[0]") for value in (1e-320, 5e-324)),
+    *((name, "$.corner.g0.d", 2**53, "$.corner.g0.terms[0]")
+      for name in ("envelope_wedge", "expansion_negative", "expansion_sanity", "reflect_wedge")),
+    ("expansion_negative", "$.corner.g0.terms[0].re", 2**53, "$.R"),
+    ("expansion_negative", "$.corner.g0.terms[0].re", 1e6, "$.R"),
+    ("expansion_sanity", "$.corner.g1.d", 2**53, "$.R"),
+}
+
+
+def _numeric_leaves(obj, path="$"):
+    """(json path, container, key) of every number in obj but a `seed`, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        sub = f"{path}.{key}" if isinstance(obj, dict) else f"{path}[{key}]"
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, sub)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool) and key != "seed":
+            yield sub, obj, key
+
+
+def test_every_single_field_edit_names_its_field(tmp_path):
+    # Probe J's sweep, 1,750 edits in one process: each edit returns a report or
+    # raises SchemaError or ScenarioError, with no raw arithmetic text, at the
+    # edited path or a prefix of it other than `$`, but for the listed edits
+    seen_at_root, seen_elsewhere, edits = set(), set(), 0
+    for file in sorted(SCENARIOS.glob("*.json")):
+        text = file.read_text()
+        for path, _, _ in list(_numeric_leaves(json.loads(text))):
+            for value in EDIT_VALUES:
+                obj = json.loads(text)
+                _, parent, key = next(leaf for leaf in _numeric_leaves(obj) if leaf[0] == path)
+                parent[key] = value
+                edits += 1
+                try:
+                    run(_write(tmp_path, file.name, obj), tmp_path / "o")
+                    continue
+                except (SchemaError, ScenarioError) as exc:
+                    error = exc
+                assert not any(raw in str(error) for raw in RAW_ARITHMETIC), (path, value, str(error))
+                loc = error.location
+                if loc == "$":
+                    seen_at_root.add((file.stem, path, value))
+                elif not (path == loc or path.startswith((loc + ".", loc + "["))):
+                    seen_elsewhere.add((file.stem, path, value, loc))
+    assert edits == 1750
+    # a mended edit leaves its list, so each list only shrinks
+    assert seen_at_root == AT_ROOT
+    assert seen_elsewhere == AT_ANOTHER_FIELD
 
 
 @pytest.mark.parametrize(

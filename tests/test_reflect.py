@@ -524,6 +524,55 @@ def test_curved_extend_eval_is_the_reference_descent_bit_for_bit(window, t_arg, 
     assert bits(extend_eval(states, base, z)) == bits(_extend_eval_reference(states, base, z))
 
 
+@functools.lru_cache(maxsize=None)
+def mixed_denominator_tower(order: int):
+    """curved_oracle_tower with g0 written in z**(1/2): the same data, d = 2.
+
+    Level 1's h is g1's, with d = 1; every level above takes g0's d = 2, so
+    a descent's unwinding meets h.d = 1 and then 2."""
+    corner, base, f = curved_oracle_corner()
+    coeffs = [0.0] * (2 * len(corner.g0.base.coeffs) - 1)
+    coeffs[::2] = corner.g0.base.coeffs
+    corner = dataclasses.replace(corner, g0=puiseux(coeffs, corner.g0.radius, 2))
+    with trunc_order(order):
+        states = tower(corner, 6)
+    return states, base, f
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    window=strategies.integers(0, 4),
+    t_arg=strategies.floats(1e-3, 1.0 - 1e-3),
+    t_r=strategies.floats(-3.0, -1e-3),
+)
+def test_mixed_denominator_extend_eval_is_the_reference_descent_bit_for_bit(window, t_arg, t_r):
+    # the power z**(1/d) kept from the level below is reused only where d agrees
+    states, base, f = mixed_denominator_tower(32)
+    assert [st.h.d for st in states[:5]] == [1, 2, 2, 2, 2]
+    lo, hi, st = _windows(states)[window]
+    z = LPoint(st.s * 10.0**t_r, lo + (hi - lo) * t_arg)
+    got = extend_eval(states, base, z)
+    assert bits(got) == bits(_extend_eval_reference(states, base, z))
+    assert abs(got - f(z)) <= 1e-10 * abs(f(z))
+
+
+@pytest.mark.parametrize("tower_of, powers", [(curved_oracle_tower, 5), (mixed_denominator_tower, 6)],
+                         ids=["one_d", "mixed_d"])
+def test_a_descent_makes_each_points_power_once(tower_of, powers):
+    # a level-5 point unwinds four levels: h_j at w_j and at z_j, and w_(j+1)
+    # is z_j, so its power is made once where the levels' d agree: 5 powers,
+    # 6 when h.d steps from 1 to 2; taking each of the 8 afresh makes 8
+    states, base, _ = tower_of(32)
+    lo, hi, st = _windows(states)[3]
+    z = LPoint(st.s * 0.1, 0.5 * (lo + hi))
+    assert membership(states, z) == 5
+    exp = cmath.exp
+    made = []
+    with mock.patch.object(cmath, "exp", lambda w: (made.append(w), exp(w))[1]):
+        extend_eval(states, base, z)
+    assert len(made) == powers
+
+
 def _replaced(state, **changes):
     """dataclasses.replace(state, **changes) for a level, whose h and
     phi_inv are made on first read, not passed: the copy has those of
