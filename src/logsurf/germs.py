@@ -26,9 +26,8 @@ every integer order:
 * compose of two rays (h = 0, every germ of a straight tower) gives
   h = 0 in closed form, and invert of a ray gives its inverse's zeros,
   with the radius kept, without a series product or a reversion.
-apply_germ_polar is apply_germ on the floats (r, phi) of a point, and
-apply_germ wraps it in an LPoint; apply_germ_many is apply_germ on
-float64 arrays, with its floats, for k = 1 germs.
+apply_germ_many is apply_germ on float64 arrays, with its floats, for
+k = 1 germs.
 """
 
 from __future__ import annotations
@@ -221,27 +220,18 @@ def s_series(phi: Germ) -> tuple:
 def apply_germ(phi: Germ, z: LPoint) -> LPoint:
     """Apply the germ to a surface point inside its radius.
 
-    The image is apply_germ_polar's (r, phi), built as one LPoint, so an
-    inf, 0 or nan on the way still fails its check.
-    """
-    return LPoint(*apply_germ_polar(phi, z.r, z.phi))
-
-
-def apply_germ_polar(g: Germ, r: float, phi: float) -> tuple[float, float]:
-    """The image (r, phi) of the surface point (r, phi) under the germ, as
-    floats; no LPoint is built, so the image is not checked.
-
     The unit factor 1 + h(z) is lifted with its principal argument,
     which lies in (-pi/2, pi/2) because |h| <= 1/2.  The floats are those
-    of mul(a, mul(power(k, z), lifted unit)), in its operation order.
-    k = 0 needs no case: 0 * phi = -0.0 would only matter if
+    of mul(a, mul(power(k, z), lifted unit)), in its operation order,
+    built as one LPoint, so an inf, 0 or nan on the way still fails its
+    check.  k = 0 needs no case: 0 * phi = -0.0 would only matter if
     phase(1 + h) were -0.0.  reflect.extend_eval writes this map out for
     its descent: a change here is a change there.
     """
-    if r >= g.radius:
-        raise OutOfRadius(f"|z| = {r} is not below the germ radius {g.radius}")
-    unit = 1.0 + ps_eval(g.h, cmath.rect(r, phi))
-    return g.a.r * (r ** g.k * abs(unit)), g.a.phi + (g.k * phi + cmath.phase(unit))
+    if z.r >= phi.radius:
+        raise OutOfRadius(f"|z| = {z.r} is not below the germ radius {phi.radius}")
+    unit = 1.0 + ps_eval(phi.h, cmath.rect(z.r, z.phi))
+    return LPoint(phi.a.r * (z.r ** phi.k * abs(unit)), phi.a.phi + (phi.k * z.phi + cmath.phase(unit)))
 
 
 def apply_germ_many(g: Germ, r: np.ndarray, phi: np.ndarray) -> tuple:

@@ -22,8 +22,8 @@ sectors reached after k steps covers arguments up to 2**(k-1) * theta
 extension reach every quadratic domain.
 
 extend_eval evaluates the extension at one point, carrying it as the
-floats (r, phi) through the descent, with both germ maps of a level
-written out in its loop, and each point's power z**(1/d) made once in the
+floats (r, phi) through the descent, with apply_germ and evaluate written
+out in its loop, and each point's power z**(1/d) made once in the
 unwinding; extend_eval_many evaluates many points on float64 arrays,
 with extend_eval's floats and exceptions.
 tower_errors checks a tower against its base, level by level: f against
@@ -73,8 +73,8 @@ from .series import (
     add,
     compose_germ,
     conj_tau,
+    evaluate,
     evaluate_many,
-    evaluate_polar,
     ps_eval,
     puiseux,
     scale,
@@ -233,10 +233,10 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     OutsideExtension when no materialized window contains z.
 
     The descent and the unwinding carry each point as its floats (r, phi):
-    w = phi_j(tau(phi_j^-1(z))) is apply_germ_polar's formula written out
-    twice, with the sign of the argument flipped between, and each image is
-    checked by on_surface's float test; an LPoint is built only to raise
-    its exception.  h_j is evaluate_polar written out: its radius check,
+    w = phi_j(tau(phi_j^-1(z))) is germs.apply_germ written out twice, with
+    the sign of the argument flipped between, and each image is checked by
+    LPoint's comparisons for two floats; an LPoint is built only to raise
+    its exception.  h_j is series.evaluate written out: its radius check,
     then ps_eval at z**(1/d).  The point w_(j+1) is z_j, so the power made
     for h_j at z_j is reused for h_(j+1) at w_(j+1) where the two share d.
     So the floats and exceptions are those of apply_germ and evaluate on
@@ -399,7 +399,7 @@ def tower_errors(states: Sequence[ReflectionState], base: HarmonicEvaluator, rng
                               [z.phi for _, z in edge] + phi.tolist())
     boundary, oracle = [[0.0] for _ in states[:-1]], [[0.0] for _ in states]
     for (st, z), fv in zip(edge, raising(values[:len(edge)])):
-        boundary[st.k - 1].append(abs(fv.real - evaluate_polar(st.h, z.r, z.phi).real))
+        boundary[st.k - 1].append(abs(fv.real - evaluate(st.h, z).real))
     refs = fallback_many(base.f, r, phi, *base.f_many(r, phi))
     for k, fv, ref in zip(level.tolist(), raising(values[len(edge):]), raising(refs)):
         oracle[k - 1].append(abs(fv - ref) / (1.0 + abs(ref)))

@@ -44,10 +44,9 @@ then rounds straight back to the total, so the float is that of the
 full sum.  It adds the first two terms before it first checks the
 rule: a later check is exact too, since the total no longer changes once
 the rule holds.  The coefficients and their bounds are cached together,
-as PowerSeries.eval_pairs.  evaluate_polar is evaluate on the floats
-(r, phi) of a point, and evaluate wraps it.  ps_eval_many and
-evaluate_many are ps_eval and evaluate on float64 arrays, with their
-floats; ps_eval_many sums every term.
+as PowerSeries.eval_pairs.  ps_eval_many and evaluate_many are ps_eval
+and evaluate on float64 arrays, with their floats; ps_eval_many sums
+every term.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from numpy._core.multiarray import correlate
 
 from . import config
 from .errors import InvalidGerm, OutOfRadius
-from .surface import LPoint, cpow_many, cpow_polar
+from .surface import LPoint, cpow, cpow_many
 
 if TYPE_CHECKING:
     from .germs import Germ
@@ -431,16 +430,10 @@ def puiseux_from_terms(terms: Iterable[tuple[int, complex]], radius: float, d: i
 
 
 def evaluate(g: PuiseuxSeries, z: LPoint) -> complex:
-    """Evaluate on the surface; fractional powers use the sheet of z."""
-    return evaluate_polar(g, z.r, z.phi)
-
-
-def evaluate_polar(g: PuiseuxSeries, r: float, phi: float) -> complex:
-    """evaluate(g, LPoint(r, phi)) for a point (r, phi) of the surface,
-    without building the LPoint: ps_eval of the base at w = z**(1/d)."""
-    if r >= g.radius:
-        raise OutOfRadius(f"|z| = {r} is not below the asserted radius {g.radius}")
-    return ps_eval(g.base, cpow_polar(1.0 / g.d, r, phi))
+    """Evaluate on the surface: the base at w = z**(1/d), on the sheet of z."""
+    if z.r >= g.radius:
+        raise OutOfRadius(f"|z| = {z.r} is not below the asserted radius {g.radius}")
+    return ps_eval(g.base, cpow(1.0 / g.d, z))
 
 
 def evaluate_many(g: PuiseuxSeries, r, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -529,7 +522,7 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> Pui
     the 1.
 
     The weight c_n a**(n/d) is c_n times cmath.exp((n/d) * lg), with
-    lg = complex(log |a|, arg a) formed once: the expression cpow_polar
+    lg = complex(log |a|, arg a) formed once: the expression cpow
     evaluates, with its 1 + 0j at n = 0, so the same floats.  Each term
     writes weight * block (in that operand order, which numpy rounds
     unlike block * weight) into its own row of a zero array, at the

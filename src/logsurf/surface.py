@@ -12,8 +12,6 @@ immutable values.
 >>> project(z)              # projection collapses sheets
 (4-...j)
 
-on_surface is LPoint's check and cpow_polar is cpow, both on the floats
-(r, phi) of a point, for code that carries points as floats.
 cpow_many and valid_many are cpow and LPoint's check on float64 arrays.
 Each array twin (a *_many function) gives its scalar rule's floats where
 its ok mask holds; fallback_many runs the other points through the scalar.
@@ -37,24 +35,14 @@ class LPoint:
     phi: float
 
     def __post_init__(self):
-        if not on_surface(self.r, self.phi):
-            if not on_surface(self.r, 0.0):
-                raise ValueError(f"modulus must be a finite positive real, got {self.r!r}")
-            raise ValueError(f"argument must be a finite real, got {self.phi!r}")
-
-
-def on_surface(r, phi) -> bool:
-    """LPoint's rule: whether LPoint(r, phi) is built rather than raising.
-
-    r must be a finite positive real and phi a finite real.  Code that
-    carries (r, phi) as floats checks a point with this and builds an
-    LPoint only to raise its exception.  Two Python floats, the descent's
-    case, take the comparisons alone; any other type takes the full rule.
-    """
-    if type(r) is float and type(phi) is float:
-        return 0.0 < r < math.inf and -math.inf < phi < math.inf
-    return (isinstance(r, (int, float)) and 0 < r < math.inf
-            and isinstance(phi, (int, float)) and -math.inf < phi < math.inf)
+        r, phi = self.r, self.phi
+        # two valid Python floats, the common case, pass on the comparisons alone
+        if type(r) is float and type(phi) is float and 0.0 < r < math.inf and -math.inf < phi < math.inf:
+            return
+        if not (isinstance(r, (int, float)) and 0 < r < math.inf):
+            raise ValueError(f"modulus must be a finite positive real, got {r!r}")
+        if not (isinstance(phi, (int, float)) and -math.inf < phi < math.inf):
+            raise ValueError(f"argument must be a finite real, got {phi!r}")
 
 
 @dataclass(frozen=True)
@@ -104,17 +92,11 @@ def cpow(alpha: float, z: LPoint) -> complex:
     For phi in (-pi, pi) this agrees with the principal-branch power of
     the projected point; on other sheets it differs, which is the point.
     """
-    return cpow_polar(alpha, z.r, z.phi)
-
-
-def cpow_polar(alpha: float, r: float, phi: float) -> complex:
-    """cpow(alpha, LPoint(r, phi)) for a point (r, phi) of the surface,
-    without building the LPoint: exp(alpha * (log r + i*phi))."""
     if alpha < 0:
         raise ValueError(f"power exponent must be nonnegative, got {alpha!r}")
     if alpha == 0:
         return 1.0 + 0.0j
-    return cmath.exp(alpha * complex(math.log(r), phi))
+    return cmath.exp(alpha * complex(math.log(z.r), z.phi))
 
 
 # For real exponents x up to this, cmath.exp takes its plain branch,

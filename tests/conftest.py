@@ -105,7 +105,8 @@ def ps_eval_loop(coeffs, w: complex) -> complex:
 
 
 def on_surface_full(r, phi) -> bool:
-    """Reference surface.on_surface: LPoint's rule for values of any type."""
+    """Reference LPoint rule, for values of any type: whether LPoint(r, phi)
+    is built rather than raising."""
     return (isinstance(r, (int, float)) and 0 < r < math.inf
             and isinstance(phi, (int, float)) and -math.inf < phi < math.inf)
 

@@ -31,7 +31,6 @@ AWAITING_A_CALLER = {
     "monomial": "open item 4: the solver's z**beta log z term at a resonant order",
     "evaluate_image": "open items 4 and 5: the log-power image chain, as compose_germ_lp",
     "binom_coefficients": "tests/test_acceptance.py's series of (1 - w)**-0.5 for the tail bound",
-    "evaluate": "the LPoint form of evaluate_polar that the tests use",
 }
 
 

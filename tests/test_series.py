@@ -14,6 +14,7 @@ from conftest import (
     binom_pow_full,
     bits,
     compose_germ_full,
+    on_surface_full,
     ps_compose_full,
     plain_power,
     ps_eval_loop,
@@ -22,7 +23,7 @@ from conftest import (
     surface_points,
 )
 from logsurf import series
-from logsurf import Germ, LPoint, OutOfRadius, config, cpow, power, rotation_germ, tau
+from logsurf import Germ, LPoint, OutOfRadius, config, cpow, logmap, power, rotation_germ, tau
 from logsurf.series import (
     PowerSeries,
     PuiseuxSeries,
@@ -711,7 +712,8 @@ def test_compose_germ_fractional_and_power_germs(rng, d, k):
 def test_evaluate_many_is_evaluate_bit_for_bit(d, coeffs, radius, drawn):
     # where ok, the batch float is evaluate's; ok is False exactly where the
     # point is invalid, at or past the radius, or w leaves cmath.exp's plain
-    # range, and evaluate raises at the first two
+    # range, and evaluate raises at the first two.  Inside the radius,
+    # evaluate is the full loop at exp(logmap(z) / d), or its OverflowError.
     g = puiseux(coeffs, radius, d)
     points = drawn.draw(surface_points(1.0 / d))
     # at the radius, the float on either side of it, and inside it
@@ -729,3 +731,18 @@ def test_evaluate_many_is_evaluate_bit_for_bit(d, coeffs, radius, drawn):
             assert not ok[i], exc
         else:
             assert not plain or ok[i] and bits(complex(re[i], im[i])) == bits(want)
+        if not on_surface_full(r, phi):
+            continue
+        z = LPoint(r, phi)
+        if r >= g.radius:
+            with pytest.raises(OutOfRadius):
+                evaluate(g, z)
+            continue
+        try:
+            loop = ps_eval_loop(g.base.coeffs, cmath.exp((1.0 / d) * logmap(z)))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                evaluate(g, z)
+        else:
+            # where the full loop overflows on trailing zeros, evaluate differs on purpose
+            assert not cmath.isfinite(loop) or bits(evaluate(g, z)) == bits(loop)

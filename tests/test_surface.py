@@ -23,7 +23,6 @@ from logsurf import (
     sqd_contains,
     tau,
 )
-from logsurf.surface import on_surface
 
 
 def test_point_validation():
@@ -74,13 +73,14 @@ _ANY_PART = (
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(r=_ANY_PART, phi=_ANY_PART)
-def test_on_surface_is_lpoints_rule_for_any_type(r, phi):
+def test_lpoint_keeps_its_rule_and_messages_for_any_type(r, phi):
     expected = on_surface_full(r, phi)
-    assert on_surface(r, phi) == expected
     try:
         LPoint(r, phi)
-    except ValueError:
+    except ValueError as exc:
         assert not expected
+        # the modulus is checked first, and the argument only for a valid modulus
+        assert str(exc).startswith("argument" if on_surface_full(r, 0.0) else "modulus")
     else:
         assert expected
 
