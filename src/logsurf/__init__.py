@@ -10,7 +10,6 @@ domains, together with sampled certificates for the printed bounds.
 from .config import DEFAULT_TRUNC_ORDER, get_trunc_order, trunc_order
 from .corner import (
     CornerSpec,
-    ExponentLattice,
     HarmonicEvaluator,
     IrrationalAngle,
     NormalizedCorner,
@@ -27,7 +26,6 @@ from .corner import (
     poisson_disk,
     scale_angle,
     unit_disk_solver,
-    wasow_exponents,
     wedge_solve,
 )
 from .errors import (
@@ -48,7 +46,6 @@ from .errors import (
 from .germs import (
     Germ,
     apply_germ,
-    arg_shift_bound,
     compose,
     identity_germ,
     invert,
@@ -112,7 +109,6 @@ from .surface import (
     nudge,
     power,
     project,
-    sqd_contains,
     tau,
 )
 

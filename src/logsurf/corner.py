@@ -11,7 +11,6 @@ series in the curve parameter.  This module provides
   log-power expansion of their holomorphic completions,
 * normalization of a general corner to the model form (first curve a
   ray, second curve a k = 1 germ) by root maps and one germ inverse,
-* the exponent lattice of corner expansions,
 * the Poisson integral and the Green function on the unit disc, with
   boundary data given as one function on the solver's node array, and
 * a five-point finite-difference Laplacian for harmonicity checks.
@@ -363,42 +362,6 @@ def normalize(spec: CornerSpec, order: int | None = None) -> NormalizedCorner:
     theta3 = scale_angle(spec.theta, m * n3)
     corner = CornerSpec(identity_germ(), chi3, theta3, g0, g1, min(eps0, eps1))
     return NormalizedCorner(corner, TransformRecord(tuple(stages)))
-
-
-# ----------------------------------------------------------------------
-# exponent lattice
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExponentLattice:
-    """The exponents k + (l/d) * alpha up to a cutoff, with the leading
-    exponent (n0/d) * alpha marked."""
-
-    exponents: tuple
-    leading: float
-
-
-def wasow_exponents(d: int, alpha: float, n0_over_d, R: float) -> ExponentLattice:
-    """Enumerate {k + (l/d) * alpha : k, l >= 0} up to R, sorted without
-    duplicates."""
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError(f"denominator must be a positive integer, got {d!r}")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be a positive real, got {alpha!r}")
-    if R < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {R!r}")
-    vals = set()
-    k = 0
-    while k <= R:
-        ell = 0
-        while True:
-            v = k + (ell / d) * alpha
-            if v > R:
-                break
-            vals.add(v)
-            ell += 1
-        k += 1
-    return ExponentLattice(tuple(sorted(vals)), float(n0_over_d) * alpha)
 
 
 # ----------------------------------------------------------------------

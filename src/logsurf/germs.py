@@ -339,16 +339,3 @@ def tau_conj(phi: Germ) -> Germ:
     """Conjugation by tau: a -> tau(a), h coefficients conjugated, radius kept."""
     return Germ(tau(phi.a), phi.k, PowerSeries(tuple(map(complex.conjugate, phi.h.coeffs))), phi.radius)
 
-
-def arg_shift_bound(phi: Germ, z: LPoint) -> float:
-    """|arg phi(z) - arg a(phi)|, asserted <= |arg z| + pi/2 for k = 1."""
-    if phi.k != 1:
-        raise InvalidGerm("argument shift bound is stated for k = 1 germs")
-    if z.r >= phi.radius:
-        raise OutOfRadius(f"|z| = {z.r} is not below the germ radius {phi.radius}")
-    shift = abs(apply_germ(phi, z).phi - phi.a.phi)
-    if shift > abs(z.phi) + math.pi / 2:
-        raise AssertionError(
-            f"argument shift {shift} exceeded |arg z| + pi/2 = {abs(z.phi) + math.pi / 2}"
-        )
-    return shift

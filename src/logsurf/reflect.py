@@ -553,6 +553,10 @@ def worst(*errors: float) -> float:
 
 
 def _next_exponent_bound(gamma: LogPowerSeries, R: float) -> float:
+    """The least point above R of gamma's exponent lattice: each support
+    exponent plus the nonnegative integers, 0 plus the nonnegative integers,
+    and the multiples of 1/d, where d is the lcm of the support's Fraction
+    denominators."""
     exps = set()
     d = 1
     for a in support(gamma):
@@ -562,10 +566,7 @@ def _next_exponent_bound(gamma: LogPowerSeries, R: float) -> float:
     exps.add(0.0)
     best = math.inf
     for a in exps:
-        if a > R:
-            best = min(best, a)
-            continue
-        best = min(best, a + math.floor(R - a) + 1.0)
+        best = min(best, a if a > R else a + math.floor(R - a) + 1.0)
     if math.isfinite(R * d):  # past the float range the lattice adds no point beyond R
         best = min(best, (math.floor(R * d) + 1.0) / d)
     return best

@@ -187,7 +187,3 @@ def nudge(z: LPoint, delta: complex) -> LPoint:
         raise ValueError("nudge through the puncture is not defined")
     return LPoint(z.r * abs(w), z.phi + cmath.phase(w))
 
-
-def sqd_contains(Q: QuadraticDomain, z: LPoint) -> bool:
-    """Strict membership test r < c * exp(-C * sqrt(|phi|))."""
-    return z.r < Q.c * math.exp(-Q.C * math.sqrt(abs(z.phi)))

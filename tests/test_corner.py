@@ -35,7 +35,6 @@ from logsurf import (
     rotation_germ,
     scale_angle,
     unit_disk_solver,
-    wasow_exponents,
     wedge_solve,
 )
 from logsurf.germs import Germ
@@ -267,25 +266,6 @@ def test_normalize_germ_stage():
     assert surface_dist(apply_germ(norm.corner.chi, z), apply_germ(want, z)) < 1e-9
     t = LPoint(0.001, 0.0)
     assert surface_dist(norm.record.forward(apply_germ(psi, t)), t) < 1e-9
-
-
-# ----------------------------------------------------------------------
-# exponent lattice
-# ----------------------------------------------------------------------
-
-def test_wasow_exponents_frozen():
-    lat = wasow_exponents(1, math.sqrt(2.0), 1, 3.0)
-    want = (0.0, 1.0, math.sqrt(2.0), 2.0, 1.0 + math.sqrt(2.0), 2.0 * math.sqrt(2.0), 3.0)
-    assert lat.exponents == pytest.approx(want, abs=1e-14)
-    assert lat.leading == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    lat2 = wasow_exponents(2, 1.0, 1, 1.5)
-    assert lat2.exponents == pytest.approx((0.0, 0.5, 1.0, 1.5), abs=1e-15)
-    with pytest.raises(ValueError):
-        wasow_exponents(0, 1.0, 1, 3.0)
-    with pytest.raises(ValueError):
-        wasow_exponents(1, 0.0, 1, 3.0)
-    with pytest.raises(ValueError):
-        wasow_exponents(1, 1.0, 1, -1.0)
 
 
 # ----------------------------------------------------------------------

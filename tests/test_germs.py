@@ -31,7 +31,6 @@ from logsurf import (
     Germ,
     OutOfRadius,
     apply_germ,
-    arg_shift_bound,
     compose,
     config,
     cpow,
@@ -178,15 +177,6 @@ def test_growth_and_argument_bounds(rng):
             w = apply_germ(f, z)
             assert w.r <= 2.0 * f.a.r * z.r ** f.k
             assert abs(w.phi - f.a.phi - f.k * z.phi) <= math.pi / 2
-
-
-def test_arg_shift_bound_contract(rng):
-    f = make_star_germ(rng)
-    z = LPoint(f.radius * 0.5, 1.2)
-    shift = arg_shift_bound(f, z)
-    assert shift <= abs(z.phi) + math.pi / 2
-    with pytest.raises(InvalidGerm):
-        arg_shift_bound(make_star_germ(rng, k=2), z)
 
 
 def test_root_pullback_agrees_with_surface_root(rng):

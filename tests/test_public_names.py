@@ -1,5 +1,6 @@
 """Every public name of logsurf, and every top-level function and class of
-its modules, has a caller outside the tests, or a listed reason.
+its modules, has a caller outside the tests, or a listed reason; and every
+module and script reads each name it imports.
 
 The exports are the names that src/logsurf/__init__.py imports from the
 package's modules.  A caller is any use of the name, as an identifier or
@@ -20,16 +21,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # Names that nothing calls yet, each with the ROADMAP item that gives it a
 # caller, or the test that needs it.
 AWAITING_A_CALLER = {
-    "normalize": "open items 2 and 3: curved and lens corners through the CLI",
-    "compose_germ_lp": "open items 4 and 5: resonant orders and gamma in the normalized chart",
-    "compose_pow": "open items 4 and 5: gamma carried through a root stage",
-    "arg_shift_bound": "open item 5: the curved envelope's pi/2 haircut",
-    "sqd_contains": "open item 5: membership in the quadratic domain",
-    "tail_bound": "open item 6: the per-level tail estimate",
-    "wasow_exponents": "open item 7: the sector's exponent lattice",
-    "poisson_disk": "aim 1: an evaluator measured layer by layer",
-    "monomial": "open item 4: the solver's z**beta log z term at a resonant order",
-    "evaluate_image": "open items 4 and 5: the log-power image chain, as compose_germ_lp",
+    "normalize": "item 2: curved and lens corners through the CLI",
+    "compose_germ_lp": "item L1: resonant orders; acceptance criterion 2 in tests/test_acceptance.py",
+    "compose_pow": "item L1: gamma carried through a root stage",
+    "tail_bound": "acceptance criterion 2; item 3 step 3: the rigorous bound beside the estimate",
+    "poisson_disk": "acceptance criterion 8: the disc potentials",
+    "monomial": "item L1: the z**beta log z term at a resonant order; acceptance criterion 2",
+    "evaluate_image": "item L1: the log-power image chain, as compose_germ_lp",
     "binom_coefficients": "tests/test_acceptance.py's series of (1 - w)**-0.5 for the tail bound",
 }
 
@@ -81,3 +79,23 @@ def test_every_public_name_has_a_caller_or_a_roadmap_item():
     assert sorted(exports - callers - AWAITING_A_CALLER.keys()) == []
     # a name that has found a caller, or left the package, leaves the list
     assert sorted(AWAITING_A_CALLER.keys() - (exports - callers)) == []
+
+
+def _unused_imports(path: Path) -> list:
+    """The names path imports at its top level and never reads as a Name."""
+    tree = ast.parse(path.read_text())
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in tree.body
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_module_import_is_used():
+    # __init__'s imports are the exports, which the test above covers
+    paths = [p for p in (ROOT / "src" / "logsurf").glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "scripts").glob("*.py")
+    unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p) for p in sorted(paths)}
+    assert {path: names for path, names in unused.items() if names} == {}

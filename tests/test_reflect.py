@@ -64,7 +64,7 @@ from logsurf.germs import s_series
 from logsurf.series import compose_germ, ps_compose
 from logsurf.surface import raising
 
-from conftest import apply_germ_composed, bits, outcome, ps_eval_loop, surface_dist
+from conftest import apply_germ_composed, bits, outcome, ps_eval_loop
 
 
 def _data_t(radius: float = 2.0):
@@ -1100,3 +1100,14 @@ def test_exponent_window_refuses_an_R_that_floats_cannot_separate(alpha, R):
     gamma = log_power_series([(alpha, (1.0,))])
     with pytest.raises(ValueError, match="no float S lies between R"):
         reflect.exponent_window(gamma, R)
+
+
+@pytest.mark.parametrize("terms, R, window", [
+    ([(Fraction(1, 2), (1.0,)), (Fraction(3, 2), (1.0,))], 1.0, (1.25, 1.125)),
+    ([(Fraction(2, 3), (1.0,))], 1.0, (1.1666666666666665, 1.0833333333333333)),
+    ([(math.sqrt(2.0), (1.0,))], 2.0, (2.2071067811865475, 2.103553390593274)),
+    ([(1, (1.0,))], 0.0, (0.5, 0.25)),
+], ids=["halves", "thirds", "sqrt2", "integer"])
+def test_exponent_window_is_the_next_lattice_exponent(terms, R, window):
+    # the next lattice exponents above R are 3/2, 4/3, 1 + sqrt(2) and 1
+    assert reflect.exponent_window(log_power_series(terms), R) == window

@@ -23,7 +23,7 @@ from conftest import (
     surface_points,
 )
 from logsurf import series
-from logsurf import Germ, LPoint, OutOfRadius, config, cpow, logmap, power, rotation_germ, tau
+from logsurf import Germ, LPoint, OutOfRadius, config, cpow, logmap, power, tau
 from logsurf.series import (
     PowerSeries,
     PuiseuxSeries,

@@ -20,7 +20,6 @@ from logsurf import (
     nudge,
     power,
     project,
-    sqd_contains,
     tau,
 )
 
@@ -179,17 +178,15 @@ def test_nudge_moves_the_projection_without_changing_sheet():
     assert abs(zn.phi - z.phi) < math.pi
 
 
-def test_quadratic_domain_membership_is_strict():
-    Q = QuadraticDomain(0.5, 2.0)
-    phi = 3.0
-    edge = 0.5 * math.exp(-2.0 * math.sqrt(abs(phi)))
-    assert not sqd_contains(Q, LPoint(edge, phi))
-    assert sqd_contains(Q, LPoint(edge * 0.999, phi))
-    assert sqd_contains(Q, LPoint(edge * 0.999, -phi))
+def test_quadratic_domain_refuses_nonpositive_or_nonfinite_constants():
     with pytest.raises(ValueError):
         QuadraticDomain(0.0, 1.0)
     with pytest.raises(ValueError):
         QuadraticDomain(1.0, -1.0)
+    with pytest.raises(ValueError):
+        QuadraticDomain(math.inf, 1.0)
+    with pytest.raises(ValueError):
+        QuadraticDomain(1.0, math.nan)
 
 
 def test_power_composes_multiplicatively(rng):
