@@ -11,7 +11,9 @@ their json location.  Every failure of a runner, including numbers out
 of range, is such an error: it never escapes as a traceback.  Every
 number must be finite.  Counts, coefficient indices and the truncation
 order (at most MAX_TRUNC_ORDER = 1024, from the file or --trunc-order)
-are bounded, so no file asks for unbounded work.  Flags are json
+are bounded, so no file asks for unbounded work; a tower's steps are at most
+_DEEPEST_LEVEL = 155, the last level whose radius scale 100**(k - 1) is a
+float, and are read before any tower is built.  Flags are json
 booleans.  A check whose error is nan fails.  The reflect runner's checks on
 the boundary data and the oracle fold the levels of reflect.tower_errors.
 _tower, shared by the reflect, envelope and expansion runners, keeps up to four
@@ -209,19 +211,13 @@ def _parse_edge(arr, loc: str) -> list:
     for i, term in enumerate(_as_list(arr, loc)):
         tloc = f"{loc}[{i}]"
         coeff = _as_real(_need(term, "coeff", tloc), f"{tloc}.coeff")
-        if "beta_real" in term:
-            beta = _as_real(term["beta_real"], f"{tloc}.beta_real")
-            if beta < 0:
-                raise SchemaError("exponents must be nonnegative", f"{tloc}.beta_real")
-            out.append((beta, coeff))
-        else:
-            num = _as_int(_need(term, "beta_num", tloc), f"{tloc}.beta_num", 0)
-            den = _as_int(_need(term, "beta_den", tloc), f"{tloc}.beta_den", 1)
-            beta = Fraction(num, den)
-            with _at(tloc, SchemaError):  # float(beta) overflows past the float range
-                if beta and not float(beta):
-                    raise SchemaError("a positive exponent rounds to 0.0 as a float", tloc)
-            out.append((beta, coeff))
+        num = _as_int(_need(term, "beta_num", tloc), f"{tloc}.beta_num", 0)
+        den = _as_int(_need(term, "beta_den", tloc), f"{tloc}.beta_den", 1)
+        beta = Fraction(num, den)
+        with _at(tloc, SchemaError):  # float(beta) overflows past the float range
+            if beta and not float(beta):
+                raise SchemaError("a positive exponent rounds to 0.0 as a float", tloc)
+        out.append((beta, coeff))
     return out
 
 
@@ -408,15 +404,7 @@ def _straight_wedge_base(corner: CornerSpec, loc: str):
     return (evaluator if alpha == 0.0 else rotate_evaluator(evaluator, alpha)), expansion
 
 
-def _level_scale(k: int, loc: str) -> float:
-    """100**(k - 1), level k's radius scale; a SchemaError at loc past the float range."""
-    try:
-        return 100.0 ** (k - 1)
-    except OverflowError:
-        raise SchemaError(f"level {k}'s radius scale 100**{k - 1} overflows a float", loc) from None
-
-
-_DEEPEST_LEVEL = 155  # the last level whose radius scale 100**(k - 1) is a float
+_DEEPEST_LEVEL = 155  # the last level whose radius scale 100**(k - 1) is a float: the most steps
 _TOWERS = {}  # (repr(corner), order): its levels, the least recently used first
 _MAX_TOWERS, _MAX_KEPT = 4, 2**14  # towers, and levels times order over them: ~2.5 MiB at most
 clear_towers = _TOWERS.clear  # the next run of each corner builds its tower anew
@@ -425,15 +413,15 @@ clear_towers = _TOWERS.clear  # the next run of each corner builds its tower ane
 def _tower(corner, steps, order):
     """tower(corner, steps, order), its errors at $.corner; an underflowing radius is a SchemaError.
 
-    Within _DEEPEST_LEVEL levels a radius underflows only from a small s_1,
-    so the error names the first corner field equal to s_1: eps, then the
-    psi, chi, g0 and g1 radii, or $.corner itself when s_1 is a radius
-    transported by a curve.  Past that depth it is at $.steps.
+    The runners refuse steps past _DEEPEST_LEVEL, and within that depth a radius
+    underflows only from a small s_1, so the error names the first corner field
+    equal to s_1: eps, then the psi, chi, g0 and g1 radii, or $.corner itself when
+    s_1 is a radius transported by a curve.
 
     Up to _MAX_TOWERS towers of _MAX_KEPT levels times order in all are kept, keyed by the
     corner's repr (every float's digits and zero's sign, which == misses) and the order, the
-    least recently used dropped first; none past _DEEPEST_LEVEL, which reflect refuses.  A level
-    does not depend on deeper ones, so a kept tower of at least `steps` levels gives its first.
+    least recently used dropped first.  A level does not depend on deeper ones, so a kept
+    tower of at least `steps` levels gives its first.
     """
     key = (repr(corner), order)
     states = _TOWERS.pop(key, [])
@@ -442,16 +430,13 @@ def _tower(corner, steps, order):
             try:
                 states = tower(corner, steps, order)
             except WindowEmpty as exc:
-                loc = "$.steps"
-                if steps <= _DEEPEST_LEVEL:
-                    s1 = init_state(corner, order).s
-                    fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
-                              ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
-                              ("g1.radius", corner.g1.radius))
-                    loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
+                s1 = init_state(corner, order).s
+                fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
+                          ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
+                          ("g1.radius", corner.g1.radius))
+                loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
                 raise SchemaError(str(exc), loc) from None
-    if steps <= _DEEPEST_LEVEL:
-        _TOWERS[key] = states
+    _TOWERS[key] = states
     while len(_TOWERS) > _MAX_TOWERS or sum(len(v) * k[1] for k, v in _TOWERS.items()) > _MAX_KEPT:
         del _TOWERS[next(iter(_TOWERS))]
     return states[:steps]
@@ -468,7 +453,7 @@ def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):
     d_top = math.lcm(states[0].h0.d, states[0].h.d)
     d_stable = True
     for st in states:
-        scale = _level_scale(st.k, "$.steps")
+        scale = 100.0 ** (st.k - 1)
         drift = worst(drift, abs(st.s * scale / s1 - 1.0), abs(st.r * scale / r1 - 1.0))
         angle_err = worst(angle_err, abs((st.phi.a.phi - alpha) - 2.0 ** (st.k - 1) * theta))
         mod_err = worst(mod_err, abs(st.phi.a.r - 1.0))
@@ -488,9 +473,10 @@ def _reflect_checks(corner, base, steps, order, rng, n_oracle, suffix=""):
 
 def _run_reflect(obj, rng, order):
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
-    steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 2)
+    steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 2, _DEEPEST_LEVEL)
     n_oracle = _as_int(obj.get("oracle_points", 100), "$.oracle_points", 1, MAX_COUNT)
     negative = _as_bool(obj.get("negative", False), "$.negative")
+    grid = _parse_grid(obj.get("grid"), "$.grid", {"r_n": 6, "phi_n": 7})
     base, _ = _straight_wedge_base(corner, "$.corner")
     with _at("$.corner"):
         states, checks = _reflect_checks(corner, base, steps, order, rng, n_oracle)
@@ -506,7 +492,6 @@ def _run_reflect(obj, rng, order):
         [st.k, st.r, st.s, st.phi.a.phi, st.phi.a.r, st.h.d, st.h.radius]
         for st in states
     ]
-    grid = _parse_grid(obj.get("grid"), "$.grid", {"r_n": 6, "phi_n": 7})
     lower, upper = states[-1].lower, states[-1].upper
     span = upper - lower
     grid_rows = emit_grid(
@@ -526,7 +511,7 @@ def _run_reflect(obj, rng, order):
 def _expansion_setup(obj, order):
     """An expansion_compare file's (states, base, gamma, R, expect_ok) at the given order."""
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
-    steps = _as_int(obj.get("steps", 5), "$.steps", 3)
+    steps = _as_int(obj.get("steps", 5), "$.steps", 3, _DEEPEST_LEVEL)
     R = _as_real(_need(obj, "R", "$.R"), "$.R")
     if not R >= 0:
         raise SchemaError("R must be nonnegative", "$.R")
@@ -680,7 +665,7 @@ def _run_green(obj, rng, order):
 def _run_envelope(obj, rng, order):
     """The envelope's domain against the windows at samples of x, leveled in one sweep."""
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
-    steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3)
+    steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3, _DEEPEST_LEVEL)
     phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max")
     if not phi_max >= 1.0:
         raise SchemaError("phi_max must be at least 1", "$.phi_max")
@@ -694,7 +679,9 @@ def _run_envelope(obj, rng, order):
         except OverflowError:  # level 1025's reach 2**1024 * theta - pi/2 has no float
             raise SchemaError(f"phi_max = {phi_max:.3e} needs a level past 1024, whose radius scale "
                               f"100**1024 or more overflows a float", "$.phi_max") from None
-        _level_scale(levels[-1], "$.phi_max")  # the deepest level envelope reads
+        if levels[-1] > _DEEPEST_LEVEL:  # the deepest level envelope reads
+            raise SchemaError(f"level {levels[-1]}'s radius scale 100**{levels[-1] - 1} overflows a float",
+                              "$.phi_max")
         env = envelope(states, phi_max)
 
     violations = 0

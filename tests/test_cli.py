@@ -173,13 +173,24 @@ def test_a_tower_that_raises_is_not_kept(tmp_path):
 
 
 def test_a_run_refused_at_steps_keeps_no_tower(tmp_path):
-    # level 156's radius scale overflows: the 157-level tower is built, then refused
-    obj = json.loads((SCENARIOS / "reflect_wedge.json").read_text())
-    obj["steps"] = 157
-    with pytest.raises(SchemaError) as exc:
-        run(_write(tmp_path, "deep.json", obj), tmp_path / "o", trunc_order=16)
-    assert exc.value.location == "$.steps"
-    assert cli._TOWERS == {}
+    # level 156's radius scale overflows: each corner runner refuses steps past 155,
+    # and the reflect runner a grid it cannot use, before it builds any level
+    cases = [*((name, "steps", steps, "$.steps") for steps in (156, 157)
+               for name in ("reflect_wedge", "envelope_wedge", "expansion_sanity")),
+             ("reflect_wedge", "grid", {"r_n": 1}, "$.grid.r_n")]
+    for name, key, value, loc in cases:
+        obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+        obj[key] = value
+        with mock.patch.object(cli, "tower", wraps=cli.tower) as built, pytest.raises(SchemaError) as exc:
+            run(_write(tmp_path, "deep.json", obj), tmp_path / "o", trunc_order=16)
+        assert (exc.value.location, built.call_count) == (loc, 0), (name, key, value)
+        assert cli._TOWERS == {}
+
+
+def test_the_deepest_level_is_the_last_whose_radius_scale_is_a_float():
+    assert math.isfinite(100.0 ** (cli._DEEPEST_LEVEL - 1))
+    with pytest.raises(OverflowError):
+        100.0 ** cli._DEEPEST_LEVEL
 
 
 def test_the_kept_towers_are_bounded_by_levels_times_order(monkeypatch):
@@ -420,7 +431,7 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
     [
         ("wedge_right_angle", ("grid", "r_min"), 0, "$.grid.r_min"),
         ("wedge_right_angle", ("grid", "r_max"), 1e308, "$.grid.r_max"),
-        # s_k = s_1 / 100**(k - 1) underflows to 0.0 at level 163
+        # past level 155, whose radius scale 100**154 is the last float
         ("reflect_wedge", ("steps",), 200, "$.steps"),
         ("envelope_wedge", ("phi_max",), -5, "$.phi_max"),
         ("expansion_sanity", ("R",), -1, "$.R"),
@@ -450,7 +461,7 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("green_disk", ("x_list",), [], "$.x_list"),
         # the trig data takes n * phi as a float
         ("poisson_disk", ("data", "terms", 0, "n"), 10**400, "$.data.terms[0].n"),
-        # the tower stops at the level whose radius underflows, not at the last
+        # every corner runner refuses such a depth before it builds a level
         ("reflect_wedge", ("steps",), 10**9, "$.steps"),
         ("envelope_wedge", ("steps",), 200, "$.steps"),
         ("expansion_sanity", ("steps",), 200, "$.steps"),
@@ -471,7 +482,8 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("envelope_wedge", ("phi_max",), 1e308, "$.phi_max"),
         # z**beta overflows past |z| = 1: on the grid, or at the harmonicity stencil
         ("wedge_irrational", ("grid", "r_max"), 1e308, "$.grid.r_max"),
-        ("wedge_irrational", ("edge0", 0), {"beta_real": 1e300, "coeff": 1.0}, "$.edge0[0]"),
+        ("wedge_irrational", ("edge0", 0), {"beta_num": int(1e300), "beta_den": 1, "coeff": 1.0},
+         "$.edge0[0]"),
         ("wedge_irrational", ("edge0", 0, "beta_num"), 10**20, "$.edge0[0]"),
         # floats hold no exponent between R = 1e308 and the next one, R + 1
         ("expansion_sanity", ("R",), 1e308, "$.R"),
@@ -485,6 +497,9 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("wedge_irrational", ("edge1", 0, "beta_num"), 0, "$.edge1[0]"),
         ("wedge_irrational", ("edge0", 0, "beta_num"), 0, "$.edge0[0]"),
         ("wedge_right_angle", ("edge0", 0, "beta_num"), 0, "$.edge0[0]"),
+        # level 156's radius scale 100**155 has no float, in every corner runner
+        ("envelope_wedge", ("steps",), 156, "$.steps"),
+        ("expansion_sanity", ("steps",), 156, "$.steps"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
@@ -601,8 +616,8 @@ def test_a_certificate_power_that_underflows_names_R(tmp_path, capsys, key, valu
 @pytest.mark.parametrize(
     "name, key, value, message",
     [
-        # 100**155 is past the float range; 155 levels pass
-        ("reflect_wedge", "steps", 157, "$.steps: level 156's radius scale 100**155 overflows a float"),
+        # 100**155 is past the float range; 155 levels pass, and deeper files build none
+        ("reflect_wedge", "steps", 157, "$.steps: expected an integer <= 155, got 157"),
         # at theta = 1 the window of x = 1e47 is level 158's; 1e46 passes
         ("envelope_wedge", "phi_max", 1e47,
          "$.phi_max: level 158's radius scale 100**157 overflows a float"),
@@ -610,8 +625,8 @@ def test_a_certificate_power_that_underflows_names_R(tmp_path, capsys, key, valu
         ("envelope_wedge", "phi_max", 1e308,
          "$.phi_max: phi_max = 1.000e+308 needs a level past 1024, whose radius scale 100**1024 or "
          "more overflows a float"),
-        # past the scale, a deeper tower's radius s_k underflows as it is built
-        ("reflect_wedge", "steps", 200, "$.steps: level 163's radius s_163 = s_162 / 100 underflows to 0.0"),
+        # the same rule where steps is optional
+        ("expansion_sanity", "steps", 156, "$.steps: expected an integer <= 155, got 156"),
     ],
 )
 def test_an_overflowing_radius_scale_names_its_field(tmp_path, capsys, name, key, value, message):
@@ -662,9 +677,9 @@ def test_an_overflowing_run_prints_no_numpy_warnings(tmp_path, capsys, name, pat
 @pytest.mark.parametrize(
     "edge0, r_max, message",
     [
-        ([{"beta_real": 1e300, "coeff": 1.0}], 2,
+        ([{"beta_num": int(1e300), "beta_den": 1, "coeff": 1.0}], 2,
          "$.edge0[0]: z**beta overflows a float at the harmonicity stencil, just past |z| = 1"),
-        ([{"beta_real": 400, "coeff": 1.0}], 1e3,
+        ([{"beta_num": 400, "beta_den": 1, "coeff": 1.0}], 1e3,
          "$.grid.r_max: the solution overflows a float on the grid, at r up to 1000.0"),
         (None, 1e308, "$.grid.r_max: the solution overflows a float on the grid, at r up to 1e+308"),
     ],
@@ -705,7 +720,8 @@ def test_wedge_refuses_a_term_without_a_finite_closed_form(tmp_path, capsys, the
                                                            coeff, loc, cause):
     obj = json.loads((SCENARIOS / "wedge_irrational.json").read_text())
     obj["theta"]["value"] = theta
-    term = {"beta_real": beta, "coeff": coeff}
+    num, den = beta.as_integer_ratio()  # the float's exact value
+    term = {"beta_num": num, "beta_den": den, "coeff": coeff}
     if side == "edge0":
         obj["edge0"] = [term]
     else:

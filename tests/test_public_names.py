@@ -1,6 +1,6 @@
 """Every public name of logsurf, and every top-level function and class of
 its modules, has a caller outside the tests, or a listed reason; and every
-module and script reads each name it imports.
+module, script and test file reads each name it imports.
 
 The exports are the names that src/logsurf/__init__.py imports from the
 package's modules.  A caller is any use of the name, as an identifier or
@@ -96,6 +96,6 @@ def _unused_imports(path: Path) -> list:
 def test_every_module_import_is_used():
     # __init__'s imports are the exports, which the test above covers
     paths = [p for p in (ROOT / "src" / "logsurf").glob("*.py") if p.name != "__init__.py"]
-    paths += (ROOT / "scripts").glob("*.py")
+    paths += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p) for p in sorted(paths)}
     assert {path: names for path, names in unused.items() if names} == {}
