@@ -15,9 +15,15 @@ quartiles of the time per tower and the three call counts, as
 product/dot/sampled, twice: "built" for the build alone, and "+ read" for
 the build and every level read, which adds the top level's data and
 inverse, made on first read.  The product and dot counts are every kernel
-call a tower makes.  The logsurf package is imported from ``<root>/src``, so
-two trees whose ``tower`` and ``cli._parse_corner`` take the order are
-timed with one copy of this script:
+call a tower makes.  Each row also splits the median build in two: kernel
+ms, the median over ``--repeats`` more builds of the time spent inside
+``series.correlate`` (``np.convolve`` in a tree without it) and ``np.dot``,
+and glue ms, the median build less that kernel time, which is the Python
+and numpy work between the kernel calls.  Only those extra builds wrap
+the kernels in timers, each read just before and just after its call, so
+the median column is of plain builds.  The logsurf package is imported
+from ``<root>/src``, so two trees whose ``tower`` and ``cli._parse_corner``
+take the order are timed with one copy of this script:
 
     python scripts/tower_cost.py --root base
     python scripts/tower_cost.py
@@ -71,6 +77,32 @@ def counted_build(tower, germs, series, corner, depth, order) -> tuple[str, str]
     return built, counts()
 
 
+def kernel_ms(tower, series, corner, depth, order) -> float:
+    """Milliseconds spent inside the correlate and np.dot calls of one
+    tower(corner, depth, order)."""
+    spent = [0.0]
+    owner, name = (series, "correlate") if hasattr(series, "correlate") else (np, "convolve")
+    kernel, dot = getattr(owner, name), np.dot
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - start
+        return wrapper
+
+    setattr(owner, name, timed(kernel))
+    np.dot = timed(dot)
+    try:
+        tower(corner, depth, order)
+    finally:
+        setattr(owner, name, kernel)
+        np.dot = dot
+    return spent[0] * 1e3
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -90,7 +122,7 @@ def main(argv=None) -> int:
     obj = json.loads((root / "scenarios" / "reflect_wedge.json").read_text())
     print(f"tower cost, tree {root}")
     print(f"{'corner':>8} {'order':>5} {'depth':>5} {'median ms':>9} {'q1 ms':>7} {'q3 ms':>7} "
-          f"{'built':>12} {'+ read':>12}   (product/dot/sampled calls)")
+          f"{'kernel ms':>9} {'glue ms':>7} {'built':>12} {'+ read':>12}   (product/dot/sampled calls)")
     for name in ("straight", "curved"):
         for order in ORDERS:
             if name == "straight":
@@ -106,8 +138,10 @@ def main(argv=None) -> int:
                     times.append((time.perf_counter() - start) * 1e3)
                 # one build is its own median and quartiles
                 q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+                kernel = statistics.median(kernel_ms(tower, series, corner, depth, order)
+                                           for _ in range(args.repeats))
                 print(f"{name:>8} {order:5d} {depth:5d} {median:9.2f} {q1:7.2f} {q3:7.2f} "
-                      f"{built:>12} {read:>12}")
+                      f"{kernel:9.2f} {median - kernel:7.2f} {built:>12} {read:>12}")
     return 0
 
 

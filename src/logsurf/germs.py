@@ -26,6 +26,8 @@ every integer order:
 * compose of two rays (h = 0, every germ of a straight tower) gives
   h = 0 in closed form, and invert of a ray gives its inverse's zeros,
   with the radius kept, without a series product or a reversion.
+The general compose hands complex128 arrays from series' array kernels
+to its one product, and its h becomes a tuple once, in PowerSeries.
 apply_germ_many is apply_germ on float64 arrays, with its floats, for
 k = 1 germs.
 """
@@ -38,17 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
+from . import config, series
 from .config import MAX_TRUNC_ORDER
 from .errors import InvalidGerm, NotInvertible, OutOfRadius
 from .series import (
     PowerSeries,
+    _binom_pow,
     _nonzero_len,
-    binom_pow,
-    ps_compose,
+    _ps_compose,
     ps_eval,
     ps_eval_many,
-    ps_mul,
     reversion,
 )
 from .surface import LPoint, mul, power, project, tau, valid_many
@@ -76,12 +77,6 @@ class Germ:
             raise ValueError("h must vanish at the origin")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be a finite positive real, got {self.radius!r}")
-
-
-def _one_plus(h_coeffs: tuple) -> tuple:
-    coeffs = list(h_coeffs)
-    coeffs[0] = coeffs[0] + 1.0
-    return tuple(coeffs)
 
 
 def sampled_h_sup(h_coeffs: tuple, radius: float) -> float:
@@ -205,16 +200,16 @@ def root_pullback(phi: Germ, m: int, order: int | None = None) -> Germ:
     if m == 1:
         return phi
     a = power(1.0 / m, phi.a)
-    h_new = list(binom_pow(phi.h.coeffs, 1.0 / m, order))
-    h_new[0] = 0.0
-    r = _shrink_to_bound(tuple(h_new), phi.radius)
-    return Germ(a, phi.k // m, PowerSeries(tuple(h_new)), r)
+    h_new = _binom_pow(phi.h.coeffs, 1.0 / m, order)
+    h_new[0] = 0
+    h = PowerSeries(h_new)
+    return Germ(a, phi.k // m, h, _shrink_to_bound(h.coeffs, phi.radius))
 
 
 def s_series(phi: Germ) -> tuple:
     """Coefficients of the plane shadow a * w**k * (1 + h(w)) of the germ."""
-    a1 = project(phi.a)
-    return tuple([0j] * phi.k + [a1 * c for c in _one_plus(phi.h.coeffs)])
+    a1, h = project(phi.a), phi.h.coeffs
+    return (0j,) * phi.k + (a1 * (h[0] + 1.0), *[a1 * c for c in h[1:]])
 
 
 def apply_germ(phi: Germ, z: LPoint) -> LPoint:
@@ -293,15 +288,14 @@ def compose(phi: Germ, psi: Germ, order: int | None = None) -> Germ:
     if is_ray(phi) and is_ray(psi) and order >= 0:
         h_new = (0j,) * (order + 1)
     elif is_identity(psi) and all(map(cmath.isfinite, phi.h.coeffs)):
-        h_new = [0j] + [c + 0j for c in phi.h.coeffs[1 : order + 1]]
-        h_new += [0j] * (order + 1 - len(h_new))
+        h_new = (0j, *[c + 0j for c in phi.h.coeffs[1 : order + 1]])
+        h_new += (0j,) * (order + 1 - len(h_new))
     else:
-        factor1 = binom_pow(psi.h.coeffs, float(phi.k), order)
-        factor2 = list(ps_compose(phi.h.coeffs, s_series(psi), order))
+        factor2 = _ps_compose(phi.h.coeffs, s_series(psi), order)
         factor2[0] += 1.0
-        h_new = list(ps_mul(factor1, factor2, order))
-        h_new[0] = 0.0
-    return Germ(a, k, PowerSeries(tuple(h_new)), radius)
+        h_new = series._product(_binom_pow(psi.h.coeffs, float(phi.k), order), factor2, order + 1)
+        h_new[0] = 0
+    return Germ(a, k, PowerSeries(h_new), radius)
 
 
 def invert(phi: Germ, order: int | None = None) -> Germ:

@@ -27,7 +27,7 @@ import numpy as np
 from . import config
 from .errors import InvalidGerm, OutOfRadius
 from .germs import sampled_h_sup
-from .series import PowerSeries, _nonzero_len, _product, binom_pow, log1p_series, ps_add, ps_eval
+from .series import PowerSeries, _binom_pow, _nonzero_len, _product, log1p_series, ps_add, ps_eval
 from .surface import LPoint, cpow, cpow_many, log_many, logmap, project, valid_many
 
 Exponent = Fraction | float
@@ -243,7 +243,7 @@ def compose_germ_lp(g: LogPowerSeries, phi, order: int | None = None) -> tuple[L
         alpha_f = float(alpha)
         new_alpha = alpha * phi.k
         a_pow = cpow(alpha_f, phi.a)
-        unit_pow = np.asarray(binom_pow(phi.h.coeffs, alpha_f, order=order), dtype=complex)
+        unit_pow = _binom_pow(phi.h.coeffs, alpha_f, order)
         base = a_pow * unit_pow
         m_top = len(poly) - 1
         # log_powers[j] = (log(a(1+h)))**j truncated

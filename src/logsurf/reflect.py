@@ -76,7 +76,6 @@ from .series import (
     evaluate,
     evaluate_many,
     ps_eval,
-    puiseux,
     scale,
     sub,
 )
@@ -126,7 +125,7 @@ class ReflectionState:
         omega = compose(below.phi, tau_conj(below.phi_inv), order)
         reflected = conj_tau(compose_germ(sub(self.h0, below.h, order), omega, order))
         h_sum = add(scale(-1.0, reflected), below.h, order)
-        return puiseux(h_sum.base.coeffs, below.s / 4.0, h_sum.d)
+        return PuiseuxSeries(h_sum.d, h_sum.base, below.s / 4.0)
 
 
 def init_state(corner: CornerSpec, order: int | None = None) -> ReflectionState:

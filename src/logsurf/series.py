@@ -31,12 +31,16 @@ the full loop has nan (see there).  binom_pow with alpha = 1
 skips its one product, whose floats are known: 1 + h in closed form.
 Around the numpy calls the kernels keep only scalar work that sets a
 float, each in a form with the same floats: compose_germ takes each
-a**(n/d) by cpow's own expression from one log of a and sums its
-weighted blocks, one row each, in one np.add.reduce, reversion divides
-its diagonal by 1, 2, ... in one array division, and _spread, the one
-rule that pads and truncates coefficients (add, sub, ps_add and
-reversion use it), writes them through one strided slice, which copies
-them exactly.  ps_eval stops its sum
+a**(n/d) by cpow's own expression from one log of a, weights its
+blocks, one row each, in one multiply and sums them in one
+np.add.reduce, reversion divides its diagonal by 1, 2, ... in one array
+division, and _spread, the one rule that pads and truncates
+coefficients (add, sub, ps_add and reversion use it), writes them
+through one strided slice, which copies them exactly.  Between kernels
+coefficients stay complex128 arrays (_binom_pow and _ps_compose return
+them; binom_pow and ps_compose are their tuples): a PowerSeries made
+from one makes its tuple once and keeps the array, as _array, which
+add, scale, conj_tau and eval_pairs read.  ps_eval stops its sum
 once no later term can change a bit of it: inside the unit disc, when
 the largest coefficient still to come times the current power of w is
 below a quarter ulp of both parts of the total.  Each skipped addend
@@ -83,11 +87,16 @@ class PowerSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
+        coeffs = self.coeffs
+        if len(coeffs) == 0:
             raise ValueError("a power series needs at least the constant coefficient")
+        # A kernel's complex128 result becomes a tuple once and is kept as _array.
+        if type(coeffs) is np.ndarray and coeffs.dtype.char == "D" and coeffs.ndim == 1:
+            object.__setattr__(self, "coeffs", tuple(coeffs.tolist()))
+            vars(self)["_array"] = coeffs
         # Callers mostly pass tuples of complex already, which need no copy.
-        if type(self.coeffs) is not tuple or set(map(type, self.coeffs)) != {complex}:
-            object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        elif type(coeffs) is not tuple or set(map(type, coeffs)) != {complex}:
+            object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
 
     @property
     def order(self) -> int:
@@ -99,14 +108,19 @@ class PowerSeries:
         return self.coeffs[: _nonzero_len(self.coeffs)]
 
     @cached_property
+    def _array(self) -> np.ndarray:
+        """coeffs as a complex128 array: the operand a kernel reads, never writes."""
+        return np.array(self.coeffs, dtype=complex)
+
+    @cached_property
     def eval_pairs(self) -> tuple:
         """(c_n, 2 * max |c_m| over the m > n of trimmed) for each n of
         trimmed: ps_eval's coefficients with its stop rule's bounds.  The
         bound is 0.0 at the last n, and nan when a later coefficient is
         nan; doubling is exact (or inf, as 2.0 * M is in Python)."""
-        mags = np.abs(np.array(self.trimmed[1:] + (0j,), dtype=complex))
+        mags = np.abs(self._array[1 : len(self.trimmed)])
         bounds = (2.0 * np.maximum.accumulate(mags[::-1])[::-1]).tolist()
-        return tuple(zip(self.trimmed, bounds))
+        return tuple(zip(self.trimmed, bounds + [0.0]))
 
 
 def _nonzero_len(coeffs: Sequence[complex]) -> int:
@@ -220,10 +234,6 @@ def ps_add(f: Sequence[complex], g: Sequence[complex]) -> tuple:
     return tuple((_spread(f, 1, n) + _spread(g, 1, n)).tolist())
 
 
-def ps_scale(c: complex, f: Sequence[complex]) -> tuple:
-    return tuple((c * np.asarray(f, dtype=complex)).tolist())
-
-
 def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The first n entries of the full np.convolve of 1-d complex arrays.
 
@@ -260,6 +270,11 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     full scheme's.  An f with no nonzero coefficient makes no product at
     all, so it runs the full scheme when g has an inf or nan.
     """
+    return tuple(_ps_compose(f, g, order).tolist())
+
+
+def _ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None) -> np.ndarray:
+    """ps_compose's coefficients as a complex128 array."""
     order = config.order_or_default(order)
     g_arr = np.asarray(g, dtype=complex)
     if len(g_arr) and g_arr[0] != 0:
@@ -271,7 +286,7 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     for c in reversed(np.asarray(f[:top], dtype=complex).tolist()):
         acc = _product(acc, g_arr, order + 1)
         acc[0] += c
-    return tuple(acc.tolist())
+    return acc
 
 
 def _binomials(alpha: float) -> Iterator[complex]:
@@ -309,6 +324,11 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     into +0.0, as + 0j does.  An inf or nan coefficient takes the
     product, where the zero parts meet it and make nan.
     """
+    return tuple(_binom_pow(h, alpha, order).tolist())
+
+
+def _binom_pow(h: Sequence[complex], alpha: float, order: int | None) -> np.ndarray:
+    """binom_pow's coefficients as a complex128 array."""
     order = config.order_or_default(order)
     h_arr = np.asarray(h, dtype=complex)
     if len(h_arr) and h_arr[0] != 0:
@@ -316,11 +336,11 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     acc = np.zeros(order + 1, dtype=complex)
     acc[0] = 1.0
     if not any(h):
-        return tuple(acc.tolist())
-    if alpha == 1:
-        head = h_arr[1 : order + 1].tolist()
-        if all(map(cmath.isfinite, head)):
-            return (1 + 0j, *[c + 0j for c in head]) + (0j,) * (order - len(head))
+        return acc
+    if alpha == 1 and all(map(cmath.isfinite, h[1 : order + 1])):
+        head = h_arr[1 : order + 1]
+        acc[1 : len(head) + 1] += head
+        return acc
     pw = np.ones(1, dtype=complex)
     for b in itertools.islice(_binomials(alpha), 1, order + 1):
         if b == 0:
@@ -329,7 +349,7 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
         if not pw.any():
             break
         acc[: len(pw)] += b * pw
-    return tuple(acc.tolist())
+    return acc
 
 
 def log1p_series(h: Sequence[complex], order: int | None = None) -> tuple:
@@ -361,10 +381,10 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
 
     The v recurrence reads f_1 and the tail f_2, f_3, ... from one scalar
     and one view made before its loop, so each np.dot sees the slices it
-    always saw.  The diagonal [w**(n-1)] v**n is collected and divided by
-    1, 2, ... in one array division: numpy divides each complex128 by n
-    cast to complex128, as the scalar vn[n - 1] / n does, so every g_n
-    is the same float.
+    always saw.  The diagonal [w**(n-1)] v**n is collected in g and
+    divided by 1, 2, ... in one array division: numpy divides each
+    complex128 by n cast to complex128, as the scalar vn[n - 1] / n
+    does, so every g_n is the same float.
     """
     order = config.order_or_default(order)
     f_arr = _spread(f, 1, order)
@@ -378,13 +398,12 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
     v[0] = 1 / f1
     for m in range(1, top - 1):
         v[m] = -np.dot(tail[:m], v[m - 1 :: -1]) / f1
-    diagonal = []
+    g = np.zeros(order + 1, dtype=complex)
     vn = np.ones(1, dtype=complex)
     for n in range(1, top):
         vn = _product(vn, v, order)
-        diagonal.append(vn[n - 1])
-    g = np.zeros(order + 1, dtype=complex)
-    g[1:top] = np.array(diagonal, dtype=complex) / np.arange(1, top)
+        g[n] = vn[n - 1]
+    g[1:top] /= np.arange(1, top)
     return tuple(g.tolist())
 
 
@@ -409,8 +428,9 @@ class PuiseuxSeries:
 
 
 def puiseux(coeffs: Iterable[complex], radius: float, d: int = 1) -> PuiseuxSeries:
-    """Build a Puiseux series from base coefficients (index n means z**(n/d))."""
-    return PuiseuxSeries(d, PowerSeries(tuple(coeffs)), float(radius))
+    """Build a Puiseux series from base coefficients (index n means z**(n/d));
+    a complex128 array is kept as the base's array."""
+    return PuiseuxSeries(d, PowerSeries(coeffs if type(coeffs) is np.ndarray else tuple(coeffs)), float(radius))
 
 
 def dense_coeffs(terms: Iterable[tuple[int, complex]]) -> list:
@@ -466,7 +486,7 @@ def tail_bound(c: float, d: int, radius: float, N: int, z: LPoint) -> float:
 
 def conj_tau(g: PuiseuxSeries) -> PuiseuxSeries:
     """The series with conjugated coefficients; equals conj(g(tau(z))) pointwise."""
-    return PuiseuxSeries(g.d, PowerSeries(tuple(map(complex.conjugate, g.base.coeffs))), g.radius)
+    return PuiseuxSeries(g.d, PowerSeries(g.base._array.conj()), g.radius)
 
 
 def _spread(coeffs: Sequence[complex], stride: int, order: int) -> np.ndarray:
@@ -481,12 +501,12 @@ def add(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> Puise
     """Sum after rescaling to the common denominator lcm(d1, d2)."""
     order = config.order_or_default(order)
     L = lcm(g1.d, g2.d)
-    a1, a2 = (_spread(g.base.coeffs, L // g.d, order) for g in (g1, g2))
-    return puiseux((a1 + a2).tolist(), min(g1.radius, g2.radius), L)
+    a1, a2 = (_spread(g.base._array, L // g.d, order) for g in (g1, g2))
+    return puiseux(a1 + a2, min(g1.radius, g2.radius), L)
 
 
 def scale(c: complex, g: PuiseuxSeries) -> PuiseuxSeries:
-    return PuiseuxSeries(g.d, PowerSeries(ps_scale(c, g.base.coeffs)), g.radius)
+    return PuiseuxSeries(g.d, PowerSeries(c * g.base._array), g.radius)
 
 
 def sub(g1: PuiseuxSeries, g2: PuiseuxSeries, order: int | None = None) -> PuiseuxSeries:
@@ -504,8 +524,8 @@ def param_power(g: PuiseuxSeries, m: int, order: int | None = None) -> PuiseuxSe
         raise ValueError(f"parameter power must be a positive integer, got {m!r}")
     if m == 1:
         return g
-    arr = _spread(g.base.coeffs, m, config.order_or_default(order))
-    return puiseux(arr.tolist(), g.radius ** (1.0 / m), g.d)
+    arr = _spread(g.base._array, m, config.order_or_default(order))
+    return puiseux(arr, g.radius ** (1.0 / m), g.d)
 
 
 def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> PuiseuxSeries:
@@ -524,14 +544,17 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> Pui
     The weight c_n a**(n/d) is c_n times cmath.exp((n/d) * lg), with
     lg = complex(log |a|, arg a) formed once: the expression cpow
     evaluates, with its 1 + 0j at n = 0, so the same floats.  Each term
-    writes weight * block (in that operand order, which numpy rounds
-    unlike block * weight) into its own row of a zero array, at the
-    entries n*k, n*k + d, ... that the block covers, and one
-    np.add.reduce over the rows, a zero row first, adds them in the
-    full loop's order.  A row's other entries are zeros, and a zero
-    added to a total that is never -0.0 changes nothing.  A ray's block
-    is its 1 alone, padded with the full loop's size - 1 zeros when it is
-    weighted: a finite weight makes zeros there, a non-finite one nan.
+    copies its block into its own row of a zero array, at the entries
+    n*k, n*k + d, ... that it covers; one multiply makes weight * row
+    (in that operand order, which numpy rounds unlike row * weight),
+    with weight 0 for c_n = 0, and one np.add.reduce over the rows, a
+    zero row first, adds them in the full loop's order.  A finite weight
+    makes zeros of a row's other entries, and a zero added to a total
+    that is never -0.0 changes nothing; a ray's block is its 1 alone,
+    and the zeros after it are the full loop's.  A non-finite weight
+    makes nan of zeros, so then the multiply is masked to the entries
+    the full loop weights: n*k, n*k + d, ... up to the order, and at
+    n = 0 the first alone.
     """
     if phi.k == 0:
         raise InvalidGerm("composition needs a germ with k >= 1")
@@ -542,12 +565,13 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> Pui
         # Any u but 1 keeps its trailing zeros: a shorter factor would
         # change the length of the product's inner sums, and with it
         # their rounding.
-        unit = np.asarray(binom_pow(phi.h.coeffs, 1.0 / d, order=order // d), dtype=complex)
+        unit = _binom_pow(phi.h.coeffs, 1.0 / d, order // d)
     else:
         unit = np.ones(1, dtype=complex)  # u = 1 makes each block an exact copy
     lg = complex(math.log(phi.a.r), phi.a.phi)
     terms = g.base.trimmed[: order // phi.k + 1]
     rows = np.zeros((len(terms) + 1, order + 1), dtype=complex)
+    weights = [0j] * (len(terms) + 1)
     block = np.ones(1, dtype=complex)
     for n, c in enumerate(terms):
         start = n * phi.k
@@ -555,10 +579,13 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> Pui
         if n > 0:
             block = _product(block[:size], unit[:size], size)
         if c != 0:
-            weight = c * (cmath.exp((n / d) * lg) if n else 1 + 0j)
-            full = block
-            if n and len(block) < size:  # a ray's 1, then the full loop's zeros
-                full = np.concatenate((block, np.zeros(size - 1, dtype=complex)))
-            np.multiply(weight, full, out=rows[n + 1, start : start + d * len(full) : d])
-    return puiseux(np.add.reduce(rows, axis=0).tolist(), s, d)
+            weights[n + 1] = c * (cmath.exp((n / d) * lg) if n else 1 + 0j)
+            rows[n + 1, start : start + d * len(block) : d] = block
+    covered = True
+    if not all(map(cmath.isfinite, weights)):  # weight only the entries the full loop writes
+        starts = np.arange(-1, len(terms))[:, None] * phi.k
+        covered = (np.arange(order + 1) >= starts) & ((np.arange(order + 1) - starts) % d == 0)
+        covered[1, 1:] = False
+    np.multiply(np.array(weights)[:, None], rows, out=rows, where=covered)
+    return puiseux(np.add.reduce(rows, axis=0), s, d)
 

@@ -104,6 +104,14 @@ def ps_eval_loop(coeffs, w: complex) -> complex:
     return total
 
 
+def eval_pairs_full(f) -> tuple:
+    """Reference PowerSeries.eval_pairs: numpy's running maximum of |c_m| over
+    trimmed[1:] and a trailing zero, reversed, and doubled."""
+    mags = np.abs(np.array(f.trimmed[1:] + (0j,), dtype=complex))
+    bounds = (2.0 * np.maximum.accumulate(mags[::-1])[::-1]).tolist()
+    return tuple(zip(f.trimmed, bounds))
+
+
 def on_surface_full(r, phi) -> bool:
     """Reference LPoint rule, for values of any type: whether LPoint(r, phi)
     is built rather than raising."""

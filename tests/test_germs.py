@@ -409,6 +409,49 @@ def test_invert_of_a_ray_is_the_reversion_bit_for_bit(order, phi):
         assert got == _germ_outcome(invert_full, phi)
 
 
+def _curved(a_r, a_phi, k, head, h, finite, radius):
+    """The germ a * z**k * (1 + h(z)), h = head, *h with h_j scaled by
+    1 / (j*j + 1); finite=True puts 0.5j / (j*j + 1) for an inf or nan h_j."""
+    h = [c / (j * j + 1) if cmath.isfinite(c) else 0.5j / (j * j + 1) if finite else c
+         for j, c in enumerate(h, start=1)]
+    return Germ(LPoint(a_r, a_phi), k, PowerSeries((head, *h)), radius)
+
+
+# h dense, with a nonzero after the scaling (a subnormal draw may round to
+# zero there); |a| and the radius mostly moderate, with the float limits of
+# _RAY_A_R and _RAY_RADII among them
+_CURVED = st.builds(
+    _curved, st.floats(0.1, 10.0) | _RAY_A_R, _RAY_A_PHI, st.integers(1, 3), SIGNED_ZEROS,
+    st.lists(st.builds(complex, _EDGE_PARTS, _EDGE_PARTS), min_size=1, max_size=45),
+    st.booleans(), st.sampled_from([1e-3, 1.0, 1e12]) | _RAY_RADII).filter(lambda g: not is_ray(g))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(order=st.integers(1, 40), phi_k=st.integers(0, 3), phi=_CURVED, psi=_CURVED)
+def test_compose_of_two_curved_germs_is_the_full_product_bit_for_bit(order, phi_k, phi, psi):
+    # the general path: (1 + h(psi))**k(phi) times 1 + h(phi) o s(psi),
+    # with h of either germ shorter and longer than order + 1; a, the
+    # radius and every coefficient of h are the full products' floats, and
+    # an a**k that overflows or a radius that underflows raises as they do
+    phi = Germ(phi.a, phi_k, phi.h, phi.radius)
+    assert not is_identity(psi) and not is_ray(psi)
+    got = _germ_outcome(compose, phi, psi, order)
+    with config.trunc_order(order):
+        assert got == _germ_outcome(compose_full, phi, psi)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(order=st.integers(1, 40), phi=_CURVED.map(lambda g: Germ(g.a, 1, g.h, g.radius)))
+def test_invert_of_a_curved_germ_is_the_reversion_bit_for_bit(order, phi):
+    # h~ is reversion's g_2.. times a1, and the radius the sampled halving's;
+    # an invalid b, an overflowing shadow or an uncertifiable h~ raises as
+    # the reference does
+    assert not is_ray(phi)
+    got = _germ_outcome(invert, phi, order)
+    with config.trunc_order(order):
+        assert got == _germ_outcome(invert_full, phi)
+
+
 def _scaled(weights, radius, total):
     """Coefficients c_n = total * w_n / radius**n, n >= 1, after a zero, so
     that sum |c_n| radius**n is about total when the weights sum to 1."""

@@ -404,9 +404,10 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     # products and 8 sampled_h_sup calls here, and 927 products without
     # the binom_pow one.  The top level makes its h (an omega and a
     # compose_germ) and its inverse only when they are read: 98 of the
-    # 905 products of a tower read in full.
+    # 905 products of a tower read in full.  Each np.dot is a step of
+    # reversion's v recurrence, 31 per inverse: 217 built and 248 read.
     corner, _, _ = curved_oracle_corner()
-    calls = {"_product": 0, "sampled_h_sup": 0}
+    calls = {"_product": 0, "dot": 0, "sampled_h_sup": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -415,13 +416,14 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(series, "_product", counted("_product", series._product))
+    monkeypatch.setattr(np, "dot", counted("dot", np.dot))
     monkeypatch.setattr(germs, "sampled_h_sup", counted("sampled_h_sup", germs.sampled_h_sup))
     with trunc_order(32):
         states = tower(corner, 8)
-        assert calls == {"_product": 807, "sampled_h_sup": 0}
+        assert calls == {"_product": 807, "dot": 217, "sampled_h_sup": 0}
         for st in states:
             st.h, st.phi_inv
-    assert calls == {"_product": 905, "sampled_h_sup": 0}
+    assert calls == {"_product": 905, "dot": 248, "sampled_h_sup": 0}
 
 
 def _windows(states):

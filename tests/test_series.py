@@ -14,6 +14,7 @@ from conftest import (
     binom_pow_full,
     bits,
     compose_germ_full,
+    eval_pairs_full,
     on_surface_full,
     ps_compose_full,
     plain_power,
@@ -41,7 +42,6 @@ from logsurf.series import (
     ps_eval,
     ps_eval_many,
     ps_mul,
-    ps_scale,
     puiseux,
     puiseux_from_terms,
     reversion,
@@ -56,7 +56,7 @@ def test_ps_arithmetic_exact():
     one_minus = (1.0, -1.0)
     assert ps_mul(one_plus, one_minus)[:3] == (1.0, 0.0, -1.0)
     assert ps_add((1.0, 2.0), (0.0, -2.0, 5.0)) == (1.0, 0.0, 5.0)
-    assert ps_scale(2.0, (1.0, -3.0)) == (2.0, -6.0)
+    assert scale(2.0, puiseux((1.0, -3.0), 1.0)).base.coeffs == (2.0, -6.0)
 
 
 def test_ps_mul_respects_the_global_order():
@@ -254,6 +254,20 @@ def test_ps_eval_of_at_most_three_terms_is_the_loop_bit_for_bit(coeffs, w):
     assert bits(ps_eval(f, w)) == bits(ps_eval_loop(f.trimmed, w))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(head=st.lists(_ANY_COMPLEX, min_size=1, max_size=40), tail=st.lists(SIGNED_ZEROS, max_size=8),
+       as_array=st.booleans())
+def test_eval_pairs_is_the_numpy_formula_bit_for_bit(head, tail, as_array):
+    # the bounds read the kept array of a series made from one, and the
+    # coefficients otherwise; an inf part gives inf, a nan one nan, and
+    # the last pair of trimmed 0.0, trailing zeros or not
+    coeffs = head + tail
+    f = PowerSeries(np.array(coeffs, dtype=complex) if as_array else tuple(coeffs))
+    with np.errstate(all="ignore"):
+        got, want = f.eval_pairs, eval_pairs_full(PowerSeries(tuple(coeffs)))
+    assert [bits(*pair) for pair in got] == [bits(*pair) for pair in want]
+
+
 def test_ps_eval_stops_once_no_later_term_can_change_the_sum():
     rng = np.random.default_rng(3)
     coeffs = tuple(complex(x, y) for x, y in rng.uniform(0.5, 2.0, (33, 2)))
@@ -306,6 +320,16 @@ def test_power_series_keeps_a_tuple_of_complex():
         got = PowerSeries(given_coeffs).coeffs
         assert type(got) is tuple and [type(c) for c in got] == [complex, complex]
         assert got == (1 + 0j, 2j)
+
+
+def test_power_series_of_a_complex_array_keeps_it_for_the_next_kernel():
+    arr = np.array([1 + 0j, complex(-0.0, 2.0)])
+    f = PowerSeries(arr)
+    assert type(f.coeffs) is tuple and [type(c) for c in f.coeffs] == [complex, complex]
+    assert bits(*f.coeffs) == bits(1 + 0j, complex(-0.0, 2.0)) and f._array is arr
+    # a float array is converted as any other sequence, and its array made on first read
+    g = PowerSeries(np.array([1.0, -0.0]))
+    assert [type(c) for c in g.coeffs] == [complex, complex] and g._array.dtype == complex
 
 
 def test_binom_pow_integer_exponent_stops_at_the_first_zero_coefficient(monkeypatch):
