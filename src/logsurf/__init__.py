@@ -30,7 +30,6 @@ from .corner import (
 )
 from .errors import (
     DegenerateTerm,
-    InsufficientSteps,
     InvalidGerm,
     LogSurfError,
     NotInvertible,

@@ -16,8 +16,8 @@ _DEEPEST_LEVEL = 155, the last level whose radius scale 100**(k - 1) is a
 float, and are read before any tower is built.  Flags are json
 booleans.  A check whose error is nan fails.  The reflect runner's checks on
 the boundary data and the oracle fold the levels of reflect.tower_errors.
-_tower, shared by the reflect, envelope and expansion runners, keeps up to four
-towers (~2.5 MiB) for later runs of a corner at an order; clear_towers drops them.
+_tower, shared by the reflect and expansion runners (the envelope reads level 1 alone),
+keeps up to four towers (~2.5 MiB) for later runs of a corner at an order; clear_towers drops them.
 """
 
 from __future__ import annotations
@@ -214,9 +214,10 @@ def _parse_edge(arr, loc: str) -> list:
         num = _as_int(_need(term, "beta_num", tloc), f"{tloc}.beta_num", 0)
         den = _as_int(_need(term, "beta_den", tloc), f"{tloc}.beta_den", 1)
         beta = Fraction(num, den)
-        with _at(tloc, SchemaError):  # float(beta) overflows past the float range
-            if beta and not float(beta):
-                raise SchemaError("a positive exponent rounds to 0.0 as a float", tloc)
+        if beta > sys.float_info.max:
+            raise SchemaError("the exponent beta_num / beta_den has no float: it is past the largest", tloc)
+        if beta and not float(beta):
+            raise SchemaError("a positive exponent rounds to 0.0 as a float", tloc)
         out.append((beta, coeff))
     return out
 
@@ -410,13 +411,18 @@ _MAX_TOWERS, _MAX_KEPT = 4, 2**14  # towers, and levels times order over them: ~
 clear_towers = _TOWERS.clear  # the next run of each corner builds its tower anew
 
 
-def _tower(corner, steps, order):
-    """tower(corner, steps, order), its errors at $.corner; an underflowing radius is a SchemaError.
+def _s1_field(corner, s1: float) -> str:
+    """Where a radius that underflows is refused: within _DEEPEST_LEVEL levels only a small s_1
+    underflows, so at the first corner field equal to s_1 (eps, then the psi, chi, g0 and g1
+    radii), or at $.corner itself when s_1 is a radius transported by a curve."""
+    fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius), ("chi.radius", corner.chi.radius),
+              ("g0.radius", corner.g0.radius), ("g1.radius", corner.g1.radius))
+    return next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
 
-    The runners refuse steps past _DEEPEST_LEVEL, and within that depth a radius
-    underflows only from a small s_1, so the error names the first corner field
-    equal to s_1: eps, then the psi, chi, g0 and g1 radii, or $.corner itself when
-    s_1 is a radius transported by a curve.
+
+def _tower(corner, steps, order):
+    """tower(corner, steps, order), its errors at $.corner; an underflowing radius is a
+    SchemaError at _s1_field.
 
     Up to _MAX_TOWERS towers of _MAX_KEPT levels times order in all are kept, keyed by the
     corner's repr (every float's digits and zero's sign, which == misses) and the order, the
@@ -430,12 +436,7 @@ def _tower(corner, steps, order):
             try:
                 states = tower(corner, steps, order)
             except WindowEmpty as exc:
-                s1 = init_state(corner, order).s
-                fields = (("eps", corner.eps), ("psi.radius", corner.psi.radius),
-                          ("chi.radius", corner.chi.radius), ("g0.radius", corner.g0.radius),
-                          ("g1.radius", corner.g1.radius))
-                loc = next((f"$.corner.{name}" for name, v in fields if v == s1), "$.corner")
-                raise SchemaError(str(exc), loc) from None
+                raise SchemaError(str(exc), _s1_field(corner, init_state(corner, order).s)) from None
     _TOWERS[key] = states
     while len(_TOWERS) > _MAX_TOWERS or sum(len(v) * k[1] for k, v in _TOWERS.items()) > _MAX_KEPT:
         del _TOWERS[next(iter(_TOWERS))]
@@ -601,9 +602,10 @@ def _run_poisson(obj, rng, order):
         for i, t in enumerate(_as_list(_need(data, "terms", "$.data"), "$.data.terms")):
             tloc = f"$.data.terms[{i}]"
             n = _as_int(_need(t, "n", tloc), f"{tloc}.n", 0)
-            with _at(f"{tloc}.n", SchemaError):  # the data takes n * phi as a float
-                if not math.isfinite(n * math.pi):  # |phi| <= pi
-                    raise SchemaError(f"n * pi overflows a float for n = {n:.3e}", f"{tloc}.n")
+            if n > sys.float_info.max:  # the data takes n * phi as a float
+                raise SchemaError("n has no float: it is past the largest", f"{tloc}.n")
+            if not math.isfinite(n * math.pi):  # |phi| <= pi
+                raise SchemaError(f"n * pi overflows a float for n = {n:.3e}", f"{tloc}.n")
             a = _as_real(t.get("cos", 0.0), f"{tloc}.cos")
             b = _as_real(t.get("sin", 0.0), f"{tloc}.sin")
             terms.append((n, a, b))
@@ -663,17 +665,19 @@ def _run_green(obj, rng, order):
 
 
 def _run_envelope(obj, rng, order):
-    """The envelope's domain against the windows at samples of x, leveled in one sweep."""
+    """The envelope's domain against the windows at samples of x, leveled in one sweep.
+    The envelope reads level 1 alone, so `steps` is bounded but builds no level."""
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
-    steps = _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3, _DEEPEST_LEVEL)
+    _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3, _DEEPEST_LEVEL)
     phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max")
     if not phi_max >= 1.0:
         raise SchemaError("phi_max must be at least 1", "$.phi_max")
     samples = _as_int(obj.get("samples", 64), "$.samples", 2, MAX_COUNT)
-    states = _tower(corner, steps, order)
+    with _at("$.corner"):
+        level = init_state(corner, order)
     xs = np.geomspace(1.0, phi_max, samples).tolist()  # xs[-1] is phi_max exactly
     with _at("$"):
-        theta, s1 = states[0].theta, states[0].s
+        theta, s1 = level.theta, level.s
         try:
             levels = envelope_levels(theta, xs)
         except OverflowError:  # level 1025's reach 2**1024 * theta - pi/2 has no float
@@ -682,7 +686,10 @@ def _run_envelope(obj, rng, order):
         if levels[-1] > _DEEPEST_LEVEL:  # the deepest level envelope reads
             raise SchemaError(f"level {levels[-1]}'s radius scale 100**{levels[-1] - 1} overflows a float",
                               "$.phi_max")
-        env = envelope(states, phi_max)
+        try:
+            env = envelope([level], phi_max)
+        except WindowEmpty as exc:
+            raise SchemaError(str(exc), _s1_field(corner, s1)) from None
 
     violations = 0
     for x, lev in zip(xs, levels):

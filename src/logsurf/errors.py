@@ -44,13 +44,9 @@ class OutsideExtension(LogSurfError):
     """Point lies outside the region reached by the computed steps."""
 
 
-class InsufficientSteps(LogSurfError):
-    """Not enough reflection steps for the requested computation."""
-
-
 class WindowEmpty(LogSurfError):
-    """A tower level's radius or a certificate window's scale underflowed
-    before the last step."""
+    """A tower level's radius, a certificate window's scale or an envelope
+    window's radius underflowed: the last too far for a finite K."""
 
 
 class PowerUnderflow(WindowEmpty):

@@ -47,7 +47,6 @@ import numpy as np
 from . import config
 from .corner import CornerSpec, HarmonicEvaluator, angle_value
 from .errors import (
-    InsufficientSteps,
     NotNormalized,
     OutOfRadius,
     OutsideExtension,
@@ -485,21 +484,19 @@ class EnvelopeResult:
 def envelope(states: Sequence[ReflectionState], phi_max: float = 1e4) -> EnvelopeResult:
     """Certify a quadratic domain inside the union of windows.
 
-    The level-k window covers shifted arguments x < 2**(k-1) * theta -
-    pi/2 within radius s_1 / 100**(k-1); the recursion extends past the
-    materialized levels, so K is the supremum of
+    Only level 1 is read, states[0]'s s_1 and theta: the level-k window
+    covers shifted arguments x < 2**(k-1) * theta - pi/2 within radius
+    s_1 / 100**(k-1), for every k, so K is the supremum of
     (100**(k-1) / s_1) ** (1 / log+ x) over the breakpoints in
     [1, phi_max].  The breakpoints come with their levels from one loop:
     x = 1 at k0 = envelope_levels(theta, [1])[0], then each reach
     x = 2**(k-1) * theta - pi/2 below phi_max, k >= k0, at level k + 1,
     since the reach strictly increases in k (and exceeds 1 from k0 on).
     The returned domain (c, C) = (min(1, s_1), log K) satisfies
-    c * exp(-C * sqrt(x)) <= K ** (-log+ x) for x >= 1.
+    c * exp(-C * sqrt(x)) <= K ** (-log+ x) for x >= 1.  Raises
+    WindowEmpty, naming the level, when a window radius it reads is so
+    small that K has no float.
     """
-    if len(states) < 3:
-        raise InsufficientSteps(
-            f"need at least 3 materialized levels, got {len(states)}"
-        )
     s1 = states[0].s
     theta = states[0].theta
 
@@ -511,7 +508,10 @@ def envelope(states: Sequence[ReflectionState], phi_max: float = 1e4) -> Envelop
     x, lev = 1.0, envelope_levels(theta, [1.0])[0]
     while not rows or x < phi_max:
         window_radius = s1 / 100.0 ** (lev - 1)
-        needed = (1.0 / window_radius) ** (1.0 / log_plus(x))
+        needed = (1.0 / window_radius) ** (1.0 / log_plus(x)) if window_radius else math.inf
+        if not math.isfinite(needed * (1.0 + 1e-9)):  # K, and so log K, would not be finite
+            raise WindowEmpty(f"level {lev}'s window radius s_1 / 100**{lev - 1} = {window_radius!r} "
+                              f"is too small for a finite K")
         rows.append((x, lev, window_radius, needed))
         K = max(K, needed)
         x, lev = _reach(theta, lev), lev + 1
@@ -687,9 +687,6 @@ def certify_expansion(
             A = max(A, cap ** (-denom / st.k))
 
     scales = [A ** (-k / denom) for k in range(1, len(states) + 2)]
-    step_bounds = tuple(
-        (k, ck, A ** k, scales[k - 1]) for k, ck in enumerate(c_values, start=1)
-    )
 
     # The windows before the first underflowing scale are sampled, and
     # their failures raised, before that underflow is.
@@ -712,6 +709,8 @@ def certify_expansion(
         window_rows.append((k, scales[k - 1], scales[k], worst_ratio, worst_ratio <= 1.0))
     if empty is not None:
         raise empty
+    # A ** k overflows only where t_k <= A ** -k (denom <= 1) is below 1e-300, which raised above
+    step_bounds = tuple((k, ck, A ** k, scales[k - 1]) for k, ck in enumerate(c_values, start=1))
 
     return ExtensionCertificate(
         float(R), R_prime, S, A, step_bounds, tuple(window_rows), all(row[4] for row in window_rows)

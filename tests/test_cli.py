@@ -26,7 +26,9 @@ from logsurf.surface import LPoint
 from conftest import bits
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-RAW_ARITHMETIC = ("math range error", "Numerical result out of range", "division by zero")
+RAW_ARITHMETIC = ("math range error", "Numerical result out of range", "division by zero",
+                  "integer division result too large for a float", "int too large to convert to float",
+                  "math domain error")
 
 
 def _strip_timestamp(text: str) -> str:
@@ -97,8 +99,8 @@ def test_a_warm_run_writes_what_a_cold_one_does(tmp_path, name, order):
 
 
 def test_a_pass_builds_each_corner_once(tmp_path, monkeypatch):
-    # envelope_wedge, expansion_sanity and reflect_wedge share a corner, so a
-    # first pass builds it, expansion_negative's corner and the mirror
+    # expansion_sanity and reflect_wedge share a corner, so a first pass builds it,
+    # expansion_negative's corner and the mirror; envelope_wedge builds no tower
     calls = _counted_towers(monkeypatch)
     for path in sorted(SCENARIOS.glob("*.json")):
         run(path, tmp_path / path.stem)
@@ -110,7 +112,7 @@ def test_a_pass_builds_each_corner_once(tmp_path, monkeypatch):
 
 def test_a_tower_is_kept_per_order(tmp_path, monkeypatch):
     calls = _counted_towers(monkeypatch)
-    src = SCENARIOS / "envelope_wedge.json"
+    src = SCENARIOS / "expansion_sanity.json"
     run(src, tmp_path / "a", trunc_order=32)
     run(src, tmp_path / "b", trunc_order=16)
     assert calls == [(5, 32), (5, 16)]
@@ -474,6 +476,13 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("reflect_wedge", ("corner", "g0", "radius"), 1e-320, "$.corner.g0.radius"),
         # g1 behind the rotated chi transports to s_1 = 5e-321, no field's value
         ("reflect_wedge", ("corner", "g1", "radius"), 1e-320, "$.corner"),
+        # the envelope's window of level 6 (1e-300) or 11 (1e-290) or 3 (3e-308) is so
+        # small that K has no float, at the first corner field equal to s_1
+        ("envelope_wedge", ("corner", "eps"), 1e-300, "$.corner.eps"),
+        ("envelope_wedge", ("corner", "eps"), 1e-290, "$.corner.eps"),
+        ("envelope_wedge", ("corner", "chi", "radius"), 3e-308, "$.corner.chi.radius"),
+        # A ** k overflows where the certificate's scales underflow, which is raised first
+        ("expansion_negative", ("corner", "g0", "terms", 0, "re"), 1e150, "$"),
         # pi * p / q has no float
         ("wedge_right_angle", ("theta", "q"), 10**400, "$.theta"),
         ("expansion_negative", ("corner", "theta", "q"), 10**400, "$.corner.theta"),
@@ -925,9 +934,11 @@ def test_corner_normalization_errors_are_at_the_corner(tmp_path, capsys, name, f
 def test_envelope_runner_sweeps_its_sample_levels(tmp_path):
     # the samples take one sweep, and the last, at phi_max, is the deepest level envelope reads
     obj = json.loads((SCENARIOS / "envelope_wedge.json").read_text())
-    with mock.patch.object(cli, "envelope_levels", wraps=cli.envelope_levels) as levels:
+    # envelope reads level 1 alone, so no tower is built
+    with mock.patch.object(cli, "envelope_levels", wraps=cli.envelope_levels) as levels, \
+            mock.patch.object(cli, "tower", wraps=cli.tower) as built:
         assert run(SCENARIOS / "envelope_wedge.json", tmp_path).passed
-    assert levels.call_count == 1
+    assert levels.call_count == 1 and built.call_count == 0
     assert levels.call_args.args[1][-1] == obj["phi_max"]
 
 

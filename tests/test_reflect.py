@@ -18,7 +18,6 @@ from logsurf import (
     CornerSpec,
     Germ,
     HarmonicEvaluator,
-    InsufficientSteps,
     IrrationalAngle,
     LPoint,
     NotNormalized,
@@ -899,9 +898,13 @@ def test_extension_outside_raises():
 # covering envelope
 # ----------------------------------------------------------------------
 
-def test_envelope_needs_three_levels():
-    with pytest.raises(InsufficientSteps):
-        envelope(tower(unit_wedge_corner(), 2))
+def test_envelope_reads_level_one_alone():
+    # every deeper window is s_1 / 100**(k - 1) at its reach, so deeper levels add nothing
+    def flat(env):
+        return bits(env.K, env.domain.c, env.domain.C, *(v for row in env.rows for v in row))
+
+    states = tower(unit_wedge_corner(), 12)
+    assert flat(envelope(states[:1])) == flat(envelope(states[:5])) == flat(envelope(states))
 
 
 def test_envelope_frozen_constants():
