@@ -476,13 +476,6 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         ("reflect_wedge", ("corner", "g0", "radius"), 1e-320, "$.corner.g0.radius"),
         # g1 behind the rotated chi transports to s_1 = 5e-321, no field's value
         ("reflect_wedge", ("corner", "g1", "radius"), 1e-320, "$.corner"),
-        # the envelope's window of level 6 (1e-300) or 11 (1e-290) or 3 (3e-308) is so
-        # small that K has no float, at the first corner field equal to s_1
-        ("envelope_wedge", ("corner", "eps"), 1e-300, "$.corner.eps"),
-        ("envelope_wedge", ("corner", "eps"), 1e-290, "$.corner.eps"),
-        ("envelope_wedge", ("corner", "chi", "radius"), 3e-308, "$.corner.chi.radius"),
-        # A ** k overflows where the certificate's scales underflow, which is raised first
-        ("expansion_negative", ("corner", "g0", "terms", 0, "re"), 1e150, "$"),
         # pi * p / q has no float
         ("wedge_right_angle", ("theta", "q"), 10**400, "$.theta"),
         ("expansion_negative", ("corner", "theta", "q"), 10**400, "$.corner.theta"),
@@ -509,6 +502,13 @@ def test_poisson_constant_and_re_data(tmp_path, data, observed):
         # level 156's radius scale 100**155 has no float, in every corner runner
         ("envelope_wedge", ("steps",), 156, "$.steps"),
         ("expansion_sanity", ("steps",), 156, "$.steps"),
+        # the envelope's window of level 6 (1e-300) or 11 (1e-290) or 3 (3e-308) is so
+        # small that K has no float, at the first corner field equal to s_1
+        ("envelope_wedge", ("corner", "eps"), 1e-300, "$.corner.eps"),
+        ("envelope_wedge", ("corner", "eps"), 1e-290, "$.corner.eps"),
+        ("envelope_wedge", ("corner", "chi", "radius"), 3e-308, "$.corner.chi.radius"),
+        # A ** k overflows where the certificate's scales underflow, which is raised first
+        ("expansion_negative", ("corner", "g0", "terms", 0, "re"), 1e150, "$"),
     ],
 )
 def test_out_of_range_numbers_exit_two(tmp_path, capsys, monkeypatch, name, path, value, loc):
