@@ -7,15 +7,15 @@ formatting; the timestamp is the only line that varies between
 identical runs) and one csv file per table.  The process exits 0
 exactly when every check of every scenario passed, 1 when a check
 failed, and 2 on schema or scenario errors, which are reported with
-their json location.  Every failure of a runner, including numbers out
-of range, is such an error: it never escapes as a traceback.  Every
-number must be finite.  Counts, coefficient indices and the truncation
+their json location; no failure of a runner escapes as a traceback.
+Every number must be finite, and the readers _as_int, _as_real and _as_list
+hold each field's range, refused at the field in one form ("expected a
+number > 0, got -0.0").  Counts, coefficient indices and the truncation
 order (at most MAX_TRUNC_ORDER = 1024, from the file or --trunc-order)
 are bounded, so no file asks for unbounded work; a tower's steps are at most
-_DEEPEST_LEVEL = 155, the last level whose radius scale 100**(k - 1) is a
-float, and are read before any tower is built.  Flags are json
-booleans.  A check whose error is nan fails.  The reflect runner's checks on
-the boundary data and the oracle fold the levels of reflect.tower_errors.
+_DEEPEST_LEVEL = 155, the last level whose radius scale 100**(k - 1) is a float, and are
+read before any tower is built.  Flags are json booleans.  A check whose error is nan
+fails.  The reflect runner's checks fold the levels of reflect.tower_errors.
 _tower, shared by the reflect and expansion runners (the envelope reads level 1 alone),
 keeps up to four towers (~2.5 MiB) for later runs of a corner at an order; clear_towers drops them.
 """
@@ -111,7 +111,8 @@ def _as_int(v, loc: str, minimum: int | None = None, maximum: int | None = None)
     return v
 
 
-def _as_real(v, loc: str) -> float:
+def _as_real(v, loc: str, above: float | None = None, minimum: float | None = None) -> float:
+    """v as a finite float, refused at loc unless it is > above and >= minimum (-0.0 is not > 0)."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"expected a number, got {v!r}", loc)
     try:
@@ -120,6 +121,10 @@ def _as_real(v, loc: str) -> float:
         x = math.inf
     if not math.isfinite(x):
         raise SchemaError(f"expected a finite number, got {v!r}", loc)
+    if above is not None and not x > above:
+        raise SchemaError(f"expected a number > {above:g}, got {v!r}", loc)
+    if minimum is not None and not x >= minimum:
+        raise SchemaError(f"expected a number >= {minimum:g}, got {v!r}", loc)
     return x
 
 
@@ -129,9 +134,12 @@ def _as_bool(v, loc: str) -> bool:
     return v
 
 
-def _as_list(v, loc: str) -> list:
+def _as_list(v, loc: str, nonempty: bool = False) -> list:
+    """v as a json array, refused at loc when it is empty and nonempty is set."""
     if not isinstance(v, list):
         raise SchemaError(f"expected an array, got {v!r}", loc)
+    if nonempty and not v:
+        raise SchemaError("expected a nonempty array, got []", loc)
     return v
 
 
@@ -151,9 +159,7 @@ def _parse_theta(obj, loc: str):
 
 def _parse_series(obj, loc: str, order: int) -> PuiseuxSeries:
     d = _as_int(_need(obj, "d", loc), f"{loc}.d", 1)
-    radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius")
-    if radius <= 0:
-        raise SchemaError("radius must be positive", f"{loc}.radius")
+    radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius", above=0.0)
     terms = []
     for i, term in enumerate(_as_list(_need(obj, "terms", loc), f"{loc}.terms")):
         tloc = f"{loc}.terms[{i}]"
@@ -174,14 +180,10 @@ def _parse_series(obj, loc: str, order: int) -> PuiseuxSeries:
 
 
 def _parse_germ(obj, loc: str, order: int) -> Germ:
-    a_r = _as_real(_need(obj, "a_r", loc), f"{loc}.a_r")
-    if a_r <= 0:
-        raise SchemaError("a_r must be positive", f"{loc}.a_r")
+    a_r = _as_real(_need(obj, "a_r", loc), f"{loc}.a_r", above=0.0)
     a_phi = _as_real(_need(obj, "a_phi", loc), f"{loc}.a_phi")
     k = _as_int(_need(obj, "k", loc), f"{loc}.k", 1)  # a corner's curves have k >= 1
-    radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius")
-    if radius <= 0:
-        raise SchemaError("radius must be positive", f"{loc}.radius")
+    radius = _as_real(_need(obj, "radius", loc), f"{loc}.radius", above=0.0)
     terms = []
     for i, term in enumerate(_as_list(obj.get("h_terms", []), f"{loc}.h_terms")):
         tloc = f"{loc}.h_terms[{i}]"
@@ -199,9 +201,7 @@ def _parse_corner(obj, loc: str, order: int) -> CornerSpec:
     theta = _parse_theta(_need(obj, "theta", loc), f"{loc}.theta")
     g0 = _parse_series(_need(obj, "g0", loc), f"{loc}.g0", order)
     g1 = _parse_series(_need(obj, "g1", loc), f"{loc}.g1", order)
-    eps = _as_real(_need(obj, "eps", loc), f"{loc}.eps")
-    if eps <= 0:
-        raise SchemaError("eps must be positive", f"{loc}.eps")
+    eps = _as_real(_need(obj, "eps", loc), f"{loc}.eps", above=0.0)
     with _at(loc, SchemaError):
         return CornerSpec(psi, chi, theta, g0, g1, eps)
 
@@ -242,7 +242,7 @@ def _parse_grid(obj, loc: str, defaults: dict) -> dict:
         if key.endswith("_n"):
             grid[key] = _as_int(obj[key], f"{loc}.{key}", 2, math.isqrt(MAX_COUNT))
         else:
-            grid[key] = _as_real(obj[key], f"{loc}.{key}")
+            grid[key] = _as_real(obj[key], f"{loc}.{key}", above=0.0)
     return grid
 
 
@@ -325,8 +325,6 @@ def _run_wedge(obj, rng, order):
     tv = angle_value(theta)
     grid = _parse_grid(obj.get("grid"), "$.grid",
                        {"r_min": 0.05, "r_max": 1.0, "r_n": 8, "phi_n": 7})
-    if not grid["r_min"] > 0:
-        raise SchemaError("r_min must be positive", "$.grid.r_min")
     if not grid["r_max"] > grid["r_min"]:
         raise SchemaError("r_max must exceed r_min", "$.grid.r_max")
 
@@ -496,8 +494,8 @@ def _run_reflect(obj, rng, order):
     lower, upper = states[-1].lower, states[-1].upper
     span = upper - lower
     grid_rows = emit_grid(
-        np.geomspace(states[-1].s * 0.3, states[0].s * 0.5, int(grid["r_n"])),
-        np.linspace(lower + span * 1e-3, upper - span * 1e-3, int(grid["phi_n"])),
+        np.geomspace(states[-1].s * 0.3, states[0].s * 0.5, grid["r_n"]),
+        np.linspace(lower + span * 1e-3, upper - span * 1e-3, grid["phi_n"]),
         lambda r, phi: [fv if isinstance(fv, Exception) else (fv.real, fv)
                         for fv in extend_eval_many(states, base, r, phi)],
     )
@@ -513,9 +511,7 @@ def _expansion_setup(obj, order):
     """An expansion_compare file's (states, base, gamma, R, expect_ok) at the given order."""
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
     steps = _as_int(obj.get("steps", 5), "$.steps", 3, _DEEPEST_LEVEL)
-    R = _as_real(_need(obj, "R", "$.R"), "$.R")
-    if not R >= 0:
-        raise SchemaError("R must be nonnegative", "$.R")
+    R = _as_real(_need(obj, "R", "$.R"), "$.R", minimum=0.0)
     strip_logs = _as_bool(obj.get("strip_logs", False), "$.strip_logs")
     expect_ok = _as_bool(obj.get("expect_windows_ok", not strip_logs), "$.expect_windows_ok")
     if corner.psi.a.phi != 0.0 or not is_ray(corner.psi):
@@ -585,9 +581,7 @@ def _run_poisson(obj, rng, order):
     data = _need(obj, "data", "$.data")
     kind = _need(data, "kind", "$.data")
     nodes = _as_int(obj.get("nodes", 512), "$.nodes", 16, MAX_COUNT)
-    points = _as_list(_need(obj, "points", "$.points"), "$.points")
-    if not points:
-        raise SchemaError("expected at least one point", "$.points")
+    points = _as_list(_need(obj, "points", "$.points"), "$.points", nonempty=True)
     if kind == "constant":
         value = _as_real(_need(data, "value", "$.data"), "$.data.value")
         h = lambda eta: np.full(len(eta), value)
@@ -641,9 +635,7 @@ def _run_green(obj, rng, order):
     rows = []
     worst_ref = 0.0
     worst_sym = 0.0
-    x_list = _as_list(_need(obj, "x_list", "$.x_list"), "$.x_list")
-    if not x_list:
-        raise SchemaError("expected at least one point", "$.x_list")
+    x_list = _as_list(_need(obj, "x_list", "$.x_list"), "$.x_list", nonempty=True)
     for i, p in enumerate(x_list):
         ploc = f"$.x_list[{i}]"
         x = _parse_disc_point(p, ploc)
@@ -669,9 +661,7 @@ def _run_envelope(obj, rng, order):
     The envelope reads level 1 alone, so `steps` is bounded but builds no level."""
     corner = _parse_corner(_need(obj, "corner", "$.corner"), "$.corner", order)
     _as_int(_need(obj, "steps", "$.steps"), "$.steps", 3, _DEEPEST_LEVEL)
-    phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max")
-    if not phi_max >= 1.0:
-        raise SchemaError("phi_max must be at least 1", "$.phi_max")
+    phi_max = _as_real(obj.get("phi_max", 1e4), "$.phi_max", minimum=1.0)
     samples = _as_int(obj.get("samples", 64), "$.samples", 2, MAX_COUNT)
     with _at("$.corner"):
         level = init_state(corner, order)

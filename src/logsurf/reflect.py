@@ -661,8 +661,8 @@ def certify_expansion(
     """
     R_prime, S = exponent_window(gamma, R)
 
-    grids = [
-        (idx, np.geomspace(st.s * 1e-2, st.s * (1.0 - 1e-9), radial_samples))
+    grids = [  # the top radius is below s_k, to which a subnormal s_k * (1.0 - 1e-9) rounds back
+        (idx, np.geomspace(st.s * 1e-2, min(st.s * (1.0 - 1e-9), math.nextafter(st.s, 0.0)), radial_samples))
         for idx, st in enumerate(states)
     ]
     # the residual err - floor * size over |z|**R', or 0.0 where it is

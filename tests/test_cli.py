@@ -931,6 +931,36 @@ def test_corner_normalization_errors_are_at_the_corner(tmp_path, capsys, name, f
     assert capsys.readouterr().err == f"error (mutated.json): $.corner: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("reflect_wedge", ("corner", "eps"), 0, "$.corner.eps: expected a number > 0, got 0"),
+        ("reflect_wedge", ("corner", "eps"), -0.0, "$.corner.eps: expected a number > 0, got -0.0"),
+        ("envelope_wedge", ("corner", "psi", "a_r"), 0, "$.corner.psi.a_r: expected a number > 0, got 0"),
+        ("expansion_sanity", ("corner", "g1", "radius"), -1,
+         "$.corner.g1.radius: expected a number > 0, got -1"),
+        ("wedge_irrational", ("grid", "r_min"), 0, "$.grid.r_min: expected a number > 0, got 0"),
+        ("wedge_right_angle", ("grid", "r_max"), -1, "$.grid.r_max: expected a number > 0, got -1"),
+        ("expansion_sanity", ("R",), -1e-300, "$.R: expected a number >= 0, got -1e-300"),
+        ("envelope_wedge", ("phi_max",), 0.5, "$.phi_max: expected a number >= 1, got 0.5"),
+        ("poisson_disk", ("points",), [], "$.points: expected a nonempty array, got []"),
+        ("green_disk", ("x_list",), [], "$.x_list: expected a nonempty array, got []"),
+    ],
+    ids=["eps_zero", "eps_negative_zero", "a_r", "radius", "r_min", "r_max", "R", "phi_max", "points",
+         "x_list"],
+)
+def test_a_reader_refuses_its_range_at_its_field(tmp_path, capsys, name, path, value, message):
+    # each bound lives in the reader of its field, which states it in one form
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    rc = main(["run", str(_write(tmp_path, "mutated.json", obj)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error (mutated.json): {message}\n"
+
+
 def test_envelope_runner_sweeps_its_sample_levels(tmp_path):
     # the samples take one sweep, and the last, at phi_max, is the deepest level envelope reads
     obj = json.loads((SCENARIOS / "envelope_wedge.json").read_text())

@@ -1086,6 +1086,19 @@ def test_certificate_scales_underflow():
         certify_expansion(states, resonant_base(), stripped, 2.5)
 
 
+@pytest.mark.parametrize("eps", [1e-310, 1e-312])
+def test_a_subnormal_window_is_sampled_inside_it(eps):
+    # expansion_negative's corner at a subnormal eps: s_k * (1 - 1e-9) rounds back to
+    # s_k, which lies in no window, so the first pass samples just below s_k instead
+    # and the scales' own underflow is what the certificate raises
+    states = tower(dataclasses.replace(resonant_corner(), eps=eps), 5)
+    _, expansion = wedge_solve(WedgeProblem(RationalPi(1, 2), ((2, 1.0),), ()))
+    gamma = truncate(expansion, 2.5)
+    stripped = log_power_series([(alpha, poly[:1]) for alpha, poly in gamma.terms])
+    with pytest.raises(WindowEmpty, match="certificate scales underflow at level 1"):
+        certify_expansion(states, resonant_base(), stripped, 2.5)
+
+
 def test_certificate_below_leading_exponent():
     # R below the first exponent leaves gamma empty; the certificate then
     # witnesses |f| <= |z|**S directly
