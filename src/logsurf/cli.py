@@ -774,9 +774,7 @@ def run(path: str | Path, out_dir: str | Path, trunc_order: int | None = None,
                 writer.writerow(header)
                 for row in rows:
                     writer.writerow([_fmt_cell(v) for v in row])
-        with open(out / "summary.json", "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        (out / "summary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise ScenarioError(f"cannot write the report to {out}: {exc}", "$") from exc
     return Report(path.stem, payload["passed"], checks)

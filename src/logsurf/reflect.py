@@ -8,10 +8,11 @@ each step reflects the current domain across the current image curve:
     w(z)      = phi_k(tau(phi_k^{-1}(z))),
     f_{k+1}(z) = -conj((f_k - h_k)(w)) + h_k(z),
 
-where h_k is the boundary data transported to the k-th curve.  Radii
-follow the printed recursion r_{k+1} = r_k / 100, s_{k+1} = s_k / 100
-and the transported data is valid on radius s_k / 4; these values are
-set by the recursion, never re-estimated.  A tower has one truncation
+where h_k is the boundary data transported to the k-th curve, h_{k+1}
+by w, which is phi_{k+1} itself when psi is the identity.  Radii follow
+the printed recursion r_{k+1} = r_k / 100, s_{k+1} = s_k / 100 and the
+transported data is valid on radius s_k / 4; these values are set by
+the recursion, never re-estimated.  A tower has one truncation
 order, given to tower (the default of logsurf.config when none is), and
 every level builds at it: step builds phi_{k+1}, and the data h_{k+1}
 and the inverse phi_{k+1}^{-1} are made on first read.  Only the next
@@ -91,11 +92,12 @@ class ReflectionState:
     corners; they gate evaluation, while r and s drive the covering
     windows.  order is the tower's truncation order: phi is made at it,
     and h and phi_inv = invert(phi) on first read, whatever the default
-    order then is, and kept: h from the level below (its phi, phi_inv
-    and h, and omega = phi o tau_conj(phi^{-1}), which no level keeps),
-    or given by init_state at level 1.  The window edges are made on
-    first read too: `lower` is alpha, plus pi/2 when psi is curved, and
-    `upper` is arg a(phi), minus pi/2 when phi is curved.
+    order then is, and kept: h from the level below (its phi, phi_inv, h
+    and omega = phi o tau_conj(phi^{-1}), which is this level's phi if
+    psi is the identity, else made and dropped), or given by init_state
+    at level 1.  The window edges are made on first read too: `lower` is
+    alpha, plus pi/2 when psi is curved, and `upper` is arg a(phi),
+    minus pi/2 when phi is curved.
     """
 
     k: int
@@ -119,9 +121,12 @@ class ReflectionState:
     def h(self) -> PuiseuxSeries:
         """h_k = -conj_tau((h0 - h_{k-1}) o omega_{k-1}) + h_{k-1} with
         omega_{k-1} = phi_{k-1} o tau_conj(phi_{k-1}^{-1}), valid on radius
-        s_{k-1} / 4."""
+        s_{k-1} / 4.  With psi the identity, omega_{k-1} is the map phi_k,
+        with the composed omega's a and k bit for bit (step's compose with
+        psi multiplies by a = (1, 0) exactly), h equal up to rounding (its
+        products run a term longer) and a radius that h never reads."""
         below, order = self.below, self.order
-        omega = compose(below.phi, tau_conj(below.phi_inv), order)
+        omega = self.phi if is_identity(self.psi) else compose(below.phi, tau_conj(below.phi_inv), order)
         reflected = conj_tau(compose_germ(sub(self.h0, below.h, order), omega, order))
         h_sum = add(scale(-1.0, reflected), below.h, order)
         return PuiseuxSeries(h_sum.d, h_sum.base, below.s / 4.0)

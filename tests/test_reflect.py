@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -60,7 +61,7 @@ from logsurf import (
 
 from logsurf import cli, germs, reflect, series
 from logsurf.germs import s_series
-from logsurf.series import compose_germ, ps_compose
+from logsurf.series import add, compose_germ, conj_tau, ps_compose, scale, sub
 from logsurf.surface import raising
 
 from conftest import apply_germ_composed, bits, outcome, ps_eval_loop
@@ -401,9 +402,10 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     # makes (1 + h)**1 in closed form, and the majorant certifies every
     # inverse: without these shortcuts the tower made 1,158 truncated
     # products and 8 sampled_h_sup calls here, and 927 products without
-    # the binom_pow one.  The top level makes its h (an omega and a
-    # compose_germ) and its inverse only when they are read: 98 of the
-    # 905 products of a tower read in full.  Each np.dot is a step of
+    # the binom_pow one.  With psi the identity each level's omega is its
+    # own phi, so a level's h makes no compose.  The top level makes its h
+    # (a compose_germ) and its inverse only when they are read: 64 of the
+    # 697 products of a tower read in full.  Each np.dot is a step of
     # reversion's v recurrence, 31 per inverse: 217 built and 248 read.
     corner, _, _ = curved_oracle_corner()
     calls = {"_product": 0, "dot": 0, "sampled_h_sup": 0}
@@ -419,10 +421,70 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     monkeypatch.setattr(germs, "sampled_h_sup", counted("sampled_h_sup", germs.sampled_h_sup))
     with trunc_order(32):
         states = tower(corner, 8)
-        assert calls == {"_product": 807, "dot": 217, "sampled_h_sup": 0}
+        assert calls == {"_product": 633, "dot": 217, "sampled_h_sup": 0}
         for st in states:
             st.h, st.phi_inv
-    assert calls == {"_product": 905, "dot": 248, "sampled_h_sup": 0}
+    assert calls == {"_product": 697, "dot": 248, "sampled_h_sup": 0}
+
+
+def _curved_data_tower(psi, d: int, order: int) -> list:
+    """A 6-level tower between psi and a curved chi at opening 1, data of denominator d."""
+    chi = make_germ(LPoint(1.0, 1.0), 1, _CURVED_H, 1.0)
+    g0 = puiseux([0.0, 1.0, 0.5], 10.0, d)
+    g1 = puiseux([0.0, 0.25, 0.0, -0.2], 10.0, d)
+    return tower(CornerSpec(psi, chi, IrrationalAngle(1.0), g0, g1, 1.0), 6, order=order)
+
+
+def _transport(below, omega) -> PuiseuxSeries:
+    """h_k = -conj_tau((h0 - h_{k-1}) o omega) + h_{k-1} on radius s_{k-1} / 4,
+    written out from public functions."""
+    order = below.order
+    reflected = conj_tau(compose_germ(sub(below.h0, below.h, order), omega, order))
+    h = add(scale(-1.0, reflected), below.h, order)
+    return PuiseuxSeries(h.d, h.base, below.s / 4.0)
+
+
+def _series_bits(h: PuiseuxSeries) -> tuple:
+    return h.d, h.radius, bits(*h.base.coeffs)
+
+
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_curved_tower_over_the_identity_transports_by_its_own_phi(monkeypatch, d, order):
+    # With psi the identity, omega_{k-1} = phi_{k-1} o tau_conj(phi_{k-1}^{-1})
+    # is the map phi_k = phi_{k-1} o tau_conj(phi_{k-1}^{-1} o psi), so h_k
+    # transports by phi_k and makes no compose of its own.
+    h_code = reflect.ReflectionState.h.func.__code__
+    from_h = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_code is h_code:
+                from_h.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(germs, "compose", counted(germs.compose))
+    monkeypatch.setattr(reflect, "compose", counted(reflect.compose))
+    states = _curved_data_tower(identity_germ(), d, order)
+    for st in states:
+        st.h
+    assert from_h == [] and states[-1].h.d == d
+    for st in states[1:]:
+        assert _series_bits(st.h) == _series_bits(_transport(st.below, st.phi))
+        # a and k are the composed omega's; its radius is never read
+        omega = compose(st.below.phi, tau_conj(st.below.phi_inv), order)
+        assert (bits(omega.a.r, omega.a.phi), omega.k) == (bits(st.phi.a.r, st.phi.a.phi), st.phi.k)
+
+
+@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_curved_psi_transports_by_the_composed_omega(d, order):
+    psi = make_germ(LPoint(1.0, 0.0), 1, (0.0, 0.05j), 1.0)
+    states = _curved_data_tower(psi, d, order)
+    for st in states[1:]:
+        omega = compose(st.below.phi, tau_conj(st.below.phi_inv), order)
+        assert _series_bits(st.h) == _series_bits(_transport(st.below, omega))
 
 
 def _windows(states):
@@ -436,7 +498,7 @@ def _windows(states):
     return out
 
 
-@pytest.mark.parametrize("order", [16, 32])
+@pytest.mark.parametrize("order", [16, 32, 64])
 def test_curved_extension_matches_entire_oracle(rng, order):
     # manufactured solution: the extension of Re F from a curved corner is
     # the entire F itself, in every window of the tower
