@@ -26,8 +26,9 @@ every integer order:
 * compose of two rays (h = 0, every germ of a straight tower) gives
   h = 0 in closed form, and invert of a ray gives its inverse's zeros,
   with the radius kept, without a series product or a reversion.
-The general compose hands complex128 arrays from series' array kernels
-to its one product, and its h becomes a tuple once, in PowerSeries.
+Every series kernel returns a complex128 array: the general compose
+hands those of binom_pow and ps_compose to its one product, and its h
+becomes a tuple once, in PowerSeries.
 apply_germ_many is apply_germ on float64 arrays, with its floats, for
 k = 1 germs.
 """
@@ -45,9 +46,9 @@ from .config import MAX_TRUNC_ORDER
 from .errors import InvalidGerm, NotInvertible, OutOfRadius
 from .series import (
     PowerSeries,
-    _binom_pow,
     _nonzero_len,
-    _ps_compose,
+    binom_pow,
+    ps_compose,
     ps_eval,
     ps_eval_many,
     reversion,
@@ -200,7 +201,7 @@ def root_pullback(phi: Germ, m: int, order: int | None = None) -> Germ:
     if m == 1:
         return phi
     a = power(1.0 / m, phi.a)
-    h_new = _binom_pow(phi.h.coeffs, 1.0 / m, order)
+    h_new = binom_pow(phi.h.coeffs, 1.0 / m, order)
     h_new[0] = 0
     h = PowerSeries(h_new)
     return Germ(a, phi.k // m, h, _shrink_to_bound(h.coeffs, phi.radius))
@@ -291,9 +292,9 @@ def compose(phi: Germ, psi: Germ, order: int | None = None) -> Germ:
         h_new = (0j, *[c + 0j for c in phi.h.coeffs[1 : order + 1]])
         h_new += (0j,) * (order + 1 - len(h_new))
     else:
-        factor2 = _ps_compose(phi.h.coeffs, s_series(psi), order)
+        factor2 = ps_compose(phi.h.coeffs, s_series(psi), order)
         factor2[0] += 1.0
-        h_new = series._product(_binom_pow(psi.h.coeffs, float(phi.k), order), factor2, order + 1)
+        h_new = series._product(binom_pow(psi.h.coeffs, float(phi.k), order), factor2, order + 1)
         h_new[0] = 0
     return Germ(a, k, PowerSeries(h_new), radius)
 
@@ -324,7 +325,7 @@ def invert(phi: Germ, order: int | None = None) -> Germ:
     if is_ray(phi) and order >= 1:
         return Germ(b, 1, PowerSeries((0j,) + (0j * a1,) * (order - 1)), phi.radius)
     g = reversion(s_series(phi), order)
-    h_tilde = (0.0 + 0.0j,) + tuple(c * a1 for c in g[2:])
+    h_tilde = (0.0 + 0.0j,) + tuple(c * a1 for c in g[2:].tolist())
     r = _shrink_to_bound(h_tilde, phi.radius)
     return Germ(b, 1, PowerSeries(h_tilde), r)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import config
 from .errors import InvalidGerm, OutOfRadius
 from .germs import sampled_h_sup
-from .series import PowerSeries, _binom_pow, _nonzero_len, _product, log1p_series, ps_add, ps_eval
+from .series import PowerSeries, _nonzero_len, _product, binom_pow, log1p_series, ps_add, ps_eval
 from .surface import LPoint, cpow, cpow_many, log_many, logmap, project, valid_many
 
 Exponent = Fraction | float
@@ -231,9 +231,8 @@ def compose_germ_lp(g: LogPowerSeries, phi, order: int | None = None) -> tuple[L
     if phi.k == 0:
         raise InvalidGerm("substitution needs a germ with k >= 1")
     order = config.order_or_default(order)
-    log_factor = list(log1p_series(phi.h.coeffs, order=order))
+    log_factor = log1p_series(phi.h.coeffs, order=order)
     log_factor[0] += logmap(phi.a)
-    log_factor = np.asarray(log_factor, dtype=complex)
     arg_a = abs(phi.a.phi)
     applicable = phi.k == 1 and abs(phi.a.r - 1.0) <= 1e-9
 
@@ -243,7 +242,7 @@ def compose_germ_lp(g: LogPowerSeries, phi, order: int | None = None) -> tuple[L
         alpha_f = float(alpha)
         new_alpha = alpha * phi.k
         a_pow = cpow(alpha_f, phi.a)
-        unit_pow = _binom_pow(phi.h.coeffs, alpha_f, order)
+        unit_pow = binom_pow(phi.h.coeffs, alpha_f, order)
         base = a_pow * unit_pow
         m_top = len(poly) - 1
         # log_powers[j] = (log(a(1+h)))**j truncated
@@ -264,7 +263,7 @@ def compose_germ_lp(g: LogPowerSeries, phi, order: int | None = None) -> tuple[L
                 rows.append(BoundRow(alpha_f, m, ell, observed, bound, observed <= bound))
                 contrib = c_m * canonical
                 by_ell = bucket.setdefault(new_alpha, {})
-                by_ell[ell] = ps_add(by_ell.get(ell, (0j,)), tuple(contrib.tolist()))
+                by_ell[ell] = ps_add(by_ell.get(ell, (0j,)), contrib)
 
     terms = []
     for new_alpha in sorted(bucket):

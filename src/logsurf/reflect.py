@@ -95,9 +95,9 @@ class ReflectionState:
     order then is, and kept: h from the level below (its phi, phi_inv, h
     and omega = phi o tau_conj(phi^{-1}), which is this level's phi if
     psi is the identity, else made and dropped), or given by init_state
-    at level 1.  The window edges are made on first read too: `lower` is
-    alpha, plus pi/2 when psi is curved, and `upper` is arg a(phi),
-    minus pi/2 when phi is curved.
+    at level 1.  alpha = arg a(psi) and the window edges are made on
+    first read too: `lower` is alpha, plus pi/2 when psi is curved, and
+    `upper` is arg a(phi), minus pi/2 when phi is curved.
     """
 
     k: int
@@ -106,10 +106,10 @@ class ReflectionState:
     phi: Germ
     psi: Germ
     h0: PuiseuxSeries
-    alpha: float
     theta: float
     order: int
     below: ReflectionState | None = field(default=None, repr=False, compare=False)
+    alpha = cached_property(lambda self: self.psi.a.phi)
     lower = cached_property(lambda self: self.alpha + (0.0 if is_ray(self.psi) else math.pi / 2))
     upper = cached_property(lambda self: self.phi.a.phi - (0.0 if is_ray(self.phi) else math.pi / 2))
 
@@ -161,7 +161,7 @@ def init_state(corner: CornerSpec, order: int | None = None) -> ReflectionState:
     h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, chi_inv, order)
     r1 = min(psi.radius, chi.radius)
     s1 = min(r1, corner.eps, h0.radius, h1.radius)
-    state = ReflectionState(1, r1, s1, chi, psi, h0, alpha, theta, order)
+    state = ReflectionState(1, r1, s1, chi, psi, h0, theta, order)
     vars(state).update(h=h1, phi_inv=chi_inv)  # the cached_property values
     return state
 
@@ -184,7 +184,7 @@ def step(state: ReflectionState) -> ReflectionState:
     inner = compose(state.phi_inv, state.psi, state.order)
     phi_next = compose(state.phi, tau_conj(inner), state.order)
     return ReflectionState(state.k + 1, state.r / 100.0, state.s / 100.0, phi_next, state.psi,
-                           state.h0, state.alpha, state.theta, state.order, state)
+                           state.h0, state.theta, state.order, state)
 
 
 def tower(corner: CornerSpec, steps: int, order: int | None = None) -> list[ReflectionState]:

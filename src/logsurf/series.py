@@ -37,11 +37,10 @@ np.add.reduce, reversion divides its diagonal by 1, 2, ... in one array
 division, and _spread, the one rule that pads and truncates
 coefficients (add, sub, ps_add and reversion use it), writes them
 through one strided slice, which copies them exactly.  Between kernels
-coefficients stay complex128 arrays (_binom_pow and _ps_compose return
-them; binom_pow and ps_compose are their tuples): a PowerSeries made
-from one makes its tuple once and keeps the array, as _array, which
-add, scale, conj_tau and eval_pairs read.  ps_eval stops its sum
-once no later term can change a bit of it: inside the unit disc, when
+coefficients stay complex128 arrays: every kernel returns a complex128
+array; a PowerSeries makes its tuple once and keeps the array, as
+_array, which add, scale, conj_tau and eval_pairs read.  ps_eval stops
+its sum once no later term can change a bit of it: inside the unit disc, when
 the largest coefficient still to come times the current power of w is
 below a quarter ulp of both parts of the total.  Each skipped addend
 then rounds straight back to the total, so the float is that of the
@@ -97,10 +96,6 @@ class PowerSeries:
         # Callers mostly pass tuples of complex already, which need no copy.
         elif type(coeffs) is not tuple or set(map(type, coeffs)) != {complex}:
             object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     @cached_property
     def trimmed(self) -> tuple:
@@ -229,9 +224,9 @@ def ps_eval_many(f: PowerSeries, wr: np.ndarray, wi: np.ndarray) -> tuple[np.nda
     return total_r, total_i
 
 
-def ps_add(f: Sequence[complex], g: Sequence[complex]) -> tuple:
+def ps_add(f: Sequence[complex], g: Sequence[complex]) -> np.ndarray:
     n = max(len(f), len(g)) - 1
-    return tuple((_spread(f, 1, n) + _spread(g, 1, n)).tolist())
+    return _spread(f, 1, n) + _spread(g, 1, n)
 
 
 def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -253,12 +248,12 @@ def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return correlate(a, b[::-1], 2)[:n]
 
 
-def ps_mul(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> tuple:
+def ps_mul(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> np.ndarray:
     order = config.order_or_default(order)
-    return tuple(_product(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), order + 1).tolist())
+    return _product(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), order + 1)
 
 
-def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> tuple:
+def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = None) -> np.ndarray:
     """Coefficients of f(g(w)) truncated; requires g(0) = 0.
 
     Horner's scheme runs over f up to its last nonzero coefficient.  The
@@ -270,11 +265,6 @@ def ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None = N
     full scheme's.  An f with no nonzero coefficient makes no product at
     all, so it runs the full scheme when g has an inf or nan.
     """
-    return tuple(_ps_compose(f, g, order).tolist())
-
-
-def _ps_compose(f: Sequence[complex], g: Sequence[complex], order: int | None) -> np.ndarray:
-    """ps_compose's coefficients as a complex128 array."""
     order = config.order_or_default(order)
     g_arr = np.asarray(g, dtype=complex)
     if len(g_arr) and g_arr[0] != 0:
@@ -302,7 +292,7 @@ def binom_coefficients(alpha: float, count: int) -> np.ndarray:
     return np.array(list(itertools.islice(_binomials(alpha), count)), dtype=complex)
 
 
-def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> tuple:
+def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> np.ndarray:
     """Coefficients of (1 + h(w))**alpha via the binomial series; h(0) = 0.
 
     Converges wherever |h| <= 1/2, the standing smallness bound; at the
@@ -324,11 +314,6 @@ def binom_pow(h: Sequence[complex], alpha: float, order: int | None = None) -> t
     into +0.0, as + 0j does.  An inf or nan coefficient takes the
     product, where the zero parts meet it and make nan.
     """
-    return tuple(_binom_pow(h, alpha, order).tolist())
-
-
-def _binom_pow(h: Sequence[complex], alpha: float, order: int | None) -> np.ndarray:
-    """binom_pow's coefficients as a complex128 array."""
     order = config.order_or_default(order)
     h_arr = np.asarray(h, dtype=complex)
     if len(h_arr) and h_arr[0] != 0:
@@ -352,7 +337,7 @@ def _binom_pow(h: Sequence[complex], alpha: float, order: int | None) -> np.ndar
     return acc
 
 
-def log1p_series(h: Sequence[complex], order: int | None = None) -> tuple:
+def log1p_series(h: Sequence[complex], order: int | None = None) -> np.ndarray:
     """Coefficients of log(1 + h(w)) (principal branch); h(0) = 0."""
     order = config.order_or_default(order)
     h_arr = np.asarray(h, dtype=complex)
@@ -365,10 +350,10 @@ def log1p_series(h: Sequence[complex], order: int | None = None) -> tuple:
         if not pw.any():
             break
         acc[: len(pw)] += ((-1) ** (j + 1) / j) * pw
-    return tuple(acc.tolist())
+    return acc
 
 
-def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
+def reversion(f: Sequence[complex], order: int | None = None) -> np.ndarray:
     """Compositional inverse of f = f_1 w + f_2 w**2 + ... with f_1 != 0.
 
     Returns g with f(g(w)) = w up to the truncation order, by Lagrange
@@ -404,7 +389,7 @@ def reversion(f: Sequence[complex], order: int | None = None) -> tuple:
         vn = _product(vn, v, order)
         g[n] = vn[n - 1]
     g[1:top] /= np.arange(1, top)
-    return tuple(g.tolist())
+    return g
 
 
 @dataclass(frozen=True)
@@ -565,7 +550,7 @@ def compose_germ(g: PuiseuxSeries, phi: "Germ", order: int | None = None) -> Pui
         # Any u but 1 keeps its trailing zeros: a shorter factor would
         # change the length of the product's inner sums, and with it
         # their rounding.
-        unit = _binom_pow(phi.h.coeffs, 1.0 / d, order // d)
+        unit = binom_pow(phi.h.coeffs, 1.0 / d, order // d)
     else:
         unit = np.ones(1, dtype=complex)  # u = 1 makes each block an exact copy
     lg = complex(math.log(phi.a.r), phi.a.phi)

@@ -205,7 +205,7 @@ def invert_full(phi):
     b = LPoint(1.0 / phi.a.r, -phi.a.phi)
     g = reversion(s_series(phi), config.get_trunc_order())
     a1 = project(phi.a)
-    h_tilde = (0j,) + tuple(c * a1 for c in g[2:])
+    h_tilde = (0j,) + tuple(c * a1 for c in g[2:].tolist())
     return Germ(b, 1, PowerSeries(h_tilde), shrink_by_sampling(h_tilde, phi.radius))
 
 

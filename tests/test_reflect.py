@@ -407,8 +407,10 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     # (a compose_germ) and its inverse only when they are read: 64 of the
     # 697 products of a tower read in full.  Each np.dot is a step of
     # reversion's v recurrence, 31 per inverse: 217 built and 248 read.
+    # binom_pow and ps_compose are counted at every logsurf module
+    # attribute bound to them, since germs and logpower import the names.
     corner, _, _ = curved_oracle_corner()
-    calls = {"_product": 0, "dot": 0, "sampled_h_sup": 0}
+    calls = {"_product": 0, "dot": 0, "sampled_h_sup": 0, "binom_pow": 0, "ps_compose": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -419,12 +421,19 @@ def test_a_curved_tower_skips_the_known_germ_work(monkeypatch):
     monkeypatch.setattr(series, "_product", counted("_product", series._product))
     monkeypatch.setattr(np, "dot", counted("dot", np.dot))
     monkeypatch.setattr(germs, "sampled_h_sup", counted("sampled_h_sup", germs.sampled_h_sup))
+    for fn in (series.binom_pow, series.ps_compose):
+        wrapper = counted(fn.__name__, fn)
+        for name, mod in list(sys.modules.items()):
+            if name == "logsurf" or name.startswith("logsurf."):
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
     with trunc_order(32):
         states = tower(corner, 8)
-        assert calls == {"_product": 633, "dot": 217, "sampled_h_sup": 0}
+        assert calls == {"_product": 633, "dot": 217, "sampled_h_sup": 0, "binom_pow": 14, "ps_compose": 7}
         for st in states:
             st.h, st.phi_inv
-    assert calls == {"_product": 697, "dot": 248, "sampled_h_sup": 0}
+    assert calls == {"_product": 697, "dot": 248, "sampled_h_sup": 0, "binom_pow": 15, "ps_compose": 7}
 
 
 def _curved_data_tower(psi, d: int, order: int) -> list:

@@ -54,8 +54,8 @@ from logsurf.series import (
 def test_ps_arithmetic_exact():
     one_plus = (1.0, 1.0)
     one_minus = (1.0, -1.0)
-    assert ps_mul(one_plus, one_minus)[:3] == (1.0, 0.0, -1.0)
-    assert ps_add((1.0, 2.0), (0.0, -2.0, 5.0)) == (1.0, 0.0, 5.0)
+    assert ps_mul(one_plus, one_minus)[:3].tolist() == [1.0, 0.0, -1.0]
+    assert ps_add((1.0, 2.0), (0.0, -2.0, 5.0)).tolist() == [1.0, 0.0, 5.0]
     assert scale(2.0, puiseux((1.0, -3.0), 1.0)).base.coeffs == (2.0, -6.0)
 
 
@@ -71,14 +71,14 @@ def test_ps_compose_requires_vanishing_inner_constant():
         ps_compose((1.0, 1.0), (1.0, 1.0))
     # f(g) with f = 1 + w, g = w + w**2
     out = ps_compose((1.0, 1.0), (0.0, 1.0, 1.0))
-    assert out[:3] == (1.0, 1.0, 1.0)
+    assert out[:3].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_binomial_series_against_known_rows():
     row = binom_coefficients(0.5, 5)
     assert np.allclose(row, [1.0, 0.5, -0.125, 0.0625, -0.0390625])
     sq = binom_pow((0.0, 1.0), 2.0)
-    assert sq[:3] == (1.0, 2.0, 1.0)
+    assert sq[:3].tolist() == [1.0, 2.0, 1.0]
     # (1+w)**0.5 squared returns 1 + w up to truncation error
     half = binom_pow((0.0, 1.0), 0.5)
     back = ps_mul(half, half)
@@ -99,7 +99,7 @@ def test_binom_pow_integer_exponent_is_the_finite_product(rng, alpha):
         assert np.allclose(got[: len(want)], want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
         assert not any(got[len(want) :])
         if alpha == 1:
-            assert got[: len(unit)] == unit
+            assert got[: len(unit)].tolist() == list(unit)
 
 
 def test_log1p_series_coefficients():
@@ -716,7 +716,7 @@ def test_compose_germ_fractional_and_power_germs(rng, d, k):
             want = evaluate(g, apply_germ(phi, z))
             assert evaluate(comp, z) == pytest.approx(want, rel=1e-9, abs=1e-12)
         # every kept coefficient, the top ones included, is independent of the order
-        with config.trunc_order(2 * comp.base.order):
+        with config.trunc_order(2 * (len(comp.base.coeffs) - 1)):
             longer = compose_germ(g, phi).base.coeffs
         np.testing.assert_allclose(comp.base.coeffs, longer[: len(comp.base.coeffs)], rtol=1e-13)
 
