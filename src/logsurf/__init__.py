@@ -61,7 +61,6 @@ from .logpower import (
     LogPowerGermImage,
     LogPowerSeries,
     compose_germ_lp,
-    compose_pow,
     is_log_free,
     log_power_series,
     monomial,

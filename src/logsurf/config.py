@@ -26,11 +26,17 @@ def order_or_default(order: int | None) -> int:
     return get_trunc_order() if order is None else order
 
 
+def check_order(n: int) -> int:
+    """n, refused with a ValueError unless it is an int (not a bool) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"truncation order must be a positive integer, got {n!r}")
+    return n
+
+
 @contextmanager
 def trunc_order(n: int):
     """Temporarily make n the default truncation order."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"truncation order must be a positive integer, got {n!r}")
+    check_order(n)
     global _trunc_order
     old, _trunc_order = _trunc_order, n
     try:

@@ -8,9 +8,8 @@ floats are exact rationals.
 
 The module provides evaluation at one surface point (evaluate) or at
 many, as float64 arrays with the same floats (evaluate_many), its
-support, truncation by exponent cutoff, the two composition rules
-(with power maps and with germs), and the sampled coefficient-bound
-certificate for the germ rule.
+support, truncation by exponent cutoff, composition with germs, and
+the sampled coefficient-bound certificate for that rule.
 """
 
 from __future__ import annotations
@@ -152,33 +151,6 @@ def truncate(g: LogPowerSeries, R) -> LogPowerSeries:
 
 def is_log_free(g: LogPowerSeries) -> bool:
     return all(len(poly) <= 1 for _, poly in g.terms)
-
-
-def compose_pow(g: LogPowerSeries, rho) -> LogPowerSeries:
-    """Substitute the power map: z**a (log z)**m becomes rho**m z**(a*rho) (log z)**m.
-
-    Exponent arithmetic is exact: a float rho is converted to the exact
-    rational it represents before scaling rational exponents.
-    """
-    if isinstance(rho, float):
-        if not (math.isfinite(rho) and rho > 0):
-            raise ValueError(f"power must be a positive real, got {rho!r}")
-        rho_exact: Fraction | int = Fraction(rho)
-    elif isinstance(rho, (int, Fraction)):
-        if rho <= 0:
-            raise ValueError(f"power must be a positive real, got {rho!r}")
-        rho_exact = Fraction(rho)
-    else:
-        raise ValueError(f"unsupported power type {type(rho).__name__}")
-    out = []
-    for alpha, poly in g.terms:
-        if isinstance(alpha, Fraction):
-            new_alpha: Exponent = alpha * rho_exact
-        else:
-            new_alpha = alpha * float(rho_exact)
-        new_poly = tuple(c * float(rho_exact ** m) for m, c in enumerate(poly))
-        out.append((new_alpha, new_poly))
-    return log_power_series(out)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def init_state(corner: CornerSpec, order: int | None = None) -> ReflectionState:
         raise NotNormalized("the first tangent argument must precede the second")
     if abs((beta - alpha) - theta) > 1e-9:
         raise NotNormalized("the declared opening does not match the tangents")
-    order = config.order_or_default(order)
+    order = config.check_order(config.order_or_default(order))
     h0 = corner.g0 if is_identity(psi) else compose_germ(corner.g0, invert(psi, order), order)
     chi_inv = invert(chi, order)
     h1 = corner.g1 if is_identity(chi) else compose_germ(corner.g1, chi_inv, order)
@@ -193,8 +193,10 @@ def tower(corner: CornerSpec, steps: int, order: int | None = None) -> list[Refl
     Levels 1 to steps - 1 are built with their data and inverses; the top
     level makes its h and phi_inv when they are first read (no descent
     reads them: a point at level L descends through the levels below L).
+    steps and the order must be ints, not bools, of at least 1; any other
+    value raises a ValueError before a level is built.
     """
-    if steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ValueError("need at least one level")
     states = [init_state(corner, order)]
     while len(states) < steps:

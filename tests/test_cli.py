@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -910,6 +911,24 @@ def test_scaling_the_extension_at_one_level_moves_that_levels_entries_alone(k):
                for row, new in zip(rows, moved)]
     assert changed == [[k - 1] if k > 1 else [], [k]]
     assert worst(0.0, *moved[1]) <= 1e-8  # oracle_match still passes
+
+
+def test_window_cover_fails_for_a_domain_outside_the_windows(tmp_path, capsys):
+    # The envelope's constants have wide slack by construction: c * 100 or
+    # C * 0.9 still lie inside every window at all 200 samples.  Halving C
+    # widens the domain enough that 25 samples leave their window.
+    def halved(*args, **kwargs):
+        env = envelope(*args, **kwargs)
+        return dataclasses.replace(env, domain=dataclasses.replace(env.domain, C=env.domain.C / 2))
+
+    envelope = cli.envelope
+    with mock.patch.object(cli, "envelope", halved):
+        rc = main(["run", str(SCENARIOS / "envelope_wedge.json"), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().out.startswith("FAIL envelope_wedge: 1/2 checks")
+    checks = {c["name"]: c for c in json.loads((tmp_path / "summary.json").read_text())["checks"]}
+    assert (checks["window_cover"]["observed"], checks["window_cover"]["passed"]) == (25.0, False)
+    assert checks["constants_positive"]["passed"] is True
 
 
 @pytest.mark.parametrize("name", ["envelope_wedge", "expansion_sanity"])

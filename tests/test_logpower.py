@@ -29,7 +29,6 @@ from logsurf import (
 from logsurf.logpower import (
     LogPowerSeries,
     compose_germ_lp,
-    compose_pow,
     evaluate,
     evaluate_image,
     evaluate_many,
@@ -120,26 +119,6 @@ def test_truncate_keeps_the_boundary_exponent():
     t = truncate(g, 2.5)
     assert support(t) == (0.5, 2.5)
     assert is_log_free(t)
-
-
-def test_compose_pow_is_exact_on_fractions(rng):
-    g = log_power_series([(Fraction(2), (0.0, 1.0))])  # z**2 * log z
-    h = compose_pow(g, Fraction(1, 2))  # -> z * (log z) / 2
-    (alpha, poly), = h.terms
-    assert alpha == Fraction(1)
-    assert poly == (0.0, 0.5)
-    for _ in range(20):
-        z = LPoint(3.0 * rng.random() + 1e-6, rng.uniform(-6.0, 6.0))
-        from logsurf import power
-
-        assert evaluate(h, z) == pytest.approx(
-            evaluate(g, power(0.5, z)), rel=1e-12, abs=1e-15
-        )
-
-
-def test_compose_pow_rejects_nonpositive_rho():
-    with pytest.raises(ValueError):
-        compose_pow(monomial(1.0), 0.0)
 
 
 def test_rotation_image_coefficients():

@@ -23,7 +23,6 @@ ROOT = Path(__file__).resolve().parents[1]
 AWAITING_A_CALLER = {
     "normalize": "item 2: curved and lens corners through the CLI",
     "compose_germ_lp": "item L1: resonant orders; acceptance criterion 2 in tests/test_acceptance.py",
-    "compose_pow": "item L1: gamma carried through a root stage",
     "tail_bound": "acceptance criterion 2; item 3 step 3: the rigorous bound beside the estimate",
     "poisson_disk": "acceptance criterion 8: the disc potentials",
     "monomial": "item L1: the z**beta log z term at a resonant order; acceptance criterion 2",

@@ -197,6 +197,30 @@ def test_step_builds_at_the_state_order():
     assert _level_bits(top) == _level_bits(tower(corner, 3, order=16)[-1])
 
 
+def _enter_trunc_order(n):
+    with trunc_order(n):
+        pass
+
+
+_NOT_AN_ORDER = "truncation order must be a positive integer, got {!r}"
+_BAD_SIZE_ROWS = [
+    *(pytest.param(functools.partial(tower, make(), 3, n), _NOT_AN_ORDER.format(n), id=f"{name}-order-{n!r}")
+      for name, make in (("straight", unit_wedge_corner), ("curved", _curved_corner))
+      for n in (0, -1, 2.5, True, "8")),
+    *(pytest.param(functools.partial(tower, unit_wedge_corner(), s), "need at least one level", id=f"steps-{s!r}")
+      for s in (2.5, True)),
+    pytest.param(functools.partial(_enter_trunc_order, True), _NOT_AN_ORDER.format(True), id="trunc_order-True"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_SIZE_ROWS)
+def test_an_order_or_steps_that_is_not_a_positive_int_is_refused(call, message):
+    # a bool, a float and a str are refused as 0 and -1 are, with the order's
+    # or steps' one message, before any level is built
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_tower_frozen_table():
     states = tower(unit_wedge_corner(), 3)
     assert [st.k for st in states] == [1, 2, 3]
