@@ -308,7 +308,11 @@ def invert(phi: Germ, order: int | None = None) -> Germ:
     r(phi) and halves until the sampled bound on h~ holds, so germs with
     h = 0 keep their radius exactly.
 
-    A ray (h = 0) at an order N >= 1 gives h~ in closed form: 0j, then
+    The order N, resolved from the default when None, must be an int
+    (not a bool) of at least 1: config.check_order refuses any other
+    with a ValueError, after b is made.
+
+    A ray (h = 0) gives h~ in closed form: 0j, then
     N - 1 copies of 0j * a1, a1 = project(a), with r(phi) kept.  These
     are the floats of the reversion: b is made first, so an invalid b
     raises as before; a1 is finite and nonzero for a valid b, so the
@@ -320,9 +324,9 @@ def invert(phi: Germ, order: int | None = None) -> Germ:
     if phi.k != 1:
         raise NotInvertible("only k = 1 germs are invertible")
     b = LPoint(1.0 / phi.a.r, -phi.a.phi)
-    order = config.order_or_default(order)
+    order = config.check_order(config.order_or_default(order))
     a1 = project(phi.a)
-    if is_ray(phi) and order >= 1:
+    if is_ray(phi):
         return Germ(b, 1, PowerSeries((0j,) + (0j * a1,) * (order - 1)), phi.radius)
     g = reversion(s_series(phi), order)
     h_tilde = (0.0 + 0.0j,) + tuple(c * a1 for c in g[2:].tolist())

@@ -198,11 +198,13 @@ def compose_germ_lp(g: LogPowerSeries, phi, order: int | None = None) -> tuple[L
     where log(a(1+h)) = logmap(a) + log(1 + h) uses the argument carried
     by a.  Coefficients are returned as truncated power series, not
     numbers.  The certificate samples each |g_l| against the printed
-    bound.
+    bound.  The order, resolved from the default when None, must be an int
+    (not a bool) of at least 1: config.check_order refuses any other with
+    a ValueError, after the k check.
     """
     if phi.k == 0:
         raise InvalidGerm("substitution needs a germ with k >= 1")
-    order = config.order_or_default(order)
+    order = config.check_order(config.order_or_default(order))
     log_factor = log1p_series(phi.h.coeffs, order=order)
     log_factor[0] += logmap(phi.a)
     arg_a = abs(phi.a.phi)

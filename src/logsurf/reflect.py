@@ -97,7 +97,10 @@ class ReflectionState:
     psi is the identity, else made and dropped), or given by init_state
     at level 1.  alpha = arg a(psi) and the window edges are made on
     first read too: `lower` is alpha, plus pi/2 when psi is curved, and
-    `upper` is arg a(phi), minus pi/2 when phi is curved.
+    `upper` is arg a(phi), minus pi/2 when phi is curved.  So is
+    `descent`, the one tuple extend_eval reads from a level it descends
+    through.  Only levels below a point's level are read, whose h and
+    phi_inv step has made, so no exception moves.
     """
 
     k: int
@@ -116,6 +119,16 @@ class ReflectionState:
     @cached_property
     def phi_inv(self) -> Germ:
         return invert(self.phi, self.order)
+
+    @cached_property
+    def descent(self) -> tuple:
+        """What extend_eval reads from a level it descends through: the
+        radius, h, a.r, a.phi and k of phi_inv, the same five of phi, and
+        the data h's (radius, d, 1.0 / d, base).  Made on first read, in
+        that order, so phi_inv before h."""
+        g, f, h = self.phi_inv, self.phi, self.h
+        return (g.radius, g.h, g.a.r, g.a.phi, g.k, f.radius, f.h, f.a.r, f.a.phi, f.k,
+                (h.radius, h.d, 1.0 / h.d, h.base))
 
     @cached_property
     def h(self) -> PuiseuxSeries:
@@ -246,7 +259,9 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     for h_j at z_j is reused for h_(j+1) at w_(j+1) where the two share d.
     So the floats and exceptions are those of apply_germ and evaluate on
     LPoints.  The one LPoint built is the landing point given to base.f
-    (z itself when z is in the corner).
+    (z itself when z is in the corner).  Each level is read as one cached
+    tuple, st.descent (made on first read), and every sum is a call of
+    the public ps_eval.
     """
     level = membership(states, z)
     if level is None:
@@ -256,35 +271,35 @@ def extend_eval(states: Sequence[ReflectionState], base: HarmonicEvaluator, z: L
     stack = []
     r, phi = z.r, z.phi
     for st in reversed(states[: level - 1]):
-        g = st.phi_inv
-        if r >= g.radius:
-            raise OutOfRadius(f"|z| = {r} is not below the germ radius {g.radius}")
-        unit = 1.0 + ps_eval(g.h, cmath.rect(r, phi))
-        u_r, u_phi = g.a.r * (r ** g.k * abs(unit)), g.a.phi + (g.k * phi + cmath.phase(unit))
+        inv_radius, inv_h, inv_ar, inv_aphi, inv_k, fwd_radius, fwd_h, fwd_ar, fwd_aphi, fwd_k, data = st.descent
+        if r >= inv_radius:
+            raise OutOfRadius(f"|z| = {r} is not below the germ radius {inv_radius}")
+        unit = 1.0 + ps_eval(inv_h, cmath.rect(r, phi))
+        u_r, u_phi = inv_ar * (r ** inv_k * abs(unit)), inv_aphi + (inv_k * phi + cmath.phase(unit))
         if not (0.0 < u_r < math.inf and -math.inf < u_phi < math.inf):
             LPoint(u_r, u_phi)  # raises LPoint's exception
-        g, u_phi = st.phi, -u_phi  # tau
-        if u_r >= g.radius:
-            raise OutOfRadius(f"|z| = {u_r} is not below the germ radius {g.radius}")
-        unit = 1.0 + ps_eval(g.h, cmath.rect(u_r, u_phi))
-        w_r, w_phi = g.a.r * (u_r ** g.k * abs(unit)), g.a.phi + (g.k * u_phi + cmath.phase(unit))
+        u_phi = -u_phi  # tau
+        if u_r >= fwd_radius:
+            raise OutOfRadius(f"|z| = {u_r} is not below the germ radius {fwd_radius}")
+        unit = 1.0 + ps_eval(fwd_h, cmath.rect(u_r, u_phi))
+        w_r, w_phi = fwd_ar * (u_r ** fwd_k * abs(unit)), fwd_aphi + (fwd_k * u_phi + cmath.phase(unit))
         if not (0.0 < w_r < math.inf and -math.inf < w_phi < math.inf):
             LPoint(w_r, w_phi)
-        stack.append((st.h, w_r, w_phi, r, phi))
+        stack.append((data, w_r, w_phi, r, phi))
         r, phi = w_r, w_phi
     value = complex(base.f(LPoint(r, phi) if stack else z))
     d = 0  # the denominator of at_z, z**(1/d) at the level below (none yet)
-    for h, w_r, w_phi, z_r, z_phi in reversed(stack):
-        if w_r >= h.radius:
-            raise OutOfRadius(f"|z| = {w_r} is not below the asserted radius {h.radius}")
+    for (h_radius, h_d, inv_d, h_base), w_r, w_phi, z_r, z_phi in reversed(stack):
+        if w_r >= h_radius:
+            raise OutOfRadius(f"|z| = {w_r} is not below the asserted radius {h_radius}")
         # w is the point z of the level below, whose power is at_z
-        at_w = at_z if h.d == d else cmath.exp((1.0 / h.d) * complex(math.log(w_r), w_phi))
-        h_w = ps_eval(h.base, at_w)
-        if z_r >= h.radius:
-            raise OutOfRadius(f"|z| = {z_r} is not below the asserted radius {h.radius}")
-        d = h.d
-        at_z = cmath.exp((1.0 / d) * complex(math.log(z_r), z_phi))
-        value = -(value - h_w).conjugate() + ps_eval(h.base, at_z)
+        at_w = at_z if h_d == d else cmath.exp(inv_d * complex(math.log(w_r), w_phi))
+        h_w = ps_eval(h_base, at_w)
+        if z_r >= h_radius:
+            raise OutOfRadius(f"|z| = {z_r} is not below the asserted radius {h_radius}")
+        d = h_d
+        at_z = cmath.exp(inv_d * complex(math.log(z_r), z_phi))
+        value = -(value - h_w).conjugate() + ps_eval(h_base, at_z)
     return value
 
 

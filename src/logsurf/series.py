@@ -47,9 +47,10 @@ then rounds straight back to the total, so the float is that of the
 full sum.  It adds the first two terms before it first checks the
 rule: a later check is exact too, since the total no longer changes once
 the rule holds.  The coefficients and their bounds are cached together,
-as PowerSeries.eval_pairs.  ps_eval_many and evaluate_many are ps_eval
-and evaluate on float64 arrays, with their floats; ps_eval_many sums
-every term.
+as PowerSeries.eval_pairs, and the first addend, formed as the loop
+forms it, with c_1 and the pairs after it, as PowerSeries.eval_plan.
+ps_eval_many and evaluate_many are ps_eval and evaluate on float64
+arrays, with their floats; ps_eval_many sums every term.
 """
 
 from __future__ import annotations
@@ -117,6 +118,16 @@ class PowerSeries:
         bounds = (2.0 * np.maximum.accumulate(mags[::-1])[::-1]).tolist()
         return tuple(zip(self.trimmed, bounds + [0.0]))
 
+    @cached_property
+    def eval_plan(self) -> tuple | None:
+        """(head, c_1, eval_pairs[2:]): ps_eval's unchecked head, with
+        head = (0.0 + 0.0j) + c_0 * (1.0 + 0.0j), the loop's first addend
+        formed as the loop forms it; None for at most two terms."""
+        pairs = self.eval_pairs
+        if len(pairs) < 3:
+            return None
+        return (0.0 + 0.0j) + pairs[0][0] * (1.0 + 0.0j), pairs[1][0], pairs[2:]
+
 
 def _nonzero_len(coeffs: Sequence[complex]) -> int:
     """Length up to the last nonzero coefficient, scanning only the
@@ -166,7 +177,10 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
     is still the full loop's float; a skipped check only moves the stop
     to a later term.  A series of at most two terms is its head alone
     and takes no check (a ray's h has no term at all), so it never
-    computes |w|.
+    computes |w|.  f.eval_plan caches the head: the first addend,
+    (0.0 + 0.0j) + c_0 * (1.0 + 0.0j), which the total starts from, c_1
+    and the pairs after it.  So a checked sum forms term = (1.0 + 0.0j) * w
+    and adds c_1 * term, the loop's own operations in its order.
 
     >>> f = PowerSeries(tuple(0.5 ** n * (1 + 1j) for n in range(33)))
     >>> w = 0.001 - 0.002j
@@ -176,18 +190,17 @@ def ps_eval(f: PowerSeries, w: complex) -> complex:
     >>> ps_eval(f, w) == full
     True
     """
-    pairs = f.eval_pairs
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    if len(pairs) < 3 or not abs(w) <= 1.0:
-        for c, _ in pairs:
+    plan = f.eval_plan
+    if plan is None or not abs(w) <= 1.0:
+        total = 0.0 + 0.0j
+        term = 1.0 + 0.0j
+        for c, _ in f.eval_pairs:
             total += c * term
             term *= w
         return total
-    rest = iter(pairs)
-    total += next(rest)[0] * term
-    term *= w
-    total += next(rest)[0] * term
+    total, c1, rest = plan
+    term = (1.0 + 0.0j) * w
+    total += c1 * term
     term *= w
     for c, m2 in rest:
         total += c * term

@@ -31,6 +31,7 @@ from logsurf import (
     apply_germ,
     certify_expansion,
     compose,
+    compose_germ_lp,
     conjugate_corner,
     conjugate_evaluator,
     cpow,
@@ -210,6 +211,12 @@ _BAD_SIZE_ROWS = [
     *(pytest.param(functools.partial(tower, unit_wedge_corner(), s), "need at least one level", id=f"steps-{s!r}")
       for s in (2.5, True)),
     pytest.param(functools.partial(_enter_trunc_order, True), _NOT_AN_ORDER.format(True), id="trunc_order-True"),
+    # germs.invert and logpower.compose_germ_lp refuse it too (germs.compose takes order 0)
+    *(pytest.param(functools.partial(invert, _curved_corner().chi, n), _NOT_AN_ORDER.format(n), id=f"invert-order-{n!r}")
+      for n in (0, -1, 2.5, True)),
+    *(pytest.param(functools.partial(compose_germ_lp, log_power_series([(1.0, (0.0, 1.0))]), _curved_corner().chi, n),
+                   _NOT_AN_ORDER.format(n), id=f"compose_germ_lp-order-{n!r}")
+      for n in (0, -1, 2.5, True)),
 ]
 
 
@@ -978,6 +985,37 @@ def test_extend_eval_raises_the_exceptions_of_the_lpoint_descent():
         with pytest.raises(kind) as raised:
             extend_eval(broken, base, z)
         assert type(raised.value) is kind and str(raised.value) == message
+
+
+def test_a_replaced_level_makes_its_own_descent_record(monkeypatch):
+    # the cases above, on a tower whose levels were read once intact: each
+    # _replaced copy is a new level, so its descent record is made from its
+    # broken germ or data, not inherited from the level it copies
+    build = tower
+
+    def read_once(corner, steps):
+        states = build(corner, steps)
+        extend_eval(states, unit_wedge_base(), LPoint(1e-5, 3.0))
+        assert [st.k for st in states if "descent" in vars(st)] == [1, 2]
+        return states
+
+    monkeypatch.setattr(sys.modules[__name__], "tower", read_once)
+    test_extend_eval_raises_the_exceptions_of_the_lpoint_descent()
+
+
+def test_extend_eval_records_descent_only_on_the_levels_it_reads():
+    # a point at level L reads the record of each level below L, made on
+    # first read; the top level's is never made, nor is one before a read
+    corner, base, _ = curved_oracle_corner()
+    states = tower(corner, 6, order=16)
+    recorded = lambda: [st.k for st in states if "descent" in vars(st)]
+    assert recorded() == []
+    for lo, hi, st in _windows(states):
+        z = LPoint(0.1 * st.s, 0.5 * (lo + hi))
+        assert membership(states, z) == st.k
+        extend_eval(states, base, z)
+        assert recorded() == list(range(1, st.k))
+    assert st.k == len(states)
 
 
 def test_extension_outside_raises():

@@ -268,6 +268,24 @@ def test_eval_pairs_is_the_numpy_formula_bit_for_bit(head, tail, as_array):
     assert [bits(*pair) for pair in got] == [bits(*pair) for pair in want]
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@example(coeffs=[complex(-0.0, -0.0), 1j, 1j], tail=[])
+@example(coeffs=[complex(math.inf, -0.0), 1j, 1j], tail=[])
+@example(coeffs=[complex(math.nan, -math.inf), 1j, 1j], tail=[])
+@given(coeffs=st.lists(_ANY_COMPLEX, min_size=1, max_size=6), tail=st.lists(SIGNED_ZEROS, max_size=3))
+def test_eval_plan_head_is_the_loops_first_addend_bit_for_bit(coeffs, tail):
+    # a checked sum starts from the head: the loop's total after c_0, signed
+    # zeros, inf and nan parts included; then c_1 and the pairs after it
+    f = PowerSeries(tuple(coeffs + tail))
+    if len(f.eval_pairs) < 3:
+        assert f.eval_plan is None
+        return
+    head, c1, rest = f.eval_plan
+    assert bits(head) == bits(ps_eval_loop(coeffs[:1], 0j))
+    assert bits(c1) == bits(f.eval_pairs[1][0])
+    assert [bits(*pair) for pair in rest] == [bits(*pair) for pair in f.eval_pairs[2:]]
+
+
 def test_ps_eval_stops_once_no_later_term_can_change_the_sum():
     rng = np.random.default_rng(3)
     coeffs = tuple(complex(x, y) for x, y in rng.uniform(0.5, 2.0, (33, 2)))
@@ -281,11 +299,13 @@ def test_ps_eval_stops_once_no_later_term_can_change_the_sum():
                 read.append(pair)
                 yield pair
 
-    # the sum reads its coefficients and bounds from the pair cache alone
-    f.__dict__["eval_pairs"] = Counted(f.eval_pairs)
+    # the sum reads its head, c_1 and then the tail of the plan cache alone
+    head, c1, tail = f.eval_plan
+    f.__dict__["eval_plan"] = (head, c1, Counted(tail))
     assert bits(ps_eval(f, w)) == bits(ps_eval_loop(coeffs, w))
-    # 2 * M * |w|**6 ~ 5e-18 is below 2**-55 of either part (0.63, 0.86): six reads
-    assert 3 <= len(read) <= 8
+    # 2 * M * |w|**6 ~ 5e-18 is below 2**-55 of either part (0.63, 0.86): six
+    # terms, the two of the head and four of the tail
+    assert 3 <= 2 + len(read) <= 8
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
